@@ -5,7 +5,7 @@ selection pipeline, and writes KSNP snapshot files plus CSV reports
 (spectrum, per-time errors, summary table, field and vorticity grids).
 
 Exit codes: 0 success, 1 selection did not converge (or decomposition
-failure), 2 solver failure, 3 I/O or config failure.
+failure), 2 solver failure, 3 I/O, config or input-data failure.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 
 from . import dmd, rom, snapshots, swe
 from .errors import (BadMagic, CflViolation, CorruptHeader, IndexOutOfRange,
-                     InvalidValue, NonPositiveDepth, ParseError, RankDeficient,
-                     ToolkitError, UnknownKey, UnsupportedVersion)
+                     InvalidValue, NonFiniteData, NonPositiveDepth, ParseError,
+                     RankDeficient, ToolkitError, UnknownKey, UnsupportedVersion)
 
 _FIELDS = ("h", "u", "v")
 
@@ -185,16 +185,14 @@ class FieldRomReport:
     converged: bool
 
 
-def _spectrum_rows(dec, model, weights):
-    order = rom._selection_order(dec, weights)
-    flat = [j for group in order for j in group]
+def _spectrum_rows(dec, model):
     chosen = set(model.selected)
     rows = []
-    for j in flat:
+    for j in (j for group in model.order for j in group):
         lam = dec.lambdas[j]
         s = dec.exponents[j]
         rows.append((j, lam.real, lam.imag, s.real, s.imag,
-                     weights[j], 1 if j in chosen else 0,
+                     model.weights[j], 1 if j in chosen else 0,
                      abs(dec.amplitudes[j])))
     return rows
 
@@ -228,10 +226,7 @@ def cmd_rom(args) -> int:
         name = matrix.field_tag.name
         matrix, dec = _decompose(matrix)
         model = rom.select_leading_modes(matrix, dec, cfg.epsilon)
-        weights = np.array([mw.weight for mw in
-                            rom.mode_weights(dec, matrix.n_snapshots - 1, dec.dt)])
-        _write_spectrum(outdir / f"spectrum_{name}.csv",
-                        _spectrum_rows(dec, model, weights))
+        _write_spectrum(outdir / f"spectrum_{name}.csv", _spectrum_rows(dec, model))
         _write_errors(outdir / f"errors_{name}.csv", matrix,
                       rom.per_time_errors(matrix, dec, model.selected))
         reports.append(FieldRomReport(
@@ -381,7 +376,7 @@ def main(argv=None) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
     except (OSError, ParseError, UnknownKey, InvalidValue, IndexOutOfRange,
-            BadMagic, UnsupportedVersion, CorruptHeader) as exc:
+            BadMagic, UnsupportedVersion, CorruptHeader, NonFiniteData) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ToolkitError as exc:

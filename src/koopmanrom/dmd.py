@@ -10,6 +10,19 @@ operator; modes are the snapshot-basis images of its eigenvectors.
 Reconstruction indexing: with amplitudes fit to the first snapshot,
 ``reconstruct(dec, subset, i)`` approximates the i-th snapshot (1-based,
 so i = 1 is the first column of the source matrix).
+
+Snapshot coordinates: the fit factors V0 = Q R, with Q real and
+orthonormal (Nx x Nt) and R the Nt x Nt triangle.  Mode j is
+Q B[:, j] with B = R Z, scaled and phase-pinned like the mode itself,
+so for any coefficients C, ||V0 - Re(Phi C)|| = ||R - Re(B C)|| column
+by column.  The amplitudes here and every reconstruction error in
+``rom`` are therefore computed from the Nt x Nt arrays R and B.  The
+full-length modes are formed once, in ``eigendecompose`` (the phase
+pinning needs their largest entry), and are read only by
+``reconstruct`` and the ``rom`` model.  A decomposition without R and
+B, or a matrix other than the one decomposed, gets its coordinates from
+one real QR of [V0 | Re Phi | Im Phi] instead
+(``DmdDecomposition.coordinates``).
 """
 
 from __future__ import annotations
@@ -33,6 +46,7 @@ class CompanionFit:
     coefficients: np.ndarray    # c, shape (Nt,)
     companion: np.ndarray       # S, shape (Nt, Nt)
     residual_norm: float
+    r: Optional[np.ndarray] = None  # R of V0 = Q R, shape (Nt, Nt)
 
 
 @dataclass
@@ -48,16 +62,38 @@ class DmdDecomposition:
     modes: np.ndarray           # complex, shape (Nx, m), unit 2-norm columns
     dt: float
     amplitudes: Optional[np.ndarray] = field(default=None)
+    # snapshot coordinates: the decomposed V0 (a view, not a copy), R and
+    # B with V0 = Q R and modes = Q B; None for hand-built decompositions
+    v0: Optional[np.ndarray] = field(default=None, repr=False)
+    r: Optional[np.ndarray] = field(default=None, repr=False)
+    mode_coords: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def coordinates(self, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(T, B) with v0 = Q T and modes = Q B for one real Q with
+        orthonormal columns, so norms of v0 - Re(modes C) are norms of
+        T - Re(B C).
+
+        Returns the stored R and B when ``v0`` equals the decomposed V0;
+        otherwise takes T and B from one real QR of [v0 | Re Phi | Im Phi].
+        """
+        if self.mode_coords is not None and np.array_equal(v0, self.v0):
+            return self.r, self.mode_coords
+        nt, m = v0.shape[1], self.modes.shape[1]
+        r = np.linalg.qr(np.hstack([v0, self.modes.real, self.modes.imag]), mode="r")
+        return r[:, :nt], r[:, nt:nt + m] + 1j * r[:, nt + m:]
 
 
-def _qr_solve(basis: np.ndarray, target: np.ndarray, what: str) -> np.ndarray:
-    """Least-squares solve via economic QR with a hard rank gate."""
+def _qr_solve(basis: np.ndarray, target: np.ndarray, what: str):
+    """Least-squares solve via economic QR with a hard rank gate.
+
+    Returns the solution and the triangular factor of ``basis``.
+    """
     q, r = np.linalg.qr(basis)
     sv = np.linalg.svd(r, compute_uv=False)
     rank = int(np.sum(sv > _RANK_RTOL * sv[0])) if sv.size else 0
     if rank < basis.shape[1]:
         raise RankDeficient(rank, basis.shape[1], what=what)
-    return scipy.linalg.solve_triangular(r, q.conj().T @ target)
+    return scipy.linalg.solve_triangular(r, q.conj().T @ target), r
 
 
 def fit_companion(pair: ShiftedPair) -> CompanionFit:
@@ -72,14 +108,15 @@ def fit_companion(pair: ShiftedPair) -> CompanionFit:
         raise ValueError(
             f"V0 is underdetermined: {v0.shape[0]} rows < {v0.shape[1]} columns")
     u_last = pair.v1[:, -1]
-    c = _qr_solve(v0, u_last, what="V0")
+    c, r = _qr_solve(v0, u_last, what="V0")
     nt = v0.shape[1]
     companion = np.zeros((nt, nt))
     if nt > 1:
         companion[np.arange(1, nt), np.arange(nt - 1)] = 1.0
     companion[:, -1] = c
     residual = float(np.linalg.norm(u_last - v0 @ c))
-    return CompanionFit(coefficients=c, companion=companion, residual_norm=residual)
+    return CompanionFit(coefficients=c, companion=companion, residual_norm=residual,
+                        r=r)
 
 
 def eigendecompose(fit: CompanionFit, pair: ShiftedPair, dt: float) -> DmdDecomposition:
@@ -87,7 +124,9 @@ def eigendecompose(fit: CompanionFit, pair: ShiftedPair, dt: float) -> DmdDecomp
 
     Mode j is V0 z_j normalized to unit 2-norm with its largest-magnitude
     entry rotated to the positive real axis, which pins the phase and
-    keeps conjugate eigenvector pairs exactly conjugate.
+    keeps conjugate eigenvector pairs exactly conjugate.  When the fit
+    carries R, the mode coordinates R z_j get the same scale and phase
+    and are kept with V0 and R on the decomposition.
     """
     try:
         lambdas, z = np.linalg.eig(fit.companion)
@@ -99,18 +138,35 @@ def eigendecompose(fit: CompanionFit, pair: ShiftedPair, dt: float) -> DmdDecomp
         raise EigenFailure("eigenvector mapped to a zero mode")
     modes = modes / norms
     lead = modes[np.argmax(np.abs(modes), axis=0), np.arange(modes.shape[1])]
-    modes = modes * (np.abs(lead) / lead)
+    phase = np.abs(lead) / lead
+    modes = modes * phase
     with np.errstate(divide="ignore", invalid="ignore"):
         exponents = np.log(lambdas) / dt
-    return DmdDecomposition(lambdas=lambdas, exponents=exponents, modes=modes, dt=dt)
+    dec = DmdDecomposition(lambdas=lambdas, exponents=exponents, modes=modes, dt=dt)
+    if fit.r is not None:
+        dec.v0, dec.r = pair.v0, fit.r
+        dec.mode_coords = (fit.r @ z) / norms * phase
+    return dec
 
 
 def compute_amplitudes(dec: DmdDecomposition, matrix: SnapshotMatrix) -> np.ndarray:
     """Least-squares projection of the first snapshot onto the modes.
 
+    Solved in snapshot coordinates, min ||t_0 - B a|| (module
+    docstring); the rank gate reads the singular values of B, which are
+    those of the mode matrix.  The snapshot is real, so the exact
+    amplitudes of a mode pair with exactly conjugate coordinates are
+    conjugate; they are made so, which gives both partners one weight.
     Stores the result on ``dec`` and returns it.
     """
-    a = _qr_solve(dec.modes, matrix.data[:, 0].astype(complex), what="mode matrix")
+    t, b = dec.coordinates(matrix.data[:, :-1])
+    a, _ = _qr_solve(b, t[:, 0].astype(complex), what="mode matrix")
+    pairs = np.array([g for g in conjugate_groups(dec.lambdas) if len(g) == 2],
+                     dtype=int).reshape(-1, 2)
+    exact = np.all(b[:, pairs[:, 1]] == b[:, pairs[:, 0]].conj(), axis=0)
+    j, k = pairs[exact].T
+    a[j] = 0.5 * (a[j] + a[k].conj())
+    a[k] = a[j].conj()
     dec.amplitudes = a
     return a
 
@@ -155,22 +211,17 @@ def conjugate_groups(lambdas: np.ndarray, rtol: float = 1e-10) -> list[list[int]
             groups.append([j])
             used[j] = True
             continue
-        partner = -1
-        best = rtol * scale
-        for k in range(n):
-            if k == j or used[k]:
-                continue
-            d = abs(lambdas[k] - np.conj(lam))
-            if d <= best:
-                partner = k
-                best = d
-        if partner >= 0:
+        d = np.abs(lambdas - np.conj(lam))
+        d[used] = np.inf
+        d[j] = np.inf
+        # the last index at the smallest distance within tolerance
+        partner = n - 1 - int(np.argmin(d[::-1]))
+        if d[partner] <= rtol * scale:
             groups.append([j, partner])
-            used[j] = True
             used[partner] = True
         else:
             groups.append([j])
-            used[j] = True
+        used[j] = True
     return groups
 
 

@@ -50,6 +50,10 @@ class CorruptHeader(ToolkitError):
     """KSNP file is truncated or its header is inconsistent."""
 
 
+class NonFiniteData(ToolkitError):
+    """Snapshot data holds NaN or infinite values."""
+
+
 class IndexOutOfRange(ToolkitError):
     """Snapshot or mode index outside the valid range."""
 

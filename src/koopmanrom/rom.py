@@ -5,16 +5,23 @@ contribution magnitude: w_j = dt * sum_{i=1..Nt} |a_j| |lambda_j|^(i-1).
 Modes are then admitted greedily in descending weight order (conjugate
 partners together, so reconstructions stay real) until the aggregate
 relative reconstruction error drops below the requested threshold.
+
+Every reconstruction error runs in snapshot coordinates (see ``dmd``):
+one kernel, ``_residuals``, forms the Nt x Nt coordinate residual
+R - Re(B C), whose column norms equal those of the full-space residual.
+Only the reference norms read the Nx x Nt snapshots.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
+from scipy.linalg.blas import dger
 
-from .dmd import DmdDecomposition, conjugate_groups
+from . import dmd
 from .errors import ZeroNormData
 from .snapshots import SnapshotMatrix
 
@@ -32,7 +39,9 @@ class RomModel:
     ``selected`` is ordered by descending weight (conjugate partners
     adjacent); ``converged`` is False when no prefix reached epsilon, in
     which case all modes are selected and achieved_error is the best
-    (full-set) error.
+    (full-set) error.  ``weights`` holds the weight of every mode of the
+    decomposition, by mode index, and ``order`` its conjugate groups in
+    admission order.
     """
 
     selected: tuple[int, ...]
@@ -44,12 +53,18 @@ class RomModel:
     epsilon: float
     full_rank: int
     converged: bool
+    weights: Optional[np.ndarray] = None
+    order: tuple[tuple[int, ...], ...] = ()
 
 
-def mode_weights(dec: DmdDecomposition, n_steps: int, dt: float) -> list[ModeWeight]:
-    """Weight of every mode over an n_steps reconstruction horizon."""
+def _require_amplitudes(dec: dmd.DmdDecomposition) -> None:
     if dec.amplitudes is None:
         raise ValueError("amplitudes not computed; call compute_amplitudes first")
+
+
+def mode_weights(dec: dmd.DmdDecomposition, n_steps: int, dt: float) -> list[ModeWeight]:
+    """Weight of every mode over an n_steps reconstruction horizon."""
+    _require_amplitudes(dec)
     powers = np.abs(dec.lambdas)[None, :] ** np.arange(n_steps)[:, None]
     w = dt * (np.abs(dec.amplitudes)[None, :] * powers).sum(axis=0)
     return [ModeWeight(mode_index=j, weight=float(w[j])) for j in range(w.shape[0])]
@@ -65,48 +80,71 @@ def _vandermonde(lambdas: np.ndarray, n_steps: int) -> np.ndarray:
     return lambdas[:, None] ** np.arange(n_steps)[None, :]
 
 
-def relative_error(matrix: SnapshotMatrix, dec: DmdDecomposition,
-                   subset) -> float:
-    """Frobenius-aggregate relative error of the subset reconstruction
-    over every reconstructible snapshot."""
-    if dec.amplitudes is None:
-        raise ValueError("amplitudes not computed; call compute_amplitudes first")
-    target = _reconstruction_span(matrix)
+def _reference_norm(target: np.ndarray) -> float:
     ref = np.linalg.norm(target)
     if ref == 0.0:
         raise ZeroNormData("reference snapshots have zero norm")
-    idx = np.asarray(list(subset), dtype=int)
-    vand = _vandermonde(dec.lambdas[idx], target.shape[1])
-    rec = (dec.modes[:, idx] @ (dec.amplitudes[idx, None] * vand)).real
-    return float(np.linalg.norm(target - rec) / ref)
+    return ref
 
 
-def per_time_errors(matrix: SnapshotMatrix, dec: DmdDecomposition,
+def _residuals(target: np.ndarray, dec: dmd.DmdDecomposition, groups):
+    """Yield the coordinate residual T - Re(B C) of the reconstruction of
+    ``target`` after each group of modes is added, C[j, k] = a_j lambda_j^k.
+
+    Modes enter one at a time in the given order, each as two in-place
+    rank-one updates, so a mode sequence gives bit-identical residuals
+    however it is split into groups.  One array is updated in place and
+    yielded each time.
+    """
+    t, b = dec.coordinates(target)
+    idx = np.asarray([j for group in groups for j in group], dtype=int)
+    coef = dec.amplitudes[idx, None] * _vandermonde(dec.lambdas[idx], target.shape[1])
+    b_sel = np.ascontiguousarray(b[:, idx].T)  # row p: coordinates of mode idx[p]
+    res = np.array(t, dtype=float, order="F")
+    p = 0
+    for group in groups:
+        for _ in group:
+            # res - Re(b c) = res - Re b Re c + Im b Im c
+            res = dger(-1.0, b_sel[p].real, coef[p].real, a=res, overwrite_a=True)
+            res = dger(1.0, b_sel[p].imag, coef[p].imag, a=res, overwrite_a=True)
+            p += 1
+        yield res
+
+
+def relative_error(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
+                   subset) -> float:
+    """Frobenius-aggregate relative error of the subset reconstruction
+    over every reconstructible snapshot."""
+    _require_amplitudes(dec)
+    target = _reconstruction_span(matrix)
+    ref = _reference_norm(target)
+    (res,) = _residuals(target, dec, [list(subset)])
+    return float(np.linalg.norm(res) / ref)
+
+
+def per_time_errors(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
                     subset) -> np.ndarray:
     """Relative error of each reconstructed snapshot separately.
 
     Entry k corresponds to snapshot index i = k + 1 (source column k).
     """
-    if dec.amplitudes is None:
-        raise ValueError("amplitudes not computed; call compute_amplitudes first")
+    _require_amplitudes(dec)
     target = _reconstruction_span(matrix)
-    idx = np.asarray(list(subset), dtype=int)
-    vand = _vandermonde(dec.lambdas[idx], target.shape[1])
-    rec = (dec.modes[:, idx] @ (dec.amplitudes[idx, None] * vand)).real
-    num = np.linalg.norm(target - rec, axis=0)
+    (res,) = _residuals(target, dec, [list(subset)])
+    num = np.linalg.norm(res, axis=0)
     den = np.linalg.norm(target, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(den > 0.0, num / den, np.inf)
     return out
 
 
-def _selection_order(dec: DmdDecomposition, weights: np.ndarray) -> list[list[int]]:
+def _selection_order(dec: dmd.DmdDecomposition, weights: np.ndarray) -> list[list[int]]:
     """Conjugate groups sorted by descending weight.
 
     Ties break toward the lower |frequency|, then the lower index, so
     the ordering is deterministic.
     """
-    groups = conjugate_groups(dec.lambdas)
+    groups = dmd.conjugate_groups(dec.lambdas)
     freq = np.abs(dec.exponents.imag)
 
     def key(group):
@@ -116,60 +154,47 @@ def _selection_order(dec: DmdDecomposition, weights: np.ndarray) -> list[list[in
     return sorted(groups, key=key)
 
 
-def select_leading_modes(matrix: SnapshotMatrix, dec: DmdDecomposition,
+def select_leading_modes(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
                          epsilon: float) -> RomModel:
     """Admit whole conjugate groups in descending weight order until the
     aggregate relative error reaches epsilon.
 
     Returns the first (smallest) selection that achieves the threshold;
     if none does, returns all modes flagged as not converged with the
-    best error achieved.
+    best error achieved.  The error of each prefix is exactly what
+    ``relative_error`` reports for it.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if dec.amplitudes is None:
-        raise ValueError("amplitudes not computed; call compute_amplitudes first")
+    _require_amplitudes(dec)
 
     weights = np.array([mw.weight for mw in
                         mode_weights(dec, matrix.n_snapshots - 1, dec.dt)])
     order = _selection_order(dec, weights)
-
     target = _reconstruction_span(matrix)
-    ref = np.linalg.norm(target)
-    if ref == 0.0:
-        raise ZeroNormData("reference snapshots have zero norm")
-    n_steps = target.shape[1]
+    ref = _reference_norm(target)
 
     selected: list[int] = []
-    acc = np.zeros(target.shape, dtype=complex)
-    chosen = None
-    for group in order:
-        idx = np.asarray(group, dtype=int)
-        vand = _vandermonde(dec.lambdas[idx], n_steps)
-        acc = acc + dec.modes[:, idx] @ (dec.amplitudes[idx, None] * vand)
+    achieved = 1.0  # the empty reconstruction
+    for group, res in zip(order, _residuals(target, dec, order)):
         selected.extend(group)
-        if np.linalg.norm(target - acc.real) / ref <= epsilon:
-            # confirm with the batch evaluation the error op reports
-            achieved = relative_error(matrix, dec, selected)
-            if achieved <= epsilon:
-                chosen = (list(selected), achieved, True)
-                break
-    if chosen is None:
-        achieved = relative_error(matrix, dec, selected)
-        chosen = (list(selected), achieved, False)
+        achieved = float(np.linalg.norm(res) / ref)
+        if achieved <= epsilon:
+            break
 
-    sel, achieved, converged = chosen
-    sel_arr = np.asarray(sel, dtype=int)
+    sel_arr = np.asarray(selected, dtype=int)
     return RomModel(
-        selected=tuple(sel),
+        selected=tuple(selected),
         lambdas=dec.lambdas[sel_arr],
         modes=dec.modes[:, sel_arr],
         amplitudes=dec.amplitudes[sel_arr],
-        n_dmd=len(sel),
+        n_dmd=len(selected),
         achieved_error=achieved,
         epsilon=epsilon,
         full_rank=dec.lambdas.shape[0],
-        converged=converged,
+        converged=achieved <= epsilon,
+        weights=weights,
+        order=tuple(tuple(group) for group in order),
     )
 
 

@@ -15,6 +15,10 @@ The on-disk format (KSNP v1) is sealed and bit-exact:
     f64 LE      dx
     f64 LE      dy
     payload     nsnap snapshots, each nx*ny f64 LE, flattening order
+
+Non-finite values have no place in a snapshot matrix: ``assemble`` and
+``load`` reject them with NonFiniteData instead of letting them reach
+the decomposition.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (BadMagic, CorruptHeader, IndexOutOfRange, ShapeMismatch,
-                     TooFewColumns, UnsupportedVersion)
+from .errors import (BadMagic, CorruptHeader, IndexOutOfRange, NonFiniteData,
+                     ShapeMismatch, TooFewColumns, UnsupportedVersion)
 from .swe import Grid
 
 _MAGIC = b"KSNP"
@@ -93,9 +97,20 @@ def assemble(fields: Sequence[np.ndarray], dt: float, tag: FieldTag, grid: Grid,
     data = np.empty((grid.nx * grid.ny, len(fields)), dtype=np.float64)
     for i, f in enumerate(fields):
         data[:, i] = np.asarray(f, dtype=np.float64).reshape(-1)
+    _require_finite(data.T, "assembled fields")
     return SnapshotMatrix(data=data, nx=grid.nx, ny=grid.ny, dt=dt,
                           dx=grid.dx, dy=grid.dy, field_tag=FieldTag(tag),
                           nondimensional=nondimensional)
+
+
+def _require_finite(snapshots: np.ndarray, what) -> None:
+    """Raise NonFiniteData naming the first non-finite value of a
+    (nsnap, nx*ny) array."""
+    finite = np.isfinite(snapshots)
+    if not finite.all():
+        snap, cell = np.unravel_index(np.argmin(finite), finite.shape)
+        raise NonFiniteData(f"{what}: {finite.size - finite.sum()} non-finite values, "
+                            f"first {snapshots[snap, cell]} at snapshot {snap}, cell {cell}")
 
 
 def split(matrix: SnapshotMatrix) -> ShiftedPair:
@@ -130,14 +145,15 @@ def load(path) -> SnapshotMatrix:
     _, version, tag, flags, nx, ny, nsnap, dt, dx, dy = _HEADER.unpack_from(raw)
     if version != _VERSION:
         raise UnsupportedVersion(f"{path}: version {version}, expected {_VERSION}")
-    if tag > 3 or nx == 0 or ny == 0 or nsnap < 2:
+    if tag > 3 or nx == 0 or ny == 0 or nsnap < 2 or not np.all(np.isfinite((dt, dx, dy))):
         raise CorruptHeader(f"{path}: implausible header (tag={tag}, nx={nx}, "
-                            f"ny={ny}, nsnap={nsnap})")
+                            f"ny={ny}, nsnap={nsnap}, dt={dt}, dx={dx}, dy={dy})")
     expected = _HEADER.size + 8 * nx * ny * nsnap
     if len(raw) != expected:
         raise CorruptHeader(f"{path}: {len(raw)} bytes, expected {expected}")
-    payload = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    data = payload.reshape(nsnap, nx * ny).T.copy()
+    payload = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(nsnap, nx * ny)
+    _require_finite(payload, path)
+    data = payload.T.copy()
     return SnapshotMatrix(data=data, nx=nx, ny=ny, dt=dt, dx=dx, dy=dy,
                           field_tag=FieldTag(tag), nondimensional=bool(flags & 1))
 

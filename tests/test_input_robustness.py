@@ -1,0 +1,116 @@
+"""Non-finite snapshot data and malformed KSNP bytes fail with typed errors."""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import koopmanrom as kr
+from koopmanrom.cli import main
+from koopmanrom.errors import CorruptHeader, NonFiniteData, ToolkitError
+from koopmanrom.snapshots import FieldTag, SnapshotMatrix, load, save
+
+HEADER_BYTES = 52
+NX, NY, NSNAP = 3, 2, 4
+NON_FINITE = (np.nan, np.inf, -np.inf, struct.unpack("<d", b"\x01\x00\x00\x00\x00\x00\xf8\xff")[0])
+FUZZ = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+
+def small_matrix(data=None):
+    if data is None:
+        data = np.arange(NX * NY * NSNAP, dtype=float).reshape(NX * NY, NSNAP) + 1.0
+    return SnapshotMatrix(data=data, nx=NX, ny=NY, dt=0.5, dx=1.0, dy=2.0,
+                          field_tag=FieldTag.u)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    """A file path for the fuzzed bytes, and the bytes of a valid file."""
+    path = tmp_path_factory.mktemp("ksnp") / "fuzz.ksnp"
+    save(small_matrix(), path)
+    return path, path.read_bytes()
+
+
+def load_bytes(path, raw):
+    """Load ``raw`` from a file: a matrix with finite data, or a ToolkitError."""
+    path.write_bytes(raw)
+    try:
+        matrix = load(path)
+    except ToolkitError:
+        return None
+    assert np.isfinite(matrix.data).all()
+    return matrix
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_load_rejects_non_finite_payload(self, tmp_path, bad):
+        data = small_matrix().data.copy()
+        data[4, 2] = bad
+        path = tmp_path / "bad.ksnp"
+        save(small_matrix(data), path)
+        with pytest.raises(NonFiniteData, match="snapshot 2, cell 4"):
+            load(path)
+
+    def test_load_rejects_non_finite_header_float(self, scratch):
+        path, valid = scratch
+        raw = bytearray(valid)
+        raw[28:36] = struct.pack("<d", np.inf)  # dt
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptHeader):
+            load(path)
+
+    def test_assemble_rejects_non_finite_field(self):
+        grid = kr.Grid(nx=5, ny=4, dx=1.0, dy=1.0)
+        fields = [np.ones((4, 5)) for _ in range(3)]
+        fields[1][1, 2] = np.nan
+        with pytest.raises(NonFiniteData, match="snapshot 1, cell 7"):
+            kr.assemble(fields, 1.0, FieldTag.h, grid)
+
+    def test_rom_on_non_finite_file_exits_3(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        data = rng.standard_normal((40, 12))
+        data[7, 3] = np.nan
+        path = tmp_path / "h.ksnp"
+        save(SnapshotMatrix(data=data, nx=8, ny=5, dt=60.0, dx=1.0, dy=1.0,
+                            field_tag=FieldTag.h), path)
+        assert main(["rom", "--out", str(tmp_path / "out"), str(path)]) == 3
+        assert "non-finite" in capsys.readouterr().err
+
+
+class TestLoadFuzz:
+    @FUZZ
+    @given(raw=st.binary(max_size=2 * HEADER_BYTES))
+    def test_random_bytes(self, scratch, raw):
+        load_bytes(scratch[0], raw)
+
+    @FUZZ
+    @given(cut=st.integers(min_value=0), tail=st.binary(max_size=16))
+    def test_truncated_or_extended(self, scratch, cut, tail):
+        path, valid = scratch
+        load_bytes(path, valid[:cut % len(valid)] + tail)
+
+    @FUZZ
+    @given(flips=st.lists(st.tuples(st.integers(0, HEADER_BYTES - 1), st.integers(0, 255)),
+                          min_size=1, max_size=6))
+    def test_header_flips(self, scratch, flips):
+        path, valid = scratch
+        raw = bytearray(valid)
+        for offset, value in flips:
+            raw[offset] = value
+        load_bytes(path, bytes(raw))
+
+    @FUZZ
+    @given(words=st.lists(st.tuples(st.integers(0, NX * NY * NSNAP - 1),
+                                    st.sampled_from(NON_FINITE)), min_size=1, max_size=4))
+    def test_non_finite_payload_words(self, scratch, words):
+        path, valid = scratch
+        raw = bytearray(valid)
+        for index, value in words:
+            offset = HEADER_BYTES + 8 * index
+            raw[offset:offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NonFiniteData):
+            load(path)

@@ -1,0 +1,266 @@
+"""Oracle: the snapshot-coordinate ROM against the full-space formulas.
+
+The functions prefixed ``old_`` are the full-space implementations that
+the coordinate path replaced, copied verbatim apart from their names,
+most docstrings and the missing-amplitude guards: every reconstruction
+is an Nx x Nt complex product, and the amplitudes are a QR solve
+against the Nx x m mode matrix.  Tolerances: selection
+exact, achieved error 1e-9 relative, per-time errors 1e-6 relative
+entry by entry, amplitudes and weights 1e-9 relative to the largest
+one, modes 1e-8 absolute.  (Amplitudes a millionth of the largest move
+by up to 1e-7 of their own size between the two solves: both are
+rounding, at a mode-matrix condition number near 100.)
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import koopmanrom as kr
+from koopmanrom.dmd import DmdDecomposition
+from koopmanrom.errors import EigenFailure, RankDeficient, ZeroNormData
+from koopmanrom.rom import ModeWeight, RomModel
+
+EPSILON = 1e-3
+FIELDS = ("h", "u", "v")
+_RANK_RTOL = 1e-12
+
+
+# --- full-space formulas, verbatim ---
+
+def old_qr_solve(basis, target, what):
+    """Least-squares solve via economic QR with a hard rank gate."""
+    q, r = np.linalg.qr(basis)
+    sv = np.linalg.svd(r, compute_uv=False)
+    rank = int(np.sum(sv > _RANK_RTOL * sv[0])) if sv.size else 0
+    if rank < basis.shape[1]:
+        raise RankDeficient(rank, basis.shape[1], what=what)
+    return scipy.linalg.solve_triangular(r, q.conj().T @ target)
+
+
+def old_eigendecompose(fit, pair, dt):
+    try:
+        lambdas, z = np.linalg.eig(fit.companion)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+    modes = pair.v0 @ z
+    norms = np.linalg.norm(modes, axis=0)
+    if np.any(norms == 0.0):
+        raise EigenFailure("eigenvector mapped to a zero mode")
+    modes = modes / norms
+    lead = modes[np.argmax(np.abs(modes), axis=0), np.arange(modes.shape[1])]
+    modes = modes * (np.abs(lead) / lead)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exponents = np.log(lambdas) / dt
+    return DmdDecomposition(lambdas=lambdas, exponents=exponents, modes=modes, dt=dt)
+
+
+def old_compute_amplitudes(dec, matrix):
+    a = old_qr_solve(dec.modes, matrix.data[:, 0].astype(complex), what="mode matrix")
+    dec.amplitudes = a
+    return a
+
+
+def old_conjugate_groups(lambdas, rtol=1e-10):
+    n = lambdas.shape[0]
+    used = np.zeros(n, dtype=bool)
+    groups = []
+    for j in range(n):
+        if used[j]:
+            continue
+        lam = lambdas[j]
+        scale = max(abs(lam), 1.0)
+        if abs(lam.imag) <= rtol * scale:
+            groups.append([j])
+            used[j] = True
+            continue
+        partner = -1
+        best = rtol * scale
+        for k in range(n):
+            if k == j or used[k]:
+                continue
+            d = abs(lambdas[k] - np.conj(lam))
+            if d <= best:
+                partner = k
+                best = d
+        if partner >= 0:
+            groups.append([j, partner])
+            used[j] = True
+            used[partner] = True
+        else:
+            groups.append([j])
+            used[j] = True
+    return groups
+
+
+def old_mode_weights(dec, n_steps, dt):
+    powers = np.abs(dec.lambdas)[None, :] ** np.arange(n_steps)[:, None]
+    w = dt * (np.abs(dec.amplitudes)[None, :] * powers).sum(axis=0)
+    return [ModeWeight(mode_index=j, weight=float(w[j])) for j in range(w.shape[0])]
+
+
+def old_reconstruction_span(matrix):
+    return matrix.data[:, :-1]
+
+
+def old_vandermonde(lambdas, n_steps):
+    return lambdas[:, None] ** np.arange(n_steps)[None, :]
+
+
+def old_relative_error(matrix, dec, subset):
+    target = old_reconstruction_span(matrix)
+    ref = np.linalg.norm(target)
+    if ref == 0.0:
+        raise ZeroNormData("reference snapshots have zero norm")
+    idx = np.asarray(list(subset), dtype=int)
+    vand = old_vandermonde(dec.lambdas[idx], target.shape[1])
+    rec = (dec.modes[:, idx] @ (dec.amplitudes[idx, None] * vand)).real
+    return float(np.linalg.norm(target - rec) / ref)
+
+
+def old_per_time_errors(matrix, dec, subset):
+    target = old_reconstruction_span(matrix)
+    idx = np.asarray(list(subset), dtype=int)
+    vand = old_vandermonde(dec.lambdas[idx], target.shape[1])
+    rec = (dec.modes[:, idx] @ (dec.amplitudes[idx, None] * vand)).real
+    num = np.linalg.norm(target - rec, axis=0)
+    den = np.linalg.norm(target, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(den > 0.0, num / den, np.inf)
+    return out
+
+
+def old_selection_order(dec, weights):
+    groups = old_conjugate_groups(dec.lambdas)
+    freq = np.abs(dec.exponents.imag)
+
+    def key(group):
+        j = min(group, key=lambda k: (freq[k], k))
+        return (-weights[group[0]], freq[j], j)
+
+    return sorted(groups, key=key)
+
+
+def old_select_leading_modes(matrix, dec, epsilon):
+    weights = np.array([mw.weight for mw in
+                        old_mode_weights(dec, matrix.n_snapshots - 1, dec.dt)])
+    order = old_selection_order(dec, weights)
+
+    target = old_reconstruction_span(matrix)
+    ref = np.linalg.norm(target)
+    if ref == 0.0:
+        raise ZeroNormData("reference snapshots have zero norm")
+    n_steps = target.shape[1]
+
+    selected = []
+    acc = np.zeros(target.shape, dtype=complex)
+    chosen = None
+    for group in order:
+        idx = np.asarray(group, dtype=int)
+        vand = old_vandermonde(dec.lambdas[idx], n_steps)
+        acc = acc + dec.modes[:, idx] @ (dec.amplitudes[idx, None] * vand)
+        selected.extend(group)
+        if np.linalg.norm(target - acc.real) / ref <= epsilon:
+            # confirm with the batch evaluation the error op reports
+            achieved = old_relative_error(matrix, dec, selected)
+            if achieved <= epsilon:
+                chosen = (list(selected), achieved, True)
+                break
+    if chosen is None:
+        achieved = old_relative_error(matrix, dec, selected)
+        chosen = (list(selected), achieved, False)
+
+    sel, achieved, converged = chosen
+    sel_arr = np.asarray(sel, dtype=int)
+    return RomModel(
+        selected=tuple(sel),
+        lambdas=dec.lambdas[sel_arr],
+        modes=dec.modes[:, sel_arr],
+        amplitudes=dec.amplitudes[sel_arr],
+        n_dmd=len(sel),
+        achieved_error=achieved,
+        epsilon=epsilon,
+        full_rank=dec.lambdas.shape[0],
+        converged=converged,
+    )
+
+
+# --- comparisons ---
+
+def rel_dev(new, old):
+    return float(np.max(np.abs(np.asarray(new) - np.asarray(old)) / np.abs(old)))
+
+
+def normwise_dev(new, old):
+    return float(np.max(np.abs(np.asarray(new) - np.asarray(old))) / np.max(np.abs(old)))
+
+
+@pytest.fixture(scope="module")
+def both_paths(desk_data):
+    """Per field: the matrix, the coordinate decomposition and model, and
+    the full-space decomposition and model, from one companion fit."""
+    out = {}
+    for name in FIELDS:
+        matrix = desk_data[name]
+        pair = kr.split(matrix)
+        fit = kr.fit_companion(pair)
+        new = kr.eigendecompose(fit, pair, matrix.dt)
+        kr.compute_amplitudes(new, matrix)
+        old = old_eigendecompose(fit, pair, matrix.dt)
+        old_compute_amplitudes(old, matrix)
+        out[name] = (matrix, new, kr.select_leading_modes(matrix, new, EPSILON),
+                     old, old_select_leading_modes(matrix, old, EPSILON))
+    return out
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_modes_and_amplitudes_match(both_paths, name):
+    _, new, _, old, _ = both_paths[name]
+    assert new.r is not None  # the coordinate path is the one under test
+    assert np.array_equal(new.lambdas, old.lambdas)
+    assert np.max(np.abs(new.modes - old.modes)) <= 1e-8
+    assert normwise_dev(new.amplitudes, old.amplitudes) <= 1e-9
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_selection_matches(both_paths, name):
+    matrix, new, model, old, ref = both_paths[name]
+    assert model.selected == ref.selected
+    assert model.converged and ref.converged
+    assert rel_dev(model.achieved_error, ref.achieved_error) <= 1e-9
+    weights = [mw.weight for mw in old_mode_weights(old, matrix.n_snapshots - 1, old.dt)]
+    assert normwise_dev(model.weights, weights) <= 1e-9
+    assert rel_dev(kr.per_time_errors(matrix, new, model.selected),
+                   old_per_time_errors(matrix, old, ref.selected)) <= 1e-6
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_decomposition_without_coordinates(both_paths, name):
+    """A decomposition without stored coordinates takes them from one QR
+    of [V0 | Re Phi | Im Phi]; the results still match the full space."""
+    matrix, new, model, old, ref = both_paths[name]
+    bare = dataclasses.replace(new, amplitudes=None, v0=None, r=None, mode_coords=None)
+    kr.compute_amplitudes(bare, matrix)
+    assert normwise_dev(bare.amplitudes, old.amplitudes) <= 1e-9
+    subset = model.selected
+    assert rel_dev(kr.relative_error(matrix, bare, subset),
+                   old_relative_error(matrix, old, subset)) <= 1e-9
+    assert rel_dev(kr.per_time_errors(matrix, bare, subset),
+                   old_per_time_errors(matrix, old, subset)) <= 1e-6
+
+
+def test_foreign_matrix(both_paths):
+    """Errors of a matrix other than the decomposed one go through the
+    QR of [V0 | Re Phi | Im Phi] and match the full-space formulas on the
+    same decomposition."""
+    matrix, dec, model, _, _ = both_paths["h"]
+    rng = np.random.default_rng(0)
+    data = matrix.data * (1.0 + 1e-3 * rng.standard_normal(matrix.data.shape))
+    foreign = dataclasses.replace(matrix, data=data)
+    for subset in (model.selected, range(len(dec.lambdas))):
+        assert rel_dev(kr.relative_error(foreign, dec, subset),
+                       old_relative_error(foreign, dec, subset)) <= 1e-9
+        assert rel_dev(kr.per_time_errors(foreign, dec, subset),
+                       old_per_time_errors(foreign, dec, subset)) <= 1e-6
