@@ -11,6 +11,7 @@ failure), 2 solver failure, 3 I/O, config or input-data failure.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 from . import dmd, rom, snapshots, swe
 from .errors import (BadMagic, CflViolation, CorruptHeader, IndexOutOfRange,
                      InvalidValue, NonFiniteData, NonPositiveDepth, ParseError,
-                     RankDeficient, ToolkitError, UnknownKey, UnsupportedVersion)
+                     ToolkitError, UnknownKey, UnsupportedVersion)
 
 _FIELDS = ("h", "u", "v")
 
@@ -76,8 +77,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise InvalidValue(f"grid {cfg.nx}x{cfg.ny} below the 4x4 minimum")
     if not cfg.cfl > 0:
         raise InvalidValue(f"cfl = {cfg.cfl} must be positive")
-    if not cfg.snapshot_dt > 0:
-        raise InvalidValue(f"snapshot_dt = {cfg.snapshot_dt} must be positive")
+    if not (cfg.snapshot_dt > 0 and np.isfinite(cfg.snapshot_dt)):
+        raise InvalidValue(f"snapshot_dt = {cfg.snapshot_dt} must be positive and finite")
     for key in _CONSTANT_KEYS:
         val = getattr(cfg.constants, key)
         if not np.isfinite(val):
@@ -87,22 +88,27 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
 
 def parse_config(path) -> ExperimentConfig:
     """Parse ``key = value`` lines; '#' starts a comment; unknown keys fail."""
+    raw_bytes = Path(path).read_bytes()
+    try:
+        content = raw_bytes.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw_bytes.count(b"\n", 0, exc.start) + 1
+        raise ParseError(path, line_no, f"not UTF-8 text: {exc.reason}") from exc
     values = {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(path, line_no, f"expected 'key = value', got {raw.strip()!r}")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            text = text.strip()
-            if key not in _KEYS:
-                raise UnknownKey(f"{path}:{line_no}: unknown key {key!r}")
-            if not text:
-                raise ParseError(path, line_no, f"empty value for {key!r}")
-            values[key] = _parse_value(key, text)
+    for line_no, raw in enumerate(io.StringIO(content, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(path, line_no, f"expected 'key = value', got {raw.strip()!r}")
+        key, _, text = line.partition("=")
+        key = key.strip()
+        text = text.strip()
+        if key not in _KEYS:
+            raise UnknownKey(f"{path}:{line_no}: unknown key {key!r}")
+        if not text:
+            raise ParseError(path, line_no, f"empty value for {key!r}")
+        values[key] = _parse_value(key, text)
 
     const_kwargs = {k: values.pop(k) for k in list(values) if k in _CONSTANT_KEYS}
     try:
@@ -158,31 +164,12 @@ def cmd_simulate(args) -> int:
 
 
 def _decompose(matrix: snapshots.SnapshotMatrix):
-    """Fit, eigendecompose and project amplitudes, truncating the
-    snapshot window when the data matrix is rank deficient."""
-    try:
-        pair = snapshots.split(matrix)
-        fit = dmd.fit_companion(pair)
-    except RankDeficient as exc:
-        keep = exc.rank + 1
-        print(f"rank {exc.rank} < {exc.n_columns}: truncating window to the "
-              f"first {keep} snapshots")
-        matrix = replace(matrix, data=matrix.data[:, :keep])
-        pair = snapshots.split(matrix)
-        fit = dmd.fit_companion(pair)
-    dec = dmd.eigendecompose(fit, pair, matrix.dt)
-    dmd.compute_amplitudes(dec, matrix)
-    return matrix, dec
-
-
-@dataclass(frozen=True)
-class FieldRomReport:
-    field: str
-    full_rank: int
-    n_dmd: int
-    reduction_percent: float
-    achieved_error: float
-    converged: bool
+    """dmd.decompose, echoing a rank-deficiency truncation of the window."""
+    used, dec = dmd.decompose(matrix)
+    if used.n_snapshots < matrix.n_snapshots:
+        print(f"rank {used.n_snapshots - 1} < {matrix.n_snapshots - 1}: truncating "
+              f"window to the first {used.n_snapshots} snapshots")
+    return used, dec
 
 
 def _spectrum_rows(dec, model):
@@ -220,7 +207,7 @@ def cmd_rom(args) -> int:
     paths = [Path(p) for p in args.paths] if args.paths else \
         [datadir / f"{name}.ksnp" for name in cfg.fields]
 
-    reports = []
+    models = []
     for path in paths:
         matrix = snapshots.load(path)
         name = matrix.field_tag.name
@@ -229,26 +216,19 @@ def cmd_rom(args) -> int:
         _write_spectrum(outdir / f"spectrum_{name}.csv", _spectrum_rows(dec, model))
         _write_errors(outdir / f"errors_{name}.csv", matrix,
                       rom.per_time_errors(matrix, dec, model.selected))
-        reports.append(FieldRomReport(
-            field=name,
-            full_rank=model.full_rank,
-            n_dmd=model.n_dmd,
-            reduction_percent=rom.reduction_percentage(model),
-            achieved_error=model.achieved_error,
-            converged=model.converged,
-        ))
+        models.append((name, model))
 
     with open(outdir / "summary.csv", "w", newline="") as fh:
         fh.write("field,full_rank,n_dmd,reduction_percent,achieved_error,converged\n")
-        for r in reports:
-            fh.write(f"{r.field},{r.full_rank},{r.n_dmd},{r.reduction_percent:.2f},"
-                     f"{r.achieved_error:.17g},{int(r.converged)}\n")
-    print(f"{'field':>6} {'rank':>5} {'n_dmd':>6} {'reduction':>10} {'error':>12}")
-    for r in reports:
-        mark = "" if r.converged else "  (not converged)"
-        print(f"{r.field:>6} {r.full_rank:>5} {r.n_dmd:>6} {r.reduction_percent:>9.2f}% "
-              f"{r.achieved_error:>12.3e}{mark}")
-    return 0 if all(r.converged for r in reports) else 1
+        print(f"{'field':>6} {'rank':>5} {'n_dmd':>6} {'reduction':>10} {'error':>12}")
+        for name, m in models:
+            pct = rom.reduction_percentage(m)
+            fh.write(f"{name},{m.full_rank},{m.n_dmd},{pct:.2f},"
+                     f"{m.achieved_error:.17g},{int(m.converged)}\n")
+            mark = "" if m.converged else "  (not converged)"
+            print(f"{name:>6} {m.full_rank:>5} {m.n_dmd:>6} {pct:>9.2f}% "
+                  f"{m.achieved_error:>12.3e}{mark}")
+    return 0 if all(m.converged for _, m in models) else 1
 
 
 def _snapshot_index(args, matrix, cfg) -> int:

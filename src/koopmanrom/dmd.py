@@ -27,12 +27,13 @@ one real QR of [V0 | Re Phi | Im Phi] instead
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
 
+from . import snapshots
 from .errors import EigenFailure, IndexOutOfRange, RankDeficient
 from .snapshots import ShiftedPair, SnapshotMatrix
 
@@ -171,6 +172,27 @@ def compute_amplitudes(dec: DmdDecomposition, matrix: SnapshotMatrix) -> np.ndar
     return a
 
 
+def decompose(matrix: SnapshotMatrix) -> tuple[SnapshotMatrix, DmdDecomposition]:
+    """Fit, eigendecompose and project the amplitudes of ``matrix``.
+
+    When V0 is rank deficient (numerical rank r), the snapshot window is
+    truncated once to its first r + 1 snapshots and the fit retried; a
+    second RankDeficient propagates.  Returns the matrix actually
+    decomposed, shorter than ``matrix`` after a truncation, and its
+    decomposition with amplitudes.
+    """
+    try:
+        pair = snapshots.split(matrix)
+        fit = fit_companion(pair)
+    except RankDeficient as exc:
+        matrix = replace(matrix, data=matrix.data[:, :exc.rank + 1])
+        pair = snapshots.split(matrix)
+        fit = fit_companion(pair)
+    dec = eigendecompose(fit, pair, matrix.dt)
+    compute_amplitudes(dec, matrix)
+    return matrix, dec
+
+
 def reconstruct(dec: DmdDecomposition, subset: Sequence[int], i: int) -> np.ndarray:
     """Real part of sum_j a_j lambda_j^(i-1) phi_j over the subset.
 
@@ -227,6 +249,6 @@ def conjugate_groups(lambdas: np.ndarray, rtol: float = 1e-10) -> list[list[int]
 
 __all__ = [
     "CompanionFit", "DmdDecomposition",
-    "fit_companion", "eigendecompose", "compute_amplitudes", "reconstruct",
-    "conjugate_groups",
+    "fit_companion", "eigendecompose", "compute_amplitudes", "decompose",
+    "reconstruct", "conjugate_groups",
 ]

@@ -63,8 +63,10 @@ class IndexOutOfRange(ToolkitError):
 class RankDeficient(ToolkitError):
     """Data matrix has deficient column rank; the fit is not unique.
 
-    Carries the numerical rank so callers can truncate the snapshot
-    window to ``rank + 1`` snapshots and retry.
+    Carries the numerical rank.  ``dmd.decompose`` catches it once for
+    V0, truncates the snapshot window to ``rank + 1`` snapshots and
+    retries; a rank-deficient mode matrix, or a second V0 failure,
+    reaches the caller.
     """
 
     def __init__(self, rank, n_columns, what="V0"):

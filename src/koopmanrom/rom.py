@@ -46,7 +46,6 @@ class RomModel:
 
     selected: tuple[int, ...]
     lambdas: np.ndarray
-    modes: np.ndarray
     amplitudes: np.ndarray
     n_dmd: int
     achieved_error: float
@@ -186,7 +185,6 @@ def select_leading_modes(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
     return RomModel(
         selected=tuple(selected),
         lambdas=dec.lambdas[sel_arr],
-        modes=dec.modes[:, sel_arr],
         amplitudes=dec.amplitudes[sel_arr],
         n_dmd=len(selected),
         achieved_error=achieved,

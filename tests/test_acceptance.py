@@ -145,7 +145,7 @@ def test_table1_arithmetic():
                      199: 30.90, 151: 47.56, 212: 26.38}
         z = np.zeros(0)
         for n_dmd, expected in reference.items():
-            rom = RomModel(selected=(), lambdas=z, modes=np.zeros((1, 0)),
+            rom = RomModel(selected=(), lambdas=z,
                            amplitudes=z, n_dmd=n_dmd, achieved_error=0.0,
                            epsilon=1e-3, full_rank=288, converged=True)
             got = kr.reduction_percentage(rom)

@@ -107,6 +107,25 @@ class TestParseConfig:
         with pytest.raises(InvalidValue):
             parse_config(write_cfg(tmp_path, "nx = 3\n"))
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_snapshot_dt_rejected(self, tmp_path, value, capsys):
+        cfg = write_cfg(tmp_path, f"nx = 16\nny = 8\nsnapshot_dt = {value}\n")
+        with pytest.raises(InvalidValue, match="snapshot_dt"):
+            parse_config(cfg)
+        # rejected while the config loads, before the solver starts
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "snapshot_dt" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_bytes_reported_with_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"nx = 16\n# caf\xff\nny = 8\n")
+        with pytest.raises(ParseError, match="UTF-8") as exc:
+            parse_config(cfg)
+        assert exc.value.line_no == 2
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "UTF-8" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_writes_one_file_per_field(self, tmp_path, capsys):
@@ -214,6 +233,22 @@ class TestRomCommand:
         assert main(["rom", "--out", str(b), str(path)]) == 0
         for name in ("spectrum_h.csv", "errors_h.csv", "summary.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_rank_deficient_window_truncated(self, tmp_path, capsys):
+        # 17 snapshots repeating with period 5: V0 has rank 5 < 16 columns
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal((40, 5))
+        m = SnapshotMatrix(data=base[:, np.arange(17) % 5], nx=8, ny=5, dt=60.0,
+                           dx=1.0, dy=1.0, field_tag=FieldTag.h)
+        path = tmp_path / "h.ksnp"
+        save(m, path)
+        out = tmp_path / "out"
+        assert main(["rom", "--out", str(out), str(path)]) == 0
+        echo = capsys.readouterr().out
+        assert echo.splitlines()[0] == "rank 5 < 16: truncating window to the first 6 snapshots"
+        assert len((out / "errors_h.csv").read_text().splitlines()) - 1 == 5
+        field, rank, n_dmd, *_ = (out / "summary.csv").read_text().splitlines()[1].split(",")
+        assert (field, rank) == ("h", "5")
 
     def test_missing_file_exits_3(self, tmp_path, capsys):
         assert main(["rom", "--out", str(tmp_path), str(tmp_path / "no.ksnp")]) == 3

@@ -90,6 +90,42 @@ class TestFitCompanion:
             kr.fit_companion(pair_from(rng.standard_normal((3, 6))))
 
 
+class TestDecompose:
+    def test_full_rank_window_is_kept(self):
+        data = np.random.default_rng(6).standard_normal((40, 9))
+        m = matrix_from_array(data)
+        used, dec = kr.decompose(m)
+        assert used is m
+        assert dec.amplitudes is not None
+        _, dec2 = full_decomposition(data)
+        assert np.array_equal(dec.lambdas, dec2.lambdas)
+        assert np.array_equal(dec.amplitudes, dec2.amplitudes)
+
+    def test_rank_deficient_window_truncated_once(self):
+        # 17 snapshots repeating with period 5: V0 has rank 5 < 16 columns
+        rng = np.random.default_rng(7)
+        base = rng.standard_normal((40, 5))
+        m = matrix_from_array(base[:, np.arange(17) % 5])
+        with pytest.raises(RankDeficient):
+            kr.fit_companion(kr.split(m))
+        used, dec = kr.decompose(m)
+        assert used.n_snapshots == 6
+        assert np.array_equal(used.data, m.data[:, :6])
+        # the shift by one period: the fifth roots of unity
+        assert np.allclose(np.sort(np.angle(dec.lambdas)),
+                           np.sort(np.angle(np.exp(2j * np.pi * np.arange(-2, 3) / 5))))
+        assert np.allclose(np.abs(dec.lambdas), 1.0)
+        assert kr.relative_error(used, dec, range(5)) < 1e-10
+
+    def test_second_rank_deficiency_propagates(self):
+        # the truncated window repeats its first column, so V0 is still deficient
+        rng = np.random.default_rng(8)
+        base = rng.standard_normal((40, 3))
+        data = np.hstack([base[:, :1], base, base, base])
+        with pytest.raises(RankDeficient):
+            kr.decompose(matrix_from_array(data))
+
+
 class TestEigendecompose:
     def test_hand_solved_eigenvalues(self):
         data = np.array([[1.0, 2.0, 4.0], [1.0, 3.0, 9.0]])

@@ -1,4 +1,5 @@
-"""Non-finite snapshot data and malformed KSNP bytes fail with typed errors."""
+"""Non-finite snapshot data, malformed KSNP bytes and malformed config
+files fail with typed errors."""
 
 import struct
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import koopmanrom as kr
-from koopmanrom.cli import main
+from koopmanrom.cli import _KEYS, ExperimentConfig, main, parse_config
 from koopmanrom.errors import CorruptHeader, NonFiniteData, ToolkitError
 from koopmanrom.snapshots import FieldTag, SnapshotMatrix, load, save
 
@@ -114,3 +115,44 @@ class TestLoadFuzz:
         path.write_bytes(bytes(raw))
         with pytest.raises(NonFiniteData):
             load(path)
+
+
+def parse_bytes(path, raw):
+    """Parse ``raw`` as a config file: a config, or a ToolkitError."""
+    path.write_bytes(raw)
+    try:
+        return parse_config(path)
+    except ToolkitError:
+        return None
+
+
+VALUES = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["0", "-1", "3", "1e-3", "1e400", "-1e400", "inf", "nan",
+                     "1_0", "0x10", "true", "FALSE", "h,v", "h,,u", "w", "9" * 5000]),
+    st.floats().map(repr),
+    st.integers().map(str),
+)
+LINES = st.tuples(st.sampled_from(_KEYS + ("", "nx ny", "#", "buoyancy")),
+                  st.sampled_from([" = ", "=", " : ", ""]), VALUES)
+
+
+class TestConfigFuzz:
+    @pytest.fixture(scope="class")
+    def cfg_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("cfg") / "fuzz.cfg"
+
+    @FUZZ
+    @given(raw=st.binary(max_size=200))
+    def test_random_bytes(self, cfg_path, raw):
+        cfg = parse_bytes(cfg_path, raw)
+        assert cfg is None or isinstance(cfg, ExperimentConfig)
+
+    @FUZZ
+    @given(lines=st.lists(LINES, max_size=8))
+    def test_key_value_lines(self, cfg_path, lines):
+        text = "".join(f"{key}{sep}{value}\n" for key, sep, value in lines)
+        cfg = parse_bytes(cfg_path, text.encode("utf-8", "surrogatepass"))
+        assert cfg is None or isinstance(cfg, ExperimentConfig)
+        if cfg is not None:
+            assert np.isfinite(cfg.snapshot_dt) and cfg.snapshot_dt > 0

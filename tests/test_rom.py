@@ -217,7 +217,7 @@ class TestSelection:
 class TestReductionPercentage:
     def rom_with(self, full_rank, n_dmd):
         z = np.zeros(0)
-        return RomModel(selected=(), lambdas=z, modes=np.zeros((1, 0)),
+        return RomModel(selected=(), lambdas=z,
                         amplitudes=z, n_dmd=n_dmd, achieved_error=0.0,
                         epsilon=1e-3, full_rank=full_rank, converged=True)
 

@@ -177,7 +177,6 @@ def old_select_leading_modes(matrix, dec, epsilon):
     return RomModel(
         selected=tuple(sel),
         lambdas=dec.lambdas[sel_arr],
-        modes=dec.modes[:, sel_arr],
         amplitudes=dec.amplitudes[sel_arr],
         n_dmd=len(sel),
         achieved_error=achieved,

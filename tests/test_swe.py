@@ -231,6 +231,18 @@ class TestSimulate:
         with pytest.raises(ValueError):
             kr.simulate(classic_constants, grid, 600.0, 1)
 
+    @pytest.mark.parametrize("snapshot_dt", [np.inf, -np.inf, np.nan, 0.0])
+    def test_rejects_bad_interval_before_stepping(self, classic_constants, monkeypatch,
+                                                  snapshot_dt):
+        # an infinite interval would never reach its first snapshot time
+        def no_step(*args):
+            raise AssertionError("simulate stepped with an invalid interval")
+
+        monkeypatch.setattr(kr.swe, "_advance", no_step)
+        grid = kr.Grid.for_channel(16, 8, classic_constants)
+        with pytest.raises(ValueError, match="snapshot_dt"):
+            kr.simulate(classic_constants, grid, snapshot_dt, 3)
+
 
 class TestRefinementConvergence:
     def test_second_order_under_grid_doubling(self, classic_constants):
