@@ -77,8 +77,13 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise InvalidValue(f"grid {cfg.nx}x{cfg.ny} below the 4x4 minimum")
     if not cfg.cfl > 0:
         raise InvalidValue(f"cfl = {cfg.cfl} must be positive")
-    if not (cfg.snapshot_dt > 0 and np.isfinite(cfg.snapshot_dt)):
-        raise InvalidValue(f"snapshot_dt = {cfg.snapshot_dt} must be positive and finite")
+    try:
+        horizon = (cfg.n_snapshots - 1) * cfg.snapshot_dt
+    except OverflowError:  # a snapshot count beyond the float range
+        horizon = np.inf
+    if not (cfg.snapshot_dt > 0 and np.isfinite(horizon)):
+        raise InvalidValue(f"snapshot_dt = {cfg.snapshot_dt} must be positive, with a "
+                           f"finite horizon (n_snapshots - 1) * snapshot_dt")
     for key in _CONSTANT_KEYS:
         val = getattr(cfg.constants, key)
         if not np.isfinite(val):

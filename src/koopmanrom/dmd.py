@@ -11,18 +11,18 @@ Reconstruction indexing: with amplitudes fit to the first snapshot,
 ``reconstruct(dec, subset, i)`` approximates the i-th snapshot (1-based,
 so i = 1 is the first column of the source matrix).
 
-Snapshot coordinates: the fit factors V0 = Q R, with Q real and
-orthonormal (Nx x Nt) and R the Nt x Nt triangle.  Mode j is
-Q B[:, j] with B = R Z, scaled and phase-pinned like the mode itself,
+Snapshot coordinates: one R-only QR, [V0 | u_N] = Q [R, q; 0, rho],
+gives the Nt x Nt triangle R of V0 = Q R, q = Q^T u_N and the fit
+residual |rho|; Q (real, orthonormal, Nx x Nt) is never formed.  Mode j
+is Q B[:, j] with B = R Z, scaled and phase-pinned like the mode itself,
 so for any coefficients C, ||V0 - Re(Phi C)|| = ||R - Re(B C)|| column
 by column.  The amplitudes here and every reconstruction error in
 ``rom`` are therefore computed from the Nt x Nt arrays R and B.  The
 full-length modes are formed once, in ``eigendecompose`` (the phase
 pinning needs their largest entry), and are read only by
-``reconstruct`` and the ``rom`` model.  A decomposition without R and
-B, or a matrix other than the one decomposed, gets its coordinates from
-one real QR of [V0 | Re Phi | Im Phi] instead
-(``DmdDecomposition.coordinates``).
+``reconstruct``.  A decomposition without R and B, or a matrix other
+than the one decomposed, gets its coordinates from one real QR of
+[V0 | Re Phi | Im Phi] instead (``DmdDecomposition.coordinates``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from . import snapshots
-from .errors import EigenFailure, IndexOutOfRange, RankDeficient
+from .errors import EigenFailure, IndexOutOfRange, RankDeficient, ZeroNormData
 from .snapshots import ShiftedPair, SnapshotMatrix
 
 _RANK_RTOL = 1e-12
@@ -47,7 +47,7 @@ class CompanionFit:
     coefficients: np.ndarray    # c, shape (Nt,)
     companion: np.ndarray       # S, shape (Nt, Nt)
     residual_norm: float
-    r: Optional[np.ndarray] = None  # R of V0 = Q R, shape (Nt, Nt)
+    r: np.ndarray               # R of V0 = Q R, shape (Nt, Nt)
 
 
 @dataclass
@@ -85,16 +85,19 @@ class DmdDecomposition:
 
 
 def _qr_solve(basis: np.ndarray, target: np.ndarray, what: str):
-    """Least-squares solve via economic QR with a hard rank gate.
-
-    Returns the solution and the triangular factor of ``basis``.
+    """Least-squares solve with a hard rank gate, from one R-only QR of
+    [basis | target].  Returns the solution, the triangle R of ``basis``
+    and the residual norm (0 for a square basis).
     """
-    q, r = np.linalg.qr(basis)
+    n = basis.shape[1]
+    rt = np.linalg.qr(np.column_stack([basis, target]), mode="r")
+    r = rt[:n, :n]
     sv = np.linalg.svd(r, compute_uv=False)
     rank = int(np.sum(sv > _RANK_RTOL * sv[0])) if sv.size else 0
-    if rank < basis.shape[1]:
-        raise RankDeficient(rank, basis.shape[1], what=what)
-    return scipy.linalg.solve_triangular(r, q.conj().T @ target), r
+    if rank < n:
+        raise RankDeficient(rank, n, what=what)
+    residual = float(abs(rt[n, n])) if rt.shape[0] > n else 0.0
+    return scipy.linalg.solve_triangular(r, rt[:n, n]), r, residual
 
 
 def fit_companion(pair: ShiftedPair) -> CompanionFit:
@@ -102,20 +105,12 @@ def fit_companion(pair: ShiftedPair) -> CompanionFit:
 
     Minimizes ||u_Nt - V0 c||_2, which makes the residual orthogonal to
     the span of the previous snapshots.  Raises RankDeficient when V0
-    does not have full column rank at relative tolerance 1e-12.
+    does not have full column rank at relative tolerance 1e-12, as when
+    it has fewer rows than columns.
     """
-    v0 = pair.v0
-    if v0.shape[0] < v0.shape[1]:
-        raise ValueError(
-            f"V0 is underdetermined: {v0.shape[0]} rows < {v0.shape[1]} columns")
-    u_last = pair.v1[:, -1]
-    c, r = _qr_solve(v0, u_last, what="V0")
-    nt = v0.shape[1]
-    companion = np.zeros((nt, nt))
-    if nt > 1:
-        companion[np.arange(1, nt), np.arange(nt - 1)] = 1.0
+    c, r, residual = _qr_solve(pair.v0, pair.v1[:, -1], what="V0")
+    companion = np.eye(c.shape[0], k=-1)
     companion[:, -1] = c
-    residual = float(np.linalg.norm(u_last - v0 @ c))
     return CompanionFit(coefficients=c, companion=companion, residual_norm=residual,
                         r=r)
 
@@ -125,9 +120,9 @@ def eigendecompose(fit: CompanionFit, pair: ShiftedPair, dt: float) -> DmdDecomp
 
     Mode j is V0 z_j normalized to unit 2-norm with its largest-magnitude
     entry rotated to the positive real axis, which pins the phase and
-    keeps conjugate eigenvector pairs exactly conjugate.  When the fit
-    carries R, the mode coordinates R z_j get the same scale and phase
-    and are kept with V0 and R on the decomposition.
+    keeps conjugate eigenvector pairs exactly conjugate.  The mode
+    coordinates R z_j get the same scale and phase and are kept with V0
+    and R on the decomposition.
     """
     try:
         lambdas, z = np.linalg.eig(fit.companion)
@@ -143,11 +138,9 @@ def eigendecompose(fit: CompanionFit, pair: ShiftedPair, dt: float) -> DmdDecomp
     modes = modes * phase
     with np.errstate(divide="ignore", invalid="ignore"):
         exponents = np.log(lambdas) / dt
-    dec = DmdDecomposition(lambdas=lambdas, exponents=exponents, modes=modes, dt=dt)
-    if fit.r is not None:
-        dec.v0, dec.r = pair.v0, fit.r
-        dec.mode_coords = (fit.r @ z) / norms * phase
-    return dec
+    return DmdDecomposition(lambdas=lambdas, exponents=exponents, modes=modes, dt=dt,
+                            v0=pair.v0, r=fit.r,
+                            mode_coords=(fit.r @ z) / norms * phase)
 
 
 def compute_amplitudes(dec: DmdDecomposition, matrix: SnapshotMatrix) -> np.ndarray:
@@ -161,7 +154,7 @@ def compute_amplitudes(dec: DmdDecomposition, matrix: SnapshotMatrix) -> np.ndar
     Stores the result on ``dec`` and returns it.
     """
     t, b = dec.coordinates(matrix.data[:, :-1])
-    a, _ = _qr_solve(b, t[:, 0].astype(complex), what="mode matrix")
+    a, _, _ = _qr_solve(b, t[:, 0], what="mode matrix")
     pairs = np.array([g for g in conjugate_groups(dec.lambdas) if len(g) == 2],
                      dtype=int).reshape(-1, 2)
     exact = np.all(b[:, pairs[:, 1]] == b[:, pairs[:, 0]].conj(), axis=0)
@@ -177,14 +170,17 @@ def decompose(matrix: SnapshotMatrix) -> tuple[SnapshotMatrix, DmdDecomposition]
 
     When V0 is rank deficient (numerical rank r), the snapshot window is
     truncated once to its first r + 1 snapshots and the fit retried; a
-    second RankDeficient propagates.  Returns the matrix actually
-    decomposed, shorter than ``matrix`` after a truncation, and its
-    decomposition with amplitudes.
+    second RankDeficient propagates, and r = 0 raises ZeroNormData.
+    Returns the matrix actually decomposed, shorter than ``matrix``
+    after a truncation, and its decomposition with amplitudes.
     """
     try:
         pair = snapshots.split(matrix)
         fit = fit_companion(pair)
     except RankDeficient as exc:
+        if exc.rank == 0:
+            raise ZeroNormData(f"V0 (the first {exc.n_columns} snapshots) is all "
+                               "zero: there are no dynamics to fit") from exc
         matrix = replace(matrix, data=matrix.data[:, :exc.rank + 1])
         pair = snapshots.split(matrix)
         fit = fit_companion(pair)

@@ -63,10 +63,11 @@ class IndexOutOfRange(ToolkitError):
 class RankDeficient(ToolkitError):
     """Data matrix has deficient column rank; the fit is not unique.
 
-    Carries the numerical rank.  ``dmd.decompose`` catches it once for
-    V0, truncates the snapshot window to ``rank + 1`` snapshots and
-    retries; a rank-deficient mode matrix, or a second V0 failure,
-    reaches the caller.
+    Carries the numerical rank, at most the row count, so a V0 with
+    fewer rows than columns raises it too.  ``dmd.decompose`` catches it
+    once for V0 and retries on the first ``rank + 1`` snapshots; a
+    rank-deficient mode matrix, or a second V0 failure, reaches the
+    caller, and a rank-0 (all-zero) V0 becomes ``ZeroNormData``.
     """
 
     def __init__(self, rank, n_columns, what="V0"):
@@ -83,7 +84,7 @@ class EigenFailure(ToolkitError):
 
 
 class ZeroNormData(ToolkitError):
-    """Reference data has zero norm; a relative error is undefined."""
+    """Data has zero norm; a relative error or a fit is undefined."""
 
 
 # --- configuration ---

@@ -129,7 +129,7 @@ def save(matrix: SnapshotMatrix, path) -> None:
     payload = np.ascontiguousarray(matrix.data.T, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload.tobytes())
+        fh.write(payload)
 
 
 def load(path) -> SnapshotMatrix:

@@ -399,8 +399,9 @@ def simulate(constants: PhysicalConstants, grid: Grid, snapshot_dt: float,
     """
     if n_snapshots < 2:
         raise ValueError("need at least two snapshots")
-    if not (snapshot_dt > 0 and np.isfinite(snapshot_dt)):
-        raise ValueError("snapshot_dt must be positive and finite")
+    if not (snapshot_dt > 0 and np.isfinite((n_snapshots - 1) * snapshot_dt)):
+        raise ValueError("snapshot_dt must be positive with a finite horizon "
+                         "(n_snapshots - 1) * snapshot_dt")
 
     tab = _SourceTables(constants, grid)
     state = initial_state(constants, grid)

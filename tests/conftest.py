@@ -113,3 +113,13 @@ def matrix_from_array(data, dt=1.0, tag=FieldTag.other):
     from koopmanrom.snapshots import SnapshotMatrix
     return SnapshotMatrix(data=np.asarray(data, dtype=float), nx=data.shape[0],
                           ny=1, dt=dt, dx=1.0, dy=1.0, field_tag=tag)
+
+
+def rel_dev(new, old):
+    """Largest entrywise deviation of ``new`` from ``old``, relative to each entry."""
+    return float(np.max(np.abs(np.asarray(new) - np.asarray(old)) / np.abs(old)))
+
+
+def normwise_dev(new, old):
+    """Largest deviation of ``new`` from ``old``, relative to the largest entry."""
+    return float(np.max(np.abs(np.asarray(new) - np.asarray(old))) / np.max(np.abs(old)))

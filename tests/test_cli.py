@@ -117,6 +117,18 @@ class TestParseConfig:
         assert "snapshot_dt" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("dt, n_snapshots", [(1e308, 3), (1.0, 10**400)],
+                             ids=["huge-interval", "huge-count"])
+    def test_overflowing_horizon_rejected(self, tmp_path, dt, n_snapshots, capsys):
+        # (n_snapshots - 1) * snapshot_dt is not finite: the solver would never stop
+        cfg = write_cfg(tmp_path, f"nx = 16\nny = 8\nsnapshot_dt = {dt}\n"
+                                  f"n_snapshots = {n_snapshots}\n")
+        with pytest.raises(InvalidValue, match="horizon"):
+            parse_config(cfg)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "horizon" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_non_utf8_bytes_reported_with_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"nx = 16\n# caf\xff\nny = 8\n")
@@ -249,6 +261,29 @@ class TestRomCommand:
         assert len((out / "errors_h.csv").read_text().splitlines()) - 1 == 5
         field, rank, n_dmd, *_ = (out / "summary.csv").read_text().splitlines()[1].split(",")
         assert (field, rank) == ("h", "5")
+
+    def test_underdetermined_window_truncated(self, tmp_path, capsys):
+        # 8 cells and 20 snapshots: V0 has rank 8 < 19 columns
+        rng = np.random.default_rng(6)
+        m = SnapshotMatrix(data=rng.standard_normal((8, 20)), nx=4, ny=2, dt=60.0,
+                           dx=1.0, dy=1.0, field_tag=FieldTag.h)
+        path = tmp_path / "h.ksnp"
+        save(m, path)
+        assert main(["rom", "--out", str(tmp_path / "out"), str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == \
+            "rank 8 < 19: truncating window to the first 9 snapshots"
+        assert "Traceback" not in captured.err
+
+    def test_zero_window_exits_1(self, tmp_path, capsys):
+        m = SnapshotMatrix(data=np.zeros((128, 6)), nx=16, ny=8, dt=60.0,
+                           dx=1.0, dy=1.0, field_tag=FieldTag.h)
+        path = tmp_path / "h.ksnp"
+        save(m, path)
+        assert main(["rom", "--out", str(tmp_path / "out"), str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "all zero" in err
+        assert "Traceback" not in err
 
     def test_missing_file_exits_3(self, tmp_path, capsys):
         assert main(["rom", "--out", str(tmp_path), str(tmp_path / "no.ksnp")]) == 3

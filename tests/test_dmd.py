@@ -5,7 +5,7 @@ import pytest
 
 import koopmanrom as kr
 from koopmanrom.dmd import DmdDecomposition, conjugate_groups
-from koopmanrom.errors import IndexOutOfRange, RankDeficient
+from koopmanrom.errors import IndexOutOfRange, RankDeficient, ZeroNormData
 from koopmanrom.snapshots import ShiftedPair
 
 from conftest import make_modal_data, matrix_from_array
@@ -85,9 +85,12 @@ class TestFitCompanion:
         assert exc.value.n_columns == 5
 
     def test_underdetermined_rejected(self):
+        # 3 rows < 5 columns: the rank gate fails, as for any deficient V0
         rng = np.random.default_rng(4)
-        with pytest.raises(ValueError):
+        with pytest.raises(RankDeficient) as exc:
             kr.fit_companion(pair_from(rng.standard_normal((3, 6))))
+        assert exc.value.n_columns == 5
+        assert exc.value.rank <= 3
 
 
 class TestDecompose:
@@ -116,6 +119,18 @@ class TestDecompose:
                            np.sort(np.angle(np.exp(2j * np.pi * np.arange(-2, 3) / 5))))
         assert np.allclose(np.abs(dec.lambdas), 1.0)
         assert kr.relative_error(used, dec, range(5)) < 1e-10
+
+    def test_underdetermined_window_truncated(self):
+        # 8 cells, 20 snapshots: V0 has rank 8 < 19 columns
+        data = np.random.default_rng(9).standard_normal((8, 20))
+        used, dec = kr.decompose(matrix_from_array(data))
+        assert used.n_snapshots == 9
+        assert dec.r.shape == (8, 8)
+        assert kr.relative_error(used, dec, range(8)) < 1e-10
+
+    def test_zero_window_raises_zero_norm(self):
+        with pytest.raises(ZeroNormData, match="all zero"):
+            kr.decompose(matrix_from_array(np.zeros((12, 6))))
 
     def test_second_rank_deficiency_propagates(self):
         # the truncated window repeats its first column, so V0 is still deficient

@@ -1,0 +1,184 @@
+"""Oracle and property tests for the R-only companion fit.
+
+The functions prefixed ``old_`` are the explicit-Q fit that the R-only
+QR of [V0 | u_N] replaced, copied verbatim apart from their names and
+docstrings: LAPACK forms Q, the fit reads Q^T u_N from it, and the
+residual is a second pass over V0.  ``old_compute_amplitudes`` is the
+amplitude solve of that version, which called the same ``_qr_solve``.
+Tolerances on the desk channel: coefficients 1e-9 of the largest one,
+residual norm 1e-9 relative, R 1e-12 of max|R|, eigenvalues 1e-9 of
+max|lambda|, selection exact, achieved error 1e-9 relative.  The two
+fits round differently, so ``eig`` may list the spectrum in another
+order: eigenvalues are matched to their nearest counterpart, and a
+selection is compared as the eigenvalues it selects.  (Coefficients a
+thousandth of the largest move by up to 2e-8 of their own size; both
+fits are rounding-level.)
+
+The property tests draw seeded modal spectra (``make_modal_data`` plus
+noise below the selection threshold) and check invariants of the whole
+decomposition and selection.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import koopmanrom as kr
+from koopmanrom.dmd import CompanionFit, conjugate_groups
+from koopmanrom.errors import RankDeficient
+
+from conftest import make_modal_data, matrix_from_array, normwise_dev, rel_dev
+
+EPSILON = 1e-3
+FIELDS = ("h", "u", "v")
+_RANK_RTOL = 1e-12
+SPECTRA = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+
+
+# --- explicit-Q fit, verbatim ---
+
+def old_qr_solve(basis, target, what):
+    q, r = np.linalg.qr(basis)
+    sv = np.linalg.svd(r, compute_uv=False)
+    rank = int(np.sum(sv > _RANK_RTOL * sv[0])) if sv.size else 0
+    if rank < basis.shape[1]:
+        raise RankDeficient(rank, basis.shape[1], what=what)
+    return scipy.linalg.solve_triangular(r, q.conj().T @ target), r
+
+
+def old_fit_companion(pair):
+    v0 = pair.v0
+    if v0.shape[0] < v0.shape[1]:
+        raise ValueError(
+            f"V0 is underdetermined: {v0.shape[0]} rows < {v0.shape[1]} columns")
+    u_last = pair.v1[:, -1]
+    c, r = old_qr_solve(v0, u_last, what="V0")
+    nt = v0.shape[1]
+    companion = np.zeros((nt, nt))
+    if nt > 1:
+        companion[np.arange(1, nt), np.arange(nt - 1)] = 1.0
+    companion[:, -1] = c
+    residual = float(np.linalg.norm(u_last - v0 @ c))
+    return CompanionFit(coefficients=c, companion=companion, residual_norm=residual,
+                        r=r)
+
+
+def old_compute_amplitudes(dec, matrix):
+    t, b = dec.coordinates(matrix.data[:, :-1])
+    a, _ = old_qr_solve(b, t[:, 0].astype(complex), what="mode matrix")
+    pairs = np.array([g for g in conjugate_groups(dec.lambdas) if len(g) == 2],
+                     dtype=int).reshape(-1, 2)
+    exact = np.all(b[:, pairs[:, 1]] == b[:, pairs[:, 0]].conj(), axis=0)
+    j, k = pairs[exact].T
+    a[j] = 0.5 * (a[j] + a[k].conj())
+    a[k] = a[j].conj()
+    dec.amplitudes = a
+    return a
+
+
+@pytest.fixture(scope="module")
+def fits(desk_data):
+    """Per field: the matrix, the R-only and explicit-Q fits, and the
+    decomposition and selection each one leads to."""
+    out = {}
+    for name in FIELDS:
+        matrix = desk_data[name]
+        pair = kr.split(matrix)
+        new_fit, old_fit = kr.fit_companion(pair), old_fit_companion(pair)
+        new_dec = kr.eigendecompose(new_fit, pair, matrix.dt)
+        kr.compute_amplitudes(new_dec, matrix)
+        old_dec = kr.eigendecompose(old_fit, pair, matrix.dt)
+        old_compute_amplitudes(old_dec, matrix)
+        out[name] = (matrix, new_fit, old_fit,
+                     kr.select_leading_modes(matrix, new_dec, EPSILON),
+                     kr.select_leading_modes(matrix, old_dec, EPSILON),
+                     new_dec, old_dec)
+    return out
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_fit_matches_explicit_q(fits, name):
+    _, new, old, *_ = fits[name]
+    assert normwise_dev(new.coefficients, old.coefficients) <= 1e-9
+    assert rel_dev(new.residual_norm, old.residual_norm) <= 1e-9
+    assert new.r.shape == old.r.shape
+    assert normwise_dev(new.r, old.r) <= 1e-12
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_spectrum_and_selection_match_explicit_q(fits, name):
+    *_, new_model, old_model, new_dec, old_dec = fits[name]
+    new_lam, old_lam = new_dec.lambdas, old_dec.lambdas
+    assert new_lam.shape == old_lam.shape
+    dist = np.abs(new_lam[:, None] - old_lam[None, :])
+    tol = 1e-9 * np.max(np.abs(old_lam))
+    assert np.max(dist.min(axis=0)) <= tol and np.max(dist.min(axis=1)) <= tol
+    assert new_model.n_dmd == old_model.n_dmd
+    new_sel = np.sort_complex(new_lam[list(new_model.selected)])
+    old_sel = np.sort_complex(old_lam[list(old_model.selected)])
+    assert np.max(np.abs(new_sel - old_sel)) <= tol
+    assert new_model.converged and old_model.converged
+    assert rel_dev(new_model.achieved_error, old_model.achieved_error) <= 1e-9
+
+
+def test_square_v0_has_zero_residual():
+    rng = np.random.default_rng(20)
+    fit = kr.fit_companion(kr.split(matrix_from_array(rng.standard_normal((6, 7)))))
+    assert fit.residual_norm == 0.0
+    assert fit.r.shape == (6, 6)
+
+
+# --- properties on seeded modal spectra ---
+
+@st.composite
+def modal_matrices(draw):
+    """A noisy modal snapshot matrix: 1-3 conjugate pairs, 0-2 real modes,
+    up to 14 snapshots of 30 cells, noise 1e-6 of the modal signal."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_pairs = draw(st.integers(1, 3))
+    n_real = draw(st.integers(0, 2))
+    n_modes = 2 * n_pairs + n_real
+    n_snapshots = draw(st.integers(n_modes + 2, 14))
+    rng = np.random.default_rng(seed)
+    data, *_ = make_modal_data(rng, 30, n_pairs, n_real, n_snapshots)
+    data = data + 1e-6 * rng.standard_normal(data.shape)
+    return matrix_from_array(data)
+
+
+@SPECTRA
+@given(modal_matrices(), st.sampled_from([1e-1, 1e-3, 1e-5]))
+def test_selection_closed_under_conjugation(matrix, epsilon):
+    used, dec = kr.decompose(matrix)
+    model = kr.select_leading_modes(used, dec, epsilon)
+    lam = dec.lambdas[list(model.selected)]
+    # eig of the real companion matrix returns exactly conjugate pairs
+    assert np.array_equal(np.sort_complex(lam), np.sort_complex(lam.conj()))
+
+
+@SPECTRA
+@given(modal_matrices())
+def test_n_dmd_monotone_in_epsilon(matrix):
+    used, dec = kr.decompose(matrix)
+    counts = [kr.select_leading_modes(used, dec, eps).n_dmd
+              for eps in (0.5, 1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-9)]
+    assert counts == sorted(counts)
+
+
+@SPECTRA
+@given(modal_matrices(), st.integers(-20, 20))
+def test_power_of_two_scaling_is_exact(matrix, power):
+    """Scaling by 2^power commutes with every rounding of the Householder
+    QR, the triangular solve and the norms (nothing under- or
+    overflows), so the spectrum and the selection are bit-identical."""
+    scaled = dataclasses.replace(matrix, data=np.ldexp(matrix.data, power))
+    used, dec = kr.decompose(matrix)
+    used2, dec2 = kr.decompose(scaled)
+    assert used2.n_snapshots == used.n_snapshots
+    assert np.array_equal(dec2.lambdas, dec.lambdas)
+    model = kr.select_leading_modes(used, dec, EPSILON)
+    model2 = kr.select_leading_modes(used2, dec2, EPSILON)
+    assert model2.selected == model.selected

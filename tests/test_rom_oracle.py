@@ -23,6 +23,8 @@ from koopmanrom.dmd import DmdDecomposition
 from koopmanrom.errors import EigenFailure, RankDeficient, ZeroNormData
 from koopmanrom.rom import ModeWeight, RomModel
 
+from conftest import normwise_dev, rel_dev
+
 EPSILON = 1e-3
 FIELDS = ("h", "u", "v")
 _RANK_RTOL = 1e-12
@@ -187,14 +189,6 @@ def old_select_leading_modes(matrix, dec, epsilon):
 
 
 # --- comparisons ---
-
-def rel_dev(new, old):
-    return float(np.max(np.abs(np.asarray(new) - np.asarray(old)) / np.abs(old)))
-
-
-def normwise_dev(new, old):
-    return float(np.max(np.abs(np.asarray(new) - np.asarray(old))) / np.max(np.abs(old)))
-
 
 @pytest.fixture(scope="module")
 def both_paths(desk_data):

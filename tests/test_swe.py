@@ -231,10 +231,11 @@ class TestSimulate:
         with pytest.raises(ValueError):
             kr.simulate(classic_constants, grid, 600.0, 1)
 
-    @pytest.mark.parametrize("snapshot_dt", [np.inf, -np.inf, np.nan, 0.0])
+    @pytest.mark.parametrize("snapshot_dt", [np.inf, -np.inf, np.nan, 0.0, 1e308])
     def test_rejects_bad_interval_before_stepping(self, classic_constants, monkeypatch,
                                                   snapshot_dt):
-        # an infinite interval would never reach its first snapshot time
+        # an infinite interval would never reach its first snapshot time,
+        # nor would 2 * 1e308, the horizon of three snapshots at 1e308 s
         def no_step(*args):
             raise AssertionError("simulate stepped with an invalid interval")
 
