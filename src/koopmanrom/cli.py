@@ -136,7 +136,8 @@ def _load_config(args) -> ExperimentConfig:
 
 # --- pipeline pieces ---
 
-def _run_simulation(cfg: ExperimentConfig):
+def cmd_simulate(args) -> int:
+    cfg = _load_config(args)
     grid = swe.Grid.for_channel(cfg.nx, cfg.ny, cfg.constants)
     states = swe.simulate(cfg.constants, grid, cfg.snapshot_dt, cfg.n_snapshots,
                           cfl=cfg.cfl)
@@ -144,27 +145,23 @@ def _run_simulation(cfg: ExperimentConfig):
     mass1 = swe.total_mass(states[-1], grid)
     drift = (mass1 - mass0) / mass0
     print(f"mass: initial {mass0:.10e}, final {mass1:.10e}, relative drift {drift:.3e}")
-    dt = cfg.snapshot_dt
+    dt, refs = cfg.snapshot_dt, dict.fromkeys(_FIELDS, 1.0)
     if cfg.nondimensionalize:
         scales = swe.ScaleSet.from_initial_state(states[0], cfg.constants)
-        states = swe.nondimensionalize(states, scales)
         grid = grid.scaled(scales.l_ref)
         dt = cfg.snapshot_dt / scales.t_ref
-    return states, grid, dt
-
-
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    states, grid, dt = _run_simulation(cfg)
+        refs = {"h": scales.h_ref, "u": scales.u_ref, "v": scales.u_ref}
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name in cfg.fields:
-        fields = [getattr(s, name) for s in states]
-        matrix = snapshots.assemble(fields, dt, snapshots.FieldTag[name], grid,
+        matrix = snapshots.assemble([getattr(s, name) for s in states], dt,
+                                    snapshots.FieldTag[name], grid,
                                     nondimensional=cfg.nondimensionalize)
+        np.divide(matrix.data, refs[name], out=matrix.data)  # as swe.nondimensionalize
         path = outdir / f"{name}.ksnp"
         snapshots.save(matrix, path)
         print(f"wrote {path} ({matrix.n_snapshots} snapshots of {grid.ny}x{grid.nx})")
+        del matrix  # one field matrix alive at a time
     return 0
 
 
@@ -239,17 +236,21 @@ def cmd_rom(args) -> int:
 def _snapshot_index(args, matrix, cfg) -> int:
     """Map --time (hours, against the dimensional sampling interval) or
     --index to a source snapshot index; echo the mapping."""
+    n = matrix.n_snapshots
     if args.index is not None:
         k = args.index
+        if not 0 <= k < n:
+            raise IndexOutOfRange(f"snapshot {k} outside the sampled range [0, {n})")
         print(f"snapshot index {k} (t = {k * matrix.dt:.6g} in data units)")
-    else:
-        seconds = args.time * 3600.0
-        k = int(round(seconds / cfg.snapshot_dt))
-        print(f"T = {args.time:g} h -> snapshot {k} "
-              f"(nearest multiple of {cfg.snapshot_dt:g} s)")
-    if not 0 <= k < matrix.n_snapshots:
-        raise IndexOutOfRange(
-            f"snapshot {k} outside the sampled range [0, {matrix.n_snapshots})")
+        return k
+    position = args.time * 3600.0 / cfg.snapshot_dt
+    # compared as a float first: NaN, inf and 1e300 never become an integer
+    k = round(position) if -1.0 < position < n else -1
+    if not 0 <= k < n:
+        raise IndexOutOfRange(f"T = {args.time:g} h outside the sampled range "
+                              f"[0, {(n - 1) * cfg.snapshot_dt / 3600.0:g}] h")
+    print(f"T = {args.time:g} h -> snapshot {k} "
+          f"(nearest multiple of {cfg.snapshot_dt:g} s)")
     return k
 
 

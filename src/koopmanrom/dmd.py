@@ -34,7 +34,8 @@ import numpy as np
 import scipy.linalg
 
 from . import snapshots
-from .errors import EigenFailure, IndexOutOfRange, RankDeficient, ZeroNormData
+from .errors import (EigenFailure, IndexOutOfRange, NonFiniteData, RankDeficient,
+                     ZeroNormData)
 from .snapshots import ShiftedPair, SnapshotMatrix
 
 _RANK_RTOL = 1e-12
@@ -168,12 +169,18 @@ def compute_amplitudes(dec: DmdDecomposition, matrix: SnapshotMatrix) -> np.ndar
 def decompose(matrix: SnapshotMatrix) -> tuple[SnapshotMatrix, DmdDecomposition]:
     """Fit, eigendecompose and project the amplitudes of ``matrix``.
 
-    When V0 is rank deficient (numerical rank r), the snapshot window is
-    truncated once to its first r + 1 snapshots and the fit retried; a
-    second RankDeficient propagates, and r = 0 raises ZeroNormData.
-    Returns the matrix actually decomposed, shorter than ``matrix``
-    after a truncation, and its decomposition with amplitudes.
+    Data whose 2-norm overflows raises NonFiniteData.  When V0 is rank
+    deficient (numerical rank r), the snapshot window is truncated once
+    to its first r + 1 snapshots and the fit retried; a second
+    RankDeficient propagates naming that window, and r = 0 raises
+    ZeroNormData.  Returns the matrix actually decomposed, shorter than
+    ``matrix`` after a truncation, and its decomposition with amplitudes.
     """
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(matrix.data)
+    if not np.isfinite(norm):
+        raise NonFiniteData("snapshot data: non-finite 2-norm (the sum of squares "
+                            "overflows); rescale the data")
     try:
         pair = snapshots.split(matrix)
         fit = fit_companion(pair)
@@ -183,7 +190,12 @@ def decompose(matrix: SnapshotMatrix) -> tuple[SnapshotMatrix, DmdDecomposition]
                                "zero: there are no dynamics to fit") from exc
         matrix = replace(matrix, data=matrix.data[:, :exc.rank + 1])
         pair = snapshots.split(matrix)
-        fit = fit_companion(pair)
+        try:
+            fit = fit_companion(pair)
+        except RankDeficient as again:
+            raise RankDeficient(again.rank, again.n_columns,
+                                what=f"V0 of the window truncated to the first "
+                                     f"{exc.rank + 1} snapshots") from exc
     dec = eigendecompose(fit, pair, matrix.dt)
     compute_amplitudes(dec, matrix)
     return matrix, dec

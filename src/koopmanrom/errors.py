@@ -51,7 +51,8 @@ class CorruptHeader(ToolkitError):
 
 
 class NonFiniteData(ToolkitError):
-    """Snapshot data holds NaN or infinite values."""
+    """Snapshot data holds NaN or infinite values, or finite values whose
+    2-norm overflows (``dmd.decompose``)."""
 
 
 class IndexOutOfRange(ToolkitError):
@@ -66,17 +67,15 @@ class RankDeficient(ToolkitError):
     Carries the numerical rank, at most the row count, so a V0 with
     fewer rows than columns raises it too.  ``dmd.decompose`` catches it
     once for V0 and retries on the first ``rank + 1`` snapshots; a
-    rank-deficient mode matrix, or a second V0 failure, reaches the
-    caller, and a rank-0 (all-zero) V0 becomes ``ZeroNormData``.
+    rank-deficient mode matrix, or a second V0 failure naming the
+    truncated window, reaches the caller, and a rank-0 (all-zero) V0
+    becomes ``ZeroNormData``.  The message gives no advice to truncate.
     """
 
     def __init__(self, rank, n_columns, what="V0"):
         self.rank = rank
         self.n_columns = n_columns
-        super().__init__(
-            f"{what} has numerical rank {rank} < {n_columns} columns; "
-            f"truncate the snapshot window to {rank + 1} snapshots"
-        )
+        super().__init__(f"{what} has numerical rank {rank} < {n_columns} columns")
 
 
 class EigenFailure(ToolkitError):

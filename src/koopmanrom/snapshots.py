@@ -16,14 +16,17 @@ The on-disk format (KSNP v1) is sealed and bit-exact:
     f64 LE      dy
     payload     nsnap snapshots, each nx*ny f64 LE, flattening order
 
-Non-finite values have no place in a snapshot matrix: ``assemble`` and
-``load`` reject them with NonFiniteData instead of letting them reach
-the decomposition.
+In memory ``assemble`` and ``load`` fill one C-ordered (nsnap, nx*ny)
+payload block; ``SnapshotMatrix.data`` is its transpose, the column-major
+V0 that LAPACK factors, written and read with no copy.  Non-finite values
+have no place in a snapshot matrix: ``assemble`` and ``load`` reject them
+with NonFiniteData instead of letting them reach the decomposition.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -48,7 +51,8 @@ class FieldTag(enum.IntEnum):
 
 @dataclass(frozen=True)
 class SnapshotMatrix:
-    """Space-time data matrix, shape (nx*ny, nsnap), plus sampling metadata."""
+    """Space-time data matrix, shape (nx*ny, nsnap), plus sampling metadata;
+    ``assemble`` and ``load`` give ``data`` as a row block's transpose."""
 
     data: np.ndarray
     nx: int
@@ -94,18 +98,16 @@ def assemble(fields: Sequence[np.ndarray], dt: float, tag: FieldTag, grid: Grid,
     for i, f in enumerate(fields):
         if f.shape != shape:
             raise ShapeMismatch(f"field {i} has shape {f.shape}, expected {shape}")
-    data = np.empty((grid.nx * grid.ny, len(fields)), dtype=np.float64)
-    for i, f in enumerate(fields):
-        data[:, i] = np.asarray(f, dtype=np.float64).reshape(-1)
-    _require_finite(data.T, "assembled fields")
-    return SnapshotMatrix(data=data, nx=grid.nx, ny=grid.ny, dt=dt,
+    rows = np.stack(fields, dtype=np.float64).reshape(len(fields), -1)
+    _require_finite(rows, "assembled fields")
+    return SnapshotMatrix(data=rows.T, nx=grid.nx, ny=grid.ny, dt=dt,
                           dx=grid.dx, dy=grid.dy, field_tag=FieldTag(tag),
                           nondimensional=nondimensional)
 
 
 def _require_finite(snapshots: np.ndarray, what) -> None:
     """Raise NonFiniteData naming the first non-finite value of a
-    (nsnap, nx*ny) array."""
+    (nsnap, nx*ny) row block, the layout ``assemble`` and ``load`` fill."""
     finite = np.isfinite(snapshots)
     if not finite.all():
         snap, cell = np.unravel_index(np.argmin(finite), finite.shape)
@@ -135,26 +137,28 @@ def save(matrix: SnapshotMatrix, path) -> None:
 def load(path) -> SnapshotMatrix:
     """Read a KSNP v1 file written by :func:`save`."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 4:
-        raise CorruptHeader(f"{path}: file shorter than the magic")
-    if raw[:4] != _MAGIC:
-        raise BadMagic(f"{path}: expected {_MAGIC!r}, found {raw[:4]!r}")
-    if len(raw) < _HEADER.size:
-        raise CorruptHeader(f"{path}: truncated header ({len(raw)} bytes)")
-    _, version, tag, flags, nx, ny, nsnap, dt, dx, dy = _HEADER.unpack_from(raw)
-    if version != _VERSION:
-        raise UnsupportedVersion(f"{path}: version {version}, expected {_VERSION}")
-    if tag > 3 or nx == 0 or ny == 0 or nsnap < 2 or not np.all(np.isfinite((dt, dx, dy))):
-        raise CorruptHeader(f"{path}: implausible header (tag={tag}, nx={nx}, "
-                            f"ny={ny}, nsnap={nsnap}, dt={dt}, dx={dx}, dy={dy})")
-    expected = _HEADER.size + 8 * nx * ny * nsnap
-    if len(raw) != expected:
-        raise CorruptHeader(f"{path}: {len(raw)} bytes, expected {expected}")
-    payload = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(nsnap, nx * ny)
+        head = fh.read(_HEADER.size)
+        if len(head) < 4:
+            raise CorruptHeader(f"{path}: file shorter than the magic")
+        if head[:4] != _MAGIC:
+            raise BadMagic(f"{path}: expected {_MAGIC!r}, found {head[:4]!r}")
+        if len(head) < _HEADER.size:
+            raise CorruptHeader(f"{path}: truncated header ({len(head)} bytes)")
+        _, version, tag, flags, nx, ny, nsnap, dt, dx, dy = _HEADER.unpack(head)
+        if version != _VERSION:
+            raise UnsupportedVersion(f"{path}: version {version}, expected {_VERSION}")
+        if tag > 3 or nx == 0 or ny == 0 or nsnap < 2 or not np.all(np.isfinite((dt, dx, dy))):
+            raise CorruptHeader(f"{path}: implausible header (tag={tag}, nx={nx}, "
+                                f"ny={ny}, nsnap={nsnap}, dt={dt}, dx={dx}, dy={dy})")
+        expected = _HEADER.size + 8 * nx * ny * nsnap
+        size = os.fstat(fh.fileno()).st_size  # checked before anything is allocated
+        if size != expected:
+            raise CorruptHeader(f"{path}: {size} bytes, expected {expected}")
+        payload = np.empty((nsnap, nx * ny), dtype="<f8")
+        if fh.readinto(payload) != payload.nbytes:
+            raise CorruptHeader(f"{path}: payload shorter than {payload.nbytes} bytes")
     _require_finite(payload, path)
-    data = payload.T.copy()
-    return SnapshotMatrix(data=data, nx=nx, ny=ny, dt=dt, dx=dx, dy=dy,
+    return SnapshotMatrix(data=payload.T, nx=nx, ny=ny, dt=dt, dx=dx, dy=dy,
                           field_tag=FieldTag(tag), nondimensional=bool(flags & 1))
 
 

@@ -7,7 +7,7 @@ from koopmanrom.cli import main, parse_config
 from koopmanrom.errors import InvalidValue, ParseError, UnknownKey
 from koopmanrom.snapshots import FieldTag, SnapshotMatrix, load, save
 
-from conftest import make_modal_data
+from conftest import build_field_matrices, make_modal_data
 
 
 DESK_CFG = """\
@@ -160,6 +160,23 @@ class TestSimulateCommand:
         for name in ("h", "u", "v"):
             assert (a / f"{name}.ksnp").read_bytes() == (b / f"{name}.ksnp").read_bytes()
 
+    @pytest.mark.parametrize("nondimensional", [True, False])
+    def test_ksnp_bytes_match_library_path(self, tmp_path, nondimensional):
+        # oracle: swe.simulate -> nondimensionalize -> assemble -> save
+        flag = str(nondimensional).lower()
+        cfg_path = write_cfg(tmp_path, DESK_CFG + "n_snapshots = 5\n"
+                                       f"nondimensionalize = {flag}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        cfg = parse_config(cfg_path)
+        matrices = build_field_matrices(cfg.constants, cfg.nx, cfg.ny, cfg.n_snapshots,
+                                        cfg.snapshot_dt, nondimensional=nondimensional,
+                                        cfl=cfg.cfl)
+        for name, matrix in matrices.items():
+            save(matrix, tmp_path / f"library_{name}.ksnp")
+            assert (out / f"{name}.ksnp").read_bytes() == \
+                (tmp_path / f"library_{name}.ksnp").read_bytes()
+
     def test_unstable_cfl_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, DESK_CFG + "n_snapshots = 3\ncfl = 10\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -275,6 +292,21 @@ class TestRomCommand:
             "rank 8 < 19: truncating window to the first 9 snapshots"
         assert "Traceback" not in captured.err
 
+    def test_degenerate_window_names_it_without_advice(self, tmp_path, capsys):
+        # a zero first snapshot: the first r + 1 snapshots are still deficient
+        data = np.random.default_rng(7).standard_normal((40, 12))
+        data[:, 0] = 0.0
+        m = SnapshotMatrix(data=data, nx=8, ny=5, dt=60.0, dx=1.0, dy=1.0,
+                           field_tag=FieldTag.h)
+        path = tmp_path / "h.ksnp"
+        save(m, path)
+        assert main(["rom", "--out", str(tmp_path / "out"), str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "window truncated to the first 11 snapshots" in err
+        assert "rank 9 < 10 columns" in err
+        assert "truncate the snapshot window" not in err
+        assert "Traceback" not in err
+
     def test_zero_window_exits_1(self, tmp_path, capsys):
         m = SnapshotMatrix(data=np.zeros((128, 6)), nx=16, ny=8, dt=60.0,
                            dx=1.0, dy=1.0, field_tag=FieldTag.h)
@@ -341,6 +373,20 @@ class TestReconstructCommand:
         code = main(["reconstruct", "--out", str(tmp_path / "o"), "--data",
                      str(tmp_path), "--field", "h", "--index", "7"])
         assert code == 3
+        for name in ("u.ksnp", "v.ksnp"):
+            synthetic_ksnp(tmp_path, rng, name=name, rank_one=False, nsnap=7)
+        capsys.readouterr()
+        # a time is compared as a float before it is rounded to an index
+        huge_index = "--index=" + "9" * 400
+        times = [f"--time={t}" for t in ("nan", "inf", "-inf", "1e300", "-1", "3.5")]
+        for cmd in ("reconstruct", "vorticity"):
+            for arg in times + [huge_index]:
+                code = main([cmd, "--out", str(tmp_path / "o"), "--data",
+                             str(tmp_path), "--field", "u", arg])
+                err = capsys.readouterr().err
+                assert code == 3, (cmd, arg)
+                assert "outside the sampled range" in err and "Traceback" not in err
+                assert arg == huge_index or len(err) < 100
 
 
 class TestVorticityCommand:

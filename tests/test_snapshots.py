@@ -1,5 +1,8 @@
 """Snapshot matrix assembly, splitting, binary round-trips and CSV export."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,6 +175,72 @@ class TestBinaryFormat:
         path = tmp_path / "t.ksnp"
         save(m, path)
         assert np.array_equal(load(path).data.view(np.uint64), data.view(np.uint64))
+
+
+def traced_peak(call):
+    """Run ``call()``; return its result and the tracemalloc peak during it."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLayout:
+    """assemble and load fill one C-ordered (nsnap, Nx) block; data is its
+    transpose, and save and load move the payload with no second copy."""
+
+    @staticmethod
+    def assert_row_block_view(data):
+        assert data.flags.f_contiguous and data.flags.aligned and data.flags.writeable
+        assert data.T.flags.c_contiguous
+
+    def test_assemble_gives_transposed_row_block(self, small_grid):
+        rng = np.random.default_rng(21)
+        m = kr.assemble([rng.standard_normal((4, 6)) for _ in range(5)], 1.0,
+                        FieldTag.h, small_grid)
+        self.assert_row_block_view(m.data)
+
+    def test_load_gives_writable_transposed_row_block(self, tmp_path):
+        path = tmp_path / "t.ksnp"
+        save(random_matrix(np.random.default_rng(22)), path)
+        self.assert_row_block_view(load(path).data)
+
+    def test_save_ignores_memory_order(self, tmp_path):
+        data = np.random.default_rng(23).standard_normal((15, 7))
+        paths = []
+        for order in ("C", "F"):
+            m = SnapshotMatrix(data=np.array(data, order=order), nx=5, ny=3, dt=1.0,
+                               dx=1.0, dy=1.0, field_tag=FieldTag.h)
+            paths.append(tmp_path / f"{order}.ksnp")
+            save(m, paths[-1])
+            assert np.array_equal(load(paths[-1]).data.view(np.uint64),
+                                  data.view(np.uint64))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_load_allocates_one_payload(self, tmp_path):
+        m = random_matrix(np.random.default_rng(24), nx=64, ny=32, nsnap=64)
+        path = tmp_path / "t.ksnp"
+        save(m, path)
+        back, peak = traced_peak(lambda: load(path))
+        assert np.array_equal(back.data, m.data)
+        # the payload plus the finite check's boolean mask (1/8 of it)
+        assert peak < 1.25 * m.data.nbytes
+
+    def test_save_copies_no_payload_of_the_row_layout(self, tmp_path):
+        m = random_matrix(np.random.default_rng(25), nx=64, ny=32, nsnap=64)
+        m = SnapshotMatrix(data=np.asfortranarray(m.data), nx=64, ny=32, dt=1.0,
+                           dx=1.0, dy=1.0, field_tag=FieldTag.h)
+        _, peak = traced_peak(lambda: save(m, tmp_path / "t.ksnp"))
+        assert peak < 0.1 * m.data.nbytes
+
+    def test_huge_header_rejected_before_allocating(self, tmp_path):
+        big = 2 ** 32 - 1
+        path = tmp_path / "t.ksnp"
+        path.write_bytes(struct.pack("<4s6I3d", b"KSNP", 1, 0, 0, big, big, big,
+                                     1.0, 1.0, 1.0))
+        _, peak = traced_peak(lambda: pytest.raises(CorruptHeader, load, path))
+        assert peak < 1 << 20
 
 
 class TestCsvExport:
