@@ -139,15 +139,23 @@ def _load_config(args) -> ExperimentConfig:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     grid = swe.Grid.for_channel(cfg.nx, cfg.ny, cfg.constants)
-    states = swe.simulate(cfg.constants, grid, cfg.snapshot_dt, cfg.n_snapshots,
-                          cfl=cfg.cfl)
+    # the solver's config-dependent ValueErrors: a Coriolis parameter that
+    # vanishes on a grid row, still water (no velocity scale) and a horizon
+    # that float time cannot resolve
+    try:
+        if cfg.nondimensionalize:
+            scales = swe.ScaleSet.from_initial_state(
+                swe.initial_state(cfg.constants, grid), cfg.constants)
+        states = swe.simulate(cfg.constants, grid, cfg.snapshot_dt, cfg.n_snapshots,
+                              cfl=cfg.cfl)
+    except ValueError as exc:
+        raise InvalidValue(str(exc)) from exc
     mass0 = swe.total_mass(states[0], grid)
     mass1 = swe.total_mass(states[-1], grid)
     drift = (mass1 - mass0) / mass0
     print(f"mass: initial {mass0:.10e}, final {mass1:.10e}, relative drift {drift:.3e}")
     dt, refs = cfg.snapshot_dt, dict.fromkeys(_FIELDS, 1.0)
     if cfg.nondimensionalize:
-        scales = swe.ScaleSet.from_initial_state(states[0], cfg.constants)
         grid = grid.scaled(scales.l_ref)
         dt = cfg.snapshot_dt / scales.t_ref
         refs = {"h": scales.h_ref, "u": scales.u_ref, "v": scales.u_ref}

@@ -39,6 +39,9 @@ from .errors import (EigenFailure, IndexOutOfRange, NonFiniteData, RankDeficient
 from .snapshots import ShiftedPair, SnapshotMatrix
 
 _RANK_RTOL = 1e-12
+# smallest data norm whose machine-precision residual, 2**-52 of it, still
+# has a normal square: (2**-459 * 2**-52)**2 = 2**-1022
+_NORM_MIN = 2.0 ** -459
 
 
 @dataclass(frozen=True)
@@ -169,7 +172,8 @@ def compute_amplitudes(dec: DmdDecomposition, matrix: SnapshotMatrix) -> np.ndar
 def decompose(matrix: SnapshotMatrix) -> tuple[SnapshotMatrix, DmdDecomposition]:
     """Fit, eigendecompose and project the amplitudes of ``matrix``.
 
-    Data whose 2-norm overflows raises NonFiniteData.  When V0 is rank
+    Data whose 2-norm overflows, or non-zero data whose 2-norm is below
+    2**-459 (about 6.7e-139), raises NonFiniteData.  When V0 is rank
     deficient (numerical rank r), the snapshot window is truncated once
     to its first r + 1 snapshots and the fit retried; a second
     RankDeficient propagates naming that window, and r = 0 raises
@@ -181,6 +185,10 @@ def decompose(matrix: SnapshotMatrix) -> tuple[SnapshotMatrix, DmdDecomposition]
     if not np.isfinite(norm):
         raise NonFiniteData("snapshot data: non-finite 2-norm (the sum of squares "
                             "overflows); rescale the data")
+    if norm < _NORM_MIN and np.any(matrix.data):
+        raise NonFiniteData(f"snapshot data: 2-norm {norm:.3g} below 2**-459, where "
+                            "the square of a residual at machine precision is "
+                            "subnormal; rescale the data")
     try:
         pair = snapshots.split(matrix)
         fit = fit_companion(pair)

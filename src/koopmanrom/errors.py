@@ -52,7 +52,8 @@ class CorruptHeader(ToolkitError):
 
 class NonFiniteData(ToolkitError):
     """Snapshot data holds NaN or infinite values, or finite values whose
-    2-norm overflows (``dmd.decompose``)."""
+    2-norm overflows or, when not all zero, falls below 2**-459
+    (``dmd.decompose``)."""
 
 
 class IndexOutOfRange(ToolkitError):

@@ -14,10 +14,21 @@ Column nx-1 sits at x = Lmax and always duplicates column 0, so the
 periodic direction carries nx-1 unique columns.  Rows 0 and ny-1 are the
 channel walls, where the normal velocity v is identically zero.
 
-The scheme steps the unique columns as one (3, ny, nx-1) stack, (h, u, v)
-between steps and (h, uh, vh) within one.  ``simulate`` (per sub-step)
-and ``lax_wendroff_step`` share one stepping path, ``_advance``: CFL
-gate, step, depth check, velocity recovery and v = 0 on the walls.
+The scheme steps one (3, ny * (nx+1)) stack, (h, u, v) between steps
+and (h, uh, vh) within one, in a flat halo layout: each row holds a
+periodic halo column (a copy of unique column nx-2), the nx-1 unique
+columns, and a second halo column (a copy of unique column 0), and the
+rows follow each other in one C-contiguous block per variable.  A
+stencil neighbour is then a flat offset, +-1 in x and +-(nx+1) in y, so
+every operation runs on whole contiguous rows of the block; neither a
+3-D slice, which numpy splits into ny short rows, nor an ``np.roll``
+copy is needed.  The halo columns are refreshed at the end of every
+step, before the depth check, so everything that reads the new state
+sees only copies of unique values there.  Every buffer is allocated once
+per run (``_Workspace``).  ``simulate`` (per sub-step) and
+``lax_wendroff_step`` share one stepping path, ``_advance``: CFL gate,
+step, halo refresh, depth check, velocity recovery and v = 0 on the
+walls.
 """
 
 from __future__ import annotations
@@ -202,12 +213,18 @@ def initial_state(constants: PhysicalConstants, grid: Grid) -> SweState:
 
 def max_signal_speed(state: SweState, constants: PhysicalConstants) -> float:
     """Conservative signal-speed bound |u| + |v| + sqrt(g h) over the grid."""
-    return _signal_speed((state.h, state.u, state.v), constants.gravity)
+    s, t = np.empty((2,) + np.shape(state.h))
+    return _signal_speed((state.h, state.u, state.v), constants.gravity, s, t)
 
 
-def _signal_speed(p, g) -> float:
+def _signal_speed(p, g, s, t) -> float:
+    """max(|u| + |v| + sqrt(g h)) over p = (h, u, v), using scratch s and t."""
     h, u, v = p
-    return float(np.max(np.abs(u) + np.abs(v) + np.sqrt(g * h)))
+    np.abs(u, out=s)
+    s += np.abs(v, out=t)
+    np.multiply(h, g, out=t)
+    s += np.sqrt(t, out=t)
+    return float(s.max())
 
 
 def total_mass(state: SweState, grid: Grid) -> float:
@@ -215,17 +232,42 @@ def total_mass(state: SweState, grid: Grid) -> float:
     return float(np.sum(state.h[:, :-1]) * grid.dx * grid.dy)
 
 
-class _SourceTables:
-    """Orography gradients and Coriolis values at nodes and midpoints.
+def _with_halo(a):
+    """Rows of unique columns, shape (..., rows, nx-1), as flat blocks of
+    rows * (nx+1) values, shape (..., rows * (nx+1)), with both periodic
+    halo columns filled."""
+    *lead, rows, nu = a.shape
+    out = np.empty((*lead, rows, nu + 2))
+    out[..., 1:-1] = a
+    _refresh_halo(out)
+    return out.reshape(*lead, rows * (nu + 2))
 
-    Gradients are centred differences of the sampled hill: exact
-    midpoint differences in the normal direction, averaged nodal centred
-    differences transversally, one-sided at the walls.
+
+def _refresh_halo(a):
+    """Copy unique columns nx-2 and 0 into the halo columns of a (..., rows,
+    nx+1) view."""
+    a[..., 0] = a[..., -2]
+    a[..., -1] = a[..., 1]
+
+
+class _SourceTables:
+    """Coriolis values and gravity times the orography gradients, in the
+    flat halo layout, at cells, at x faces and at y faces.
+
+    Each of ``cell``, ``mx`` and ``my`` is the pair of stacks (f, -f) and
+    (g Hx, g Hy), with -f and g H formed once here (bit for bit the
+    products a step would form), so both momentum sources take one
+    multiply and one subtract per step.  Gradients are centred
+    differences of the sampled hill: exact midpoint differences in the
+    normal direction, averaged nodal centred differences transversally,
+    one-sided at the walls.  The x-face entry in halo column 0 is the
+    face of unique column nx-2, east of which lies unique column 0.
     """
 
     def __init__(self, constants: PhysicalConstants, grid: Grid):
         nxu = grid.nx - 1
         dx, dy = grid.dx, grid.dy
+        g = constants.gravity
         X, Y = np.meshgrid(grid.x[:nxu], grid.y)
         H = orography(X, Y, constants)
         Hx = (np.roll(H, -1, axis=1) - np.roll(H, 1, axis=1)) / (2.0 * dx)
@@ -233,27 +275,63 @@ class _SourceTables:
         Hy[1:-1] = (H[2:] - H[:-2]) / (2.0 * dy)
         Hy[0] = (-3.0 * H[0] + 4.0 * H[1] - H[2]) / (2.0 * dy)
         Hy[-1] = (3.0 * H[-1] - 4.0 * H[-2] + H[-3]) / (2.0 * dy)
-        self.Hx = Hx
-        self.Hy = Hy
-        self.Hx_mx = (np.roll(H, -1, axis=1) - H) / dx
-        self.Hy_mx = 0.5 * (Hy + np.roll(Hy, -1, axis=1))
-        self.Hx_my = 0.5 * (Hx[:-1] + Hx[1:])
-        self.Hy_my = (H[1:] - H[:-1]) / dy
-        self.f = coriolis_at(Y, constants)
-        self.f_my = coriolis_at(0.5 * (Y[:-1] + Y[1:]), constants)
+        Hx_mx = (np.roll(H, -1, axis=1) - H) / dx
+        Hy_mx = 0.5 * (Hy + np.roll(Hy, -1, axis=1))
+        Hx_my = 0.5 * (Hx[:-1] + Hx[1:])
+        Hy_my = (H[1:] - H[:-1]) / dy
+        f = coriolis_at(Y, constants)
+        f_my = coriolis_at(0.5 * (Y[:-1] + Y[1:]), constants)
+        self.cell = (_with_halo(np.stack((f, -f))), _with_halo(np.stack((g * Hx, g * Hy))))
+        self.mx = (self.cell[0][:, :-1],
+                   _with_halo(np.stack((g * Hx_mx, g * Hy_mx)))[:, :-1])
+        self.my = (_with_halo(np.stack((f_my, -f_my))),
+                   _with_halo(np.stack((g * Hx_my, g * Hy_my))))
 
 
 # parity of the y fluxes (vh, u vh, v vh + g h^2 / 2) across a wall, where
 # the mirror ghost rows keep h and u even and v odd
-_WALL_SIGN = np.array([-1.0, -1.0, 1.0])[:, None, None]
+_WALL_SIGN = np.array([-1.0, -1.0, 1.0])[:, None]
 
 
-def _east(a):
-    return np.roll(a, -1, axis=-1)
+class _Workspace:
+    """One grid's flat halo layout and every buffer a step writes.
 
+    A field is a C-contiguous block of ny rows of E = nx + 1 values:
+    column 0 is a halo copy of unique column nx-2, columns 1..nx-1 are
+    the unique columns 0..nx-2, and column nx copies unique column 0.
+    A stack (3, ny * E) holds (h, u, v) or (h, uh, vh).  A step reads
+    ``p`` and writes the new state into ``q``; ``_advance`` then swaps
+    the two.
+    """
 
-def _west(a):
-    return np.roll(a, 1, axis=-1)
+    def __init__(self, constants: PhysicalConstants, grid: Grid):
+        self.gravity, self.dx, self.dy = constants.gravity, grid.dx, grid.dy
+        self.ny, self.width = grid.ny, grid.nx + 1
+        self.tab = _SourceTables(constants, grid)
+        n, e = self.ny * self.width, self.width
+        self.p, self.q = np.zeros((3, n)), np.zeros((3, n))
+        self.flux_x, self.flux_y = np.zeros((3, n)), np.zeros((3, n))
+        self.dflux_x, self.dflux_y = np.zeros((3, n)), np.zeros((3, n))
+        self.work = np.zeros((3, n))
+        self.q_mx = np.zeros((3, n - 1))     # x faces: between cells k and k + 1
+        self.q_my = np.zeros((3, n - e))     # y faces: between cells k and k + E
+        self.s, self.t = np.zeros(n), np.zeros((2, n))   # source and speed scratch
+
+    def load(self, state: SweState) -> None:
+        """(h, u, v) of ``state``, whose column nx-1 is ignored, into p."""
+        p = self.p.reshape(3, self.ny, self.width)
+        for dst, src in zip(p, (state.h, state.u, state.v)):
+            dst[:, 1:-1] = src[:, :self.width - 2]
+        _refresh_halo(p)
+
+    def state(self, t: float) -> SweState:
+        """p as a state: unique columns 0..nx-2, then the east halo
+        column, which is the duplicate column nx-1."""
+        h, u, v = (a[:, 1:].copy() for a in self.p.reshape(3, self.ny, self.width))
+        return SweState(h=h, u=u, v=v, t=t)
+
+    def signal_speed(self) -> float:
+        return _signal_speed(self.p, self.gravity, self.s, self.t[0])
 
 
 def _primitive(q):
@@ -262,30 +340,43 @@ def _primitive(q):
     return q
 
 
-def _flux_x(p, g):
-    h, u, v = p
-    uh = u * h
-    return np.stack((uh, uh * u + 0.5 * g * h * h, uh * v))
+def _pressure(h, g, out):
+    """g h^2 / 2, formed as (g / 2) h times h, into out."""
+    np.multiply(h, 0.5 * g, out=out)
+    out *= h
+    return out
 
 
-def _flux_y(p, g):
-    h, u, v = p
-    vh = v * h
-    return np.stack((vh, u * vh, vh * v + 0.5 * g * h * h))
+def _flux_x(p, out, pressure):
+    """(uh, uh u + g h^2 / 2, uh v) of p = (h, u, v) into out, whose
+    first row already holds uh."""
+    np.multiply(out[0], p[1:], out=out[1:])
+    out[1] += pressure
 
 
-def _add_sources(q, scale, c, f, hx, hy, g):
+def _flux_y(p, out, pressure):
+    """(vh, u vh, vh v + g h^2 / 2) of p = (h, u, v) into out, whose
+    first row already holds vh."""
+    np.multiply(p[1:], out[0], out=out[1:])
+    out[2] += pressure
+
+
+def _add_sources(q, scale, c, tables, s, t):
     """Coriolis and orography sources at the state c = (h, u, v), added
-    to the momenta of q with weight ``scale``."""
-    h, u, v = c
-    q[1] += scale * h * (f * v - g * hx)
-    q[2] += scale * h * (-f * u - g * hy)
+    to the momenta of q with weight ``scale``: scale h (f v - g Hx) and
+    scale h (-f u - g Hy), with ``tables`` = ((f, -f), (g Hx, g Hy))."""
+    f, g_h = tables
+    np.multiply(f, c[:0:-1], out=t)
+    t -= g_h
+    t *= np.multiply(c[0], scale, out=s)
+    q[1:] += t
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _step_unique(p, dt, constants, grid, tab):
-    """Advance the unique-column stack p = (h, u, v), shape (3, ny, nx-1),
-    one time step; returns the conserved stack (h, uh, vh).
+def _step_unique(w: _Workspace, dt: float):
+    """Advance the stack w.p = (h, u, v), whose halo columns are fresh,
+    one time step; returns the conserved stack (h, uh, vh), written into
+    w.q with its halo columns refreshed.
 
     Two-step Richtmyer form with transverse flux corrections in the
     half states (needed for second order in 2D) and pointwise sources
@@ -296,46 +387,92 @@ def _step_unique(p, dt, constants, grid, tab):
     rows of vh are left unconstrained: the caller sets v = 0 there.
     Overflow to non-finite values near blow-up is left for the caller to
     detect.
+
+    Every stencil neighbour is a flat offset into the (3, ny * E) block,
+    +-1 in x and +-E in y, so each operation runs on long contiguous
+    rows.  (A 3-D slice of a halo'd array would split every operation
+    into ny short rows, which numpy cannot merge.)  A stage is computed
+    over the whole flat range its offsets allow.  Values that land in a
+    halo column, or read across a row end, are garbage that no unique
+    column reads, and the halo refresh at the end overwrites them.
     """
-    g = constants.gravity
-    dx, dy = grid.dx, grid.dy
-    q = p.copy()
-    q[1:] *= p[0]
-    F = _flux_x(p, g)
-    G = _flux_y(p, g)
-    F_east = _east(F)
-    F_x = (F_east - _west(F)) / (2.0 * dx)
+    g, dx, dy, e = w.gravity, w.dx, w.dy, w.width
+    p, q, F, G, F_x, G_y, tmp = w.p, w.q, w.flux_x, w.flux_y, w.dflux_x, w.dflux_y, w.work
+    q_mx, q_my, s, t = w.q_mx, w.q_my, w.s, w.t
+    h = p[0]
+    q[0] = h
+    np.multiply(p[1:], h, out=q[1:])
+    pressure = _pressure(h, g, s)
+    F[0] = q[1]
+    _flux_x(p, F, pressure)
+    G[0] = q[2]
+    _flux_y(p, G, pressure)
+    np.subtract(F[:, 2:], F[:, :-2], out=F_x[:, 1:-1])
+    F_x /= 2.0 * dx
     # mirror ghost rows beyond each wall
-    G_pad = np.concatenate((_WALL_SIGN * G[:, 1:2], G, _WALL_SIGN * G[:, -2:-1]), axis=1)
-    G_y = (G_pad[:, 2:] - G_pad[:, :-2]) / (2.0 * dy)
+    np.subtract(G[:, 2 * e:], G[:, :-2 * e], out=G_y[:, e:-e])
+    np.multiply(_WALL_SIGN, G[:, e:2 * e], out=G_y[:, :e])
+    np.subtract(G[:, e:2 * e], G_y[:, :e], out=G_y[:, :e])
+    np.multiply(_WALL_SIGN, G[:, -2 * e:-e], out=G_y[:, -e:])
+    G_y[:, -e:] -= G[:, -2 * e:-e]
+    G_y /= 2.0 * dy
 
-    # half states at x midpoints (i+1/2, j)
-    q_mx = 0.5 * (q + _east(q)) - (0.5 * dt / dx) * (F_east - F) \
-        - (0.25 * dt) * (G_y + _east(G_y))
-    _add_sources(q_mx, 0.5 * dt, 0.5 * (p + _east(p)), tab.f, tab.Hx_mx, tab.Hy_mx, g)
+    # half states at x faces: cells k and k + 1
+    np.add(q[:, :-1], q[:, 1:], out=q_mx)
+    q_mx *= 0.5
+    a = tmp[:, :-1]
+    np.subtract(F[:, 1:], F[:, :-1], out=a)
+    a *= 0.5 * dt / dx
+    q_mx -= a
+    np.add(G_y[:, :-1], G_y[:, 1:], out=a)
+    a *= 0.25 * dt
+    q_mx -= a
+    np.add(p[:, :-1], p[:, 1:], out=a)
+    a *= 0.5
+    _add_sources(q_mx, 0.5 * dt, a, w.tab.mx, s[:-1], t[:, :-1])
 
-    # half states at y midpoints (i, j+1/2)
-    q_my = 0.5 * (q[:, :-1] + q[:, 1:]) - (0.5 * dt / dy) * (G[:, 1:] - G[:, :-1]) \
-        - (0.25 * dt) * (F_x[:, :-1] + F_x[:, 1:])
-    _add_sources(q_my, 0.5 * dt, 0.5 * (p[:, :-1] + p[:, 1:]),
-                 tab.f_my, tab.Hx_my, tab.Hy_my, g)
+    # half states at y faces: cells k and k + E
+    np.add(q[:, :-e], q[:, e:], out=q_my)
+    q_my *= 0.5
+    a = tmp[:, :-e]
+    np.subtract(G[:, e:], G[:, :-e], out=a)
+    a *= 0.5 * dt / dy
+    q_my -= a
+    np.add(F_x[:, :-e], F_x[:, e:], out=a)
+    a *= 0.25 * dt
+    q_my -= a
+    np.add(p[:, :-e], p[:, e:], out=a)
+    a *= 0.5
+    _add_sources(q_my, 0.5 * dt, a, w.tab.my, s[:-e], t[:, :-e])
 
     p_mx = _primitive(q_mx)
     p_my = _primitive(q_my)
-    F_m = _flux_x(p_mx, g)
-    G_m = _flux_y(p_my, g)
+    F_m, G_m = F[:, :-1], G[:, :-e]
+    np.multiply(p_mx[1], p_mx[0], out=F_m[0])
+    _flux_x(p_mx, F_m, _pressure(p_mx[0], g, s[:-1]))
+    np.multiply(p_my[2], p_my[0], out=G_m[0])
+    _flux_y(p_my, G_m, _pressure(p_my[0], g, s[:-e]))
     # face differences; the wall faces carry zero normal flux
-    G_diff = np.empty_like(q)
-    G_diff[:, 1:-1] = G_m[:, 1:] - G_m[:, :-1]
-    G_diff[:, 0] = G_m[:, 0]
-    G_diff[:, -1] = -G_m[:, -1]
-    q_new = q - (dt / dx) * (F_m - _west(F_m)) - (dt / dy) * G_diff
+    np.subtract(F_m[:, 1:], F_m[:, :-1], out=tmp[:, 1:-1])
+    tmp *= dt / dx
+    q -= tmp
+    np.subtract(G_m[:, e:], G_m[:, :-e], out=tmp[:, e:-e])
+    tmp[:, :e] = G_m[:, :e]
+    np.negative(G_m[:, -e:], out=tmp[:, -e:])
+    tmp *= dt / dy
+    q -= tmp
 
     # corrector source at the time-centred cell state (midpoint averages)
-    c = 0.5 * (p_mx + _west(p_mx))
-    c[:, 1:-1] = 0.5 * (c[:, 1:-1] + 0.5 * (p_my[:, 1:] + p_my[:, :-1]))
-    _add_sources(q_new, dt, c, tab.f, tab.Hx, tab.Hy, g)
-    return q_new
+    np.add(p_mx[:, 1:], p_mx[:, :-1], out=tmp[:, 1:-1])
+    tmp *= 0.5
+    b = F_x[:, e:-e]   # free since the y half states
+    np.add(p_my[:, e:], p_my[:, :-e], out=b)
+    b *= 0.5
+    tmp[:, e:-e] += b
+    tmp[:, e:-e] *= 0.5
+    _add_sources(q, dt, tmp, w.tab.cell, s, t)
+    _refresh_halo(q.reshape(3, w.ny, e))
+    return q
 
 
 def _close(a, grid: Grid) -> np.ndarray:
@@ -346,29 +483,34 @@ def _close(a, grid: Grid) -> np.ndarray:
     return out
 
 
-def _advance(p, t, dt, smax, constants, grid, tab):
-    """Advance the unique-column stack p = (h, u, v), with signal-speed
-    bound smax, from time t by dt; returns the new stack.
+def _advance(w: _Workspace, t, dt, smax):
+    """Advance w.p = (h, u, v), with signal-speed bound smax, from time t
+    by dt, in place.
 
     Raises CflViolation if dt exceeds min(dx, dy) / smax and
-    NonPositiveDepth if the new depth is not finite and positive.
+    NonPositiveDepth if the new depth is not finite and positive; w.p
+    is then unchanged.  The new state is the step's w.q, its halo
+    columns already refreshed, so the depth check, the velocity
+    recovery, v = 0 on the walls and the next signal-speed bound all run
+    on whole contiguous blocks and see each unique value, some twice.
+    p and q then trade buffers: a step allocates nothing, so its speed
+    does not depend on how malloc reuses freed blocks (a copy here once
+    made glibc return the step's temporaries to the OS every step: 850
+    rather than 6 page faults and twice the time per 129 x 65 step).
     """
-    dt_max = min(grid.dx, grid.dy) / smax
+    dt_max = min(w.dx, w.dy) / smax
     if dt > dt_max * (1.0 + 1e-12):
         raise CflViolation(dt, dt_max, t)
-    q = _step_unique(p, dt, constants, grid, tab)
+    q = _step_unique(w, dt)
     h = q[0]
-    if not np.all(np.isfinite(h)) or np.min(h) <= 0.0:
+    if not (h.min() > 0.0 and h.max() < np.inf):
         bad = h[np.isfinite(h)]
         h_min = float(bad.min()) if bad.size else float("nan")
         raise NonPositiveDepth(t + dt, h_min)
-    # in place: a copy would free the block the step allocated last, and
-    # malloc would then return the step's temporaries to the OS each step
-    # (850 rather than 6 page faults and 2x the time per 129 x 65 step)
-    p = _primitive(q)
-    p[2, 0] = 0.0
-    p[2, -1] = 0.0
-    return p
+    _primitive(q)
+    q[2, :w.width] = 0.0
+    q[2, -w.width:] = 0.0
+    w.p, w.q = q, w.p
 
 
 def lax_wendroff_step(state: SweState, dt: float, constants: PhysicalConstants,
@@ -381,11 +523,10 @@ def lax_wendroff_step(state: SweState, dt: float, constants: PhysicalConstants,
     """
     if np.min(state.h) <= 0.0:
         raise NonPositiveDepth(state.t, float(np.min(state.h)))
-    p = np.stack([a[:, :grid.nx - 1] for a in (state.h, state.u, state.v)])
-    p = _advance(p, state.t, dt, max_signal_speed(state, constants), constants, grid,
-                 _SourceTables(constants, grid))
-    return SweState(h=_close(p[0], grid), u=_close(p[1], grid), v=_close(p[2], grid),
-                    t=state.t + dt)
+    w = _Workspace(constants, grid)
+    w.load(state)
+    _advance(w, state.t, dt, max_signal_speed(state, constants))
+    return w.state(state.t + dt)
 
 
 def simulate(constants: PhysicalConstants, grid: Grid, snapshot_dt: float,
@@ -396,6 +537,14 @@ def simulate(constants: PhysicalConstants, grid: Grid, snapshot_dt: float,
     truncates the final sub-step of each interval to land exactly on the
     snapshot time.  Returns n_snapshots states with t = 0, snapshot_dt,
     ..., (n_snapshots - 1) * snapshot_dt.
+
+    Raises ValueError, naming snapshot_dt, before the first step when the
+    horizon (n_snapshots - 1) * snapshot_dt is not finite or needs more
+    than 2**53 sub-steps of the initial CFL step: float time cannot
+    resolve a sub-step that far out.  Any finite horizon below that
+    bound runs for as long as it needs.  Should the time still stop
+    advancing (t + dt == t) while the signal speed is not running away,
+    that raises ValueError too.
     """
     if n_snapshots < 2:
         raise ValueError("need at least two snapshots")
@@ -403,21 +552,34 @@ def simulate(constants: PhysicalConstants, grid: Grid, snapshot_dt: float,
         raise ValueError("snapshot_dt must be positive with a finite horizon "
                          "(n_snapshots - 1) * snapshot_dt")
 
-    tab = _SourceTables(constants, grid)
     state = initial_state(constants, grid)
+    if np.min(state.h) <= 0.0:
+        raise NonPositiveDepth(0.0, float(np.min(state.h)))
     out = [state]
-    p = np.stack([a[:, :grid.nx - 1] for a in (state.h, state.u, state.v)])
+    w = _Workspace(constants, grid)
+    w.load(state)
     dmin = min(grid.dx, grid.dy)
-    t = 0.0
+    horizon = (n_snapshots - 1) * snapshot_dt
+    smax = w.signal_speed()
+    if horizon > 2.0 ** 53 * (cfl * dmin / smax):
+        raise ValueError(f"snapshot_dt = {snapshot_dt:g} s: the horizon {horizon:g} s "
+                         f"needs more than 2**53 sub-steps of {cfl * dmin / smax:g} s, "
+                         "beyond what float time resolves")
+    t, s_prev = 0.0, np.inf
     for k in range(1, n_snapshots):
         t_target = k * snapshot_dt
         while t < t_target:
-            smax = _signal_speed(p, constants.gravity)
             dt = min(cfl * dmin / smax, t_target - t)
-            p = _advance(p, t, dt, smax, constants, grid, tab)
+            # a sub-step collapsing under a runaway signal speed is a
+            # blow-up, left for the depth check to report
+            if t + dt == t and not smax > s_prev:
+                raise ValueError(f"time stops advancing at t = {t:g} s: a sub-step of "
+                                 f"{dt:g} s leaves it unchanged, short of the horizon "
+                                 f"of snapshot_dt = {snapshot_dt:g} s")
+            _advance(w, t, dt, smax)
             t = t_target if t_target - t <= dt * (1.0 + 1e-12) else t + dt
-        out.append(SweState(h=_close(p[0], grid), u=_close(p[1], grid),
-                            v=_close(p[2], grid), t=t_target))
+            s_prev, smax = smax, w.signal_speed()
+        out.append(w.state(t_target))
     return out
 
 

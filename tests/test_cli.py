@@ -182,6 +182,19 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "solver failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("snapshot_dt = 1e300\nn_snapshots = 3\n", "snapshot_dt"),
+        ("coriolis_f0 = 0\ncoriolis_beta = 0\n", "Coriolis parameter vanishes"),
+        ("shear_depth = 0\nwave_depth = 0\n", "non-positive reference scales"),
+    ], ids=["unresolvable-horizon", "no-coriolis", "still-water"])
+    def test_solver_setup_error_exits_3(self, tmp_path, capsys, text, message):
+        # each passes the config checks and is rejected before any output
+        cfg = write_cfg(tmp_path, DESK_CFG + "nx = 16\nny = 8\nn_snapshots = 3\n" + text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_supercritical_defaults_exit_2_with_failing_time(self, tmp_path, capsys):
         # reference constants, desk grid: depth collapses within seconds
         cfg = write_cfg(tmp_path, "nx = 48\nny = 24\nn_snapshots = 2\n")

@@ -79,14 +79,16 @@ class TestNonFiniteData:
                             field_tag=FieldTag.h), path)
         assert main(["rom", "--out", str(tmp_path / "out"), str(path)]) == 3
         assert "non-finite" in capsys.readouterr().err
-        # finite data whose 2-norm overflows: its modes cannot be normalized
+        # finite data whose 2-norm overflows: its modes cannot be normalized;
+        # data whose 2-norm is below 2**-459: its residuals square to subnormals
         data[7, 3] = 0.0
-        for scale in (1e155, 1e200):
+        for scale in (1e155, 1e200, 1e-150, 1e-170):
             save(SnapshotMatrix(data=data * scale, nx=8, ny=5, dt=60.0, dx=1.0,
                                 dy=1.0, field_tag=FieldTag.h), path)
             assert main(["rom", "--out", str(tmp_path / "out"), str(path)]) == 3
             err = capsys.readouterr().err
-            assert "non-finite" in err and "Traceback" not in err
+            assert "rescale the data" in err and "Traceback" not in err
+            assert ("non-finite" in err) == (scale > 1.0)
 
 
 class TestLoadFuzz:

@@ -231,11 +231,12 @@ class TestSimulate:
         with pytest.raises(ValueError):
             kr.simulate(classic_constants, grid, 600.0, 1)
 
-    @pytest.mark.parametrize("snapshot_dt", [np.inf, -np.inf, np.nan, 0.0, 1e308])
+    @pytest.mark.parametrize("snapshot_dt", [np.inf, -np.inf, np.nan, 0.0, 1e308, 1e300])
     def test_rejects_bad_interval_before_stepping(self, classic_constants, monkeypatch,
                                                   snapshot_dt):
         # an infinite interval would never reach its first snapshot time,
-        # nor would 2 * 1e308, the horizon of three snapshots at 1e308 s
+        # nor would 2 * 1e308, the horizon of three snapshots at 1e308 s;
+        # at 1e300 s, t + dt == t long before the horizon
         def no_step(*args):
             raise AssertionError("simulate stepped with an invalid interval")
 
@@ -243,6 +244,21 @@ class TestSimulate:
         grid = kr.Grid.for_channel(16, 8, classic_constants)
         with pytest.raises(ValueError, match="snapshot_dt"):
             kr.simulate(classic_constants, grid, snapshot_dt, 3)
+
+    def test_stalled_time_raises(self, classic_constants, monkeypatch):
+        # a signal speed that jumps once and then holds: t + dt == t with
+        # nothing running away, which would otherwise loop for ever
+        def jump_once(w, *args):
+            if not calls:
+                w.p[1] *= 1e30
+            calls.append(args)
+
+        calls = []
+        monkeypatch.setattr(kr.swe, "_advance", jump_once)
+        grid = kr.Grid.for_channel(16, 8, classic_constants)
+        with pytest.raises(ValueError, match="time stops advancing"):
+            kr.simulate(classic_constants, grid, 600.0, 3)
+        assert len(calls) == 2
 
 
 class TestRefinementConvergence:
