@@ -13,16 +13,18 @@ so i = 1 is the first column of the source matrix).
 
 Snapshot coordinates: one R-only QR, [V0 | u_N] = Q [R, q; 0, rho],
 gives the Nt x Nt triangle R of V0 = Q R, q = Q^T u_N and the fit
-residual |rho|; Q (real, orthonormal, Nx x Nt) is never formed.  Mode j
-is Q B[:, j] with B = R Z, scaled and phase-pinned like the mode itself,
-so for any coefficients C, ||V0 - Re(Phi C)|| = ||R - Re(B C)|| column
-by column.  The amplitudes here and every reconstruction error in
-``rom`` are therefore computed from the Nt x Nt arrays R and B.  The
-full-length modes are formed once, in ``eigendecompose`` (the phase
-pinning needs their largest entry), and are read only by
-``reconstruct``.  A decomposition without R and B, or a matrix other
-than the one decomposed, gets its coordinates from one real QR of
-[V0 | Re Phi | Im Phi] instead (``DmdDecomposition.coordinates``).
+residual |rho|; Q (real, orthonormal, Nx x Nt) is never formed.  The
+decomposition keeps the companion eigenvectors z, scaled to unit
+images, and the unit phases p that pin them, so mode j is
+(V0 z_j) p_j = Q B[:, j] with B = (R z) p, and for any coefficients C,
+||V0 - Re(Phi C)|| = ||R - Re(B C)|| column by column.  The amplitudes
+here and every reconstruction error in ``rom`` are therefore computed
+from the Nt x Nt arrays R and B, and ``reconstruct`` applies V0 to one
+Nt-vector.  The Nx x m mode matrix is formed only when
+``DmdDecomposition.modes`` is read.  A decomposition without R and B,
+or a matrix other than the one decomposed, gets its coordinates from
+one real QR of [V0 | Re Phi | Im Phi] instead
+(``DmdDecomposition.coordinates``).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import as_strided
 
 from . import snapshots
 from .errors import (EigenFailure, IndexOutOfRange, NonFiniteData, RankDeficient,
@@ -42,6 +45,8 @@ _RANK_RTOL = 1e-12
 # smallest data norm whose machine-precision residual, 2**-52 of it, still
 # has a normal square: (2**-459 * 2**-52)**2 = 2**-1022
 _NORM_MIN = 2.0 ** -459
+# rows of V0 per GEMM when pinning the mode phases
+_PIN_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -54,24 +59,51 @@ class CompanionFit:
     r: np.ndarray               # R of V0 = Q R, shape (Nt, Nt)
 
 
+class _Modes:
+    """The ``modes`` field: the array given to the constructor, or, when
+    that is None, (V0 @ z) * phase formed at the first read and kept."""
+
+    def __get__(self, dec, owner=None):
+        if dec is None:
+            raise AttributeError("modes")  # so the field has no default
+        if dec._modes is None:
+            dec._modes = _form_modes(dec.v0, dec.z, dec.phase, dec.lambdas)
+        return dec._modes
+
+    def __set__(self, dec, value):
+        dec._modes = value
+
+
 @dataclass
 class DmdDecomposition:
     """Eigenvalues, continuous exponents, unit modes and amplitudes.
 
     exponents[j] = log(lambdas[j]) / dt on the principal branch, so the
-    imaginary part (the frequency) lies in (-pi/dt, pi/dt].
+    imaginary part (the frequency) lies in (-pi/dt, pi/dt].  ``modes``
+    may be None when ``v0``, ``z`` and ``phase`` are given; it is then
+    formed as (V0 @ z) * phase when first read.
     """
 
     lambdas: np.ndarray         # complex, shape (m,)
     exponents: np.ndarray       # complex, shape (m,)
-    modes: np.ndarray           # complex, shape (Nx, m), unit 2-norm columns
+    # complex, (Nx, m), unit 2-norm columns; a descriptor, not a default
+    modes: Optional[np.ndarray] = _Modes()
     dt: float
     amplitudes: Optional[np.ndarray] = field(default=None)
-    # snapshot coordinates: the decomposed V0 (a view, not a copy), R and
-    # B with V0 = Q R and modes = Q B; None for hand-built decompositions
+    # snapshot coordinates: the decomposed V0 (a view, not a copy), R, B,
+    # the eigenvectors z with unit images and the phases that pin them,
+    # with V0 = Q R and modes = Q B = (V0 z) * phase; None for hand-built
+    # decompositions
     v0: Optional[np.ndarray] = field(default=None, repr=False)
     r: Optional[np.ndarray] = field(default=None, repr=False)
     mode_coords: Optional[np.ndarray] = field(default=None, repr=False)
+    z: Optional[np.ndarray] = field(default=None, repr=False)
+    phase: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self._modes is None and any(a is None for a in (self.v0, self.z, self.phase)):
+            raise ValueError("a decomposition needs its modes, or v0, z and phase "
+                             "to form them")
 
     def coordinates(self, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(T, B) with v0 = Q T and modes = Q B for one real Q with
@@ -88,13 +120,14 @@ class DmdDecomposition:
         return r[:, :nt], r[:, nt:nt + m] + 1j * r[:, nt + m:]
 
 
-def _qr_solve(basis: np.ndarray, target: np.ndarray, what: str):
-    """Least-squares solve with a hard rank gate, from one R-only QR of
-    [basis | target].  Returns the solution, the triangle R of ``basis``
-    and the residual norm (0 for a square basis).
+def _qr_solve(block: np.ndarray, what: str):
+    """Least-squares solve of the last column of ``block`` against the
+    others, with a hard rank gate, from one R-only QR of ``block``.
+    Returns the solution, the triangle R of the basis and the residual
+    norm (0 for a square basis).
     """
-    n = basis.shape[1]
-    rt = np.linalg.qr(np.column_stack([basis, target]), mode="r")
+    n = block.shape[1] - 1
+    rt = np.linalg.qr(block, mode="r")
     r = rt[:n, :n]
     sv = np.linalg.svd(r, compute_uv=False)
     rank = int(np.sum(sv > _RANK_RTOL * sv[0])) if sv.size else 0
@@ -102,6 +135,18 @@ def _qr_solve(basis: np.ndarray, target: np.ndarray, what: str):
         raise RankDeficient(rank, n, what=what)
     residual = float(abs(rt[n, n])) if rt.shape[0] > n else 0.0
     return scipy.linalg.solve_triangular(r, rt[:n, n]), r, residual
+
+
+def _window(pair: ShiftedPair) -> np.ndarray:
+    """[V0 | u_N] as one array: a read-only view of the snapshot block
+    when V0 and V1 are the overlapping column views ``snapshots.split``
+    returns, else a copy."""
+    v0, v1 = pair.v0, pair.v1
+    if (v1.shape == v0.shape and v1.strides == v0.strides and v1.dtype == v0.dtype
+            and v1.ctypes.data == v0.ctypes.data + v0.strides[1]):
+        return as_strided(v0, shape=(v0.shape[0], v0.shape[1] + 1),
+                          strides=v0.strides, writeable=False)
+    return np.column_stack([v0, v1[:, -1]])
 
 
 def fit_companion(pair: ShiftedPair) -> CompanionFit:
@@ -112,11 +157,82 @@ def fit_companion(pair: ShiftedPair) -> CompanionFit:
     does not have full column rank at relative tolerance 1e-12, as when
     it has fewer rows than columns.
     """
-    c, r, residual = _qr_solve(pair.v0, pair.v1[:, -1], what="V0")
+    c, r, residual = _qr_solve(_window(pair), what="V0")
     companion = np.eye(c.shape[0], k=-1)
     companion[:, -1] = c
     return CompanionFit(coefficients=c, companion=companion, residual_norm=residual,
                         r=r)
+
+
+def _real_basis(z: np.ndarray, lambdas: np.ndarray):
+    """The real basis of eig's eigenvectors of a real matrix, and the
+    first column of each conjugate pair.
+
+    ``eig`` stores a pair as adjacent columns (j, j+1) = (x + iy,
+    x - iy), the eigenvalue with positive imaginary part first; the
+    basis holds (x, y) there, as LAPACK returns it.
+    """
+    first = np.flatnonzero(lambdas.imag > 0)
+    basis = z.real.copy()
+    basis[:, first + 1] = z.imag[:, first]
+    return basis, first
+
+
+def _complex_images(x: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Images in the real basis (last axis) made complex: a pair's
+    (x, y) becomes (x + iy, x - iy), exactly conjugate."""
+    if not first.size:
+        return x
+    images = x.astype(complex)
+    images[..., first] += 1j * x[..., first + 1]
+    images[..., first + 1] = images[..., first].conj()
+    return images
+
+
+def _row_blocks(v0: np.ndarray, basis: np.ndarray):
+    """Yield (rows, V0[rows] @ basis) over blocks of rows: the images of
+    the eigenvectors in their real basis, one real GEMM per block."""
+    for start in range(0, v0.shape[0], _PIN_ROWS):
+        x = v0[start:start + _PIN_ROWS] @ basis
+        yield slice(start, start + x.shape[0]), x
+
+
+def _lead_phases(v0: np.ndarray, z: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """Unit phases that rotate the largest-magnitude entry of each column
+    of V0 @ z onto the positive real axis.  The images of ``z`` have
+    unit norm, so no squared magnitude underflows.
+
+    A running argmax over the row blocks keeps the first largest entry,
+    as np.argmax would over the whole column; the partners of a pair
+    share one entry and get conjugate phases.
+    """
+    basis, first = _real_basis(z, lambdas)
+    cols = np.arange(z.shape[1])
+    best = np.full(z.shape[1], -1.0)   # largest squared magnitude so far
+    lead = np.zeros(z.shape[1])        # its entry in the real basis
+    for _, x in _row_blocks(v0, basis):
+        mag = x * x
+        mag[:, first] += mag[:, first + 1]
+        mag[:, first + 1] = mag[:, first]
+        rows = np.argmax(mag, axis=0)
+        top = mag[rows, cols]
+        better = top > best
+        best[better] = top[better]
+        lead[better] = x[rows[better], cols[better]]
+    lead = _complex_images(lead, first)
+    phase = np.abs(lead) / lead
+    phase[first + 1] = phase[first].conj()
+    return phase
+
+
+def _form_modes(v0, z, phase, lambdas) -> np.ndarray:
+    """(V0 @ z) * phase from the row-block products that pinned the
+    phases, so each lead entry is |lead| to rounding."""
+    basis, first = _real_basis(z, lambdas)
+    modes = np.empty((v0.shape[0], z.shape[1]), dtype=np.result_type(z, phase))
+    for rows, x in _row_blocks(v0, basis):
+        np.multiply(_complex_images(x, first), phase, out=modes[rows])
+    return modes
 
 
 def eigendecompose(fit: CompanionFit, pair: ShiftedPair, dt: float) -> DmdDecomposition:
@@ -124,27 +240,28 @@ def eigendecompose(fit: CompanionFit, pair: ShiftedPair, dt: float) -> DmdDecomp
 
     Mode j is V0 z_j normalized to unit 2-norm with its largest-magnitude
     entry rotated to the positive real axis, which pins the phase and
-    keeps conjugate eigenvector pairs exactly conjugate.  The mode
-    coordinates R z_j get the same scale and phase and are kept with V0
-    and R on the decomposition.
+    keeps conjugate eigenvector pairs exactly conjugate.  The norms are
+    those of R z_j (Q is orthonormal) and the largest entries come from
+    row blocks of V0, so no Nx x m array is formed: the decomposition
+    keeps V0, R, the scaled z, the phases and the mode coordinates R z
+    scaled and phased like the modes, and forms the modes when they are
+    first read.
     """
     try:
         lambdas, z = np.linalg.eig(fit.companion)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
-    modes = pair.v0 @ z
-    norms = np.linalg.norm(modes, axis=0)
+    coords = fit.r @ z
+    norms = np.linalg.norm(coords, axis=0)
     if np.any(norms == 0.0):
         raise EigenFailure("eigenvector mapped to a zero mode")
-    modes = modes / norms
-    lead = modes[np.argmax(np.abs(modes), axis=0), np.arange(modes.shape[1])]
-    phase = np.abs(lead) / lead
-    modes = modes * phase
+    z = z / norms
+    phase = _lead_phases(pair.v0, z, lambdas)
     with np.errstate(divide="ignore", invalid="ignore"):
         exponents = np.log(lambdas) / dt
-    return DmdDecomposition(lambdas=lambdas, exponents=exponents, modes=modes, dt=dt,
-                            v0=pair.v0, r=fit.r,
-                            mode_coords=(fit.r @ z) / norms * phase)
+    return DmdDecomposition(lambdas=lambdas, exponents=exponents, modes=None, dt=dt,
+                            v0=pair.v0, r=fit.r, mode_coords=coords / norms * phase,
+                            z=z, phase=phase)
 
 
 def compute_amplitudes(dec: DmdDecomposition, matrix: SnapshotMatrix) -> np.ndarray:
@@ -158,7 +275,7 @@ def compute_amplitudes(dec: DmdDecomposition, matrix: SnapshotMatrix) -> np.ndar
     Stores the result on ``dec`` and returns it.
     """
     t, b = dec.coordinates(matrix.data[:, :-1])
-    a, _, _ = _qr_solve(b, t[:, 0], what="mode matrix")
+    a, _, _ = _qr_solve(np.column_stack([b, t[:, 0]]), what="mode matrix")
     pairs = np.array([g for g in conjugate_groups(dec.lambdas) if len(g) == 2],
                      dtype=int).reshape(-1, 2)
     exact = np.all(b[:, pairs[:, 1]] == b[:, pairs[:, 0]].conj(), axis=0)
@@ -227,6 +344,9 @@ def reconstruct(dec: DmdDecomposition, subset: Sequence[int], i: int) -> np.ndar
     if np.any(idx < 0) or np.any(idx >= m):
         raise IndexOutOfRange(f"mode index outside [0, {m})")
     coef = dec.amplitudes[idx] * dec.lambdas[idx] ** (i - 1)
+    if dec.v0 is not None and dec.z is not None and dec.phase is not None:
+        # Re((V0 z) * phase) c = V0 Re(z (phase c)), V0 real
+        return dec.v0 @ (dec.z[:, idx] @ (dec.phase[idx] * coef)).real
     return (dec.modes[:, idx] @ coef).real
 
 

@@ -9,6 +9,8 @@ That configuration is integrable for days and exercises every stage of
 the pipeline.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,3 +125,12 @@ def rel_dev(new, old):
 def normwise_dev(new, old):
     """Largest deviation of ``new`` from ``old``, relative to the largest entry."""
     return float(np.max(np.abs(np.asarray(new) - np.asarray(old))) / np.max(np.abs(old)))
+
+
+def traced_peak(call):
+    """Run ``call()``; return its result and the tracemalloc peak during it."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from koopmanrom import dmd
 from koopmanrom.cli import main, parse_config
 from koopmanrom.errors import InvalidValue, ParseError, UnknownKey
 from koopmanrom.snapshots import FieldTag, SnapshotMatrix, load, save
@@ -50,6 +51,41 @@ def synthetic_ksnp(tmp_path, rng, name="h.ksnp", rank_one=True, nsnap=25, nx=8, 
     path = tmp_path / name
     save(m, path)
     return path, m
+
+
+def zero_target_ksnp(tmp_path):
+    """A random 8x5, 12-snapshot KSNP whose last snapshot, the fit
+    target, is zero: c = 0, the companion matrix is nilpotent and the
+    mode matrix has rank 1."""
+    data = np.random.default_rng(7).standard_normal((40, 12))
+    data[:, -1] = 0.0
+    save(SnapshotMatrix(data=data, nx=8, ny=5, dt=60.0, dx=1.0, dy=1.0,
+                        field_tag=FieldTag.h), tmp_path / "h.ksnp")
+    return tmp_path / "h.ksnp"
+
+
+RANK_ONE_MODES = "error: mode matrix has numerical rank 1 < 11 columns\n"
+
+
+def test_commands_never_form_the_modes(tmp_path, monkeypatch, capsys):
+    """rom, reconstruct and vorticity read no Nx x m mode matrix."""
+    reads = []
+    get = dmd._Modes.__get__
+
+    def counted(self, dec, owner=None):
+        reads.append(dec)
+        return get(self, dec, owner)
+
+    monkeypatch.setattr(dmd._Modes, "__get__", counted)
+    rng = np.random.default_rng(9)
+    for name in ("h", "u", "v"):
+        synthetic_ksnp(tmp_path, rng, name=f"{name}.ksnp", rank_one=False, nsnap=7)
+    out, data = str(tmp_path / "out"), str(tmp_path)
+    assert main(["rom", "--out", out, "--data", data]) == 0
+    assert main(["reconstruct", "--out", out, "--data", data, "--field", "u",
+                 "--index", "3"]) == 0
+    assert main(["vorticity", "--out", out, "--data", data, "--index", "3"]) == 0
+    assert reads == []
 
 
 class TestParseConfig:
@@ -320,6 +356,12 @@ class TestRomCommand:
         assert "truncate the snapshot window" not in err
         assert "Traceback" not in err
 
+    def test_zero_fit_target_exits_1_without_advice(self, tmp_path, capsys):
+        path = zero_target_ksnp(tmp_path)
+        assert main(["rom", "--out", str(tmp_path / "out"), "--eps", "0.5",
+                     str(path)]) == 1
+        assert capsys.readouterr().err == RANK_ONE_MODES
+
     def test_zero_window_exits_1(self, tmp_path, capsys):
         m = SnapshotMatrix(data=np.zeros((128, 6)), nx=16, ny=8, dt=60.0,
                            dx=1.0, dy=1.0, field_tag=FieldTag.h)
@@ -369,6 +411,12 @@ class TestReconstructCommand:
         diff = np.loadtxt(out / "diff_h_1.csv", delimiter=",")
         assert np.array_equal(full, m.field(1))
         assert np.allclose(full - rom_f, diff, atol=0.0, rtol=0.0)
+
+    def test_zero_fit_target_exits_1_without_advice(self, tmp_path, capsys):
+        zero_target_ksnp(tmp_path)
+        assert main(["reconstruct", "--out", str(tmp_path / "out"), "--data",
+                     str(tmp_path), "--field", "h", "--index", "11", "--eps", "0.5"]) == 1
+        assert capsys.readouterr().err == RANK_ONE_MODES
 
     def test_time_mapping_echo(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, DESK_CFG + "n_snapshots = 9\nfields = h\n")

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import koopmanrom as kr
+from koopmanrom import dmd
 from koopmanrom.dmd import DmdDecomposition, conjugate_groups
 from koopmanrom.errors import IndexOutOfRange, RankDeficient, ZeroNormData
-from koopmanrom.snapshots import ShiftedPair
+from koopmanrom.snapshots import FieldTag, ShiftedPair, SnapshotMatrix
 
-from conftest import make_modal_data, matrix_from_array
+from conftest import make_modal_data, matrix_from_array, traced_peak
 
 
 def pair_from(data):
@@ -83,6 +84,21 @@ class TestFitCompanion:
             kr.fit_companion(pair_from(data))
         assert exc.value.rank == 3
         assert exc.value.n_columns == 5
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_window_view_fits_bit_identically(self, order):
+        """The fit factors the block V0 and u_N share; a pair of separate
+        arrays is stacked instead, to the same bits."""
+        data = np.random.default_rng(18).standard_normal((50, 9))
+        m = matrix_from_array(np.array(data, order=order))
+        pair = kr.split(m)
+        assert np.shares_memory(dmd._window(pair), m.data)
+        apart = ShiftedPair(v0=pair.v0.copy(), v1=pair.v1.copy())
+        assert not np.shares_memory(dmd._window(apart), m.data)
+        view, copy = kr.fit_companion(pair), kr.fit_companion(apart)
+        assert np.array_equal(view.coefficients, copy.coefficients)
+        assert np.array_equal(view.r, copy.r)
+        assert view.residual_norm == copy.residual_norm
 
     def test_underdetermined_rejected(self):
         # 3 rows < 5 columns: the rank gate fails, as for any deficient V0
@@ -300,3 +316,55 @@ class TestInvariants:
         assert dec4.modes[:, order4] == pytest.approx(dec1.modes[:, order1], rel=1e-10)
         assert dec4.amplitudes[order4] == pytest.approx(4.0 * dec1.amplitudes[order1],
                                                         rel=1e-10)
+
+
+class TestModesOnDemand:
+    """decompose, selection and reconstruct form no Nx x m mode array.
+
+    Peaks are tracemalloc peaks in payloads, the bytes of a 20 000-cell,
+    41-snapshot matrix in the layout ``assemble`` and ``load`` give.
+    What is left of decompose is the working copy ``np.linalg.qr``
+    makes of [V0 | u_N]; selection holds the mask of one comparison
+    with V0 (1/8 of it), and reconstruct one snapshot (1/41).
+    """
+
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        rows = np.random.default_rng(31).standard_normal((41, 20000))
+        return SnapshotMatrix(data=rows.T, nx=200, ny=100, dt=1.0, dx=1.0, dy=1.0,
+                              field_tag=FieldTag.h)
+
+    @pytest.fixture(scope="class")
+    def decomposed(self, matrix):
+        used, dec = kr.decompose(matrix)
+        return used, dec, kr.select_leading_modes(used, dec, 0.5)
+
+    def test_decompose(self, matrix):
+        (used, dec), peak = traced_peak(lambda: kr.decompose(matrix))
+        assert peak <= 1.25 * matrix.data.nbytes
+        assert used.n_snapshots == 41 and dec.lambdas.shape == (40,)
+
+    def test_select(self, decomposed):
+        used, dec, _ = decomposed
+        _, peak = traced_peak(lambda: kr.select_leading_modes(used, dec, 0.5))
+        assert peak <= 0.25 * used.data.nbytes
+
+    def test_reconstruct(self, decomposed):
+        used, dec, model = decomposed
+        _, peak = traced_peak(lambda: kr.reconstruct(dec, model.selected, 7))
+        assert peak <= 0.1 * used.data.nbytes
+        assert dec._modes is None  # nothing above formed the modes
+
+    def test_modes_formed_once_when_read(self, matrix):
+        _, dec = kr.decompose(matrix)
+        modes = dec.modes
+        assert dec.modes is modes and modes.shape == (20000, 40)
+        idx = np.arange(0, 40, 3)
+        direct = (modes[:, idx] @ (dec.amplitudes[idx] * dec.lambdas[idx] ** 6)).real
+        got = kr.reconstruct(dec, idx, 7)
+        assert np.max(np.abs(got - direct)) <= 1e-10 * np.max(np.abs(direct))
+
+    def test_hand_built_needs_modes_or_their_factors(self):
+        lam = np.array([0.5 + 0j])
+        with pytest.raises(ValueError, match="needs its modes"):
+            DmdDecomposition(lam, np.log(lam), None, 1.0)

@@ -14,9 +14,22 @@ selection is compared as the eigenvalues it selects.  (Coefficients a
 thousandth of the largest move by up to 2e-8 of their own size; both
 fits are rounding-level.)
 
+``old_form_modes`` is the mode formation of ``eigendecompose`` before
+the modes were formed on demand, also verbatim: the complex product
+V0 @ z, its column norms and the phase pin on the largest entry.
+Tolerances on desk h/u/v and on the seeded spectra: modes and mode
+coordinates (both unit columns) 1e-10 entrywise, and the same lead
+entry in every column.  The norms now come from R z_j and the lead
+entries from real products: for a mode whose image is 5e-8 of ||V0||
+(desk h), both formations round its norm and phase differently by up to
+2e-11, and neither is the more exact one.
+
 The property tests draw seeded modal spectra (``make_modal_data`` plus
 noise below the selection threshold) and check invariants of the whole
-decomposition and selection.
+decomposition and selection.  Windows whose companion spectrum has
+repeated roots either give a model or end in a rank-deficient mode
+matrix; a zero fit target makes the companion matrix nilpotent and the
+mode matrix rank 1.
 """
 
 import dataclasses
@@ -29,7 +42,7 @@ from hypothesis import strategies as st
 
 import koopmanrom as kr
 from koopmanrom.dmd import CompanionFit, conjugate_groups
-from koopmanrom.errors import RankDeficient
+from koopmanrom.errors import EigenFailure, RankDeficient
 
 from conftest import make_modal_data, matrix_from_array, normwise_dev, rel_dev
 
@@ -78,6 +91,50 @@ def old_compute_amplitudes(dec, matrix):
     a[k] = a[j].conj()
     dec.amplitudes = a
     return a
+
+
+# --- mode formation before the modes were formed on demand, verbatim ---
+
+def old_form_modes(fit, pair):
+    """The modes and mode coordinates ``eigendecompose`` returned."""
+    try:
+        lambdas, z = np.linalg.eig(fit.companion)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+    modes = pair.v0 @ z
+    norms = np.linalg.norm(modes, axis=0)
+    if np.any(norms == 0.0):
+        raise EigenFailure("eigenvector mapped to a zero mode")
+    modes = modes / norms
+    lead = modes[np.argmax(np.abs(modes), axis=0), np.arange(modes.shape[1])]
+    phase = np.abs(lead) / lead
+    modes = modes * phase
+    return modes, (fit.r @ z) / norms * phase
+
+
+def assert_modes_match_formation(matrix):
+    pair = kr.split(matrix)
+    fit = kr.fit_companion(pair)
+    dec = kr.eigendecompose(fit, pair, matrix.dt)
+    ref, ref_coords = old_form_modes(fit, pair)
+    modes = dec.modes
+    assert np.max(np.abs(modes - ref)) <= 1e-10
+    assert np.max(np.abs(dec.mode_coords - ref_coords)) <= 1e-10
+    lead = np.argmax(np.abs(modes), axis=0)
+    assert np.array_equal(lead, np.argmax(np.abs(ref), axis=0))
+    top = modes[lead, np.arange(modes.shape[1])]
+    assert np.max(np.abs(top.imag)) <= 1e-12
+    assert np.all(top.real > 0.0)
+    # eig lists a conjugate pair as adjacent columns, positive imaginary part first
+    j = np.flatnonzero(dec.lambdas.imag > 0)
+    assert np.array_equal(dec.lambdas[j + 1], dec.lambdas[j].conj())
+    for arr in (modes, dec.z, dec.mode_coords):
+        assert np.array_equal(arr[:, j + 1], arr[:, j].conj())
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_modes_match_formation(desk_data, name):
+    assert_modes_match_formation(desk_data[name])
 
 
 @pytest.fixture(scope="module")
@@ -182,3 +239,60 @@ def test_power_of_two_scaling_is_exact(matrix, power):
     model = kr.select_leading_modes(used, dec, EPSILON)
     model2 = kr.select_leading_modes(used2, dec2, EPSILON)
     assert model2.selected == model.selected
+
+
+@SPECTRA
+@given(modal_matrices())
+def test_modes_match_formation_on_spectra(matrix):
+    assert_modes_match_formation(matrix)
+
+
+# --- companion spectra with repeated roots ---
+
+@st.composite
+def repeated_root_windows(draw):
+    """A window of 30 random cells whose fit target is V0 c exactly, for
+    c the coefficients of a polynomial with repeated roots: 1-3 distinct
+    roots (conjugate pairs, nonzero reals or zero) of multiplicity 1-3,
+    the first at least 2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    roots = []
+    for k in range(draw(st.integers(1, 3))):
+        mult = draw(st.integers(2 if k == 0 else 1, 3))
+        kind = draw(st.sampled_from(["pair", "real", "zero"]))
+        if kind == "pair":
+            lam = rng.uniform(0.5, 1.05) * np.exp(1j * rng.uniform(0.15, np.pi - 0.15))
+            roots += [lam, np.conj(lam)] * mult
+        else:
+            roots += [rng.uniform(-1.05, 1.05) if kind == "real" else 0.0] * mult
+    c = -np.real(np.poly(roots))[1:][::-1]
+    v0 = rng.standard_normal((30, len(roots)))
+    return matrix_from_array(np.column_stack([v0, v0 @ c]))
+
+
+@SPECTRA
+@given(repeated_root_windows())
+def test_repeated_roots_give_a_model_or_a_deficient_mode_matrix(matrix):
+    try:
+        used, dec = kr.decompose(matrix)
+    except RankDeficient as exc:
+        assert str(exc) == (f"mode matrix has numerical rank {exc.rank} < "
+                            f"{matrix.n_snapshots - 1} columns")
+        return
+    assert used.n_snapshots == matrix.n_snapshots  # V0 is random, of full rank
+    model = kr.select_leading_modes(used, dec, 0.5)
+    assert 1 <= model.n_dmd and np.isfinite(model.achieved_error)
+    assert np.linalg.norm(dec.modes, axis=0) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("nt", [2, 3, 5, 11])
+def test_zero_fit_target_gives_rank_one_mode_matrix(nt):
+    """c = 0: the companion matrix is the nilpotent shift, every
+    eigenvector is close to the last unit vector, and every mode to the
+    last snapshot of V0."""
+    data = np.random.default_rng(nt).standard_normal((40, nt + 1))
+    data[:, -1] = 0.0
+    with pytest.raises(RankDeficient) as info:
+        kr.decompose(matrix_from_array(data))
+    assert (info.value.rank, info.value.n_columns) == (1, nt)
+    assert str(info.value) == f"mode matrix has numerical rank 1 < {nt} columns"

@@ -4,10 +4,11 @@ The functions prefixed ``old_`` are the full-space implementations that
 the coordinate path replaced, copied verbatim apart from their names,
 most docstrings and the missing-amplitude guards: every reconstruction
 is an Nx x Nt complex product, and the amplitudes are a QR solve
-against the Nx x m mode matrix.  Tolerances: selection
-exact, achieved error 1e-9 relative, per-time errors 1e-6 relative
-entry by entry, amplitudes and weights 1e-9 relative to the largest
-one, modes 1e-8 absolute.  (Amplitudes a millionth of the largest move
+against the Nx x m mode matrix, and ``reconstruct`` reads the formed
+modes.  Tolerances: selection exact, achieved error 1e-9 relative,
+per-time errors 1e-6 relative entry by entry, amplitudes and weights
+1e-9 relative to the largest one, modes 1e-8 absolute, reconstructed
+snapshots 1e-10 of their largest entry.  (Amplitudes a millionth of the largest move
 by up to 1e-7 of their own size between the two solves: both are
 rounding, at a mode-matrix condition number near 100.)
 """
@@ -31,6 +32,12 @@ _RANK_RTOL = 1e-12
 
 
 # --- full-space formulas, verbatim ---
+
+def old_reconstruct(dec, subset, i):
+    idx = np.asarray(list(subset), dtype=int)
+    coef = dec.amplitudes[idx] * dec.lambdas[idx] ** (i - 1)
+    return (dec.modes[:, idx] @ coef).real
+
 
 def old_qr_solve(basis, target, what):
     """Least-squares solve via economic QR with a hard rank gate."""
@@ -257,3 +264,43 @@ def test_foreign_matrix(both_paths):
                        old_relative_error(foreign, dec, subset)) <= 1e-9
         assert rel_dev(kr.per_time_errors(foreign, dec, subset),
                        old_per_time_errors(foreign, dec, subset)) <= 1e-6
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_reconstruct_matches(both_paths, name):
+    """reconstruct applies V0 to one Nt-vector; the full-space sum over
+    the formed modes gives the same snapshot."""
+    matrix, new, model, old, ref = both_paths[name]
+    for i in (1, 2, 73, matrix.n_snapshots - 1):
+        want = old_reconstruct(old, ref.selected, i)
+        got = kr.reconstruct(new, model.selected, i)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_hand_built_decomposition(both_paths):
+    """DmdDecomposition(lambdas, exponents, modes, dt) keeps the modes it
+    is given; amplitudes, selection, reconstruction and the errors of a
+    foreign matrix all run through them and match the full space."""
+    matrix, _, _, old, ref = both_paths["h"]
+    modes = old.modes
+    hand = DmdDecomposition(old.lambdas, old.exponents, modes, old.dt)
+    assert hand.modes is modes
+    kr.compute_amplitudes(hand, matrix)
+    assert normwise_dev(hand.amplitudes, old.amplitudes) <= 1e-9
+    model = kr.select_leading_modes(matrix, hand, EPSILON)
+    assert model.selected == ref.selected
+    assert rel_dev(model.achieved_error, ref.achieved_error) <= 1e-9
+    for i in (1, 73, matrix.n_snapshots - 1):
+        want = old_reconstruct(old, ref.selected, i)
+        got = kr.reconstruct(hand, model.selected, i)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    rng = np.random.default_rng(1)
+    data = matrix.data * (1.0 + 1e-3 * rng.standard_normal(matrix.data.shape))
+    foreign = dataclasses.replace(matrix, data=data)
+    t, b = hand.coordinates(foreign.data[:, :-1])
+    # one QR of [V0 | Re Phi | Im Phi]: T and B have Nt + 2m rows
+    assert t.shape[1] == matrix.n_snapshots - 1 and b.shape[1] == modes.shape[1]
+    assert t.shape[0] == b.shape[0] == t.shape[1] + 2 * b.shape[1]
+    assert rel_dev(kr.relative_error(foreign, hand, model.selected),
+                   old_relative_error(foreign, old, ref.selected)) <= 1e-9
+    assert hand.modes is modes

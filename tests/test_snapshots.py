@@ -1,7 +1,6 @@
 """Snapshot matrix assembly, splitting, binary round-trips and CSV export."""
 
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,8 @@ import koopmanrom as kr
 from koopmanrom.errors import (BadMagic, CorruptHeader, IndexOutOfRange,
                                ShapeMismatch, TooFewColumns, UnsupportedVersion)
 from koopmanrom.snapshots import FieldTag, SnapshotMatrix, save, load
+
+from conftest import traced_peak
 
 
 @pytest.fixture
@@ -175,15 +176,6 @@ class TestBinaryFormat:
         path = tmp_path / "t.ksnp"
         save(m, path)
         assert np.array_equal(load(path).data.view(np.uint64), data.view(np.uint64))
-
-
-def traced_peak(call):
-    """Run ``call()``; return its result and the tracemalloc peak during it."""
-    tracemalloc.start()
-    try:
-        return call(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestLayout:
