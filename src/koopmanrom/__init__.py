@@ -11,7 +11,7 @@ from .dmd import (CompanionFit, DmdDecomposition, compute_amplitudes, decompose,
                   eigendecompose, fit_companion, reconstruct)
 from .rom import (ModeWeight, RomModel, mode_weights, per_time_errors,
                   reduction_percentage, relative_error, select_leading_modes)
-from .snapshots import (FieldTag, ShiftedPair, SnapshotMatrix, assemble,
+from .snapshots import (FieldTag, KsnpWriter, ShiftedPair, SnapshotMatrix, assemble,
                         export_csv, load, save, split)
 from .swe import (Grid, PhysicalConstants, ScaleSet, SweState, coriolis_at,
                   dimensionalize, geostrophic_velocities, grammeltvedt_height,

@@ -136,40 +136,75 @@ def _load_config(args) -> ExperimentConfig:
 
 # --- pipeline pieces ---
 
+class _KsnpSink:
+    """Output sink of ``swe.simulate``: each state's fields ``cfg.fields``
+    become one row of their KSNP files as the solver reaches it.
+
+    The first state, the initial condition, sets the reference scales,
+    creates the output directory and opens one writer per field.  The
+    first and last states give the dimensional masses, taken before the
+    writers divide the fields in place.  ``commit`` renames the complete
+    files into place; leaving the ``with`` block without it removes them.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, grid: swe.Grid):
+        self.cfg, self.grid = cfg, grid
+        self.writers: dict[str, snapshots.KsnpWriter] = {}
+        self.masses: list[float] = []
+        self.count = 0
+
+    def __enter__(self) -> "_KsnpSink":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for writer in self.writers.values():
+            writer.abort()
+
+    def append(self, state: swe.SweState) -> None:
+        if self.count == 0:
+            self._open(state)
+        if self.count in (0, self.cfg.n_snapshots - 1):
+            self.masses.append(swe.total_mass(state, self.grid))
+        for name, writer in self.writers.items():
+            writer.append(getattr(state, name))
+        self.count += 1
+
+    def _open(self, initial: swe.SweState) -> None:
+        cfg, grid, dt = self.cfg, self.grid, self.cfg.snapshot_dt
+        refs = dict.fromkeys(_FIELDS)
+        if cfg.nondimensionalize:
+            scales = swe.ScaleSet.from_initial_state(initial, cfg.constants)
+            grid = grid.scaled(scales.l_ref)
+            dt = cfg.snapshot_dt / scales.t_ref
+            refs = {"h": scales.h_ref, "u": scales.u_ref, "v": scales.u_ref}
+        outdir = Path(cfg.output_dir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name in cfg.fields:
+            self.writers[name] = snapshots.KsnpWriter(
+                outdir / f"{name}.ksnp", cfg.n_snapshots, nx=grid.nx, ny=grid.ny, dt=dt,
+                dx=grid.dx, dy=grid.dy, field_tag=snapshots.FieldTag[name],
+                nondimensional=cfg.nondimensionalize, scale=refs[name])
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     grid = swe.Grid.for_channel(cfg.nx, cfg.ny, cfg.constants)
-    # the solver's config-dependent ValueErrors: a Coriolis parameter that
-    # vanishes on a grid row, still water (no velocity scale) and a horizon
-    # that float time cannot resolve
-    try:
-        if cfg.nondimensionalize:
-            scales = swe.ScaleSet.from_initial_state(
-                swe.initial_state(cfg.constants, grid), cfg.constants)
-        states = swe.simulate(cfg.constants, grid, cfg.snapshot_dt, cfg.n_snapshots,
-                              cfl=cfg.cfl)
-    except ValueError as exc:
-        raise InvalidValue(str(exc)) from exc
-    mass0 = swe.total_mass(states[0], grid)
-    mass1 = swe.total_mass(states[-1], grid)
-    drift = (mass1 - mass0) / mass0
-    print(f"mass: initial {mass0:.10e}, final {mass1:.10e}, relative drift {drift:.3e}")
-    dt, refs = cfg.snapshot_dt, dict.fromkeys(_FIELDS, 1.0)
-    if cfg.nondimensionalize:
-        grid = grid.scaled(scales.l_ref)
-        dt = cfg.snapshot_dt / scales.t_ref
-        refs = {"h": scales.h_ref, "u": scales.u_ref, "v": scales.u_ref}
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name in cfg.fields:
-        matrix = snapshots.assemble([getattr(s, name) for s in states], dt,
-                                    snapshots.FieldTag[name], grid,
-                                    nondimensional=cfg.nondimensionalize)
-        np.divide(matrix.data, refs[name], out=matrix.data)  # as swe.nondimensionalize
-        path = outdir / f"{name}.ksnp"
-        snapshots.save(matrix, path)
-        print(f"wrote {path} ({matrix.n_snapshots} snapshots of {grid.ny}x{grid.nx})")
-        del matrix  # one field matrix alive at a time
+    with _KsnpSink(cfg, grid) as sink:
+        # the solver's config-dependent ValueErrors: a Coriolis parameter
+        # that vanishes on a grid row, still water (no velocity scale,
+        # raised by the sink at the first state) and a horizon that float
+        # time cannot resolve; all come before the first sub-step
+        try:
+            swe.simulate(cfg.constants, grid, cfg.snapshot_dt, cfg.n_snapshots,
+                         cfl=cfg.cfl, out=sink)
+        except ValueError as exc:
+            raise InvalidValue(str(exc)) from exc
+        mass0, mass1 = sink.masses
+        drift = (mass1 - mass0) / mass0
+        print(f"mass: initial {mass0:.10e}, final {mass1:.10e}, relative drift {drift:.3e}")
+        for writer in sink.writers.values():
+            writer.commit()
+            print(f"wrote {writer.path} ({writer.nsnap} snapshots of {grid.ny}x{grid.nx})")
     return 0
 
 

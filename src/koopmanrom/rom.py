@@ -8,8 +8,10 @@ relative reconstruction error drops below the requested threshold.
 
 Every reconstruction error runs in snapshot coordinates (see ``dmd``):
 one kernel, ``_residuals``, forms the Nt x Nt coordinate residual
-R - Re(B C), whose column norms equal those of the full-space residual.
-Only the reference norms read the Nx x Nt snapshots.
+T - Re(B C), whose column norms equal those of the full-space residual.
+The reference norms are those of T, the coordinates of the snapshots
+themselves (R for the decomposed window), since Q is orthonormal: no
+error forms an Nx x Nt temporary.
 """
 
 from __future__ import annotations
@@ -79,25 +81,26 @@ def _vandermonde(lambdas: np.ndarray, n_steps: int) -> np.ndarray:
     return lambdas[:, None] ** np.arange(n_steps)[None, :]
 
 
-def _reference_norm(target: np.ndarray) -> float:
-    ref = np.linalg.norm(target)
+def _reference_norm(t: np.ndarray) -> float:
+    """Frobenius norm of the snapshots, from their coordinates ``t``."""
+    ref = np.linalg.norm(t)
     if ref == 0.0:
         raise ZeroNormData("reference snapshots have zero norm")
     return ref
 
 
-def _residuals(target: np.ndarray, dec: dmd.DmdDecomposition, groups):
+def _residuals(t: np.ndarray, b: np.ndarray, dec: dmd.DmdDecomposition, groups):
     """Yield the coordinate residual T - Re(B C) of the reconstruction of
-    ``target`` after each group of modes is added, C[j, k] = a_j lambda_j^k.
+    the snapshots with coordinates ``t``, mode coordinates ``b``, after
+    each group of modes is added, C[j, k] = a_j lambda_j^k.
 
     Modes enter one at a time in the given order, each as two in-place
     rank-one updates, so a mode sequence gives bit-identical residuals
     however it is split into groups.  One array is updated in place and
     yielded each time.
     """
-    t, b = dec.coordinates(target)
     idx = np.asarray([j for group in groups for j in group], dtype=int)
-    coef = dec.amplitudes[idx, None] * _vandermonde(dec.lambdas[idx], target.shape[1])
+    coef = dec.amplitudes[idx, None] * _vandermonde(dec.lambdas[idx], t.shape[1])
     b_sel = np.ascontiguousarray(b[:, idx].T)  # row p: coordinates of mode idx[p]
     res = np.array(t, dtype=float, order="F")
     p = 0
@@ -115,9 +118,9 @@ def relative_error(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
     """Frobenius-aggregate relative error of the subset reconstruction
     over every reconstructible snapshot."""
     _require_amplitudes(dec)
-    target = _reconstruction_span(matrix)
-    ref = _reference_norm(target)
-    (res,) = _residuals(target, dec, [list(subset)])
+    t, b = dec.coordinates(_reconstruction_span(matrix))
+    ref = _reference_norm(t)
+    (res,) = _residuals(t, b, dec, [list(subset)])
     return float(np.linalg.norm(res) / ref)
 
 
@@ -128,10 +131,10 @@ def per_time_errors(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
     Entry k corresponds to snapshot index i = k + 1 (source column k).
     """
     _require_amplitudes(dec)
-    target = _reconstruction_span(matrix)
-    (res,) = _residuals(target, dec, [list(subset)])
+    t, b = dec.coordinates(_reconstruction_span(matrix))
+    (res,) = _residuals(t, b, dec, [list(subset)])
     num = np.linalg.norm(res, axis=0)
-    den = np.linalg.norm(target, axis=0)
+    den = np.linalg.norm(t, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(den > 0.0, num / den, np.inf)
     return out
@@ -170,12 +173,12 @@ def select_leading_modes(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
     weights = np.array([mw.weight for mw in
                         mode_weights(dec, matrix.n_snapshots - 1, dec.dt)])
     order = _selection_order(dec, weights)
-    target = _reconstruction_span(matrix)
-    ref = _reference_norm(target)
+    t, b = dec.coordinates(_reconstruction_span(matrix))
+    ref = _reference_norm(t)
 
     selected: list[int] = []
     achieved = 1.0  # the empty reconstruction
-    for group, res in zip(order, _residuals(target, dec, order)):
+    for group, res in zip(order, _residuals(t, b, dec, order)):
         selected.extend(group)
         achieved = float(np.linalg.norm(res) / ref)
         if achieved <= epsilon:

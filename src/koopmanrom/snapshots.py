@@ -21,6 +21,17 @@ payload block; ``SnapshotMatrix.data`` is its transpose, the column-major
 V0 that LAPACK factors, written and read with no copy.  Non-finite values
 have no place in a snapshot matrix: ``assemble`` and ``load`` reject them
 with NonFiniteData instead of letting them reach the decomposition.
+
+Every KSNP file is written by one ``KsnpWriter``: it packs the header,
+nsnap included, then takes the payload rows in order, one snapshot or a
+whole row block at a time, so a solver can stream its output to disk
+without holding the run.  By default each row is checked for non-finite
+values (the error names the snapshot and cell) and then divided in
+place by a reference scale, if one is given.  The rows go to a
+temporary file in the target's directory, which ``commit`` renames over
+the target once all nsnap rows are in; on any failure the temporary
+file is removed, so the target is either the complete new file or left
+as it was.  ``save`` is that writer fed a matrix's whole row block.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ import enum
 import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -105,14 +117,16 @@ def assemble(fields: Sequence[np.ndarray], dt: float, tag: FieldTag, grid: Grid,
                           nondimensional=nondimensional)
 
 
-def _require_finite(snapshots: np.ndarray, what) -> None:
+def _require_finite(snapshots: np.ndarray, what, first: int = 0) -> None:
     """Raise NonFiniteData naming the first non-finite value of a
-    (nsnap, nx*ny) row block, the layout ``assemble`` and ``load`` fill."""
+    (nsnap, nx*ny) row block, the layout ``assemble`` and ``load`` fill,
+    whose row 0 is snapshot ``first``."""
     finite = np.isfinite(snapshots)
     if not finite.all():
         snap, cell = np.unravel_index(np.argmin(finite), finite.shape)
         raise NonFiniteData(f"{what}: {finite.size - finite.sum()} non-finite values, "
-                            f"first {snapshots[snap, cell]} at snapshot {snap}, cell {cell}")
+                            f"first {snapshots[snap, cell]} at snapshot {first + snap}, "
+                            f"cell {cell}")
 
 
 def split(matrix: SnapshotMatrix) -> ShiftedPair:
@@ -122,16 +136,89 @@ def split(matrix: SnapshotMatrix) -> ShiftedPair:
     return ShiftedPair(v0=matrix.data[:, :-1], v1=matrix.data[:, 1:])
 
 
+class KsnpWriter:
+    """A KSNP v1 file of ``nsnap`` snapshots, written row by row.
+
+    The header is written on construction; ``append`` adds payload rows
+    in snapshot order and ``commit`` renames the temporary file over
+    ``path`` once exactly nsnap rows are in.  ``abort``, or leaving a
+    ``with`` block without a commit, removes the temporary file.
+
+    With ``check_finite`` each row is checked before it is written, and
+    NonFiniteData names its snapshot and cell; with a ``scale`` each row
+    is then divided by it in place, so the caller's array holds the
+    scaled values afterwards.
+    """
+
+    def __init__(self, path, nsnap: int, *, nx: int, ny: int, dt: float, dx: float,
+                 dy: float, field_tag: FieldTag, nondimensional: bool = False,
+                 scale: float | None = None, check_finite: bool = True):
+        if nsnap < 2:
+            raise TooFewColumns("a KSNP file needs at least 2 snapshots")
+        header = _HEADER.pack(_MAGIC, _VERSION, int(field_tag), 1 if nondimensional else 0,
+                              nx, ny, nsnap, dt, dx, dy)
+        self.path = Path(path)
+        self.nsnap, self.written = nsnap, 0
+        self._cells, self._scale, self._check = nx * ny, scale, check_finite
+        # a fresh name beside the target, created like open(path, "wb") would
+        self._tmp = self.path.with_name(f".{self.path.name}.{os.urandom(8).hex()}.tmp")
+        self._fh = open(os.open(self._tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
+        try:
+            self._fh.write(header)
+        except BaseException:
+            self.abort()
+            raise
+
+    def __enter__(self) -> "KsnpWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.abort()
+
+    def append(self, rows) -> None:
+        """Write the next snapshot(s): a field, or a (k, nx*ny) row block."""
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.size % self._cells:
+            raise ShapeMismatch(f"{self.path}: {rows.size} values are not whole "
+                                f"snapshots of {self._cells} cells")
+        rows = rows.reshape(-1, self._cells)
+        if self.written + len(rows) > self.nsnap:
+            raise ShapeMismatch(f"{self.path}: more than {self.nsnap} snapshots")
+        if self._check:
+            _require_finite(rows, self.path, first=self.written)
+        if self._scale is not None:
+            np.divide(rows, self._scale, out=rows)
+        self._fh.write(np.ascontiguousarray(rows, dtype="<f8"))
+        self.written += len(rows)
+
+    def commit(self) -> None:
+        """Close the file and rename it over ``path``."""
+        if self.written != self.nsnap:
+            raise ShapeMismatch(f"{self.path}: {self.written} of {self.nsnap} snapshots "
+                                "written")
+        self._fh.close()
+        os.replace(self._tmp, self.path)
+        self._tmp = None
+
+    def abort(self) -> None:
+        """Remove the temporary file, unless committed; safe to repeat."""
+        self._fh.close()
+        if self._tmp is not None:
+            self._tmp.unlink(missing_ok=True)
+            self._tmp = None
+
+
 def save(matrix: SnapshotMatrix, path) -> None:
-    """Write a KSNP v1 file; load(save(m)) is bit-identical to m."""
-    header = _HEADER.pack(_MAGIC, _VERSION, int(matrix.field_tag),
-                          1 if matrix.nondimensional else 0,
-                          matrix.nx, matrix.ny, matrix.n_snapshots,
-                          matrix.dt, matrix.dx, matrix.dy)
-    payload = np.ascontiguousarray(matrix.data.T, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    """Write a KSNP v1 file; load(save(m)) is bit-identical to m.
+
+    Any matrix is written as it is, non-finite values included:
+    ``load`` is the gate that rejects them.
+    """
+    with KsnpWriter(path, matrix.n_snapshots, nx=matrix.nx, ny=matrix.ny, dt=matrix.dt,
+                    dx=matrix.dx, dy=matrix.dy, field_tag=matrix.field_tag,
+                    nondimensional=matrix.nondimensional, check_finite=False) as writer:
+        writer.append(matrix.data.T)
+        writer.commit()
 
 
 def load(path) -> SnapshotMatrix:
@@ -177,6 +264,6 @@ def export_csv(matrix: SnapshotMatrix, snapshot_index: int, path) -> None:
 
 
 __all__ = [
-    "FieldTag", "SnapshotMatrix", "ShiftedPair",
+    "FieldTag", "SnapshotMatrix", "ShiftedPair", "KsnpWriter",
     "assemble", "split", "save", "load", "export_csv", "write_field_csv",
 ]

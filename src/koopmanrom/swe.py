@@ -530,13 +530,18 @@ def lax_wendroff_step(state: SweState, dt: float, constants: PhysicalConstants,
 
 
 def simulate(constants: PhysicalConstants, grid: Grid, snapshot_dt: float,
-             n_snapshots: int, cfl: float = 0.8) -> list[SweState]:
+             n_snapshots: int, cfl: float = 0.8, out=None):
     """Run from the balanced initial condition, sampling every snapshot_dt.
 
     Sub-steps internally at the CFL-limited dt (factor ``cfl``) and
     truncates the final sub-step of each interval to land exactly on the
-    snapshot time.  Returns n_snapshots states with t = 0, snapshot_dt,
-    ..., (n_snapshots - 1) * snapshot_dt.
+    snapshot time.  Hands the n_snapshots states with t = 0, snapshot_dt,
+    ..., (n_snapshots - 1) * snapshot_dt, each as it is reached, to
+    ``out.append`` and returns ``out``: by default a new list, which then
+    holds the whole run.  A sink that writes each state away and keeps
+    none holds one snapshot at a time.  Each state's arrays are its own,
+    so the sink may keep or modify them.  The first state reaches the
+    sink only after every setup check below has passed.
 
     Raises ValueError, naming snapshot_dt, before the first step when the
     horizon (n_snapshots - 1) * snapshot_dt is not finite or needs more
@@ -555,7 +560,6 @@ def simulate(constants: PhysicalConstants, grid: Grid, snapshot_dt: float,
     state = initial_state(constants, grid)
     if np.min(state.h) <= 0.0:
         raise NonPositiveDepth(0.0, float(np.min(state.h)))
-    out = [state]
     w = _Workspace(constants, grid)
     w.load(state)
     dmin = min(grid.dx, grid.dy)
@@ -565,6 +569,8 @@ def simulate(constants: PhysicalConstants, grid: Grid, snapshot_dt: float,
         raise ValueError(f"snapshot_dt = {snapshot_dt:g} s: the horizon {horizon:g} s "
                          f"needs more than 2**53 sub-steps of {cfl * dmin / smax:g} s, "
                          "beyond what float time resolves")
+    out = [] if out is None else out
+    out.append(state)
     t, s_prev = 0.0, np.inf
     for k in range(1, n_snapshots):
         t_target = k * snapshot_dt

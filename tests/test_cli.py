@@ -1,14 +1,16 @@
 """Config parsing, subcommand behaviour, exit codes and CSV reports."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from koopmanrom import dmd
+from koopmanrom import dmd, swe
 from koopmanrom.cli import main, parse_config
 from koopmanrom.errors import InvalidValue, ParseError, UnknownKey
 from koopmanrom.snapshots import FieldTag, SnapshotMatrix, load, save
 
-from conftest import build_field_matrices, make_modal_data
+from conftest import build_field_matrices, make_modal_data, traced_peak
 
 
 DESK_CFG = """\
@@ -237,6 +239,93 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "h <= 0" in err and "t=" in err
+
+
+class TestSimulateStreaming:
+    """simulate writes each snapshot as the solver reaches it: its memory
+    does not grow with the run, and a failing run leaves no partial file
+    and no changed one."""
+
+    def test_memory_does_not_grow_with_run_length(self, tmp_path, capsys):
+        # desk grid; a 60 s interval keeps 145 snapshots quick under
+        # tracemalloc.  Holding the run costs 145 * 3 fields of 16 KiB, a
+        # peak eight times that of 9 snapshots; streamed, the peak is one
+        # snapshot plus the solver's workspace whatever the length.
+        desk = (Path(__file__).parents[1] / "configs" / "desk_channel.cfg").read_text()
+        peaks = {}
+        for n in (9, 145):
+            cfg = write_cfg(tmp_path, desk.replace("n_snapshots = 145", f"n_snapshots = {n}")
+                            .replace("snapshot_dt = 1800", "snapshot_dt = 60"))
+            out = tmp_path / f"o{n}"
+            code, peaks[n] = traced_peak(
+                lambda: main(["simulate", "--config", str(cfg), "--out", str(out)]))
+            assert code == 0 and load(out / "h.ksnp").n_snapshots == n
+        capsys.readouterr()
+        assert peaks[145] < 1.1 * peaks[9]
+
+    @staticmethod
+    def ksnp_dir(path):
+        return sorted(p.name for p in path.iterdir()) if path.exists() else []
+
+    def test_mid_run_failure_leaves_no_file(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, DESK_CFG + "n_snapshots = 3\ncfl = 10\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "solver failure" in capsys.readouterr().err
+        assert self.ksnp_dir(out) == []  # the directory may exist, empty
+
+    def test_failing_run_keeps_earlier_files(self, tmp_path, capsys):
+        good = write_cfg(tmp_path, DESK_CFG + "n_snapshots = 3\n", name="good.cfg")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(good), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["h.ksnp", "u.ksnp", "v.ksnp"]
+        bad = write_cfg(tmp_path, DESK_CFG + "n_snapshots = 3\ncfl = 10\n", name="bad.cfg")
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_non_finite_row_exits_3_and_leaves_no_file(self, tmp_path, monkeypatch,
+                                                       capsys):
+        real = swe.simulate
+
+        def poisoned(*args, out, **kwargs):
+            class Tap:
+                count = 0
+
+                def append(self, state):
+                    if self.count == 2:
+                        state.u[3, 5] = np.nan
+                    self.count += 1
+                    out.append(state)
+
+            real(*args, out=Tap(), **kwargs)
+            return out
+
+        monkeypatch.setattr(swe, "simulate", poisoned)
+        cfg = write_cfg(tmp_path, DESK_CFG + "n_snapshots = 4\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "u.ksnp" in err and "at snapshot 2, cell 149" in err
+        assert "Traceback" not in err
+        assert self.ksnp_dir(out) == []
+
+    def test_unwritable_out_fails_before_stepping(self, tmp_path, monkeypatch, capsys):
+        steps = []
+        advance = swe._advance
+
+        def counted(*args):
+            steps.append(args)
+            return advance(*args)
+
+        monkeypatch.setattr(swe, "_advance", counted)
+        (tmp_path / "file").write_text("not a directory")
+        cfg = write_cfg(tmp_path, DESK_CFG + "n_snapshots = 3\n")
+        out = tmp_path / "file" / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert steps == []
 
 
 class TestRomCommand:

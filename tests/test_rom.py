@@ -8,7 +8,7 @@ from koopmanrom.dmd import DmdDecomposition
 from koopmanrom.errors import ZeroNormData
 from koopmanrom.rom import RomModel
 
-from conftest import decompose, make_modal_data, matrix_from_array
+from conftest import decompose, make_modal_data, matrix_from_array, traced_peak
 
 
 def manual_dec(lambdas, amplitudes, modes, dt=1.0):
@@ -212,6 +212,35 @@ class TestSelection:
         for bad in (0.0, 1.0, 2.0, -0.5):
             with pytest.raises(ValueError):
                 kr.select_leading_modes(m, dec, bad)
+
+
+class TestReferenceNorms:
+    """The reference norms come from the snapshot coordinates, so no error
+    forms an Nx x Nt temporary.  Peaks are tracemalloc peaks in payloads,
+    the bytes of a 20 000-cell, 41-snapshot matrix; what is left is the
+    mask of the comparison with the decomposed V0 (1/8 of it)."""
+
+    @staticmethod
+    def decomposed(data):
+        matrix = kr.SnapshotMatrix(data=data, nx=200, ny=100, dt=1.0, dx=1.0, dy=1.0,
+                                   field_tag=kr.FieldTag.h)
+        used, dec = kr.decompose(matrix)
+        return used, dec, kr.select_leading_modes(used, dec, 0.5)
+
+    def test_per_time_errors(self):
+        rows = np.random.default_rng(41).standard_normal((41, 20000))
+        used, dec, model = self.decomposed(rows.T)
+        errors, peak = traced_peak(lambda: kr.per_time_errors(used, dec, model.selected))
+        assert peak < 0.25 * used.data.nbytes
+        assert errors.shape == (40,) and np.all(np.isfinite(errors))
+
+    def test_selection_on_c_ordered_data(self):
+        data = np.random.default_rng(42).standard_normal((20000, 41))
+        assert data.flags.c_contiguous
+        used, dec, model = self.decomposed(data)
+        again, peak = traced_peak(lambda: kr.select_leading_modes(used, dec, 0.5))
+        assert peak < 0.25 * used.data.nbytes
+        assert again.selected == model.selected
 
 
 class TestReductionPercentage:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import koopmanrom as kr
-from koopmanrom.errors import (BadMagic, CorruptHeader, IndexOutOfRange,
+from koopmanrom.errors import (BadMagic, CorruptHeader, IndexOutOfRange, NonFiniteData,
                                ShapeMismatch, TooFewColumns, UnsupportedVersion)
-from koopmanrom.snapshots import FieldTag, SnapshotMatrix, save, load
+from koopmanrom.snapshots import FieldTag, KsnpWriter, SnapshotMatrix, save, load
 
 from conftest import traced_peak
 
@@ -233,6 +233,84 @@ class TestLayout:
                                      1.0, 1.0, 1.0))
         _, peak = traced_peak(lambda: pytest.raises(CorruptHeader, load, path))
         assert peak < 1 << 20
+
+
+class TestKsnpWriter:
+    """One write path: rows streamed one snapshot at a time give the bytes
+    ``save`` gives, and the target only ever holds a complete file."""
+
+    @staticmethod
+    def writer(path, m, **kw):
+        return KsnpWriter(path, m.n_snapshots, nx=m.nx, ny=m.ny, dt=m.dt, dx=m.dx,
+                          dy=m.dy, field_tag=m.field_tag,
+                          nondimensional=m.nondimensional, **kw)
+
+    def test_streamed_fields_match_save(self, tmp_path):
+        m = random_matrix(np.random.default_rng(31), nondimensional=True)
+        save(m, tmp_path / "saved.ksnp")
+        with self.writer(tmp_path / "streamed.ksnp", m) as w:
+            for k in range(m.n_snapshots):
+                w.append(m.field(k).copy())
+            w.commit()
+        assert (tmp_path / "streamed.ksnp").read_bytes() == \
+            (tmp_path / "saved.ksnp").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["saved.ksnp", "streamed.ksnp"]
+
+    def test_scale_divides_rows_in_place_after_the_check(self, tmp_path):
+        m = random_matrix(np.random.default_rng(32))
+        fields = [m.field(k).copy() for k in range(m.n_snapshots)]
+        with self.writer(tmp_path / "t.ksnp", m, scale=3.0) as w:
+            for f in fields:
+                w.append(f)
+            w.commit()
+        scaled = m.data / 3.0
+        assert np.array_equal(load(tmp_path / "t.ksnp").data, scaled)
+        assert np.array_equal(np.stack(fields).reshape(m.n_snapshots, -1).T, scaled)
+
+    def test_nothing_written_until_commit(self, tmp_path):
+        m = random_matrix(np.random.default_rng(33))
+        path = tmp_path / "t.ksnp"
+        path.write_bytes(b"earlier")
+        with self.writer(path, m) as w:
+            w.append(m.data.T[:3])
+            assert path.read_bytes() == b"earlier"
+            with pytest.raises(ShapeMismatch, match="3 of 7 snapshots"):
+                w.commit()
+        assert path.read_bytes() == b"earlier"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.ksnp"]
+
+    def test_failure_inside_the_block_removes_the_file(self, tmp_path):
+        m = random_matrix(np.random.default_rng(34))
+        with pytest.raises(RuntimeError):
+            with self.writer(tmp_path / "t.ksnp", m) as w:
+                w.append(m.field(0))
+                raise RuntimeError("solver failed")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_row_named_by_snapshot(self, tmp_path):
+        m = random_matrix(np.random.default_rng(35), nx=5, ny=3)
+        with self.writer(tmp_path / "t.ksnp", m) as w:
+            w.append(m.data.T[:2])
+            bad = m.field(2).copy()
+            bad[1, 2] = np.inf
+            with pytest.raises(NonFiniteData, match="snapshot 2, cell 7"):
+                w.append(bad)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_row_count_and_shape_enforced(self, tmp_path):
+        m = random_matrix(np.random.default_rng(36), nx=5, ny=3)
+        with self.writer(tmp_path / "t.ksnp", m) as w:
+            with pytest.raises(ShapeMismatch, match="whole snapshots"):
+                w.append(np.zeros(14))
+            w.append(m.data.T)
+            with pytest.raises(ShapeMismatch, match="more than 7"):
+                w.append(m.field(0))
+            w.commit()
+        assert np.array_equal(load(tmp_path / "t.ksnp").data, m.data)
+        with pytest.raises(TooFewColumns):
+            KsnpWriter(tmp_path / "one.ksnp", 1, nx=5, ny=3, dt=1.0, dx=1.0, dy=1.0,
+                       field_tag=FieldTag.h)
+        assert not (tmp_path / "one.ksnp").exists()
 
 
 class TestCsvExport:

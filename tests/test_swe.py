@@ -261,6 +261,38 @@ class TestSimulate:
         assert len(calls) == 2
 
 
+class TestSimulateSink:
+    class Recorder:
+        """An output sink that keeps a copy of what it is handed."""
+
+        def __init__(self):
+            self.states = []
+
+        def append(self, state):
+            self.states.append(kr.SweState(h=state.h.copy(), u=state.u.copy(),
+                                           v=state.v.copy(), t=state.t))
+            state.h[...] = np.nan  # the sink owns the arrays: the run must not read them
+
+    def test_sink_sees_the_states_the_list_holds(self, classic_constants):
+        grid = kr.Grid.for_channel(16, 8, classic_constants)
+        want = kr.simulate(classic_constants, grid, 600.0, 4)
+        sink = self.Recorder()
+        assert kr.simulate(classic_constants, grid, 600.0, 4, out=sink) is sink
+        assert len(sink.states) == 4
+        for a, b in zip(sink.states, want):
+            assert a.t == b.t
+            for name in ("h", "u", "v"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_no_state_before_the_setup_checks(self, classic_constants):
+        # the horizon check fails after the initial state is formed
+        grid = kr.Grid.for_channel(16, 8, classic_constants)
+        sink = self.Recorder()
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            kr.simulate(classic_constants, grid, 1e300, 3, out=sink)
+        assert sink.states == []
+
+
 class TestRefinementConvergence:
     def test_second_order_under_grid_doubling(self, classic_constants):
         def final_fields(nx, ny):
