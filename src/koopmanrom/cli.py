@@ -3,6 +3,9 @@
 Reads a flat ``key = value`` config file, runs the solver and the mode
 selection pipeline, and writes KSNP snapshot files plus CSV reports
 (spectrum, per-time errors, summary table, field and vorticity grids).
+Every command that decomposes a field keeps its decomposition in
+``dmd_<field>.npz`` in the output directory and reuses it while the
+field's snapshot bytes are unchanged (``dmd.decompose``).
 
 Exit codes: 0 success, 1 selection did not converge (or decomposition
 failure), 2 solver failure, 3 I/O, config or input-data failure.
@@ -208,9 +211,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _decompose(matrix: snapshots.SnapshotMatrix):
-    """dmd.decompose, echoing a rank-deficiency truncation of the window."""
-    used, dec = dmd.decompose(matrix)
+def _decompose(matrix: snapshots.SnapshotMatrix, outdir: Path, name: str):
+    """dmd.decompose with the store ``dmd_<name>.npz`` in ``outdir``,
+    echoing a rank-deficiency truncation of the window."""
+    used, dec = dmd.decompose(matrix, cache=outdir / f"dmd_{name}.npz")
     if used.n_snapshots < matrix.n_snapshots:
         print(f"rank {used.n_snapshots - 1} < {matrix.n_snapshots - 1}: truncating "
               f"window to the first {used.n_snapshots} snapshots")
@@ -256,11 +260,10 @@ def cmd_rom(args) -> int:
     for path in paths:
         matrix = snapshots.load(path)
         name = matrix.field_tag.name
-        matrix, dec = _decompose(matrix)
+        matrix, dec = _decompose(matrix, outdir, name)
         model = rom.select_leading_modes(matrix, dec, cfg.epsilon)
         _write_spectrum(outdir / f"spectrum_{name}.csv", _spectrum_rows(dec, model))
-        _write_errors(outdir / f"errors_{name}.csv", matrix,
-                      rom.per_time_errors(matrix, dec, model.selected))
+        _write_errors(outdir / f"errors_{name}.csv", matrix, model.time_errors)
         models.append((name, model))
 
     with open(outdir / "summary.csv", "w", newline="") as fh:
@@ -307,7 +310,7 @@ def cmd_reconstruct(args) -> int:
     full_matrix = matrix
     k = _snapshot_index(args, matrix, cfg)
 
-    matrix, dec = _decompose(matrix)
+    matrix, dec = _decompose(matrix, outdir, name)
     model = rom.select_leading_modes(matrix, dec, cfg.epsilon)
     full = full_matrix.field(k)
     rec = dmd.reconstruct(dec, model.selected, k + 1).reshape(full.shape)
@@ -339,9 +342,9 @@ def cmd_vorticity(args) -> int:
 
     w_full = vort(mu.field(k), mv.field(k))
 
-    mu_t, dec_u = _decompose(mu)
+    mu_t, dec_u = _decompose(mu, outdir, "u")
     model_u = rom.select_leading_modes(mu_t, dec_u, cfg.epsilon)
-    mv_t, dec_v = _decompose(mv)
+    mv_t, dec_v = _decompose(mv, outdir, "v")
     model_v = rom.select_leading_modes(mv_t, dec_v, cfg.epsilon)
     u_rec = dmd.reconstruct(dec_u, model_u.selected, k + 1).reshape(mu.ny, mu.nx)
     v_rec = dmd.reconstruct(dec_v, model_v.selected, k + 1).reshape(mv.ny, mv.nx)

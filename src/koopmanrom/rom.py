@@ -43,7 +43,9 @@ class RomModel:
     which case all modes are selected and achieved_error is the best
     (full-set) error.  ``weights`` holds the weight of every mode of the
     decomposition, by mode index, and ``order`` its conjugate groups in
-    admission order.
+    admission order.  ``time_errors`` holds the relative error of each
+    reconstructed snapshot under the selection, what ``per_time_errors``
+    returns for ``selected``, taken from the selection's own residual.
     """
 
     selected: tuple[int, ...]
@@ -56,6 +58,7 @@ class RomModel:
     converged: bool
     weights: Optional[np.ndarray] = None
     order: tuple[tuple[int, ...], ...] = ()
+    time_errors: Optional[np.ndarray] = None
 
 
 def _require_amplitudes(dec: dmd.DmdDecomposition) -> None:
@@ -133,11 +136,16 @@ def per_time_errors(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
     _require_amplitudes(dec)
     t, b = dec.coordinates(_reconstruction_span(matrix))
     (res,) = _residuals(t, b, dec, [list(subset)])
+    return _column_errors(res, t)
+
+
+def _column_errors(res: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Column norms of the residual ``res`` over those of ``t``; inf
+    where a snapshot is zero."""
     num = np.linalg.norm(res, axis=0)
     den = np.linalg.norm(t, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(den > 0.0, num / den, np.inf)
-    return out
+        return np.where(den > 0.0, num / den, np.inf)
 
 
 def _selection_order(dec: dmd.DmdDecomposition, weights: np.ndarray) -> list[list[int]]:
@@ -164,7 +172,8 @@ def select_leading_modes(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
     Returns the first (smallest) selection that achieves the threshold;
     if none does, returns all modes flagged as not converged with the
     best error achieved.  The error of each prefix is exactly what
-    ``relative_error`` reports for it.
+    ``relative_error`` reports for it, and ``time_errors`` is exactly
+    what ``per_time_errors`` reports for the selection.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -196,6 +205,7 @@ def select_leading_modes(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
         converged=achieved <= epsilon,
         weights=weights,
         order=tuple(tuple(group) for group in order),
+        time_errors=_column_errors(res, t),
     )
 
 

@@ -1,11 +1,19 @@
-"""Config parsing, subcommand behaviour, exit codes and CSV reports."""
+"""Config parsing, subcommand behaviour, exit codes, CSV reports and the
+decomposition store."""
 
+import contextlib
+import io
+import shutil
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from koopmanrom import dmd, swe
+from koopmanrom import dmd, rom, swe
 from koopmanrom.cli import main, parse_config
 from koopmanrom.errors import InvalidValue, ParseError, UnknownKey
 from koopmanrom.snapshots import FieldTag, SnapshotMatrix, load, save
@@ -374,6 +382,10 @@ class TestRomCommand:
         assert ks == list(range(5))
         times = [float(line.split(",")[1]) for line in lines[1:]]
         assert times == [60.0 * k for k in ks]
+        used, dec = dmd.decompose(load(path))
+        model = rom.select_leading_modes(used, dec, 1e-3)
+        errors = [float(line.split(",")[2]) for line in lines[1:]]
+        assert errors == list(rom.per_time_errors(used, dec, model.selected))
 
     def test_threshold_tightening_grows_selection(self, tmp_path):
         cfg = write_cfg(tmp_path, DESK_CFG)
@@ -570,3 +582,202 @@ class TestVorticityCommand:
         w_rom = np.loadtxt(out / "vort_rom_10.csv", delimiter=",")
         w_diff = np.loadtxt(out / "vort_diff_10.csv", delimiter=",")
         assert np.allclose(w_full - w_rom, w_diff, atol=0.0, rtol=0.0)
+
+
+def run_counting(argv):
+    """main(argv) with stdout and stderr captured: (exit code, stdout,
+    stderr, number of companion fits)."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(dmd, "fit_companion", wraps=dmd.fit_companion) as fit, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue(), fit.call_count
+
+
+def outputs(directory):
+    """The bytes of every report in ``directory``: all but the KSNP
+    inputs and the decomposition stores."""
+    return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())
+            if p.suffix not in (".ksnp", ".npz")}
+
+
+def cold_run(tmp_path, argv, data):
+    """``argv`` into a fresh output directory, so nothing is reused."""
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    code, echo, err, fits = run_counting([*argv, "--out", out, "--data", data])
+    assert fits > 0
+    return code, echo, outputs(out)
+
+
+@pytest.fixture(scope="module")
+def desk_ksnp(tmp_path_factory):
+    """h, u and v KSNP files of the 48 x 24, 41-snapshot desk channel."""
+    root = tmp_path_factory.mktemp("desk")
+    cfg = write_cfg(root, DESK_CFG)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", str(cfg), "--out", str(root / "data")]) == 0
+    return cfg, root / "data"
+
+
+class TestDecompositionStore:
+    """rom leaves dmd_<field>.npz in --out; reconstruct and vorticity
+    reuse it while the snapshot bytes match, with the same outputs."""
+
+    QUERIES = (["reconstruct", "--field", "h", "--time", "5"],
+               ["reconstruct", "--field", "u", "--index", "30"],
+               ["vorticity", "--index", "17"])
+
+    @pytest.fixture
+    def warm(self, tmp_path, desk_ksnp):
+        """An output directory where rom has run, over a copy of the data."""
+        cfg, source = desk_ksnp
+        data = tmp_path / "data"
+        shutil.copytree(source, data)
+        out = tmp_path / "warm"
+        code, _, _, fits = run_counting(["rom", "--config", cfg, "--data", data,
+                                         "--out", out])
+        assert code == 0 and fits == 3
+        assert sorted(p.name for p in out.glob("dmd_*")) == \
+            ["dmd_h.npz", "dmd_u.npz", "dmd_v.npz"]
+        return cfg, data, out
+
+    def test_queries_after_rom_reuse_its_decompositions(self, tmp_path, warm):
+        cfg, data, out = warm
+        for query in self.QUERIES:
+            argv = [*query, "--config", cfg]
+            before = outputs(out)
+            code, echo, err, fits = run_counting([*argv, "--out", out, "--data", data])
+            assert (code, err, fits) == (0, "", 0), query
+            made = {k: v for k, v in outputs(out).items() if k not in before}
+            assert (code, echo, made) == cold_run(tmp_path, argv, data), query
+
+    def test_second_rom_gives_the_same_reports(self, warm):
+        cfg, data, out = warm
+        first = outputs(out)
+        code, echo, _, fits = run_counting(["rom", "--config", cfg, "--data", data,
+                                            "--out", out])
+        assert (code, fits) == (0, 0)
+        assert outputs(out) == first
+        assert echo == run_counting(["rom", "--config", cfg, "--data", data,
+                                     "--out", out])[1]
+
+    def test_other_threshold_selects_afresh(self, tmp_path, warm):
+        cfg, data, out = warm
+        argv = ["reconstruct", "--config", cfg, "--field", "v", "--index", "12",
+                "--eps", "0.01"]
+        code, echo, _, fits = run_counting([*argv, "--out", out, "--data", data])
+        assert fits == 0
+        assert "n_dmd = 36," not in echo  # rom's selection at epsilon = 1e-3
+        cold_code, cold_echo, cold_files = cold_run(tmp_path, argv, data)
+        assert (code, echo) == (cold_code, cold_echo)
+        assert {k: v for k, v in outputs(out).items() if k in cold_files} == cold_files
+
+    @pytest.mark.parametrize("change", ["payload word", "header dt"])
+    def test_changed_file_is_decomposed_again(self, tmp_path, warm, change):
+        cfg, data, out = warm
+        raw = bytearray((data / "h.ksnp").read_bytes())
+        if change == "payload word":
+            raw[52 + 8 * 1234] ^= 1  # the last bit of one value
+        else:
+            dt = np.frombuffer(raw, "<f8", count=1, offset=28)[0]
+            raw[28:36] = np.array(np.nextafter(dt, np.inf), "<f8").tobytes()
+        (data / "h.ksnp").write_bytes(bytes(raw))
+        argv = ["reconstruct", "--config", cfg, "--field", "h", "--index", "9"]
+        code, echo, _, fits = run_counting([*argv, "--out", out, "--data", data])
+        assert fits == 1
+        cold_code, cold_echo, cold_files = cold_run(tmp_path, argv, data)
+        assert (code, echo) == (cold_code, cold_echo)
+        assert {k: v for k, v in outputs(out).items() if k in cold_files} == cold_files
+        assert run_counting([*argv, "--out", out, "--data", data])[3] == 0
+
+    def test_truncated_window_echo_on_a_hit(self, tmp_path):
+        # 17 snapshots repeating with period 5: V0 has rank 5 < 16 columns
+        base = np.random.default_rng(5).standard_normal((40, 5))
+        save(SnapshotMatrix(data=base[:, np.arange(17) % 5], nx=8, ny=5, dt=60.0,
+                            dx=1.0, dy=1.0, field_tag=FieldTag.h), tmp_path / "h.ksnp")
+        out = tmp_path / "out"
+        line = "rank 5 < 16: truncating window to the first 6 snapshots\n"
+        code, echo, _, fits = run_counting(["rom", "--out", out, tmp_path / "h.ksnp"])
+        assert (code, fits) == (0, 2) and echo.startswith(line)
+        argv = ["reconstruct", "--field", "h", "--index", "3"]
+        code, echo, _, fits = run_counting([*argv, "--out", out, "--data", tmp_path])
+        assert fits == 0 and line in echo
+        assert (code, echo) == cold_run(tmp_path, argv, tmp_path)[:2]
+
+
+STORE_MEMBERS = ("key", "n_snapshots") + dmd._STORE_ARRAYS
+STORE_CASES = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+
+
+@pytest.fixture(scope="module")
+def store_case(tmp_path_factory):
+    """Synthetic h and u files (5 modes in 9 snapshots, so the window is
+    truncated), the stores reconstruct leaves for them, and a cold
+    reconstruct of h."""
+    root = tmp_path_factory.mktemp("store")
+    rng = np.random.default_rng(61)
+    for name in ("h", "u"):
+        synthetic_ksnp(root, rng, name=f"{name}.ksnp", rank_one=False, nsnap=9)
+    argv = ["reconstruct", "--field", "h", "--index", "4", "--data", root]
+    code, echo, _, _ = run_counting([*argv, "--out", root / "cold"])
+    assert code == 0
+    assert run_counting(["reconstruct", "--field", "u", "--index", "4", "--data", root,
+                         "--out", root / "cold_u"])[0] == 0
+    stores = {name: (root / f"cold{suffix}" / f"dmd_{name}.npz").read_bytes()
+              for name, suffix in (("h", ""), ("u", "_u"))}
+    return argv, stores, echo, outputs(root / "cold")
+
+
+def _rewritten(store: bytes, edit) -> bytes:
+    """The store with its members passed through ``edit`` (a dict)."""
+    with np.load(io.BytesIO(store), allow_pickle=False) as members:
+        arrays = {name: members[name] for name in members.files}
+    edit(arrays)
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def _reshaped(a: np.ndarray, how: str) -> np.ndarray:
+    if how == "axis":
+        return a[None]
+    if how == "short":
+        return a.reshape(-1)[:-1]
+    return a.astype("S") if a.dtype.kind == "U" else a.astype(np.complex64)
+
+
+@st.composite
+def damaged_stores(draw, stores):
+    """Bytes that are not h's store: random, truncated, u's store, or h's
+    store with one member missing or reshaped."""
+    valid = stores["h"]
+    kind = draw(st.sampled_from(["random", "truncated", "other field", "missing",
+                                 "reshaped"]))
+    if kind == "random":
+        return draw(st.binary(max_size=512))
+    if kind == "truncated":
+        return valid[:draw(st.integers(0, len(valid) - 1))]
+    if kind == "other field":
+        return stores["u"]
+    name = draw(st.sampled_from(STORE_MEMBERS))
+    if kind == "missing":
+        return _rewritten(valid, lambda arrays: arrays.pop(name))
+    how = draw(st.sampled_from(["axis", "short", "dtype"]))
+    return _rewritten(valid, lambda arrays: arrays.update({name: _reshaped(arrays[name], how)}))
+
+
+@STORE_CASES
+@given(data=st.data())
+def test_any_damaged_store_is_recomputed(store_case, data):
+    argv, stores, cold_echo, cold_files = store_case
+    raw = data.draw(damaged_stores(stores))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / "dmd_h.npz").write_bytes(raw)
+        code, echo, err, fits = run_counting([*argv, "--out", out])
+        assert (code, err) == (0, "") and fits > 0
+        assert echo == cold_echo and outputs(out) == cold_files
+        assert sorted(p.name for p in out.iterdir() if p.suffix == ".npz") == ["dmd_h.npz"]
+        assert not [p for p in out.iterdir() if p.name.startswith(".")]
+        # what it left behind is a valid store
+        assert run_counting([*argv, "--out", out])[:4] == (0, cold_echo, "", 0)

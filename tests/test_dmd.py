@@ -1,4 +1,7 @@
-"""Companion fit, eigendecomposition, amplitudes and reconstruction."""
+"""Companion fit, eigendecomposition, amplitudes, reconstruction and the
+decomposition store."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -324,8 +327,7 @@ class TestModesOnDemand:
     Peaks are tracemalloc peaks in payloads, the bytes of a 20 000-cell,
     41-snapshot matrix in the layout ``assemble`` and ``load`` give.
     What is left of decompose is the working copy ``np.linalg.qr``
-    makes of [V0 | u_N]; selection holds the mask of one comparison
-    with V0 (1/8 of it), and reconstruct one snapshot (1/41).
+    makes of [V0 | u_N], and of reconstruct one snapshot (1/41).
     """
 
     @pytest.fixture(scope="class")
@@ -349,6 +351,15 @@ class TestModesOnDemand:
         _, peak = traced_peak(lambda: kr.select_leading_modes(used, dec, 0.5))
         assert peak <= 0.25 * used.data.nbytes
 
+    def test_coordinates_of_the_decomposed_view(self, decomposed):
+        used, dec, _ = decomposed
+        (t, b), peak = traced_peak(lambda: dec.coordinates(dec.v0))
+        assert peak < 0.01 * used.data.nbytes
+        assert t is dec.r and b is dec.mode_coords
+        # an equal copy still gets the stored coordinates
+        t, b = dec.coordinates(dec.v0.copy())
+        assert t is dec.r and b is dec.mode_coords
+
     def test_reconstruct(self, decomposed):
         used, dec, model = decomposed
         _, peak = traced_peak(lambda: kr.reconstruct(dec, model.selected, 7))
@@ -368,3 +379,111 @@ class TestModesOnDemand:
         lam = np.array([0.5 + 0j])
         with pytest.raises(ValueError, match="needs its modes"):
             DmdDecomposition(lam, np.log(lam), None, 1.0)
+
+
+def window_matrix(rows, dt=0.5):
+    """A snapshot matrix over a (nsnap, 40) row block, as ``load`` gives."""
+    return SnapshotMatrix(data=rows.T, nx=8, ny=5, dt=dt, dx=1.0, dy=1.0,
+                          field_tag=FieldTag.h)
+
+
+class TestDecompositionStore:
+    """decompose(matrix, cache=path) writes the decomposition once and
+    loads it back while the snapshot bytes and dt are unchanged."""
+
+    @pytest.fixture
+    def rows(self):
+        return np.random.default_rng(51).standard_normal((12, 40))
+
+    @staticmethod
+    def decompose_counting(matrix, path):
+        """decompose with the store; also the number of companion fits."""
+        with mock.patch.object(dmd, "fit_companion", wraps=dmd.fit_companion) as fit:
+            result = kr.decompose(matrix, cache=path)
+        return result, fit.call_count
+
+    @staticmethod
+    def assert_same(dec, other):
+        for name in dmd._STORE_ARRAYS:
+            a, b = getattr(dec, name), getattr(other, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_hit_restores_the_decomposition(self, tmp_path, rows):
+        m, path = window_matrix(rows), tmp_path / "dmd_h.npz"
+        (used, dec), fits = self.decompose_counting(m, path)
+        assert fits == 1 and path.is_file()
+        (again, stored), fits = self.decompose_counting(m, path)
+        assert fits == 0
+        assert again is m and stored.dt == m.dt
+        self.assert_same(stored, dec)
+        assert dmd._same_view(stored.v0, m.data[:, :-1])
+        assert stored._modes is None
+        model, cold = (kr.select_leading_modes(m, d, 1e-3) for d in (stored, dec))
+        assert model.selected == cold.selected
+        assert np.array_equal(kr.reconstruct(stored, model.selected, 5),
+                              kr.reconstruct(dec, cold.selected, 5))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dmd_h.npz"]
+
+    def test_key_reads_the_bytes_not_the_array(self, tmp_path, rows):
+        path = tmp_path / "dmd_h.npz"
+        kr.decompose(window_matrix(rows), cache=path)
+        # an equal copy, and the same values in a C-ordered (Nx, nsnap) array
+        for data in (rows.T.copy(order="F"), np.ascontiguousarray(rows.T)):
+            _, fits = self.decompose_counting(
+                SnapshotMatrix(data=data, nx=8, ny=5, dt=0.5, dx=1.0, dy=1.0,
+                               field_tag=FieldTag.h), path)
+            assert fits == 0
+
+    @pytest.mark.parametrize("change", ["word", "dt", "shape"])
+    def test_changed_input_recomputes(self, tmp_path, rows, change):
+        path = tmp_path / "dmd_h.npz"
+        kr.decompose(window_matrix(rows), cache=path)
+        if change == "word":
+            rows = rows.copy()
+            rows.view(np.uint64)[7, 13] ^= 1  # the last bit of one value
+            m = window_matrix(rows)
+        elif change == "dt":
+            m = window_matrix(rows, dt=np.nextafter(0.5, 1.0))
+        else:  # the same bytes as 80 cells and 6 snapshots
+            m = SnapshotMatrix(data=rows.reshape(6, 80).T, nx=8, ny=10, dt=0.5,
+                               dx=1.0, dy=1.0, field_tag=FieldTag.h)
+        (used, dec), fits = self.decompose_counting(m, path)
+        assert fits == 1
+        cold_used, cold = kr.decompose(m)
+        assert used.n_snapshots == cold_used.n_snapshots
+        self.assert_same(dec, cold)
+        _, fits = self.decompose_counting(m, path)
+        assert fits == 0  # the store now holds the new decomposition
+
+    def test_truncated_window_is_restored(self, tmp_path):
+        # 17 snapshots repeating with period 5: decomposed as the first 6
+        base = np.random.default_rng(7).standard_normal((5, 40))
+        m, path = window_matrix(base[np.arange(17) % 5]), tmp_path / "dmd_h.npz"
+        (used, dec), fits = self.decompose_counting(m, path)
+        assert fits == 2 and used.n_snapshots == 6
+        (again, stored), fits = self.decompose_counting(m, path)
+        assert fits == 0 and again.n_snapshots == 6
+        assert np.shares_memory(again.data, m.data)
+        assert dmd._same_view(stored.v0, m.data[:, :5])
+        self.assert_same(stored, dec)
+
+    def test_failed_decomposition_writes_nothing(self, tmp_path):
+        path = tmp_path / "dmd_h.npz"
+        with pytest.raises(ZeroNormData):
+            kr.decompose(window_matrix(np.zeros((6, 40))), cache=path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_store_is_skipped(self, tmp_path, rows):
+        path = tmp_path / "no such directory" / "dmd_h.npz"
+        used, dec = kr.decompose(window_matrix(rows), cache=path)
+        assert dec.amplitudes is not None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_digest_copies_no_payload(self, rows):
+        big = np.random.default_rng(52).standard_normal((41, 20000))
+        for data in (big.T, np.ascontiguousarray(big.T)):
+            m = SnapshotMatrix(data=data, nx=200, ny=100, dt=1.0, dx=1.0, dy=1.0,
+                               field_tag=FieldTag.h)
+            _, peak = traced_peak(lambda: dmd._store_key(m))
+            assert peak < 0.05 * data.nbytes

@@ -204,6 +204,35 @@ class TestSelection:
         assert rom.achieved_error == kr.relative_error(m, dec, rom.selected)
         assert rom.achieved_error > 1e-12
 
+    @pytest.mark.parametrize("converged", [True, False])
+    def test_time_errors_are_per_time_errors_of_the_selection(self, converged):
+        rng = np.random.default_rng(16)
+        if converged:
+            data, *_ = make_modal_data(rng, 60, n_pairs=3, n_real=1, n_snapshots=8)
+            epsilon = 1e-2
+        else:
+            # a clustered spectrum: no prefix reaches the tiny threshold
+            lams = 0.99 + 8e-3 * np.arange(5)
+            modes = rng.standard_normal((40, 5))
+            data = modes @ (rng.standard_normal(5)[:, None]
+                            * (lams[None, :] ** np.arange(6)[:, None]).T)
+            epsilon = 1e-12
+        m = matrix_from_array(data)
+        dec = decompose(m)
+        model = kr.select_leading_modes(m, dec, epsilon)
+        assert model.converged == converged
+        assert converged or model.n_dmd == dec.lambdas.shape[0]
+        assert model.time_errors.shape == (m.n_snapshots - 1,)
+        assert np.array_equal(model.time_errors,
+                              kr.per_time_errors(m, dec, model.selected))
+
+    def test_time_errors_on_desk_fields(self, desk_data, desk_decompositions):
+        for name, m in desk_data.items():
+            dec = desk_decompositions[name]
+            model = kr.select_leading_modes(m, dec, 1e-3)
+            assert np.array_equal(model.time_errors,
+                                  kr.per_time_errors(m, dec, model.selected))
+
     def test_epsilon_range_validated(self):
         rng = np.random.default_rng(15)
         data = rng.standard_normal((20, 5))
@@ -217,8 +246,7 @@ class TestSelection:
 class TestReferenceNorms:
     """The reference norms come from the snapshot coordinates, so no error
     forms an Nx x Nt temporary.  Peaks are tracemalloc peaks in payloads,
-    the bytes of a 20 000-cell, 41-snapshot matrix; what is left is the
-    mask of the comparison with the decomposed V0 (1/8 of it)."""
+    the bytes of a 20 000-cell, 41-snapshot matrix."""
 
     @staticmethod
     def decomposed(data):
