@@ -1,0 +1,170 @@
+"""Build, cache and bind the compiled solver sub-step in ``_lw.c``.
+
+``load()`` returns a :class:`Kernel` around the ``lw_step`` function of
+a shared library built from ``_lw.c``, or None when no library can be
+built or loaded.  The library is built with the C compiler ``cc`` and
+fixed flags: ``-O3`` with FMA contraction off and no fast-math, so every
+floating-point operation rounds as numpy's does.  It is kept in
+``${XDG_CACHE_HOME:-~/.cache}/koopmanrom/`` under a name keyed by the
+sha256 of the source, the flags, ``cc --version`` and the machine, so a
+changed source or compiler builds anew and later processes load the
+cached file.  The name also holds the digest of the library itself, and
+a file whose bytes do not match it is never loaded: a truncated library
+can crash the loader.  A build goes to a temporary file that is renamed
+into place, so concurrent first builds leave one complete library.  A
+cached file that does not match or load is rebuilt; an unwritable cache
+directory gives a build in a per-process temporary directory.
+
+Nothing here runs at import of the package: ``swe`` imports this module
+at the first sub-step of a process.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+_SOURCE = Path(__file__).with_name("_lw.c")
+_CC = "cc"
+_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+_BUILD_TIMEOUT_S = 120
+
+_ARRAYS = ("p", "q", "F", "G", "Fx", "Gy", "Fm", "qmx", "qmy",
+           "cell_f", "cell_g", "mx_g", "my_f", "my_g")
+
+
+class _Work(ctypes.Structure):
+    """The ``lw_work`` struct of ``_lw.c``."""
+    _fields_ = ([("ny", ctypes.c_long), ("e", ctypes.c_long), ("g", ctypes.c_double),
+                 ("dx", ctypes.c_double), ("dy", ctypes.c_double)]
+                + [(name, ctypes.c_void_p) for name in _ARRAYS])
+
+
+def cache_dir() -> Path:
+    """The per-user directory of built libraries."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base) / "koopmanrom"
+
+
+class Kernel:
+    """The loaded ``lw_step``, with its argument types bound once."""
+
+    def __init__(self, lib: ctypes.CDLL):
+        self._fn = lib.lw_step
+        self._fn.argtypes = (ctypes.POINTER(_Work), ctypes.c_double,
+                             ctypes.POINTER(ctypes.c_double))
+        self._fn.restype = ctypes.c_int
+
+    def bind(self, w):
+        """A function ``step(dt) -> speed`` for the workspace ``w``.
+
+        It advances ``w.p`` in place and returns the next signal speed,
+        or returns None, leaving ``w.p`` unchanged and the new conserved
+        state in ``w.q``, when the new depth is not finite and positive.
+        """
+        n, e = w.ny * w.width, w.width
+        arrays = dict(p=w.p, q=w.q, F=w.flux_x, G=w.flux_y, Fx=w.dflux_x, Gy=w.dflux_y,
+                      Fm=w.work, qmx=w.q_mx, qmy=w.q_my,
+                      cell_f=w.tab.cell[0], cell_g=w.tab.cell[1], mx_g=w.tab.mx[1],
+                      my_f=w.tab.my[0], my_g=w.tab.my[1])
+        # the kernel reads rows of these lengths at these strides
+        rows = dict(qmx=(3, n - 1, n - 1), qmy=(3, n - e, n - e), cell_f=(2, n, n),
+                    cell_g=(2, n, n), mx_g=(2, n - 1, n), my_f=(2, n - e, n - e),
+                    my_g=(2, n - e, n - e))
+        for name, a in arrays.items():
+            count, length, stride = rows.get(name, (3, n, n))
+            if (a.dtype != np.float64 or a.shape != (count, length)
+                    or a.strides != (8 * stride, 8)):
+                raise ValueError(f"workspace array {name} does not have the kernel's layout")
+        work = _Work(w.ny, e, w.gravity, w.dx, w.dy,
+                     *(arrays[name].ctypes.data for name in _ARRAYS))
+        speed = ctypes.c_double()
+        fn, work_ref, speed_ref = self._fn, ctypes.byref(work), ctypes.byref(speed)
+
+        def step(dt: float):
+            if fn(work_ref, dt, speed_ref):
+                return None
+            return speed.value
+
+        step.arrays = arrays   # the kernel holds raw pointers into these
+        return step
+
+
+def _build(cc: str, directory: Path, key: str) -> Path:
+    """Compile the source into ``directory`` under a name holding ``key``
+    and the digest of the library, through a temporary file there.
+    OSError when the directory is not writable; SubprocessError when the
+    compiler fails."""
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f"_lw-{key}-", suffix=".tmp")
+    os.close(fd)
+    try:
+        subprocess.run([cc, *_FLAGS, "-o", tmp, str(_SOURCE)], check=True,
+                       stdin=subprocess.DEVNULL, capture_output=True,
+                       timeout=_BUILD_TIMEOUT_S)
+        target = directory / f"_lw-{key}-{_digest(tmp)}.so"
+        os.replace(tmp, target)
+        return target
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+
+
+def _open(path: Path):
+    """The kernel in the library at ``path``, or None when its bytes do
+    not match the digest in its name (a truncated library can crash the
+    loader) or it does not load."""
+    try:
+        if _digest(path) != path.stem.rsplit("-", 1)[-1]:
+            return None
+        return Kernel(ctypes.CDLL(str(path)))
+    except (OSError, AttributeError):   # unreadable, foreign
+        return None
+
+
+def library_key(cc: str) -> str:
+    """The cache key of the library the compiler ``cc`` builds."""
+    version = subprocess.run([cc, "--version"], check=True, stdin=subprocess.DEVNULL,
+                             capture_output=True, timeout=_BUILD_TIMEOUT_S).stdout
+    return hashlib.sha256(b"\0".join([_SOURCE.read_bytes(), " ".join(_FLAGS).encode(),
+                                      version, platform.machine().encode()])).hexdigest()[:32]
+
+
+def load():
+    """The compiled kernel, loaded from the cache or built, or None."""
+    cc = shutil.which(_CC)
+    if cc is None:
+        return None
+    try:
+        key = library_key(cc)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    directory = cache_dir()
+    for path in sorted(directory.glob(f"_lw-{key}-*.so")):
+        kernel = _open(path)
+        if kernel is not None:
+            return kernel
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        return _open(_build(cc, directory, key))
+    except subprocess.SubprocessError:
+        return None
+    except OSError:
+        # no writable cache: build for this process alone; the mapped
+        # library outlives its file
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                return _open(_build(cc, Path(tmp), key))
+            except (OSError, subprocess.SubprocessError):
+                return None

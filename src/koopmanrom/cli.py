@@ -256,6 +256,15 @@ def cmd_rom(args) -> int:
     paths = [Path(p) for p in args.paths] if args.paths else \
         [datadir / f"{name}.ksnp" for name in cfg.fields]
 
+    # every report and store of an input is named by its field tag
+    tagged = {}
+    for path in paths:
+        name = snapshots.field_tag(path).name
+        if name in tagged:
+            raise InvalidValue(f"{tagged[name]} and {path} are both tagged {name}: "
+                               "their reports would overwrite each other")
+        tagged[name] = path
+
     models = []
     for path in paths:
         matrix = snapshots.load(path)

@@ -221,22 +221,35 @@ def save(matrix: SnapshotMatrix, path) -> None:
         writer.commit()
 
 
+def _read_header(fh, path):
+    """(tag, flags, nx, ny, nsnap, dt, dx, dy) from the open file's header."""
+    head = fh.read(_HEADER.size)
+    if len(head) < 4:
+        raise CorruptHeader(f"{path}: file shorter than the magic")
+    if head[:4] != _MAGIC:
+        raise BadMagic(f"{path}: expected {_MAGIC!r}, found {head[:4]!r}")
+    if len(head) < _HEADER.size:
+        raise CorruptHeader(f"{path}: truncated header ({len(head)} bytes)")
+    _, version, tag, flags, nx, ny, nsnap, dt, dx, dy = _HEADER.unpack(head)
+    if version != _VERSION:
+        raise UnsupportedVersion(f"{path}: version {version}, expected {_VERSION}")
+    if tag > 3 or nx == 0 or ny == 0 or nsnap < 2 or not np.all(np.isfinite((dt, dx, dy))):
+        raise CorruptHeader(f"{path}: implausible header (tag={tag}, nx={nx}, "
+                            f"ny={ny}, nsnap={nsnap}, dt={dt}, dx={dx}, dy={dy})")
+    return tag, flags, nx, ny, nsnap, dt, dx, dy
+
+
+def field_tag(path) -> FieldTag:
+    """The field tag of a KSNP file, read from its header alone, which is
+    checked as :func:`load` checks it."""
+    with open(path, "rb") as fh:
+        return FieldTag(_read_header(fh, path)[0])
+
+
 def load(path) -> SnapshotMatrix:
     """Read a KSNP v1 file written by :func:`save`."""
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < 4:
-            raise CorruptHeader(f"{path}: file shorter than the magic")
-        if head[:4] != _MAGIC:
-            raise BadMagic(f"{path}: expected {_MAGIC!r}, found {head[:4]!r}")
-        if len(head) < _HEADER.size:
-            raise CorruptHeader(f"{path}: truncated header ({len(head)} bytes)")
-        _, version, tag, flags, nx, ny, nsnap, dt, dx, dy = _HEADER.unpack(head)
-        if version != _VERSION:
-            raise UnsupportedVersion(f"{path}: version {version}, expected {_VERSION}")
-        if tag > 3 or nx == 0 or ny == 0 or nsnap < 2 or not np.all(np.isfinite((dt, dx, dy))):
-            raise CorruptHeader(f"{path}: implausible header (tag={tag}, nx={nx}, "
-                                f"ny={ny}, nsnap={nsnap}, dt={dt}, dx={dx}, dy={dy})")
+        tag, flags, nx, ny, nsnap, dt, dx, dy = _read_header(fh, path)
         expected = _HEADER.size + 8 * nx * ny * nsnap
         size = os.fstat(fh.fileno()).st_size  # checked before anything is allocated
         if size != expected:

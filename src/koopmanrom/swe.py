@@ -25,10 +25,18 @@ every operation runs on whole contiguous rows of the block; neither a
 copy is needed.  The halo columns are refreshed at the end of every
 step, before the depth check, so everything that reads the new state
 sees only copies of unique values there.  Every buffer is allocated once
-per run (``_Workspace``).  ``simulate`` (per sub-step) and
-``lax_wendroff_step`` share one stepping path, ``_advance``: CFL gate,
-step, halo refresh, depth check, velocity recovery and v = 0 on the
-walls.
+per run (``_Workspace``).
+
+``simulate`` (per sub-step) and ``lax_wendroff_step`` share one Python
+stepping entry, ``_advance``: CFL gate, step, halo refresh, depth check,
+velocity recovery and v = 0 on the walls.  The step has two
+implementations with bit-identical results.  ``_step_unique`` is the
+numpy one, the portable path and the reference.  ``_lw.c`` is one fused C
+function doing the same operations in the same order per element; it is
+built with the C compiler at the first ``_advance`` of a process (never
+at import), cached per user, and selected only when one step of it on a
+probe grid matches the numpy step bit for bit.  Without a compiler, or
+when the build, the load or that check fails, the numpy step runs.
 """
 
 from __future__ import annotations
@@ -316,6 +324,8 @@ class _Workspace:
         self.q_mx = np.zeros((3, n - 1))     # x faces: between cells k and k + 1
         self.q_my = np.zeros((3, n - e))     # y faces: between cells k and k + E
         self.s, self.t = np.zeros(n), np.zeros((2, n))   # source and speed scratch
+        self.speed = None          # the next signal speed, when a step gave it
+        self.kernel_step = None    # the compiled step bound to these buffers
 
     def load(self, state: SweState) -> None:
         """(h, u, v) of ``state``, whose column nx-1 is ignored, into p."""
@@ -331,7 +341,12 @@ class _Workspace:
         return SweState(h=h, u=u, v=v, t=t)
 
     def signal_speed(self) -> float:
-        return _signal_speed(self.p, self.gravity, self.s, self.t[0])
+        """max(|u| + |v| + sqrt(g h)) of p: the value the last step gave,
+        used once, else computed from p."""
+        speed, self.speed = self.speed, None
+        if speed is None:
+            speed = _signal_speed(self.p, self.gravity, self.s, self.t[0])
+        return speed
 
 
 def _primitive(q):
@@ -483,34 +498,91 @@ def _close(a, grid: Grid) -> np.ndarray:
     return out
 
 
-def _advance(w: _Workspace, t, dt, smax):
-    """Advance w.p = (h, u, v), with signal-speed bound smax, from time t
-    by dt, in place.
-
-    Raises CflViolation if dt exceeds min(dx, dy) / smax and
-    NonPositiveDepth if the new depth is not finite and positive; w.p
-    is then unchanged.  The new state is the step's w.q, its halo
-    columns already refreshed, so the depth check, the velocity
-    recovery, v = 0 on the walls and the next signal-speed bound all run
-    on whole contiguous blocks and see each unique value, some twice.
-    p and q then trade buffers: a step allocates nothing, so its speed
-    does not depend on how malloc reuses freed blocks (a copy here once
-    made glibc return the step's temporaries to the OS every step: 850
-    rather than 6 page faults and twice the time per 129 x 65 step).
-    """
-    dt_max = min(w.dx, w.dy) / smax
-    if dt > dt_max * (1.0 + 1e-12):
-        raise CflViolation(dt, dt_max, t)
+def _numpy_step(w: _Workspace, dt: float) -> bool:
+    """One step of ``_step_unique``, then the depth check, the velocity
+    recovery and v = 0 on the walls; the post-step part runs on whole
+    contiguous blocks and sees each unique value, some twice.  p and q
+    then trade buffers: a step allocates nothing, so its speed does not
+    depend on how malloc reuses freed blocks (a copy here once made glibc
+    return the step's temporaries to the OS every step: 850 rather than
+    6 page faults and twice the time per 129 x 65 step).  False, with p
+    unchanged and the new conserved state in q, when the new depth is not
+    finite and positive."""
     q = _step_unique(w, dt)
     h = q[0]
     if not (h.min() > 0.0 and h.max() < np.inf):
-        bad = h[np.isfinite(h)]
-        h_min = float(bad.min()) if bad.size else float("nan")
-        raise NonPositiveDepth(t + dt, h_min)
+        return False
     _primitive(q)
     q[2, :w.width] = 0.0
     q[2, -w.width:] = 0.0
     w.p, w.q = q, w.p
+    return True
+
+
+def _compiled_step(w: _Workspace, dt: float) -> bool:
+    """The same step by the compiled kernel, which writes the new
+    (h, u, v) into p itself and hands back its signal speed, kept in
+    ``w.speed`` for the next ``signal_speed``.  False, with p unchanged
+    and the new conserved state in q, when the new depth is not finite
+    and positive."""
+    if w.kernel_step is None or w.kernel_step.arrays["p"] is not w.p:
+        w.kernel_step = _kernel.bind(w)
+    w.speed = w.kernel_step(dt)
+    return w.speed is not None
+
+
+# The step implementation _advance runs: "compiled", the fused sub-step
+# of _lw.c, or "numpy", _numpy_step.  None until the first _advance of
+# the process picks one (_select_path); tests set it to run either.
+_path = None
+_kernel = None   # the loaded _lw.Kernel, once the compiled path is picked
+
+
+def _select_path() -> str:
+    """The step implementation, picked at the first call of a process:
+    "compiled" when the kernel builds, loads and matches the numpy step
+    bit for bit on one step of a small hilly grid, else "numpy"."""
+    global _path, _kernel
+    if _path is None:
+        from . import _lw
+        _kernel = _lw.load()
+        _path = "compiled" if _kernel is not None and _compiled_matches_numpy() else "numpy"
+    return _path
+
+
+def _compiled_matches_numpy() -> bool:
+    """Whether one step of each implementation gives the same bits."""
+    constants = PhysicalConstants()   # orography, beta and a nonzero v
+    grid = Grid.for_channel(12, 9, constants)
+    state = initial_state(constants, grid)
+    ref, got = _Workspace(constants, grid), _Workspace(constants, grid)
+    ref.load(state)
+    got.load(state)
+    dt = 0.8 * min(grid.dx, grid.dy) / ref.signal_speed()
+    if not (_numpy_step(ref, dt) and _compiled_step(got, dt)):
+        return False
+    return (np.array_equal(ref.p.view(np.int64), got.p.view(np.int64))
+            and ref.signal_speed() == got.signal_speed())
+
+
+def _advance(w: _Workspace, t, dt, smax):
+    """Advance w.p = (h, u, v), with signal-speed bound smax, from time t
+    by dt, in place, on the step implementation ``_path`` picks.
+
+    Raises CflViolation if dt exceeds min(dx, dy) / smax and
+    NonPositiveDepth if the new depth is not finite and positive; w.p
+    is then unchanged.  The new state has its halo columns refreshed and
+    v = 0 on the walls.
+    """
+    dt_max = min(w.dx, w.dy) / smax
+    if dt > dt_max * (1.0 + 1e-12):
+        raise CflViolation(dt, dt_max, t)
+    step = _compiled_step if (_path or _select_path()) == "compiled" else _numpy_step
+    if not step(w, dt):
+        h = w.q[0]
+        bad = h[np.isfinite(h)]
+        h_min = float(bad.min()) if bad.size else float("nan")
+        raise NonPositiveDepth(t + dt, h_min)
 
 
 def lax_wendroff_step(state: SweState, dt: float, constants: PhysicalConstants,
@@ -548,8 +620,11 @@ def simulate(constants: PhysicalConstants, grid: Grid, snapshot_dt: float,
     than 2**53 sub-steps of the initial CFL step: float time cannot
     resolve a sub-step that far out.  Any finite horizon below that
     bound runs for as long as it needs.  Should the time still stop
-    advancing (t + dt == t) while the signal speed is not running away,
-    that raises ValueError too.
+    advancing (t + dt == t), that is a blow-up when the signal speed has
+    risen over the last two sub-steps: it raises NonPositiveDepth at t
+    with the depth's current minimum, since the collapsing depth would
+    otherwise take hundreds of sub-steps at a frozen t to reach zero.
+    With the speed not rising it raises ValueError.
     """
     if n_snapshots < 2:
         raise ValueError("need at least two snapshots")
@@ -571,20 +646,21 @@ def simulate(constants: PhysicalConstants, grid: Grid, snapshot_dt: float,
                          "beyond what float time resolves")
     out = [] if out is None else out
     out.append(state)
-    t, s_prev = 0.0, np.inf
+    t, s_prev, s_prev2 = 0.0, np.inf, np.inf
     for k in range(1, n_snapshots):
         t_target = k * snapshot_dt
         while t < t_target:
             dt = min(cfl * dmin / smax, t_target - t)
-            # a sub-step collapsing under a runaway signal speed is a
-            # blow-up, left for the depth check to report
-            if t + dt == t and not smax > s_prev:
-                raise ValueError(f"time stops advancing at t = {t:g} s: a sub-step of "
-                                 f"{dt:g} s leaves it unchanged, short of the horizon "
-                                 f"of snapshot_dt = {snapshot_dt:g} s")
+            if t + dt == t:
+                if smax > s_prev > s_prev2:
+                    raise NonPositiveDepth(t, float(w.p[0].min()))
+                if not smax > s_prev:
+                    raise ValueError(f"time stops advancing at t = {t:g} s: a sub-step of "
+                                     f"{dt:g} s leaves it unchanged, short of the horizon "
+                                     f"of snapshot_dt = {snapshot_dt:g} s")
             _advance(w, t, dt, smax)
             t = t_target if t_target - t <= dt * (1.0 + 1e-12) else t + dt
-            s_prev, smax = smax, w.signal_speed()
+            s_prev2, s_prev, smax = s_prev, smax, w.signal_speed()
         out.append(w.state(t_target))
     return out
 

@@ -9,12 +9,14 @@ That configuration is integrable for days and exercises every stage of
 the pipeline.
 """
 
+import shutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import koopmanrom as kr
+from koopmanrom import _lw, swe
 from koopmanrom.snapshots import FieldTag
 
 
@@ -26,6 +28,30 @@ CLASSIC = kr.PhysicalConstants(
     channel_length=6000e3,
     channel_width=4400e3,
 )
+
+
+@pytest.fixture
+def numpy_step(monkeypatch):
+    """Run the solver on the numpy step, ``swe._step_unique``."""
+    monkeypatch.setattr(swe, "_path", "numpy")
+
+
+@pytest.fixture
+def compiled_step(monkeypatch):
+    """Run the solver on the compiled step of ``_lw.c``; skip only when
+    there is no C compiler to build it."""
+    if swe._select_path() != "compiled":
+        if shutil.which(_lw._CC) is None:
+            pytest.skip(f"no C compiler ({_lw._CC}) to build the compiled sub-step")
+        pytest.fail("a C compiler exists, but the compiled sub-step was not selected")
+    monkeypatch.setattr(swe, "_path", "compiled")
+
+
+@pytest.fixture(params=["numpy", "compiled"])
+def step_path(request):
+    """Each step implementation in turn."""
+    request.getfixturevalue(f"{request.param}_step")
+    return request.param
 
 
 @pytest.fixture(scope="session")

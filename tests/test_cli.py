@@ -43,8 +43,9 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return path
 
 
-def synthetic_ksnp(tmp_path, rng, name="h.ksnp", rank_one=True, nsnap=25, nx=8, ny=5):
-    """Modal snapshot data written as a KSNP file.
+def synthetic_ksnp(tmp_path, rng, name="h.ksnp", rank_one=True, nsnap=25, nx=8, ny=5,
+                   tag=FieldTag.h):
+    """Modal snapshot data written as a KSNP file tagged ``tag``.
 
     rank_one: one dominant decaying mode plus broadband noise far below
     the selection threshold but above the rank gate.
@@ -57,7 +58,7 @@ def synthetic_ksnp(tmp_path, rng, name="h.ksnp", rank_one=True, nsnap=25, nx=8, 
     else:
         data, *_ = make_modal_data(rng, n, n_pairs=2, n_real=1, n_snapshots=nsnap)
     m = SnapshotMatrix(data=data, nx=nx, ny=ny, dt=60.0, dx=1.0, dy=1.0,
-                       field_tag=FieldTag.h)
+                       field_tag=tag)
     path = tmp_path / name
     save(m, path)
     return path, m
@@ -89,7 +90,8 @@ def test_commands_never_form_the_modes(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(dmd._Modes, "__get__", counted)
     rng = np.random.default_rng(9)
     for name in ("h", "u", "v"):
-        synthetic_ksnp(tmp_path, rng, name=f"{name}.ksnp", rank_one=False, nsnap=7)
+        synthetic_ksnp(tmp_path, rng, name=f"{name}.ksnp", rank_one=False, nsnap=7,
+                       tag=FieldTag[name])
     out, data = str(tmp_path / "out"), str(tmp_path)
     assert main(["rom", "--out", out, "--data", data]) == 0
     assert main(["reconstruct", "--out", out, "--data", data, "--field", "u",
@@ -472,6 +474,21 @@ class TestRomCommand:
         err = capsys.readouterr().err
         assert "all zero" in err
         assert "Traceback" not in err
+
+    def test_repeated_field_tag_exits_3_before_decomposing(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # every output of an input is named by its tag: two h inputs would
+        # overwrite each other's reports and store
+        rng = np.random.default_rng(12)
+        first, _ = synthetic_ksnp(tmp_path, rng, name="a.ksnp", nsnap=7)
+        second, _ = synthetic_ksnp(tmp_path, rng, name="b.ksnp", nsnap=7)
+        monkeypatch.setattr(dmd, "decompose", None)   # must not be reached
+        out = tmp_path / "out"
+        assert main(["rom", "--out", str(out), str(first), str(second)]) == 3
+        err = capsys.readouterr().err
+        assert f"{first} and {second} are both tagged h" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
     def test_missing_file_exits_3(self, tmp_path, capsys):
         assert main(["rom", "--out", str(tmp_path), str(tmp_path / "no.ksnp")]) == 3

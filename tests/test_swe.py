@@ -197,6 +197,26 @@ class TestLaxWendroffStep:
             kr.simulate(paper_constants, grid, 30.0, 2)
         assert 0.0 < exc.value.t < 30.0
 
+    def test_supercritical_blow_up_ends_within_a_few_frozen_sub_steps(
+            self, paper_constants, monkeypatch, step_path):
+        # the depth collapses geometrically while the signal speed runs
+        # away; after 107 sub-steps t + dt == t, and 561 more sub-steps
+        # used to run at that t before the depth check fired
+        advance, calls = kr.swe._advance, []
+
+        def counted(*args):
+            calls.append(args[1:])
+            return advance(*args)
+
+        monkeypatch.setattr(kr.swe, "_advance", counted)
+        grid = kr.Grid.for_channel(65, 33, paper_constants)
+        with pytest.raises(NonPositiveDepth) as exc:
+            kr.simulate(paper_constants, grid, 30.0, 2)
+        assert len(calls) <= 115
+        t, dt, _ = calls[-1]
+        assert exc.value.t == t + dt
+        assert 0.0 < exc.value.h_min < 1e-9
+
 
 class TestSimulate:
     def test_counts_and_timestamps(self, classic_constants):
@@ -259,6 +279,32 @@ class TestSimulate:
         with pytest.raises(ValueError, match="time stops advancing"):
             kr.simulate(classic_constants, grid, 600.0, 3)
         assert len(calls) == 2
+
+
+class TestSignalSpeed:
+    def test_speed_from_a_step_is_used_once(self, classic_constants, step_path):
+        grid = kr.Grid.for_channel(16, 8, classic_constants)
+        w = kr.swe._Workspace(classic_constants, grid)
+        w.load(kr.initial_state(classic_constants, grid))
+        speed = w.signal_speed()
+        kr.swe._advance(w, 0.0, 0.5 * min(grid.dx, grid.dy) / speed, speed)
+        state = w.state(0.0)
+        assert w.signal_speed() == max_signal_speed(state, classic_constants)
+        w.p[1] *= 2.0   # a later edit of p is seen, not a stale speed
+        assert w.signal_speed() == max_signal_speed(
+            kr.SweState(h=state.h, u=2.0 * state.u, v=state.v, t=0.0), classic_constants)
+
+    def test_nan_velocity_gives_nan_speed(self, classic_constants, step_path):
+        grid = kr.Grid.for_channel(16, 8, classic_constants)
+        w = kr.swe._Workspace(classic_constants, grid)
+        w.load(kr.initial_state(classic_constants, grid))
+        # a NaN g Hx at one cell reaches only the corrector source of uh
+        k = 3 * w.width + 4
+        w.tab.cell[1][0, k] = np.nan
+        speed = w.signal_speed()
+        kr.swe._advance(w, 0.0, 0.5 * min(grid.dx, grid.dy) / speed, speed)
+        assert np.all(np.isfinite(w.p[0])) and np.isnan(w.p[1, k])
+        assert np.isnan(w.signal_speed())
 
 
 class TestSimulateSink:

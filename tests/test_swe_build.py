@@ -1,0 +1,167 @@
+"""Building, caching and selecting the compiled sub-step, and falling
+back to the numpy step when it cannot be had."""
+
+import contextlib
+import io
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from koopmanrom import _lw, swe
+from koopmanrom.cli import main
+
+SRC = Path(__file__).parents[1] / "src"
+needs_cc = pytest.mark.skipif(shutil.which(_lw._CC) is None,
+                              reason=f"no C compiler ({_lw._CC})")
+
+HILLY_CFG = """\
+nx = 16
+ny = 8
+snapshot_dt = 1800
+n_snapshots = 6
+orography_amplitude = 20
+mean_depth = 2000
+shear_depth = 220
+wave_depth = 133
+channel_length = 6000e3
+channel_width = 4400e3
+"""
+
+
+@pytest.fixture
+def unselected(monkeypatch):
+    """No step implementation picked yet, as at the start of a process."""
+    monkeypatch.setattr(swe, "_path", None)
+    monkeypatch.setattr(swe, "_kernel", None)
+
+
+def simulate(tmp_path, name):
+    """`koopmanrom simulate` on the hilly 16 x 8 channel: (exit code,
+    stdout, stderr, {file: bytes})."""
+    cfg = tmp_path / "hilly.cfg"
+    cfg.write_text(HILLY_CFG)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / name)])
+    files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    return code, out.getvalue().replace(str(tmp_path / name), "OUT"), err.getvalue(), files
+
+
+@needs_cc
+def test_compiled_path_is_selected_where_a_compiler_exists(unselected):
+    assert swe._select_path() == "compiled"
+
+
+def test_missing_compiler_falls_back_to_the_same_output(tmp_path, monkeypatch, unselected):
+    monkeypatch.setattr(swe, "_path", "numpy")
+    want = simulate(tmp_path, "numpy")
+    monkeypatch.setattr(swe, "_path", None)
+    monkeypatch.setattr(_lw, "_CC", str(tmp_path / "no-such-cc"))
+    got = simulate(tmp_path, "fallback")
+    assert swe._path == "numpy"
+    assert got == want
+    code, _, err, files = got
+    assert code == 0 and err == "" and sorted(files) == ["h.ksnp", "u.ksnp", "v.ksnp"]
+
+
+def test_compiled_output_matches_numpy_byte_for_byte(tmp_path, monkeypatch, compiled_step):
+    got = simulate(tmp_path, "compiled")
+    monkeypatch.setattr(swe, "_path", "numpy")
+    assert got == simulate(tmp_path, "numpy")
+
+
+@needs_cc
+def test_a_kernel_that_disagrees_is_not_selected(monkeypatch, unselected):
+    real = _lw.load()
+
+    class Off:
+        def bind(self, w):
+            step = real.bind(w)
+
+            def off(dt):
+                speed = step(dt)
+                w.p[1, w.width + 3] += 1e-12
+                return speed
+
+            off.arrays = step.arrays
+            return off
+
+    monkeypatch.setattr(_lw, "load", Off)
+    assert swe._select_path() == "numpy"
+
+
+def garbage(path):
+    path.write_bytes(b"not a shared library\n" * 40)
+
+
+def truncated(path):
+    fd = os.open(path, os.O_RDWR)
+    os.ftruncate(fd, os.fstat(fd).st_size // 3)
+    os.close(fd)
+
+
+@needs_cc
+@pytest.mark.parametrize("damage", [garbage, truncated])
+def test_damaged_cache_file_is_rebuilt(tmp_path, monkeypatch, damage):
+    # a library built elsewhere, damaged in a copy at the cached path
+    cc = shutil.which(_lw._CC)
+    good = _lw._build(cc, tmp_path, _lw.library_key(cc))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cached = _lw.cache_dir() / good.name
+    cached.parent.mkdir()
+    shutil.copy(good, cached)
+    damage(cached)
+    assert _lw.load() is not None
+    assert cached.read_bytes() == good.read_bytes()
+
+
+@needs_cc
+def test_unusable_cache_builds_for_the_process(tmp_path, monkeypatch, unselected):
+    # the cache root is a file, so no cache directory can be made
+    (tmp_path / "file").write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+    assert swe._select_path() == "compiled"
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "file"]
+
+
+@needs_cc
+def test_concurrent_first_builds_leave_one_library(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(tmp_path))
+    code = "from koopmanrom import swe; assert swe._select_path() == 'compiled'"
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(2)]
+    assert [p.wait(timeout=120) for p in procs] == [0, 0]
+    files = sorted((tmp_path / "koopmanrom").iterdir())
+    assert [p.suffix for p in files] == [".so"]
+    assert _lw._open(files[0]) is not None
+
+
+def test_import_builds_nothing():
+    # the loader and the compiler wait for the first sub-step (numpy
+    # itself imports ctypes)
+    code = """if True:
+        import subprocess, sys
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process was started at import")
+
+        subprocess.Popen.__init__ = refuse
+        import koopmanrom, koopmanrom.cli
+        assert "koopmanrom._lw" not in sys.modules
+        assert koopmanrom.swe._path is None
+        """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+@needs_cc
+def test_binding_checks_the_workspace_layout(classic_constants):
+    grid = swe.Grid.for_channel(16, 8, classic_constants)
+    w = swe._Workspace(classic_constants, grid)
+    w.q_mx = np.zeros((3, w.ny * w.width))   # one value too many per row
+    with pytest.raises(ValueError, match="qmx"):
+        _lw.load().bind(w)

@@ -17,6 +17,9 @@ from koopmanrom.errors import CflViolation, NonPositiveDepth
 
 from test_swe_oracle import HILLY, assert_states_equal, ref_lax_wendroff_step, ref_simulate
 
+# the numpy step here; test_swe_compiled runs these tests on the compiled one
+pytestmark = pytest.mark.usefixtures("numpy_step")
+
 GRIDS = [(4, 4), (7, 5), (5, 9)]
 CHANNELS = {
     "flat": dataclasses.replace(HILLY, orography_amplitude=0.0),

@@ -16,6 +16,9 @@ from koopmanrom.errors import CflViolation, NonPositiveDepth
 
 from conftest import CLASSIC
 
+# the numpy step here; test_swe_compiled runs these tests on the compiled one
+pytestmark = pytest.mark.usefixtures("numpy_step")
+
 
 class _RefSourceTables:
     def __init__(self, constants, grid):
