@@ -248,6 +248,19 @@ def _write_errors(path, matrix, errors):
             fh.write(f"{k},{k * matrix.dt:.17g},{err:.17g}\n")
 
 
+def _rom_field(path: Path, outdir: Path, epsilon: float):
+    """Load, decompose and select the input ``path`` and write its
+    spectrum and errors reports; returns (field name, model).  Only the
+    model outlives the call, so ``rom`` holds one payload at a time."""
+    matrix = snapshots.load(path)
+    name = matrix.field_tag.name
+    matrix, dec = _decompose(matrix, outdir, name)
+    model = rom.select_leading_modes(matrix, dec, epsilon)
+    _write_spectrum(outdir / f"spectrum_{name}.csv", _spectrum_rows(dec, model))
+    _write_errors(outdir / f"errors_{name}.csv", matrix, model.time_errors)
+    return name, model
+
+
 def cmd_rom(args) -> int:
     cfg = _load_config(args)
     outdir = Path(cfg.output_dir)
@@ -265,15 +278,7 @@ def cmd_rom(args) -> int:
                                "their reports would overwrite each other")
         tagged[name] = path
 
-    models = []
-    for path in paths:
-        matrix = snapshots.load(path)
-        name = matrix.field_tag.name
-        matrix, dec = _decompose(matrix, outdir, name)
-        model = rom.select_leading_modes(matrix, dec, cfg.epsilon)
-        _write_spectrum(outdir / f"spectrum_{name}.csv", _spectrum_rows(dec, model))
-        _write_errors(outdir / f"errors_{name}.csv", matrix, model.time_errors)
-        models.append((name, model))
+    models = [_rom_field(path, outdir, cfg.epsilon) for path in paths]
 
     with open(outdir / "summary.csv", "w", newline="") as fh:
         fh.write("field,full_rank,n_dmd,reduction_percent,achieved_error,converged\n")
@@ -309,6 +314,16 @@ def _snapshot_index(args, matrix, cfg) -> int:
     return k
 
 
+def _reduced_field(matrix: snapshots.SnapshotMatrix, outdir: Path, name: str,
+                   epsilon: float, k: int):
+    """Decompose ``matrix``, select its leading modes at ``epsilon`` and
+    reconstruct snapshot ``k``; returns that (ny, nx) grid and the model."""
+    used, dec = _decompose(matrix, outdir, name)
+    model = rom.select_leading_modes(used, dec, epsilon)
+    rec = dmd.reconstruct(dec, model.selected, k + 1).reshape(matrix.ny, matrix.nx)
+    return rec, model
+
+
 def cmd_reconstruct(args) -> int:
     cfg = _load_config(args)
     name = cfg.fields[0] if args.field is None else args.field
@@ -316,13 +331,10 @@ def cmd_reconstruct(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     datadir = Path(args.data) if args.data else outdir
     matrix = snapshots.load(datadir / f"{name}.ksnp")
-    full_matrix = matrix
     k = _snapshot_index(args, matrix, cfg)
 
-    matrix, dec = _decompose(matrix, outdir, name)
-    model = rom.select_leading_modes(matrix, dec, cfg.epsilon)
-    full = full_matrix.field(k)
-    rec = dmd.reconstruct(dec, model.selected, k + 1).reshape(full.shape)
+    full = matrix.field(k)
+    rec, model = _reduced_field(matrix, outdir, name, cfg.epsilon, k)
     err = float(np.linalg.norm(full - rec) / np.linalg.norm(full))
     snapshots.write_field_csv(full, outdir / f"full_{name}_{k}.csv")
     snapshots.write_field_csv(rec, outdir / f"rom_{name}_{k}.csv")
@@ -340,7 +352,8 @@ def cmd_vorticity(args) -> int:
     datadir = Path(args.data) if args.data else outdir
     mu = snapshots.load(datadir / "u.ksnp")
     mv = snapshots.load(datadir / "v.ksnp")
-    if mu.dt != mv.dt or mu.nx != mv.nx or mu.ny != mv.ny:
+    if any(getattr(mu, a) != getattr(mv, a)
+           for a in ("dt", "nx", "ny", "dx", "dy", "nondimensional")):
         raise InvalidValue("u.ksnp and v.ksnp disagree on sampling or grid")
     k = _snapshot_index(args, mu, cfg)
     grid = swe.Grid(nx=mu.nx, ny=mu.ny, dx=mu.dx, dy=mu.dy)
@@ -351,12 +364,8 @@ def cmd_vorticity(args) -> int:
 
     w_full = vort(mu.field(k), mv.field(k))
 
-    mu_t, dec_u = _decompose(mu, outdir, "u")
-    model_u = rom.select_leading_modes(mu_t, dec_u, cfg.epsilon)
-    mv_t, dec_v = _decompose(mv, outdir, "v")
-    model_v = rom.select_leading_modes(mv_t, dec_v, cfg.epsilon)
-    u_rec = dmd.reconstruct(dec_u, model_u.selected, k + 1).reshape(mu.ny, mu.nx)
-    v_rec = dmd.reconstruct(dec_v, model_v.selected, k + 1).reshape(mv.ny, mv.nx)
+    u_rec, model_u = _reduced_field(mu, outdir, "u", cfg.epsilon, k)
+    v_rec, model_v = _reduced_field(mv, outdir, "v", cfg.epsilon, k)
     w_rom = vort(u_rec, v_rec)
 
     snapshots.write_field_csv(w_full, outdir / f"vort_full_{k}.csv")

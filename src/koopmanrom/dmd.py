@@ -47,7 +47,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
 
 from . import snapshots
@@ -62,7 +61,7 @@ _NORM_MIN = 2.0 ** -459
 # rows of V0 per GEMM when pinning the mode phases
 _PIN_ROWS = 256
 # decomposition store: format version (part of the key) and the arrays kept
-_STORE_VERSION = 1
+_STORE_VERSION = 2
 _STORE_ARRAYS = ("lambdas", "exponents", "amplitudes", "r", "mode_coords", "z", "phase")
 
 
@@ -158,7 +157,9 @@ def _qr_solve(block: np.ndarray, what: str):
     if rank < n:
         raise RankDeficient(rank, n, what=what)
     residual = float(abs(rt[n, n])) if rt.shape[0] > n else 0.0
-    return scipy.linalg.solve_triangular(r, rt[:n, n]), r, residual
+    # LU of an upper triangle pivots on its diagonal, which the rank gate
+    # keeps nonzero: this is a back-substitution
+    return np.linalg.solve(r, rt[:n, n]), r, residual
 
 
 def _window(pair: ShiftedPair) -> np.ndarray:

@@ -8,7 +8,8 @@ relative reconstruction error drops below the requested threshold.
 
 Every reconstruction error runs in snapshot coordinates (see ``dmd``):
 one kernel, ``_residuals``, forms the Nt x Nt coordinate residual
-T - Re(B C), whose column norms equal those of the full-space residual.
+T - Re(B C), one real rank-2 product per mode, whose column norms equal
+those of the full-space residual.
 The reference norms are those of T, the coordinates of the snapshots
 themselves (R for the decomposed window), since Q is orthonormal: no
 error forms an Nx x Nt temporary.
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.blas import dger
 
 from . import dmd
 from .errors import ZeroNormData
@@ -97,22 +97,24 @@ def _residuals(t: np.ndarray, b: np.ndarray, dec: dmd.DmdDecomposition, groups):
     the snapshots with coordinates ``t``, mode coordinates ``b``, after
     each group of modes is added, C[j, k] = a_j lambda_j^k.
 
-    Modes enter one at a time in the given order, each as two in-place
-    rank-one updates, so a mode sequence gives bit-identical residuals
-    however it is split into groups.  One array is updated in place and
-    yielded each time.
+    Modes enter one at a time in the given order, each as one real
+    rank-2 product, Re(b c) = [Re b, Im b] [Re c; -Im c], into one
+    buffer subtracted in place, so a mode sequence gives bit-identical
+    residuals however it is split into groups.  One array is updated in
+    place and yielded each time.
     """
     idx = np.asarray([j for group in groups for j in group], dtype=int)
     coef = dec.amplitudes[idx, None] * _vandermonde(dec.lambdas[idx], t.shape[1])
-    b_sel = np.ascontiguousarray(b[:, idx].T)  # row p: coordinates of mode idx[p]
-    res = np.array(t, dtype=float, order="F")
-    p = 0
+    b_sel = b[:, idx].T  # row p: coordinates of mode idx[p]
+    x = np.stack([b_sel.real, b_sel.imag], axis=2)  # x[p]: rows x 2
+    y = np.stack([coef.real, -coef.imag], axis=1)   # y[p]: 2 x Nt
+    res = np.array(t, dtype=float)
+    buf = np.empty_like(res)
+    factors = zip(x, y)
     for group in groups:
-        for _ in group:
-            # res - Re(b c) = res - Re b Re c + Im b Im c
-            res = dger(-1.0, b_sel[p].real, coef[p].real, a=res, overwrite_a=True)
-            res = dger(1.0, b_sel[p].imag, coef[p].imag, a=res, overwrite_a=True)
-            p += 1
+        # zip ends at the group's end before it draws from ``factors``
+        for _, (xp, yp) in zip(group, factors):
+            res -= np.matmul(xp, yp, out=buf)
         yield res
 
 

@@ -3,7 +3,10 @@ decomposition store."""
 
 import contextlib
 import io
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import koopmanrom
 from koopmanrom import dmd, rom, swe
 from koopmanrom.cli import main, parse_config
 from koopmanrom.errors import InvalidValue, ParseError, UnknownKey
@@ -98,6 +102,29 @@ def test_commands_never_form_the_modes(tmp_path, monkeypatch, capsys):
                  "--index", "3"]) == 0
     assert main(["vorticity", "--out", out, "--data", data, "--index", "3"]) == 0
     assert reads == []
+
+
+def test_commands_import_numpy_alone(tmp_path):
+    """simulate, rom, reconstruct and vorticity never import scipy.  Run
+    in a fresh interpreter, since other test modules import it."""
+    cfg = write_cfg(tmp_path, DESK_CFG + "n_snapshots = 25\n")
+    script = """
+import sys
+import koopmanrom
+from koopmanrom import cli
+cfg, out = sys.argv[1:]
+for argv in (["simulate"], ["rom"], ["reconstruct", "--field", "h", "--index", "7"],
+             ["vorticity", "--index", "7"]):
+    assert cli.main([*argv, "--config", cfg, "--out", out]) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    src = str(Path(koopmanrom.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestParseConfig:
@@ -490,6 +517,18 @@ class TestRomCommand:
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
 
+    def test_holds_one_field_at_a_time(self, tmp_path, desk_ksnp):
+        # each field's matrix and decomposition are dropped before the
+        # next field is loaded: the traced peak is about 2.2 payloads,
+        # against 3.4 while the previous field stayed alive
+        cfg, data = desk_ksnp
+        payload = load(data / "h.ksnp").data.nbytes
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, peak = traced_peak(lambda: main(["rom", "--config", str(cfg), "--data",
+                                                   str(data), "--out", str(tmp_path)]))
+        assert code == 0
+        assert peak < 2.5 * payload
+
     def test_missing_file_exits_3(self, tmp_path, capsys):
         assert main(["rom", "--out", str(tmp_path), str(tmp_path / "no.ksnp")]) == 3
         assert "error" in capsys.readouterr().err
@@ -584,6 +623,21 @@ class TestVorticityCommand:
         w = np.loadtxt(out / "vort_full_2.csv", delimiter=",")
         assert w.shape == (ny, nx)
         assert np.max(np.abs(w)) <= 1e-13
+
+    @pytest.mark.parametrize("key, value", [("dt", 20.0), ("nx", 8), ("dx", 300.0),
+                                            ("dy", 50.0), ("nondimensional", True)])
+    def test_grids_that_disagree_exit_3(self, tmp_path, capsys, key, value):
+        rng = np.random.default_rng(11)
+        base = dict(nx=6, ny=4, dt=10.0, dx=100.0, dy=100.0, nondimensional=False)
+        for name, header in (("u", base), ("v", {**base, key: value})):
+            data = rng.standard_normal((header["nx"] * header["ny"], 5))
+            save(SnapshotMatrix(data=data, field_tag=FieldTag[name], **header),
+                 tmp_path / f"{name}.ksnp")
+        code = main(["vorticity", "--out", str(tmp_path / "out"), "--data", str(tmp_path),
+                     "--index", "2"])
+        assert code == 3
+        assert capsys.readouterr().err == \
+            "error: u.ksnp and v.ksnp disagree on sampling or grid\n"
 
     def test_rom_vorticity_tracks_full(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, DESK_CFG + "n_snapshots = 25\n")

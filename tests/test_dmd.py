@@ -456,6 +456,20 @@ class TestDecompositionStore:
         _, fits = self.decompose_counting(m, path)
         assert fits == 0  # the store now holds the new decomposition
 
+    def test_store_of_format_1_is_a_miss(self, tmp_path, rows):
+        # format 1 solved the fit's triangle another way: its eigenvalues
+        # differ in their last bits from a cold run of this one
+        m, path = window_matrix(rows), tmp_path / "dmd_h.npz"
+        _, dec = kr.decompose(m, cache=path)
+        with np.load(path) as store:
+            members = dict(store)
+        tag, _, rest = str(members["key"]).split(" ", 2)
+        members["key"] = np.array(f"{tag} 1 {rest}")
+        np.savez(path, **members)
+        (_, again), fits = self.decompose_counting(m, path)
+        assert fits == 1
+        self.assert_same(again, dec)
+
     def test_truncated_window_is_restored(self, tmp_path):
         # 17 snapshots repeating with period 5: decomposed as the first 6
         base = np.random.default_rng(7).standard_normal((5, 40))
