@@ -65,6 +65,9 @@ def _parse_value(key: str, text: str):
             names = tuple(p.strip() for p in text.split(",") if p.strip())
             if not names or any(n not in _FIELDS for n in names):
                 raise ValueError(f"fields must be a non-empty subset of {_FIELDS}")
+            repeated = sorted({n for n in names if names.count(n) > 1})
+            if repeated:
+                raise ValueError(f"field {', '.join(repeated)} named more than once")
             return names
         return text  # output_dir
     except ValueError as exc:
@@ -211,6 +214,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _dirs(cfg: ExperimentConfig, args) -> tuple[Path, Path]:
+    """The output directory, created if missing, and the directory of the
+    KSNP inputs (--data, default the output directory)."""
+    outdir = Path(cfg.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir, Path(args.data) if args.data else outdir
+
+
 def _decompose(matrix: snapshots.SnapshotMatrix, outdir: Path, name: str):
     """dmd.decompose with the store ``dmd_<name>.npz`` in ``outdir``,
     echoing a rank-deficiency truncation of the window."""
@@ -263,9 +274,7 @@ def _rom_field(path: Path, outdir: Path, epsilon: float):
 
 def cmd_rom(args) -> int:
     cfg = _load_config(args)
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    datadir = Path(args.data) if args.data else outdir
+    outdir, datadir = _dirs(cfg, args)
     paths = [Path(p) for p in args.paths] if args.paths else \
         [datadir / f"{name}.ksnp" for name in cfg.fields]
 
@@ -326,10 +335,8 @@ def _reduced_field(matrix: snapshots.SnapshotMatrix, outdir: Path, name: str,
 
 def cmd_reconstruct(args) -> int:
     cfg = _load_config(args)
-    name = cfg.fields[0] if args.field is None else args.field
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    datadir = Path(args.data) if args.data else outdir
+    name = cfg.fields[0]
+    outdir, datadir = _dirs(cfg, args)
     matrix = snapshots.load(datadir / f"{name}.ksnp")
     k = _snapshot_index(args, matrix, cfg)
 
@@ -347,9 +354,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_vorticity(args) -> int:
     cfg = _load_config(args)
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    datadir = Path(args.data) if args.data else outdir
+    outdir, datadir = _dirs(cfg, args)
     mu = snapshots.load(datadir / "u.ksnp")
     mv = snapshots.load(datadir / "v.ksnp")
     if any(getattr(mu, a) != getattr(mv, a)

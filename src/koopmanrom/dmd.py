@@ -14,13 +14,13 @@ so i = 1 is the first column of the source matrix).
 Snapshot coordinates: one R-only QR, [V0 | u_N] = Q [R, q; 0, rho],
 gives the Nt x Nt triangle R of V0 = Q R, q = Q^T u_N and the fit
 residual |rho|; Q (real, orthonormal, Nx x Nt) is never formed.  The
-decomposition keeps the companion eigenvectors z, scaled to unit
-images, and the unit phases p that pin them, so mode j is
-(V0 z_j) p_j = Q B[:, j] with B = (R z) p, and for any coefficients C,
-||V0 - Re(Phi C)|| = ||R - Re(B C)|| column by column.  The amplitudes
-here and every reconstruction error in ``rom`` are therefore computed
-from the Nt x Nt arrays R and B, and ``reconstruct`` applies V0 to one
-Nt-vector.  The Nx x m mode matrix is formed only when
+decomposition keeps the companion eigenvectors z, each scaled to a unit
+image and rotated so that its own largest-magnitude entry is real and
+positive, so mode j is V0 z_j = Q B[:, j] with B = R z, and for any
+coefficients C, ||V0 - Re(Phi C)|| = ||R - Re(B C)|| column by column.
+The amplitudes here and every reconstruction error in ``rom`` are
+therefore computed from the Nt x Nt arrays R and B, and ``reconstruct``
+applies V0 to one Nt-vector.  The Nx x m mode matrix is formed only when
 ``DmdDecomposition.modes`` is read.  A decomposition without R and B,
 or a matrix other than the one decomposed, gets its coordinates from
 one real QR of [V0 | Re Phi | Im Phi] instead
@@ -28,9 +28,9 @@ one real QR of [V0 | Re Phi | Im Phi] instead
 
 Decomposition store: ``decompose(matrix, cache=path)`` keeps what
 selection and ``reconstruct`` read (the eigenvalues, exponents,
-amplitudes, R, B, z, the phases and the number of snapshots actually
-decomposed) in one ``.npz`` file, keyed by the store format, the shape,
-the dtype and sha256 of the payload row block and the bits of dt.  A
+amplitudes, R, B, z and the number of snapshots actually decomposed)
+in one ``.npz`` file, keyed by the store format, the shape, the dtype
+and sha256 of the payload row block and the bits of dt.  A
 later call on the same bytes loads it instead of decomposing again; the
 key never reads a path, a size or a modification time.  Anything that
 does not read back as the decomposition of those bytes is a miss, which
@@ -58,11 +58,9 @@ _RANK_RTOL = 1e-12
 # smallest data norm whose machine-precision residual, 2**-52 of it, still
 # has a normal square: (2**-459 * 2**-52)**2 = 2**-1022
 _NORM_MIN = 2.0 ** -459
-# rows of V0 per GEMM when pinning the mode phases
-_PIN_ROWS = 256
 # decomposition store: format version (part of the key) and the arrays kept
-_STORE_VERSION = 2
-_STORE_ARRAYS = ("lambdas", "exponents", "amplitudes", "r", "mode_coords", "z", "phase")
+_STORE_VERSION = 3
+_STORE_ARRAYS = ("lambdas", "exponents", "amplitudes", "r", "mode_coords", "z")
 
 
 @dataclass(frozen=True)
@@ -77,13 +75,13 @@ class CompanionFit:
 
 class _Modes:
     """The ``modes`` field: the array given to the constructor, or, when
-    that is None, (V0 @ z) * phase formed at the first read and kept."""
+    that is None, V0 @ z formed at the first read and kept."""
 
     def __get__(self, dec, owner=None):
         if dec is None:
             raise AttributeError("modes")  # so the field has no default
         if dec._modes is None:
-            dec._modes = _form_modes(dec.v0, dec.z, dec.phase, dec.lambdas)
+            dec._modes = _form_modes(dec.v0, dec.z, dec.lambdas)
         return dec._modes
 
     def __set__(self, dec, value):
@@ -96,8 +94,8 @@ class DmdDecomposition:
 
     exponents[j] = log(lambdas[j]) / dt on the principal branch, so the
     imaginary part (the frequency) lies in (-pi/dt, pi/dt].  ``modes``
-    may be None when ``v0``, ``z`` and ``phase`` are given; it is then
-    formed as (V0 @ z) * phase when first read.
+    may be None when ``v0`` and ``z`` are given; it is then formed as
+    V0 @ z when first read.
     """
 
     lambdas: np.ndarray         # complex, shape (m,)
@@ -106,20 +104,17 @@ class DmdDecomposition:
     modes: Optional[np.ndarray] = _Modes()
     dt: float
     amplitudes: Optional[np.ndarray] = field(default=None)
-    # snapshot coordinates: the decomposed V0 (a view, not a copy), R, B,
-    # the eigenvectors z with unit images and the phases that pin them,
-    # with V0 = Q R and modes = Q B = (V0 z) * phase; None for hand-built
-    # decompositions
+    # snapshot coordinates: the decomposed V0 (a view, not a copy), R, B
+    # and the eigenvectors z with unit images and pinned phases, with
+    # V0 = Q R and modes = Q B = V0 z; None for hand-built decompositions
     v0: Optional[np.ndarray] = field(default=None, repr=False)
     r: Optional[np.ndarray] = field(default=None, repr=False)
     mode_coords: Optional[np.ndarray] = field(default=None, repr=False)
     z: Optional[np.ndarray] = field(default=None, repr=False)
-    phase: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self._modes is None and any(a is None for a in (self.v0, self.z, self.phase)):
-            raise ValueError("a decomposition needs its modes, or v0, z and phase "
-                             "to form them")
+        if self._modes is None and (self.v0 is None or self.z is None):
+            raise ValueError("a decomposition needs its modes, or v0 and z to form them")
 
     def coordinates(self, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(T, B) with v0 = Q T and modes = Q B for one real Q with
@@ -189,88 +184,29 @@ def fit_companion(pair: ShiftedPair) -> CompanionFit:
                         r=r)
 
 
-def _real_basis(z: np.ndarray, lambdas: np.ndarray):
-    """The real basis of eig's eigenvectors of a real matrix, and the
-    first column of each conjugate pair.
-
-    ``eig`` stores a pair as adjacent columns (j, j+1) = (x + iy,
-    x - iy), the eigenvalue with positive imaginary part first; the
-    basis holds (x, y) there, as LAPACK returns it.
-    """
-    first = np.flatnonzero(lambdas.imag > 0)
-    basis = z.real.copy()
-    basis[:, first + 1] = z.imag[:, first]
-    return basis, first
-
-
-def _complex_images(x: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Images in the real basis (last axis) made complex: a pair's
-    (x, y) becomes (x + iy, x - iy), exactly conjugate."""
-    if not first.size:
-        return x
-    images = x.astype(complex)
-    images[..., first] += 1j * x[..., first + 1]
-    images[..., first + 1] = images[..., first].conj()
-    return images
-
-
-def _row_blocks(v0: np.ndarray, basis: np.ndarray):
-    """Yield (rows, V0[rows] @ basis) over blocks of rows: the images of
-    the eigenvectors in their real basis, one real GEMM per block."""
-    for start in range(0, v0.shape[0], _PIN_ROWS):
-        x = v0[start:start + _PIN_ROWS] @ basis
-        yield slice(start, start + x.shape[0]), x
-
-
-def _lead_phases(v0: np.ndarray, z: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-    """Unit phases that rotate the largest-magnitude entry of each column
-    of V0 @ z onto the positive real axis.  The images of ``z`` have
-    unit norm, so no squared magnitude underflows.
-
-    A running argmax over the row blocks keeps the first largest entry,
-    as np.argmax would over the whole column; the partners of a pair
-    share one entry and get conjugate phases.
-    """
-    basis, first = _real_basis(z, lambdas)
-    cols = np.arange(z.shape[1])
-    best = np.full(z.shape[1], -1.0)   # largest squared magnitude so far
-    lead = np.zeros(z.shape[1])        # its entry in the real basis
-    for _, x in _row_blocks(v0, basis):
-        mag = x * x
-        mag[:, first] += mag[:, first + 1]
-        mag[:, first + 1] = mag[:, first]
-        rows = np.argmax(mag, axis=0)
-        top = mag[rows, cols]
-        better = top > best
-        best[better] = top[better]
-        lead[better] = x[rows[better], cols[better]]
-    lead = _complex_images(lead, first)
-    phase = np.abs(lead) / lead
-    phase[first + 1] = phase[first].conj()
-    return phase
-
-
-def _form_modes(v0, z, phase, lambdas) -> np.ndarray:
-    """(V0 @ z) * phase from the row-block products that pinned the
-    phases, so each lead entry is |lead| to rounding."""
-    basis, first = _real_basis(z, lambdas)
-    modes = np.empty((v0.shape[0], z.shape[1]), dtype=np.result_type(z, phase))
-    for rows, x in _row_blocks(v0, basis):
-        np.multiply(_complex_images(x, first), phase, out=modes[rows])
+def _form_modes(v0: np.ndarray, z: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """V0 @ z from two real products, one per part of z; the second
+    column of each conjugate pair is set to the conjugate of the first,
+    so the pair is exactly conjugate."""
+    modes = np.empty((v0.shape[0], z.shape[1]), dtype=z.dtype)
+    modes.real = v0 @ z.real
+    if np.iscomplexobj(z):
+        modes.imag = v0 @ z.imag
+        # eig lists a pair as adjacent columns, positive imaginary part first
+        first = np.flatnonzero(lambdas.imag > 0)
+        modes[:, first + 1] = modes[:, first].conj()
     return modes
 
 
 def eigendecompose(fit: CompanionFit, pair: ShiftedPair, dt: float) -> DmdDecomposition:
     """Eigen-decompose the companion matrix and map eigenvectors to modes.
 
-    Mode j is V0 z_j normalized to unit 2-norm with its largest-magnitude
-    entry rotated to the positive real axis, which pins the phase and
-    keeps conjugate eigenvector pairs exactly conjugate.  The norms are
-    those of R z_j (Q is orthonormal) and the largest entries come from
-    row blocks of V0, so no Nx x m array is formed: the decomposition
-    keeps V0, R, the scaled z, the phases and the mode coordinates R z
-    scaled and phased like the modes, and forms the modes when they are
-    first read.
+    Mode j is V0 z_j, with z_j scaled to a unit image and rotated so that
+    its own largest-magnitude entry is real and positive, which pins the
+    phase and keeps conjugate eigenvector pairs exactly conjugate.  The
+    norms are those of R z_j (Q is orthonormal), so no element of V0 is
+    read: the decomposition keeps V0, R, the pinned z and the mode
+    coordinates R z, and forms the modes when they are first read.
     """
     try:
         lambdas, z = np.linalg.eig(fit.companion)
@@ -280,13 +216,16 @@ def eigendecompose(fit: CompanionFit, pair: ShiftedPair, dt: float) -> DmdDecomp
     norms = np.linalg.norm(coords, axis=0)
     if np.any(norms == 0.0):
         raise EigenFailure("eigenvector mapped to a zero mode")
-    z = z / norms
-    phase = _lead_phases(pair.v0, z, lambdas)
+    lead = z[np.argmax(np.abs(z), axis=0), np.arange(z.shape[1])]
+    phase = np.abs(lead) / lead
+    # the partners of a pair share the lead entry's row: conjugate phases
+    first = np.flatnonzero(lambdas.imag > 0)
+    phase[first + 1] = phase[first].conj()
     with np.errstate(divide="ignore", invalid="ignore"):
         exponents = np.log(lambdas) / dt
     return DmdDecomposition(lambdas=lambdas, exponents=exponents, modes=None, dt=dt,
                             v0=pair.v0, r=fit.r, mode_coords=coords / norms * phase,
-                            z=z, phase=phase)
+                            z=z / norms * phase)
 
 
 def compute_amplitudes(dec: DmdDecomposition, matrix: SnapshotMatrix) -> np.ndarray:
@@ -454,9 +393,9 @@ def reconstruct(dec: DmdDecomposition, subset: Sequence[int], i: int) -> np.ndar
     if np.any(idx < 0) or np.any(idx >= m):
         raise IndexOutOfRange(f"mode index outside [0, {m})")
     coef = dec.amplitudes[idx] * dec.lambdas[idx] ** (i - 1)
-    if dec.v0 is not None and dec.z is not None and dec.phase is not None:
-        # Re((V0 z) * phase) c = V0 Re(z (phase c)), V0 real
-        return dec.v0 @ (dec.z[:, idx] @ (dec.phase[idx] * coef)).real
+    if dec.v0 is not None and dec.z is not None:
+        # Re(V0 z c) = V0 Re(z c), V0 real
+        return dec.v0 @ (dec.z[:, idx] @ coef).real
     return (dec.modes[:, idx] @ coef).real
 
 

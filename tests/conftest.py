@@ -30,6 +30,15 @@ CLASSIC = kr.PhysicalConstants(
 )
 
 
+@pytest.fixture(scope="session", autouse=True)
+def private_build_cache(tmp_path_factory):
+    """Build the compiled sub-step into a directory of this session, not
+    into the user's cache; tests that set XDG_CACHE_HOME keep theirs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg_cache")))
+        yield
+
+
 @pytest.fixture
 def numpy_step(monkeypatch):
     """Run the solver on the numpy step, ``swe._step_unique``."""
@@ -151,6 +160,16 @@ def rel_dev(new, old):
 def normwise_dev(new, old):
     """Largest deviation of ``new`` from ``old``, relative to the largest entry."""
     return float(np.max(np.abs(np.asarray(new) - np.asarray(old))) / np.max(np.abs(old)))
+
+
+def lead_rotation(modes, ref):
+    """Unit phases that put, column by column, the entry of ``modes`` in
+    the row of the largest-magnitude entry of ``ref`` on the positive
+    real axis: ``modes * lead_rotation(modes, ref)`` is ``modes`` in the
+    phase convention that pins each column of ``ref`` on its own largest
+    entry."""
+    lead = modes[np.argmax(np.abs(ref), axis=0), np.arange(ref.shape[1])]
+    return np.abs(lead) / lead
 
 
 def traced_peak(call):

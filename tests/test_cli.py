@@ -168,9 +168,16 @@ class TestParseConfig:
         cfg = parse_config(write_cfg(tmp_path, "fields = h,v  # skip u\nnx = 16\n"))
         assert cfg.fields == ("h", "v") and cfg.nx == 16
 
-    def test_bad_field_name(self, tmp_path):
-        with pytest.raises(InvalidValue):
-            parse_config(write_cfg(tmp_path, "fields = h,w\n"))
+    def test_bad_field_name(self, tmp_path, capsys):
+        for fields, why in [("h,w", "non-empty subset"), ("h,h", "h named more than once")]:
+            cfg = write_cfg(tmp_path, f"nx = 16\nny = 8\nfields = {fields}\n")
+            with pytest.raises(InvalidValue, match=why):
+                parse_config(cfg)
+            # rejected while the config loads: no output directory, no partial file
+            out = tmp_path / "o"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+            assert why in capsys.readouterr().err
+            assert not out.exists()
 
     def test_boolean(self, tmp_path):
         assert parse_config(write_cfg(tmp_path, "nondimensionalize = false\n")) \

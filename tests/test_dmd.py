@@ -29,6 +29,16 @@ def full_decomposition(data, dt=1.0):
     return m, dec
 
 
+class Unreadable(np.ndarray):
+    """An array that raises on any computation with its elements."""
+
+    def __array_ufunc__(self, *args, **kwargs):
+        raise AssertionError("an element of V0 was read")
+
+    def __array_function__(self, *args, **kwargs):
+        raise AssertionError("an element of V0 was read")
+
+
 class TestFitCompanion:
     def test_hand_solved_two_column_pair(self):
         data = np.array([[1.0, 2.0, 4.0], [1.0, 3.0, 9.0]])  # columns [2^i, 3^i]
@@ -196,9 +206,21 @@ class TestEigendecompose:
         data = rng.standard_normal((25, 7))
         _, dec = full_decomposition(data)
         assert np.linalg.norm(dec.modes, axis=0) == pytest.approx(np.ones(6), rel=1e-12)
-        lead = dec.modes[np.argmax(np.abs(dec.modes), axis=0), np.arange(6)]
+        # the phase is pinned on the companion eigenvector, not on the mode
+        lead = dec.z[np.argmax(np.abs(dec.z), axis=0), np.arange(6)]
         assert np.max(np.abs(lead.imag)) <= 1e-12
         assert np.all(lead.real > 0.0)
+
+    def test_reads_no_element_of_v0(self):
+        m = matrix_from_array(np.random.default_rng(13).standard_normal((25, 9)))
+        pair = kr.split(m)
+        fit = kr.fit_companion(pair)
+        guarded = pair.v0.view(Unreadable)
+        dec = kr.eigendecompose(fit, ShiftedPair(v0=guarded, v1=pair.v1), m.dt)
+        plain = kr.eigendecompose(fit, pair, m.dt)
+        assert dec.v0 is guarded
+        for name in ("lambdas", "exponents", "mode_coords", "z"):
+            assert np.array_equal(getattr(dec, name), getattr(plain, name)), name
 
     def test_conjugate_closure_for_real_data(self):
         rng = np.random.default_rng(8)
@@ -456,15 +478,17 @@ class TestDecompositionStore:
         _, fits = self.decompose_counting(m, path)
         assert fits == 0  # the store now holds the new decomposition
 
-    def test_store_of_format_1_is_a_miss(self, tmp_path, rows):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_store_of_an_older_format_is_a_miss(self, tmp_path, rows, version):
         # format 1 solved the fit's triangle another way: its eigenvalues
-        # differ in their last bits from a cold run of this one
+        # differ in their last bits from a cold run of this one; format 2
+        # pinned each phase on the largest entry of the mode, not of z
         m, path = window_matrix(rows), tmp_path / "dmd_h.npz"
         _, dec = kr.decompose(m, cache=path)
         with np.load(path) as store:
             members = dict(store)
         tag, _, rest = str(members["key"]).split(" ", 2)
-        members["key"] = np.array(f"{tag} 1 {rest}")
+        members["key"] = np.array(f"{tag} {version} {rest}")
         np.savez(path, **members)
         (_, again), fits = self.decompose_counting(m, path)
         assert fits == 1
