@@ -7,8 +7,8 @@ leading modes by weight until a relative-error threshold holds
 (``rom``).  ``cli`` wires it together behind a command line.
 """
 
-from .dmd import (CompanionFit, DmdDecomposition, compute_amplitudes, decompose,
-                  eigendecompose, fit_companion, reconstruct)
+from .dmd import (CompanionFit, DmdDecomposition, decompose, eigendecompose,
+                  fit_companion, reconstruct)
 from .rom import (ModeWeight, RomModel, mode_weights, per_time_errors,
                   reduction_percentage, relative_error, select_leading_modes)
 from .snapshots import (FieldTag, KsnpWriter, ShiftedPair, SnapshotMatrix, assemble,

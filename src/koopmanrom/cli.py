@@ -333,6 +333,14 @@ def _reduced_field(matrix: snapshots.SnapshotMatrix, outdir: Path, name: str,
     return rec, model
 
 
+def _relative_difference(full: np.ndarray, rec: np.ndarray) -> float:
+    """||full - rec|| / ||full||; for a zero ``full``, 0 if ``rec`` is zero
+    too, else inf."""
+    ref = float(np.linalg.norm(full))
+    diff = float(np.linalg.norm(full - rec))
+    return diff / ref if ref > 0.0 else (0.0 if diff == 0.0 else float("inf"))
+
+
 def cmd_reconstruct(args) -> int:
     cfg = _load_config(args)
     name = cfg.fields[0]
@@ -342,7 +350,7 @@ def cmd_reconstruct(args) -> int:
 
     full = matrix.field(k)
     rec, model = _reduced_field(matrix, outdir, name, cfg.epsilon, k)
-    err = float(np.linalg.norm(full - rec) / np.linalg.norm(full))
+    err = _relative_difference(full, rec)
     snapshots.write_field_csv(full, outdir / f"full_{name}_{k}.csv")
     snapshots.write_field_csv(rec, outdir / f"rom_{name}_{k}.csv")
     snapshots.write_field_csv(full - rec, outdir / f"diff_{name}_{k}.csv")
@@ -376,9 +384,7 @@ def cmd_vorticity(args) -> int:
     snapshots.write_field_csv(w_full, outdir / f"vort_full_{k}.csv")
     snapshots.write_field_csv(w_rom, outdir / f"vort_rom_{k}.csv")
     snapshots.write_field_csv(w_full - w_rom, outdir / f"vort_diff_{k}.csv")
-    ref = float(np.linalg.norm(w_full))
-    diff = float(np.linalg.norm(w_full - w_rom))
-    err = diff / ref if ref > 0.0 else (0.0 if diff == 0.0 else float("inf"))
+    err = _relative_difference(w_full, w_rom)
     conv = model_u.converged and model_v.converged
     note = "" if conv else " (selection not converged)"
     print(f"vorticity at snapshot {k}: relative difference = {err:.6e}{note}")

@@ -21,10 +21,10 @@ coefficients C, ||V0 - Re(Phi C)|| = ||R - Re(B C)|| column by column.
 The amplitudes here and every reconstruction error in ``rom`` are
 therefore computed from the Nt x Nt arrays R and B, and ``reconstruct``
 applies V0 to one Nt-vector.  The Nx x m mode matrix is formed only when
-``DmdDecomposition.modes`` is read.  A decomposition without R and B,
-or a matrix other than the one decomposed, gets its coordinates from
-one real QR of [V0 | Re Phi | Im Phi] instead
-(``DmdDecomposition.coordinates``).
+``DmdDecomposition.modes`` is read.  A matrix X other than the one
+decomposed gets its coordinates from one real QR of [V0 | X]
+(``DmdDecomposition.coordinates``).  A decomposition is frozen, and
+complete when ``eigendecompose`` returns it.
 
 Decomposition store: ``decompose(matrix, cache=path)`` keeps what
 selection and ``reconstruct`` read (the eigenvalues, exponents,
@@ -43,8 +43,9 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -73,68 +74,69 @@ class CompanionFit:
     r: np.ndarray               # R of V0 = Q R, shape (Nt, Nt)
 
 
-class _Modes:
-    """The ``modes`` field: the array given to the constructor, or, when
-    that is None, V0 @ z formed at the first read and kept."""
-
-    def __get__(self, dec, owner=None):
-        if dec is None:
-            raise AttributeError("modes")  # so the field has no default
-        if dec._modes is None:
-            dec._modes = _form_modes(dec.v0, dec.z, dec.lambdas)
-        return dec._modes
-
-    def __set__(self, dec, value):
-        dec._modes = value
-
-
-@dataclass
+@dataclass(frozen=True)
 class DmdDecomposition:
-    """Eigenvalues, continuous exponents, unit modes and amplitudes.
+    """Eigenvalues, continuous exponents, amplitudes and unit modes.
 
     exponents[j] = log(lambdas[j]) / dt on the principal branch, so the
-    imaginary part (the frequency) lies in (-pi/dt, pi/dt].  ``modes``
-    may be None when ``v0`` and ``z`` are given; it is then formed as
-    V0 @ z when first read.
+    imaginary part (the frequency) lies in (-pi/dt, pi/dt].
     """
 
     lambdas: np.ndarray         # complex, shape (m,)
     exponents: np.ndarray       # complex, shape (m,)
-    # complex, (Nx, m), unit 2-norm columns; a descriptor, not a default
-    modes: Optional[np.ndarray] = _Modes()
     dt: float
-    amplitudes: Optional[np.ndarray] = field(default=None)
+    amplitudes: np.ndarray      # complex, shape (m,)
     # snapshot coordinates: the decomposed V0 (a view, not a copy), R, B
-    # and the eigenvectors z with unit images and pinned phases, with
-    # V0 = Q R and modes = Q B = V0 z; None for hand-built decompositions
-    v0: Optional[np.ndarray] = field(default=None, repr=False)
-    r: Optional[np.ndarray] = field(default=None, repr=False)
-    mode_coords: Optional[np.ndarray] = field(default=None, repr=False)
-    z: Optional[np.ndarray] = field(default=None, repr=False)
+    # and the eigenvectors z with unit images and pinned phases
+    v0: np.ndarray = field(repr=False)
+    r: np.ndarray = field(repr=False)
+    mode_coords: np.ndarray = field(repr=False)
+    z: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if self._modes is None and (self.v0 is None or self.z is None):
-            raise ValueError("a decomposition needs its modes, or v0 and z to form them")
+    @cached_property
+    def modes(self) -> np.ndarray:
+        """The complex (Nx, m) unit modes V0 @ z, formed at the first read
+        from two real products, one per part of z; the second column of
+        each conjugate pair is set to the conjugate of the first, so the
+        pair is exactly conjugate."""
+        modes = np.empty((self.v0.shape[0], self.z.shape[1]), dtype=self.z.dtype)
+        modes.real = self.v0 @ self.z.real
+        if np.iscomplexobj(self.z):
+            modes.imag = self.v0 @ self.z.imag
+            # eig lists a pair as adjacent columns, positive imaginary part first
+            first = np.flatnonzero(self.lambdas.imag > 0)
+            modes[:, first + 1] = modes[:, first].conj()
+        return modes
 
-    def coordinates(self, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(T, B) with v0 = Q T and modes = Q B for one real Q with
-        orthonormal columns, so norms of v0 - Re(modes C) are norms of
+    def coordinates(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(T, B) with x = Q T and modes = Q B for one real Q with
+        orthonormal columns, so norms of x - Re(modes C) are norms of
         T - Re(B C).
 
-        Returns the stored R and B when ``v0`` equals the decomposed V0;
-        otherwise takes T and B from one real QR of [v0 | Re Phi | Im Phi].
+        Returns the stored R and B when ``x`` equals the decomposed V0;
+        otherwise takes them from one real QR of [V0 | x] = Q R', as
+        T = R'[:, Nt:] and B = R'[:, :Nt] z, and forms no mode matrix.
         """
-        if self.mode_coords is not None and (_same_view(v0, self.v0)
-                                             or np.array_equal(v0, self.v0)):
+        if _same_view(x, self.v0) or np.array_equal(x, self.v0):
             return self.r, self.mode_coords
-        nt, m = v0.shape[1], self.modes.shape[1]
-        r = np.linalg.qr(np.hstack([v0, self.modes.real, self.modes.imag]), mode="r")
-        return r[:, :nt], r[:, nt:nt + m] + 1j * r[:, nt + m:]
+        nt = self.v0.shape[1]
+        r = np.linalg.qr(np.hstack([self.v0, x]), mode="r")
+        return r[:, nt:], r[:, :nt] @ self.z
+
+    def _mode_index(self, subset: Sequence[int]) -> np.ndarray:
+        """``subset`` as an index array of distinct modes in [0, m), else
+        IndexOutOfRange.  Repeats are found with a set: the first call of
+        np.unique maps about 0.75 MiB more of numpy's code."""
+        idx = np.asarray(list(subset), dtype=int)
+        m = self.lambdas.shape[0]
+        if np.any((idx < 0) | (idx >= m)) or len(set(idx.tolist())) < idx.size:
+            raise IndexOutOfRange(f"mode indices must be distinct and in [0, {m})")
+        return idx
 
 
-def _same_view(a: np.ndarray, b: Optional[np.ndarray]) -> bool:
+def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether ``a`` and ``b`` view the same memory the same way."""
-    return (b is not None and a.ctypes.data == b.ctypes.data and a.shape == b.shape
+    return (a.ctypes.data == b.ctypes.data and a.shape == b.shape
             and a.strides == b.strides and a.dtype == b.dtype)
 
 
@@ -184,29 +186,16 @@ def fit_companion(pair: ShiftedPair) -> CompanionFit:
                         r=r)
 
 
-def _form_modes(v0: np.ndarray, z: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-    """V0 @ z from two real products, one per part of z; the second
-    column of each conjugate pair is set to the conjugate of the first,
-    so the pair is exactly conjugate."""
-    modes = np.empty((v0.shape[0], z.shape[1]), dtype=z.dtype)
-    modes.real = v0 @ z.real
-    if np.iscomplexobj(z):
-        modes.imag = v0 @ z.imag
-        # eig lists a pair as adjacent columns, positive imaginary part first
-        first = np.flatnonzero(lambdas.imag > 0)
-        modes[:, first + 1] = modes[:, first].conj()
-    return modes
-
-
 def eigendecompose(fit: CompanionFit, pair: ShiftedPair, dt: float) -> DmdDecomposition:
-    """Eigen-decompose the companion matrix and map eigenvectors to modes.
+    """Eigen-decompose the companion matrix into modes and amplitudes.
 
     Mode j is V0 z_j, with z_j scaled to a unit image and rotated so that
     its own largest-magnitude entry is real and positive, which pins the
     phase and keeps conjugate eigenvector pairs exactly conjugate.  The
     norms are those of R z_j (Q is orthonormal), so no element of V0 is
-    read: the decomposition keeps V0, R, the pinned z and the mode
-    coordinates R z, and forms the modes when they are first read.
+    read: the decomposition keeps V0, R, the pinned z, the mode
+    coordinates R z and the amplitudes (a rank-deficient mode matrix
+    raises RankDeficient), and forms the modes when they are read.
     """
     try:
         lambdas, z = np.linalg.eig(fit.companion)
@@ -223,30 +212,27 @@ def eigendecompose(fit: CompanionFit, pair: ShiftedPair, dt: float) -> DmdDecomp
     phase[first + 1] = phase[first].conj()
     with np.errstate(divide="ignore", invalid="ignore"):
         exponents = np.log(lambdas) / dt
-    return DmdDecomposition(lambdas=lambdas, exponents=exponents, modes=None, dt=dt,
-                            v0=pair.v0, r=fit.r, mode_coords=coords / norms * phase,
-                            z=z / norms * phase)
+    b = coords / norms * phase
+    return DmdDecomposition(lambdas, exponents, dt, _amplitudes(fit.r, b, lambdas),
+                            v0=pair.v0, r=fit.r, mode_coords=b, z=z / norms * phase)
 
 
-def compute_amplitudes(dec: DmdDecomposition, matrix: SnapshotMatrix) -> np.ndarray:
+def _amplitudes(r: np.ndarray, b: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
     """Least-squares projection of the first snapshot onto the modes.
 
-    Solved in snapshot coordinates, min ||t_0 - B a|| (module
+    Solved in snapshot coordinates, min ||R[:, 0] - B a|| (module
     docstring); the rank gate reads the singular values of B, which are
     those of the mode matrix.  The snapshot is real, so the exact
     amplitudes of a mode pair with exactly conjugate coordinates are
     conjugate; they are made so, which gives both partners one weight.
-    Stores the result on ``dec`` and returns it.
     """
-    t, b = dec.coordinates(matrix.data[:, :-1])
-    a, _, _ = _qr_solve(np.column_stack([b, t[:, 0]]), what="mode matrix")
-    pairs = np.array([g for g in conjugate_groups(dec.lambdas) if len(g) == 2],
+    a, _, _ = _qr_solve(np.column_stack([b, r[:, 0]]), what="mode matrix")
+    pairs = np.array([g for g in conjugate_groups(lambdas) if len(g) == 2],
                      dtype=int).reshape(-1, 2)
     exact = np.all(b[:, pairs[:, 1]] == b[:, pairs[:, 0]].conj(), axis=0)
     j, k = pairs[exact].T
     a[j] = 0.5 * (a[j] + a[k].conj())
     a[k] = a[j].conj()
-    dec.amplitudes = a
     return a
 
 
@@ -298,8 +284,8 @@ def _load_store(path, key: str, matrix: SnapshotMatrix):
             return None
     if n < nsnap:
         matrix = replace(matrix, data=matrix.data[:, :n])
-    return matrix, DmdDecomposition(modes=None, dt=matrix.dt,
-                                    v0=snapshots.split(matrix).v0, **arrays)
+    return matrix, DmdDecomposition(dt=matrix.dt, v0=snapshots.split(matrix).v0,
+                                    **arrays)
 
 
 def _save_store(path, key: str, matrix: SnapshotMatrix, dec: DmdDecomposition) -> None:
@@ -330,7 +316,7 @@ def decompose(matrix: SnapshotMatrix,
     to its first r + 1 snapshots and the fit retried; a second
     RankDeficient propagates naming that window, and r = 0 raises
     ZeroNormData.  Returns the matrix actually decomposed, shorter than
-    ``matrix`` after a truncation, and its decomposition with amplitudes.
+    ``matrix`` after a truncation, and its decomposition.
 
     ``cache``, when given, is the path of a decomposition store (module
     docstring).  If it holds the decomposition of the same bytes, that is
@@ -369,7 +355,6 @@ def decompose(matrix: SnapshotMatrix,
                                 what=f"V0 of the window truncated to the first "
                                      f"{exc.rank + 1} snapshots") from exc
     dec = eigendecompose(fit, pair, matrix.dt)
-    compute_amplitudes(dec, matrix)
     if cache is not None:
         _save_store(cache, key, matrix, dec)
     return matrix, dec
@@ -382,21 +367,14 @@ def reconstruct(dec: DmdDecomposition, subset: Sequence[int], i: int) -> np.ndar
     ``i`` is the 1-based snapshot index; i = 1 applies no eigenvalue
     power and targets the snapshot the amplitudes were fit to.
     """
-    if dec.amplitudes is None:
-        raise ValueError("amplitudes not computed; call compute_amplitudes first")
-    idx = np.asarray(list(subset), dtype=int)
+    idx = dec._mode_index(subset)
     if idx.size == 0:
         raise IndexOutOfRange("empty mode subset")
     if i < 1:
         raise IndexOutOfRange(f"snapshot index {i} < 1")
-    m = dec.lambdas.shape[0]
-    if np.any(idx < 0) or np.any(idx >= m):
-        raise IndexOutOfRange(f"mode index outside [0, {m})")
     coef = dec.amplitudes[idx] * dec.lambdas[idx] ** (i - 1)
-    if dec.v0 is not None and dec.z is not None:
-        # Re(V0 z c) = V0 Re(z c), V0 real
-        return dec.v0 @ (dec.z[:, idx] @ coef).real
-    return (dec.modes[:, idx] @ coef).real
+    # Re(V0 z c) = V0 Re(z c), V0 real
+    return dec.v0 @ (dec.z[:, idx] @ coef).real
 
 
 def conjugate_groups(lambdas: np.ndarray, rtol: float = 1e-10) -> list[list[int]]:
@@ -434,6 +412,6 @@ def conjugate_groups(lambdas: np.ndarray, rtol: float = 1e-10) -> list[list[int]
 
 __all__ = [
     "CompanionFit", "DmdDecomposition",
-    "fit_companion", "eigendecompose", "compute_amplitudes", "decompose",
+    "fit_companion", "eigendecompose", "decompose",
     "reconstruct", "conjugate_groups",
 ]

@@ -7,12 +7,12 @@ partners together, so reconstructions stay real) until the aggregate
 relative reconstruction error drops below the requested threshold.
 
 Every reconstruction error runs in snapshot coordinates (see ``dmd``):
-one kernel, ``_residuals``, forms the Nt x Nt coordinate residual
-T - Re(B C), one real rank-2 product per mode, whose column norms equal
-those of the full-space residual.
-The reference norms are those of T, the coordinates of the snapshots
-themselves (R for the decomposed window), since Q is orthonormal: no
-error forms an Nx x Nt temporary.
+one kernel, ``_residuals``, forms the coordinate residual T - Re(B C),
+one real rank-2 product per mode, whose column norms equal those of the
+full-space residual.  The reference norms are those of T, the snapshot
+coordinates (R for the decomposed window, else from one QR of [V0 | X]),
+so no error forms the mode matrix or an Nx x Nt temporary.  A mode
+subset must name distinct modes (IndexOutOfRange otherwise).
 """
 
 from __future__ import annotations
@@ -61,14 +61,8 @@ class RomModel:
     time_errors: Optional[np.ndarray] = None
 
 
-def _require_amplitudes(dec: dmd.DmdDecomposition) -> None:
-    if dec.amplitudes is None:
-        raise ValueError("amplitudes not computed; call compute_amplitudes first")
-
-
 def mode_weights(dec: dmd.DmdDecomposition, n_steps: int, dt: float) -> list[ModeWeight]:
     """Weight of every mode over an n_steps reconstruction horizon."""
-    _require_amplitudes(dec)
     powers = np.abs(dec.lambdas)[None, :] ** np.arange(n_steps)[:, None]
     w = dt * (np.abs(dec.amplitudes)[None, :] * powers).sum(axis=0)
     return [ModeWeight(mode_index=j, weight=float(w[j])) for j in range(w.shape[0])]
@@ -122,10 +116,10 @@ def relative_error(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
                    subset) -> float:
     """Frobenius-aggregate relative error of the subset reconstruction
     over every reconstructible snapshot."""
-    _require_amplitudes(dec)
+    idx = dec._mode_index(subset)
     t, b = dec.coordinates(_reconstruction_span(matrix))
     ref = _reference_norm(t)
-    (res,) = _residuals(t, b, dec, [list(subset)])
+    (res,) = _residuals(t, b, dec, [idx])
     return float(np.linalg.norm(res) / ref)
 
 
@@ -135,9 +129,9 @@ def per_time_errors(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
 
     Entry k corresponds to snapshot index i = k + 1 (source column k).
     """
-    _require_amplitudes(dec)
+    idx = dec._mode_index(subset)
     t, b = dec.coordinates(_reconstruction_span(matrix))
-    (res,) = _residuals(t, b, dec, [list(subset)])
+    (res,) = _residuals(t, b, dec, [idx])
     return _column_errors(res, t)
 
 
@@ -179,7 +173,6 @@ def select_leading_modes(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    _require_amplitudes(dec)
 
     weights = np.array([mw.weight for mw in
                         mode_weights(dec, matrix.n_snapshots - 1, dec.dt)])

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -84,14 +85,15 @@ RANK_ONE_MODES = "error: mode matrix has numerical rank 1 < 11 columns\n"
 
 def test_commands_never_form_the_modes(tmp_path, monkeypatch, capsys):
     """rom, reconstruct and vorticity read no Nx x m mode matrix."""
-    reads = []
-    get = dmd._Modes.__get__
+    decs = []
+    decompose = dmd.decompose
 
-    def counted(self, dec, owner=None):
-        reads.append(dec)
-        return get(self, dec, owner)
+    def kept(*args, **kwargs):
+        used, dec = decompose(*args, **kwargs)
+        decs.append(dec)
+        return used, dec
 
-    monkeypatch.setattr(dmd._Modes, "__get__", counted)
+    monkeypatch.setattr(dmd, "decompose", kept)
     rng = np.random.default_rng(9)
     for name in ("h", "u", "v"):
         synthetic_ksnp(tmp_path, rng, name=f"{name}.ksnp", rank_one=False, nsnap=7,
@@ -101,7 +103,7 @@ def test_commands_never_form_the_modes(tmp_path, monkeypatch, capsys):
     assert main(["reconstruct", "--out", out, "--data", data, "--field", "u",
                  "--index", "3"]) == 0
     assert main(["vorticity", "--out", out, "--data", data, "--index", "3"]) == 0
-    assert reads == []
+    assert len(decs) == 6 and not any("modes" in vars(dec) for dec in decs)
 
 
 def test_commands_import_numpy_alone(tmp_path):
@@ -581,6 +583,25 @@ class TestReconstructCommand:
         assert main(["reconstruct", "--out", str(tmp_path / "out"), "--data",
                      str(tmp_path), "--field", "h", "--index", "11", "--eps", "0.5"]) == 1
         assert capsys.readouterr().err == RANK_ONE_MODES
+
+    def test_zero_snapshot_gives_inf_without_warning(self, tmp_path, capsys):
+        """Snapshot 10 is zero and lies past the window truncated to the
+        first 8 snapshots: its relative error is inf, with no warning."""
+        data = np.zeros((40, 12))
+        data[:, :7] = np.random.default_rng(3).standard_normal((40, 7))
+        data[:, 7] = 0.6 * data[:, 6] - 0.3 * data[:, 2]
+        save(SnapshotMatrix(data=data, nx=8, ny=5, dt=60.0, dx=1.0, dy=1.0,
+                            field_tag=FieldTag.h), tmp_path / "h.ksnp")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["reconstruct", "--out", str(tmp_path / "out"), "--data",
+                         str(tmp_path), "--field", "h", "--index", "10"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert "truncating window to the first 8 snapshots" in out
+        assert out.rstrip().endswith("per-time relative error = inf")
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in caught] == []
 
     def test_time_mapping_echo(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, DESK_CFG + "n_snapshots = 9\nfields = h\n")

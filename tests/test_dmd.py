@@ -1,6 +1,7 @@
 """Companion fit, eigendecomposition, amplitudes, reconstruction and the
 decomposition store."""
 
+from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import koopmanrom as kr
 from koopmanrom import dmd
-from koopmanrom.dmd import DmdDecomposition, conjugate_groups
+from koopmanrom.dmd import conjugate_groups
 from koopmanrom.errors import IndexOutOfRange, RankDeficient, ZeroNormData
 from koopmanrom.snapshots import FieldTag, ShiftedPair, SnapshotMatrix
 
@@ -24,9 +25,7 @@ def full_decomposition(data, dt=1.0):
     m = matrix_from_array(np.asarray(data, float), dt=dt)
     pair = kr.split(m)
     fit = kr.fit_companion(pair)
-    dec = kr.eigendecompose(fit, pair, dt)
-    kr.compute_amplitudes(dec, m)
-    return m, dec
+    return m, kr.eigendecompose(fit, pair, dt)
 
 
 class Unreadable(np.ndarray):
@@ -222,6 +221,14 @@ class TestEigendecompose:
         for name in ("lambdas", "exponents", "mode_coords", "z"):
             assert np.array_equal(getattr(dec, name), getattr(plain, name)), name
 
+    def test_decomposition_is_frozen(self):
+        _, dec = full_decomposition(np.random.default_rng(19).standard_normal((12, 6)))
+        for f in fields(dec):
+            with pytest.raises(FrozenInstanceError):
+                setattr(dec, f.name, np.zeros(1))
+        with pytest.raises(FrozenInstanceError):
+            dec.modes = np.zeros(1)
+
     def test_conjugate_closure_for_real_data(self):
         rng = np.random.default_rng(8)
         data = rng.standard_normal((25, 9))
@@ -246,18 +253,6 @@ class TestAmplitudes:
         pair = pair_from(np.stack([u0, u0], axis=1))
         m, dec = full_decomposition(np.stack([u0, u0], axis=1))
         assert dec.amplitudes == pytest.approx([5.0], rel=1e-14)
-
-    def test_orthonormal_modes_project(self):
-        rng = np.random.default_rng(10)
-        q, _ = np.linalg.qr(rng.standard_normal((12, 4))
-                            + 1j * rng.standard_normal((12, 4)))
-        dec = DmdDecomposition(lambdas=np.ones(4, complex),
-                               exponents=np.zeros(4, complex),
-                               modes=q, dt=1.0)
-        u0 = rng.standard_normal(12)
-        m = matrix_from_array(np.stack([u0, u0], axis=1))
-        a = kr.compute_amplitudes(dec, m)
-        assert a == pytest.approx(q.conj().T @ u0, rel=1e-12)
 
     def test_seeded_amplitudes_recovered(self):
         rng = np.random.default_rng(11)
@@ -386,7 +381,24 @@ class TestModesOnDemand:
         used, dec, model = decomposed
         _, peak = traced_peak(lambda: kr.reconstruct(dec, model.selected, 7))
         assert peak <= 0.1 * used.data.nbytes
-        assert dec._modes is None  # nothing above formed the modes
+        assert "modes" not in vars(dec)  # nothing above formed the modes
+
+    def test_errors_of_a_foreign_matrix(self, matrix, decomposed):
+        """One real QR of [V0 | X]: about four payloads of X (the stacked
+        block and the working copy the QR makes of it), no mode matrix."""
+        used, dec, model = decomposed
+        rows = np.random.default_rng(32).standard_normal((41, 20000))
+        foreign = replace(used, data=rows.T)
+        err, peak = traced_peak(lambda: kr.relative_error(foreign, dec, model.selected))
+        assert peak <= 4.5 * foreign.data[:, :-1].nbytes
+        assert "modes" not in vars(dec)
+        # the full-space formula, on a decomposition of its own
+        _, other = kr.decompose(matrix)
+        idx = list(model.selected)
+        x = foreign.data[:, :-1]
+        coef = other.amplitudes[idx, None] * other.lambdas[idx, None] ** np.arange(40)
+        direct = np.linalg.norm(x - (other.modes[:, idx] @ coef).real) / np.linalg.norm(x)
+        assert err == pytest.approx(direct, rel=1e-9)
 
     def test_modes_formed_once_when_read(self, matrix):
         _, dec = kr.decompose(matrix)
@@ -396,11 +408,6 @@ class TestModesOnDemand:
         direct = (modes[:, idx] @ (dec.amplitudes[idx] * dec.lambdas[idx] ** 6)).real
         got = kr.reconstruct(dec, idx, 7)
         assert np.max(np.abs(got - direct)) <= 1e-10 * np.max(np.abs(direct))
-
-    def test_hand_built_needs_modes_or_their_factors(self):
-        lam = np.array([0.5 + 0j])
-        with pytest.raises(ValueError, match="needs its modes"):
-            DmdDecomposition(lam, np.log(lam), None, 1.0)
 
 
 def window_matrix(rows, dt=0.5):
@@ -440,7 +447,7 @@ class TestDecompositionStore:
         assert again is m and stored.dt == m.dt
         self.assert_same(stored, dec)
         assert dmd._same_view(stored.v0, m.data[:, :-1])
-        assert stored._modes is None
+        assert "modes" not in vars(stored)
         model, cold = (kr.select_leading_modes(m, d, 1e-3) for d in (stored, dec))
         assert model.selected == cold.selected
         assert np.array_equal(kr.reconstruct(stored, model.selected, 5),

@@ -4,7 +4,9 @@ The functions prefixed ``old_`` are the explicit-Q fit that the R-only
 QR of [V0 | u_N] replaced, copied verbatim apart from their names and
 docstrings: LAPACK forms Q, the fit reads Q^T u_N from it, and the
 residual is a second pass over V0.  ``old_compute_amplitudes`` is the
-amplitude solve of that version, which called the same ``_qr_solve``.
+amplitude solve of that version, which called the same ``_qr_solve``;
+it returns a copy of the frozen decomposition with its amplitudes
+instead of storing them on it.
 Tolerances on the desk channel: coefficients 1e-9 of the largest one,
 residual norm 1e-9 relative, R 1e-12 of max|R|, eigenvalues 1e-9 of
 max|lambda|, selection exact, achieved error 1e-9 relative.  The two
@@ -13,6 +15,12 @@ order: eigenvalues are matched to their nearest counterpart, and a
 selection is compared as the eigenvalues it selects.  (Coefficients a
 thousandth of the largest move by up to 2e-8 of their own size; both
 fits are rounding-level.)
+
+``old_coordinate_amplitudes`` is the public ``compute_amplitudes``
+that ``eigendecompose`` absorbed, verbatim apart from its name, its
+docstring and the line that stored the amplitudes on the decomposition
+(which is now frozen).  The amplitudes ``eigendecompose`` returns must equal
+its result bit for bit.
 
 ``old_form_modes`` is the mode formation of ``eigendecompose`` before
 the modes were formed on demand, also verbatim: the complex product
@@ -44,7 +52,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import koopmanrom as kr
-from koopmanrom.dmd import CompanionFit, conjugate_groups
+from koopmanrom.dmd import CompanionFit, _qr_solve, conjugate_groups
 from koopmanrom.errors import EigenFailure, RankDeficient
 
 from conftest import (lead_rotation, make_modal_data, matrix_from_array, normwise_dev,
@@ -93,8 +101,27 @@ def old_compute_amplitudes(dec, matrix):
     j, k = pairs[exact].T
     a[j] = 0.5 * (a[j] + a[k].conj())
     a[k] = a[j].conj()
-    dec.amplitudes = a
+    return dataclasses.replace(dec, amplitudes=a)
+
+
+# --- the amplitude solve before eigendecompose returned it, verbatim ---
+
+def old_coordinate_amplitudes(dec, matrix):
+    t, b = dec.coordinates(matrix.data[:, :-1])
+    a, _, _ = _qr_solve(np.column_stack([b, t[:, 0]]), what="mode matrix")
+    pairs = np.array([g for g in conjugate_groups(dec.lambdas) if len(g) == 2],
+                     dtype=int).reshape(-1, 2)
+    exact = np.all(b[:, pairs[:, 1]] == b[:, pairs[:, 0]].conj(), axis=0)
+    j, k = pairs[exact].T
+    a[j] = 0.5 * (a[j] + a[k].conj())
+    a[k] = a[j].conj()
     return a
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_amplitudes_match_compute_amplitudes(desk_data, name):
+    used, dec = kr.decompose(desk_data[name])
+    assert np.array_equal(dec.amplitudes, old_coordinate_amplitudes(dec, used))
 
 
 # --- mode formation before the modes were formed on demand, verbatim ---
@@ -152,9 +179,8 @@ def fits(desk_data):
         pair = kr.split(matrix)
         new_fit, old_fit = kr.fit_companion(pair), old_fit_companion(pair)
         new_dec = kr.eigendecompose(new_fit, pair, matrix.dt)
-        kr.compute_amplitudes(new_dec, matrix)
-        old_dec = kr.eigendecompose(old_fit, pair, matrix.dt)
-        old_compute_amplitudes(old_dec, matrix)
+        old_dec = old_compute_amplitudes(kr.eigendecompose(old_fit, pair, matrix.dt),
+                                         matrix)
         out[name] = (matrix, new_fit, old_fit,
                      kr.select_leading_modes(matrix, new_dec, EPSILON),
                      kr.select_leading_modes(matrix, old_dec, EPSILON),
@@ -250,6 +276,13 @@ def test_power_of_two_scaling_is_exact(matrix, power):
 @given(modal_matrices())
 def test_modes_match_formation_on_spectra(matrix):
     assert_modes_match_formation(matrix)
+
+
+@SPECTRA
+@given(modal_matrices())
+def test_amplitudes_match_compute_amplitudes_on_spectra(matrix):
+    used, dec = kr.decompose(matrix)
+    assert np.array_equal(dec.amplitudes, old_coordinate_amplitudes(dec, used))
 
 
 # --- companion spectra with repeated roots ---

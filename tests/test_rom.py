@@ -1,39 +1,43 @@
 """Mode weights, relative error and greedy leading-mode selection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import koopmanrom as kr
-from koopmanrom.dmd import DmdDecomposition
-from koopmanrom.errors import ZeroNormData
+from koopmanrom.errors import IndexOutOfRange, ZeroNormData
 from koopmanrom.rom import RomModel
 
 from conftest import decompose, make_modal_data, matrix_from_array, traced_peak
 
 
-def manual_dec(lambdas, amplitudes, modes, dt=1.0):
+def with_spectrum(lambdas, amplitudes, dt=1.0):
+    """A real decomposition of random data with as many modes as
+    ``lambdas``, given those eigenvalues and amplitudes."""
     lam = np.asarray(lambdas, complex)
+    rows = np.random.default_rng(lam.size).standard_normal((4, lam.size + 1))
+    m = matrix_from_array(rows)
     with np.errstate(divide="ignore", invalid="ignore"):
         exps = np.log(lam) / dt
-    return DmdDecomposition(lambdas=lam, exponents=exps,
-                            modes=np.asarray(modes, complex), dt=dt,
-                            amplitudes=np.asarray(amplitudes, complex))
+    return replace(decompose(m), lambdas=lam, exponents=exps, dt=dt,
+                   amplitudes=np.asarray(amplitudes, complex))
 
 
 class TestModeWeights:
     def test_unit_amplitude_unit_eigenvalue(self):
-        dec = manual_dec([1.0], [1.0], np.ones((4, 1)) / 2.0, dt=1.0)
+        dec = with_spectrum([1.0], [1.0], dt=1.0)
         (w,) = kr.mode_weights(dec, 3, 1.0)
         assert w.mode_index == 0
         assert w.weight == pytest.approx(3.0, rel=1e-15)
 
     def test_growing_eigenvalue_brute_sum(self):
-        dec = manual_dec([2.0], [1.0], np.ones((4, 1)) / 2.0, dt=0.5)
+        dec = with_spectrum([2.0], [1.0], dt=0.5)
         (w,) = kr.mode_weights(dec, 3, 0.5)
         assert w.weight == pytest.approx(3.5, rel=1e-15)  # 0.5 * (1 + 2 + 4)
 
     def test_zero_amplitude_zero_weight(self):
-        dec = manual_dec([5.0, 0.3], [0.0, 1.0], np.ones((4, 2)) / 2.0, dt=1.0)
+        dec = with_spectrum([5.0, 0.3], [0.0, 1.0], dt=1.0)
         weights = kr.mode_weights(dec, 6, 1.0)
         assert weights[0].weight == 0.0
         assert weights[1].weight > 0.0
@@ -77,15 +81,14 @@ class TestRelativeError:
         rng = np.random.default_rng(4)
         data = rng.standard_normal((20, 6))
         m = matrix_from_array(data)
-        dec = decompose(m)
-        dec.amplitudes = np.zeros_like(dec.amplitudes)
+        dec = replace(decompose(m), amplitudes=np.zeros(5, complex))
         assert kr.relative_error(m, dec, range(5)) == pytest.approx(1.0, rel=1e-15)
 
     def test_zero_reference_rejected(self):
-        m = matrix_from_array(np.zeros((8, 4)))
-        dec = manual_dec([1.0], [0.0], np.ones((8, 1)))
+        # the errors of a zero matrix other than the decomposed one
+        dec = decompose(matrix_from_array(np.random.default_rng(4).standard_normal((8, 4))))
         with pytest.raises(ZeroNormData):
-            kr.relative_error(m, dec, [0])
+            kr.relative_error(matrix_from_array(np.zeros((8, 4))), dec, [0])
 
     def test_per_time_errors_align_with_aggregate(self):
         rng = np.random.default_rng(5)
@@ -98,6 +101,26 @@ class TestRelativeError:
         agg = kr.relative_error(m, dec, subset)
         assert agg <= np.max(per) + 1e-15
         assert agg >= np.min(per) - 1e-15
+
+
+MODE_SUBSET_CALLS = {
+    "reconstruct": lambda matrix, dec, subset: kr.reconstruct(dec, subset, 1),
+    "relative_error": kr.relative_error,
+    "per_time_errors": kr.per_time_errors,
+}
+
+
+@pytest.mark.parametrize("call", MODE_SUBSET_CALLS)
+@pytest.mark.parametrize("subset", [[-1], ["m"], [0, 0]], ids=["-1", "m", "0,0"])
+def test_mode_subset_of_distinct_modes_in_range(call, subset):
+    """Every function that takes a mode subset rejects an index outside
+    [0, m) or one named twice, rather than wrapping or repeating it."""
+    m = matrix_from_array(np.random.default_rng(17).standard_normal((20, 6)))
+    dec = decompose(m)
+    n_modes = dec.lambdas.shape[0]
+    subset = [n_modes if j == "m" else j for j in subset]
+    with pytest.raises(IndexOutOfRange, match=rf"distinct and in \[0, {n_modes}\)"):
+        MODE_SUBSET_CALLS[call](m, dec, subset)
 
 
 class TestSelection:

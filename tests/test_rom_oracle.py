@@ -14,7 +14,10 @@ per-time errors 1e-6 relative entry by entry, amplitudes and weights
 1e-9 relative to the largest one, modes 1e-8 absolute, reconstructed
 snapshots 1e-10 of their largest entry.  (Amplitudes a millionth of the largest move
 by up to 1e-7 of their own size between the two solves: both are
-rounding, at a mode-matrix condition number near 100.)
+rounding, at a mode-matrix condition number near 100.)  A decomposition
+is frozen and has no hand-built form, so ``old_eigendecompose`` returns
+a namespace of the same fields, on which ``old_compute_amplitudes``
+stores the amplitudes as it did.
 
 ``old_residuals`` is the coordinate residual kernel before it applied
 each mode as one real rank-2 product: two rank-one BLAS updates per
@@ -25,6 +28,7 @@ errors within 1e-11 relative entry by entry (measured on desk h/u/v:
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,7 +37,6 @@ from scipy.linalg.blas import dger
 
 import koopmanrom as kr
 from koopmanrom import rom
-from koopmanrom.dmd import DmdDecomposition
 from koopmanrom.errors import EigenFailure, RankDeficient, ZeroNormData
 from koopmanrom.rom import ModeWeight, RomModel
 
@@ -76,7 +79,7 @@ def old_eigendecompose(fit, pair, dt):
     modes = modes * (np.abs(lead) / lead)
     with np.errstate(divide="ignore", invalid="ignore"):
         exponents = np.log(lambdas) / dt
-    return DmdDecomposition(lambdas=lambdas, exponents=exponents, modes=modes, dt=dt)
+    return SimpleNamespace(lambdas=lambdas, exponents=exponents, modes=modes, dt=dt)
 
 
 def old_compute_amplitudes(dec, matrix):
@@ -235,7 +238,6 @@ def both_paths(desk_data):
         pair = kr.split(matrix)
         fit = kr.fit_companion(pair)
         new = kr.eigendecompose(fit, pair, matrix.dt)
-        kr.compute_amplitudes(new, matrix)
         old = old_eigendecompose(fit, pair, matrix.dt)
         old_compute_amplitudes(old, matrix)
         out[name] = (matrix, new, kr.select_leading_modes(matrix, new, EPSILON),
@@ -265,22 +267,6 @@ def test_selection_matches(both_paths, name):
                    old_per_time_errors(matrix, old, ref.selected)) <= 1e-6
 
 
-@pytest.mark.parametrize("name", FIELDS)
-def test_decomposition_without_coordinates(both_paths, name):
-    """A decomposition without stored coordinates takes them from one QR
-    of [V0 | Re Phi | Im Phi]; the results still match the full space."""
-    matrix, new, model, old, ref = both_paths[name]
-    bare = dataclasses.replace(new, amplitudes=None, v0=None, r=None, mode_coords=None)
-    kr.compute_amplitudes(bare, matrix)
-    rot = lead_rotation(bare.modes, old.modes)
-    assert normwise_dev(bare.amplitudes / rot, old.amplitudes) <= 1e-9
-    subset = model.selected
-    assert rel_dev(kr.relative_error(matrix, bare, subset),
-                   old_relative_error(matrix, old, subset)) <= 1e-9
-    assert rel_dev(kr.per_time_errors(matrix, bare, subset),
-                   old_per_time_errors(matrix, old, subset)) <= 1e-6
-
-
 def test_foreign_matrix(both_paths):
     """Errors of a matrix other than the decomposed one go through the
     QR of [V0 | Re Phi | Im Phi] and match the full-space formulas on the
@@ -305,35 +291,6 @@ def test_reconstruct_matches(both_paths, name):
         want = old_reconstruct(old, ref.selected, i)
         got = kr.reconstruct(new, model.selected, i)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-
-
-def test_hand_built_decomposition(both_paths):
-    """DmdDecomposition(lambdas, exponents, modes, dt) keeps the modes it
-    is given; amplitudes, selection, reconstruction and the errors of a
-    foreign matrix all run through them and match the full space."""
-    matrix, _, _, old, ref = both_paths["h"]
-    modes = old.modes
-    hand = DmdDecomposition(old.lambdas, old.exponents, modes, old.dt)
-    assert hand.modes is modes
-    kr.compute_amplitudes(hand, matrix)
-    assert normwise_dev(hand.amplitudes, old.amplitudes) <= 1e-9
-    model = kr.select_leading_modes(matrix, hand, EPSILON)
-    assert model.selected == ref.selected
-    assert rel_dev(model.achieved_error, ref.achieved_error) <= 1e-9
-    for i in (1, 73, matrix.n_snapshots - 1):
-        want = old_reconstruct(old, ref.selected, i)
-        got = kr.reconstruct(hand, model.selected, i)
-        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-    rng = np.random.default_rng(1)
-    data = matrix.data * (1.0 + 1e-3 * rng.standard_normal(matrix.data.shape))
-    foreign = dataclasses.replace(matrix, data=data)
-    t, b = hand.coordinates(foreign.data[:, :-1])
-    # one QR of [V0 | Re Phi | Im Phi]: T and B have Nt + 2m rows
-    assert t.shape[1] == matrix.n_snapshots - 1 and b.shape[1] == modes.shape[1]
-    assert t.shape[0] == b.shape[0] == t.shape[1] + 2 * b.shape[1]
-    assert rel_dev(kr.relative_error(foreign, hand, model.selected),
-                   old_relative_error(foreign, old, ref.selected)) <= 1e-9
-    assert hand.modes is modes
 
 
 @pytest.mark.parametrize("name", FIELDS)
