@@ -7,7 +7,16 @@
  * (-ffp-contract=off) and without -ffast-math gives bit-identical
  * results.  Where numpy runs a formula as a chain of whole-block passes,
  * each loop here evaluates the whole chain for one element; the
- * intermediate values and their rounding are the same.
+ * intermediate values and their rounding are the same.  -fno-math-errno
+ * lets sqrt vectorise: it is correctly rounded either way, and the depth
+ * check has made every argument positive.
+ *
+ * Two entries compile the same inlined body: lw_step for the target's
+ * baseline instruction set (SSE2 on x86-64) and, on x86, lw_step_avx2
+ * for AVX2, which runs twice as many doubles per instruction.  No entry
+ * enables FMA, so both give the same bits.  The loader binds
+ * lw_step_avx2 where lw_has_avx2() says the CPU can run it, so a cached
+ * library is safe on any x86-64 machine.
  *
  * Layout (see swe._Workspace): each variable is a C-contiguous block of
  * ny rows of e = nx + 1 values, n = ny * e, with periodic halo columns 0
@@ -41,35 +50,56 @@ typedef struct {
     const double *my_g;         /* (g Hx, g Hy) at y faces, blocks of n - e */
 } lw_work;
 
-/* (h, u, v) from (h, uh, vh) for k in [lo, hi), v = 0 on a wall row;
- * returns the largest of smax and the |u| + |v| + sqrt(g h), setting
- * *seen_nan when any of these is NaN. */
-static inline double recover(long lo, long hi, int wall, double g,
-                             const double *restrict qh, const double *restrict quh,
-                             const double *restrict qvh, double *restrict h,
-                             double *restrict u, double *restrict v, double smax, int *seen_nan)
+/* The kernel's functions are inlined into each entry below, so each
+ * entry compiles the whole step for its own instruction set. */
+#define LW_INLINE static inline __attribute__((always_inline))
+
+/* (h, u, v) from (h, uh, vh) for k in [lo, hi), v = 0 on a wall row, and
+ * |u| + |v| + sqrt(g h) into s. */
+LW_INLINE void recover(long lo, long hi, int wall, double g,
+                       const double *restrict qh, const double *restrict quh,
+                       const double *restrict qvh, double *restrict h,
+                       double *restrict u, double *restrict v, double *restrict s)
 {
-    int any_nan = 0;
     #pragma GCC ivdep
     for (long k = lo; k < hi; k++) {
         const double hk = qh[k], uk = quh[k] / hk, vk = wall ? 0.0 : qvh[k] / hk;
-        const double s = fabs(uk) + fabs(vk) + sqrt(hk * g);
         h[k] = hk;
         u[k] = uk;
         v[k] = vk;
-        any_nan |= s != s;
-        smax = s > smax ? s : smax;
+        s[k] = fabs(uk) + fabs(vk) + sqrt(hk * g);
     }
-    *seen_nan |= any_nan;
-    return smax;
 }
 
-/* Advance w->p one step of length dt.  Returns 0 with the next signal
- * speed max(|u| + |v| + sqrt(g h)) in *speed (NaN if any term is NaN)
- * and the new (h, u, v), v = 0 on the walls, in w->p.  Returns 1 when
- * the new depth is not finite and positive everywhere; w->q then holds
- * the new conserved state, halo refreshed, and w->p is unchanged. */
-int lw_step(const lw_work *w, double dt, double *speed)
+/* max(s[0], ..., s[n - 1], 0), or NaN when any s[k] is NaN, in a pass of
+ * its own so that the recovery loops vectorise.  LANES independent
+ * running maxima and NaN flags split the one long dependency chain; the
+ * maximum is exact, so the order it is taken in does not matter. */
+#define LANES 4
+LW_INLINE double max_or_nan(long n, const double *restrict s)
+{
+    double top[LANES] = {0.0};
+    long bad[LANES] = {0};
+    long k = 0;
+    for (; k + LANES <= n; k += LANES)
+        for (int j = 0; j < LANES; j++) {
+            const double x = s[k + j];
+            bad[j] |= x != x;
+            top[j] = x > top[j] ? x : top[j];
+        }
+    for (; k < n; k++) {
+        bad[0] |= s[k] != s[k];
+        top[0] = s[k] > top[0] ? s[k] : top[0];
+    }
+    for (int j = 1; j < LANES; j++) {
+        bad[0] |= bad[j];
+        top[0] = top[j] > top[0] ? top[j] : top[0];
+    }
+    return bad[0] ? NAN : top[0];
+}
+
+/* The body of both step entries below. */
+LW_INLINE int step(const lw_work *w, double dt, double *speed)
 {
     const long e = w->e, n = w->ny * w->e, nx1 = n - 1, ny1 = n - e;
     const double g = w->g, dx = w->dx, dy = w->dy;
@@ -240,11 +270,39 @@ int lw_step(const lw_work *w, double dt, double *speed)
     if (bad)
         return 1;
 
-    /* velocity recovery, v = 0 on the walls, and the next signal speed */
-    int seen_nan = 0;
-    double smax = recover(0, e, 1, g, q0, q1, q2, h, u, v, 0.0, &seen_nan);
-    smax = recover(e, n - e, 0, g, q0, q1, q2, h, u, v, smax, &seen_nan);
-    smax = recover(n - e, n, 1, g, q0, q1, q2, h, u, v, smax, &seen_nan);
-    *speed = seen_nan ? NAN : smax;
+    /* velocity recovery, v = 0 on the walls, and the next signal speed;
+     * the speeds go to Fx, whose gradients are no longer read */
+    recover(0, e, 1, g, q0, q1, q2, h, u, v, Fx0);
+    recover(e, n - e, 0, g, q0, q1, q2, h, u, v, Fx0);
+    recover(n - e, n, 1, g, q0, q1, q2, h, u, v, Fx0);
+    *speed = max_or_nan(n, Fx0);
     return 0;
 }
+
+/* Advance w->p one step of length dt.  Returns 0 with the next signal
+ * speed max(|u| + |v| + sqrt(g h)) in *speed (NaN if any term is NaN)
+ * and the new (h, u, v), v = 0 on the walls, in w->p.  Returns 1 when
+ * the new depth is not finite and positive everywhere; w->q then holds
+ * the new conserved state, halo refreshed, and w->p is unchanged.
+ * lw_step is built for the baseline instruction set of the target. */
+int lw_step(const lw_work *w, double dt, double *speed)
+{
+    return step(w, dt, speed);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+/* Whether the CPU (and the OS) can run lw_step_avx2. */
+int lw_has_avx2(void)
+{
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+}
+
+/* lw_step built for AVX2: wider vectors, the same operations in the same
+ * order, so the same bits. */
+__attribute__((target("avx2")))
+int lw_step_avx2(const lw_work *w, double dt, double *speed)
+{
+    return step(w, dt, speed);
+}
+#endif

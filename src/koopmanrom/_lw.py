@@ -1,19 +1,27 @@
 """Build, cache and bind the compiled solver sub-step in ``_lw.c``.
 
-``load()`` returns a :class:`Kernel` around the ``lw_step`` function of
-a shared library built from ``_lw.c``, or None when no library can be
-built or loaded.  The library is built with the C compiler ``cc`` and
-fixed flags: ``-O3`` with FMA contraction off and no fast-math, so every
-floating-point operation rounds as numpy's does.  It is kept in
+``load()`` returns a :class:`Kernel` around one step entry of a shared
+library built from ``_lw.c``, or None when no library can be built or
+loaded.  The library has two entries compiled from the same source:
+``lw_step_avx2``, for x86 CPUs with AVX2, and the portable ``lw_step``.
+The kernel binds ``lw_step_avx2`` when the library's ``lw_has_avx2()``
+says the CPU can run it, and ``lw_step`` otherwise (on other machines
+the library has no AVX2 entry), so one cached library serves every
+x86-64 machine that shares it.  Both entries give the same bits.
+
+The library is built with the C compiler ``cc`` and fixed flags: ``-O3``
+with FMA contraction off, no fast-math and no errno from ``sqrt``, so
+every floating-point operation rounds as numpy's does.  It is kept in
 ``${XDG_CACHE_HOME:-~/.cache}/koopmanrom/`` under a name keyed by the
 sha256 of the source, the flags, ``cc --version`` and the machine, so a
-changed source or compiler builds anew and later processes load the
-cached file.  The name also holds the digest of the library itself, and
-a file whose bytes do not match it is never loaded: a truncated library
-can crash the loader.  A build goes to a temporary file that is renamed
-into place, so concurrent first builds leave one complete library.  A
-cached file that does not match or load is rebuilt; an unwritable cache
-directory gives a build in a per-process temporary directory.
+changed source, flag or compiler builds anew and later processes load
+the cached file.  The name also holds the digest of the library itself,
+and a file whose bytes do not match it is never loaded: a truncated
+library can crash the loader.  A build goes to a temporary file that is
+renamed into place, so concurrent first builds leave one complete
+library.  A cached file that does not match or load is rebuilt; an
+unwritable cache directory gives a build in a per-process temporary
+directory.
 
 Nothing here runs at import of the package: ``swe`` imports this module
 at the first sub-step of a process.
@@ -34,7 +42,7 @@ import numpy as np
 
 _SOURCE = Path(__file__).with_name("_lw.c")
 _CC = "cc"
-_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 _BUILD_TIMEOUT_S = 120
 
 _ARRAYS = ("p", "q", "F", "G", "Fx", "Gy", "Fm", "qmx", "qmy",
@@ -55,10 +63,14 @@ def cache_dir() -> Path:
 
 
 class Kernel:
-    """The loaded ``lw_step``, with its argument types bound once."""
+    """The step entry of a loaded library that this CPU runs fastest,
+    with its argument types bound once; ``entry`` names it."""
 
     def __init__(self, lib: ctypes.CDLL):
-        self._fn = lib.lw_step
+        self.lib = lib
+        has_avx2 = getattr(lib, "lw_has_avx2", None)   # x86 only
+        self.entry = "lw_step_avx2" if has_avx2 is not None and has_avx2() else "lw_step"
+        self._fn = getattr(lib, self.entry)
         self._fn.argtypes = (ctypes.POINTER(_Work), ctypes.c_double,
                              ctypes.POINTER(ctypes.c_double))
         self._fn.restype = ctypes.c_int

@@ -233,7 +233,8 @@ def _read_header(fh, path):
     _, version, tag, flags, nx, ny, nsnap, dt, dx, dy = _HEADER.unpack(head)
     if version != _VERSION:
         raise UnsupportedVersion(f"{path}: version {version}, expected {_VERSION}")
-    if tag > 3 or nx == 0 or ny == 0 or nsnap < 2 or not np.all(np.isfinite((dt, dx, dy))):
+    if (tag > 3 or nx == 0 or ny == 0 or nsnap < 2
+            or not (0.0 < dt < np.inf and 0.0 < dx < np.inf and 0.0 < dy < np.inf)):
         raise CorruptHeader(f"{path}: implausible header (tag={tag}, nx={nx}, "
                             f"ny={ny}, nsnap={nsnap}, dt={dt}, dx={dx}, dy={dy})")
     return tag, flags, nx, ny, nsnap, dt, dx, dy

@@ -47,7 +47,8 @@ def numpy_step(monkeypatch):
 
 @pytest.fixture
 def compiled_step(monkeypatch):
-    """Run the solver on the compiled step of ``_lw.c``; skip only when
+    """Run the solver on the compiled step of ``_lw.c``, on the entry the
+    loader binds (``lw_step_avx2`` on a CPU with AVX2); skip only when
     there is no C compiler to build it."""
     if swe._select_path() != "compiled":
         if shutil.which(_lw._CC) is None:
@@ -56,9 +57,24 @@ def compiled_step(monkeypatch):
     monkeypatch.setattr(swe, "_path", "compiled")
 
 
-@pytest.fixture(params=["numpy", "compiled"])
+@pytest.fixture
+def portable_step(monkeypatch, compiled_step):
+    """Run the solver on the portable entry of ``_lw.c``, ``lw_step``,
+    where the loader binds the AVX2 entry; elsewhere the portable entry
+    is the one ``compiled_step`` runs, and this skips."""
+    lib = swe._kernel.lib
+    if swe._kernel.entry == "lw_step":
+        pytest.skip("the loaded kernel binds the portable entry already")
+    monkeypatch.setattr(lib, "lw_has_avx2", lambda: 0)
+    monkeypatch.setattr(swe, "_kernel", _lw.Kernel(lib))
+    assert swe._kernel.entry == "lw_step"
+    assert swe._compiled_matches_numpy()
+
+
+@pytest.fixture(params=["numpy", "compiled", "portable"])
 def step_path(request):
-    """Each step implementation in turn."""
+    """Each step implementation in turn: numpy, the compiled entry the
+    loader binds, and the portable compiled entry where that differs."""
     request.getfixturevalue(f"{request.param}_step")
     return request.param
 

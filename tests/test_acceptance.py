@@ -261,7 +261,7 @@ def test_serialization_roundtrip(tmp_path):
             if data.size > 1:
                 data.flat[1] = -5e-324
             m = SnapshotMatrix(data=data, nx=nx, ny=ny,
-                               dt=float(rng.standard_normal()),
+                               dt=float(np.abs(rng.standard_normal()) + 0.1),
                                dx=float(np.abs(rng.standard_normal()) + 0.1),
                                dy=float(np.abs(rng.standard_normal()) + 0.1),
                                field_tag=FieldTag(int(rng.integers(0, 4))),

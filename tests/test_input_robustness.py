@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import koopmanrom as kr
 from koopmanrom.cli import _KEYS, ExperimentConfig, main, parse_config
 from koopmanrom.errors import CorruptHeader, NonFiniteData, ToolkitError
-from koopmanrom.snapshots import FieldTag, SnapshotMatrix, load, save
+from koopmanrom.snapshots import FieldTag, KsnpWriter, SnapshotMatrix, load, save
 
 HEADER_BYTES = 52
 NX, NY, NSNAP = 3, 2, 4
@@ -62,6 +62,30 @@ class TestNonFiniteData:
         path.write_bytes(bytes(raw))
         with pytest.raises(CorruptHeader):
             load(path)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, np.inf])
+    @pytest.mark.parametrize("offset", [28, 36, 44], ids=["dt", "dx", "dy"])
+    def test_load_rejects_non_positive_header_float(self, scratch, offset, value):
+        path, valid = scratch
+        raw = bytearray(valid)
+        raw[offset:offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptHeader):
+            load(path)
+
+    @pytest.mark.parametrize("dt", [0.0, -1800.0])
+    def test_rom_on_non_positive_dt_exits_3(self, tmp_path, capsys, dt):
+        rows = np.random.default_rng(0).standard_normal((12, 40))
+        path = tmp_path / "h.ksnp"
+        with KsnpWriter(path, 12, nx=8, ny=5, dt=dt, dx=1.0, dy=1.0,
+                        field_tag=FieldTag.h) as sink:
+            for row in rows:
+                sink.append(row)
+            sink.commit()
+        assert main(["rom", "--out", str(tmp_path / "out"), str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "implausible header" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("out/spectrum_*"))
 
     def test_assemble_rejects_non_finite_field(self):
         grid = kr.Grid(nx=5, ny=4, dx=1.0, dy=1.0)

@@ -306,6 +306,31 @@ class TestSignalSpeed:
         assert np.all(np.isfinite(w.p[0])) and np.isnan(w.p[1, k])
         assert np.isnan(w.signal_speed())
 
+    # (row, flat column) of a 16 x 7 grid, whose blocks hold 7 rows of
+    # 17: the compiled kernel takes the maximum over groups of 4 values,
+    # so flat index 116, at (6, 14), lies past the last whole group
+    @pytest.mark.parametrize("row, col, push", [
+        (0, 1, -1e3), (6, 15, -1e3), (0, 8, -1e3), (6, 14, -1e3), (3, 9, -np.inf)],
+        ids=["first-unique-cell", "last-unique-cell", "wall-row", "past-last-vector",
+             "inf-momentum"])
+    def test_step_speed_is_that_of_the_new_state(self, classic_constants, step_path,
+                                                 row, col, push):
+        grid = kr.Grid.for_channel(16, 7, classic_constants)
+        w = kr.swe._Workspace(classic_constants, grid)
+        w.load(kr.initial_state(classic_constants, grid))
+        # g Hx at one cell reaches only the corrector source of uh there,
+        # so a large negative value gives that cell the largest |u|
+        w.tab.cell[1][0, row * w.width + col] = push
+        speed = w.signal_speed()
+        kr.swe._advance(w, 0.0, 0.5 * min(grid.dx, grid.dy) / speed, speed)
+        u = np.abs(w.p[1].reshape(grid.ny, w.width)[:, 1:-1])   # unique cells
+        assert u[row, col - 1] == u.max() and np.sum(u == u.max()) == 1
+        got = w.signal_speed()
+        want = kr.swe._signal_speed(w.p, classic_constants.gravity,
+                                    *np.empty((2, w.p.shape[1])))
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+        assert (got == np.inf) == (push == -np.inf)
+
 
 class TestSimulateSink:
     class Recorder:

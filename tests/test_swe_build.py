@@ -4,6 +4,7 @@ back to the numpy step when it cannot be had."""
 import contextlib
 import io
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from koopmanrom.cli import main
 SRC = Path(__file__).parents[1] / "src"
 needs_cc = pytest.mark.skipif(shutil.which(_lw._CC) is None,
                               reason=f"no C compiler ({_lw._CC})")
+CPUINFO = Path("/proc/cpuinfo")
 
 HILLY_CFG = """\
 nx = 16
@@ -73,6 +75,29 @@ def test_compiled_output_matches_numpy_byte_for_byte(tmp_path, monkeypatch, comp
     got = simulate(tmp_path, "compiled")
     monkeypatch.setattr(swe, "_path", "numpy")
     assert got == simulate(tmp_path, "numpy")
+
+
+def test_portable_output_matches_numpy_byte_for_byte(tmp_path, monkeypatch, portable_step):
+    test_compiled_output_matches_numpy_byte_for_byte(tmp_path, monkeypatch, None)
+
+
+@needs_cc
+def test_kernel_builds_without_warnings(tmp_path):
+    cc = shutil.which(_lw._CC)
+    build = subprocess.run([cc, *_lw._FLAGS, "-Wall", "-Wextra", "-Werror",
+                            "-o", str(tmp_path / "lw.so"), str(_lw._SOURCE)],
+                           stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                           timeout=_lw._BUILD_TIMEOUT_S)
+    assert build.returncode == 0, build.stderr
+
+
+@needs_cc
+@pytest.mark.skipif(platform.machine() != "x86_64" or not CPUINFO.exists(),
+                    reason="no x86-64 /proc/cpuinfo to read the CPU's flags from")
+def test_kernel_binds_the_avx2_entry_where_the_cpu_has_it():
+    flags = next(line for line in CPUINFO.read_text().splitlines()
+                 if line.startswith("flags")).split()
+    assert _lw.load().entry == ("lw_step_avx2" if "avx2" in flags else "lw_step")
 
 
 @needs_cc
