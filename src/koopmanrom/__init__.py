@@ -9,7 +9,7 @@ leading modes by weight until a relative-error threshold holds
 
 from .dmd import (CompanionFit, DmdDecomposition, decompose, eigendecompose,
                   fit_companion, reconstruct)
-from .rom import (ModeWeight, RomModel, mode_weights, per_time_errors,
+from .rom import (ModeWeight, RomModel, mode_weights, per_time_errors, reduced_model,
                   reduction_percentage, relative_error, select_leading_modes)
 from .snapshots import (FieldTag, KsnpWriter, ShiftedPair, SnapshotMatrix, assemble,
                         export_csv, load, save, split)

@@ -3,9 +3,10 @@
 Reads a flat ``key = value`` config file, runs the solver and the mode
 selection pipeline, and writes KSNP snapshot files plus CSV reports
 (spectrum, per-time errors, summary table, field and vorticity grids).
-Every command that decomposes a field keeps its decomposition in
-``dmd_<field>.npz`` in the output directory and reuses it while the
-field's snapshot bytes are unchanged (``dmd.decompose``).
+Every command that decomposes a field keeps its decomposition and
+selection curve in ``dmd_<field>.npz`` in the output directory and
+reuses them while the field's snapshot bytes are unchanged
+(``rom.reduced_model``).
 
 Exit codes: 0 success, 1 selection did not converge (or decomposition
 failure), 2 solver failure, 3 I/O, config or input-data failure.
@@ -14,6 +15,7 @@ failure), 2 solver failure, 3 I/O, config or input-data failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import sys
 from dataclasses import dataclass, replace
@@ -205,6 +207,9 @@ def cmd_simulate(args) -> int:
                          cfl=cfg.cfl, out=sink)
         except ValueError as exc:
             raise InvalidValue(str(exc)) from exc
+        except MemoryError as exc:
+            raise InvalidValue(f"grid {cfg.nx}x{cfg.ny}: the solver's arrays do not "
+                               "fit in the memory available") from exc
         mass0, mass1 = sink.masses
         drift = (mass1 - mass0) / mass0
         print(f"mass: initial {mass0:.10e}, final {mass1:.10e}, relative drift {drift:.3e}")
@@ -222,14 +227,16 @@ def _dirs(cfg: ExperimentConfig, args) -> tuple[Path, Path]:
     return outdir, Path(args.data) if args.data else outdir
 
 
-def _decompose(matrix: snapshots.SnapshotMatrix, outdir: Path, name: str):
-    """dmd.decompose with the store ``dmd_<name>.npz`` in ``outdir``,
+def _reduce(matrix: snapshots.SnapshotMatrix, outdir: Path, name: str, epsilon: float,
+            time_errors: bool):
+    """rom.reduced_model with the store ``dmd_<name>.npz`` in ``outdir``,
     echoing a rank-deficiency truncation of the window."""
-    used, dec = dmd.decompose(matrix, cache=outdir / f"dmd_{name}.npz")
+    used, dec, model = rom.reduced_model(matrix, epsilon, outdir / f"dmd_{name}.npz",
+                                         time_errors=time_errors)
     if used.n_snapshots < matrix.n_snapshots:
         print(f"rank {used.n_snapshots - 1} < {matrix.n_snapshots - 1}: truncating "
               f"window to the first {used.n_snapshots} snapshots")
-    return used, dec
+    return used, dec, model
 
 
 def _spectrum_rows(dec, model):
@@ -265,8 +272,7 @@ def _rom_field(path: Path, outdir: Path, epsilon: float):
     model outlives the call, so ``rom`` holds one payload at a time."""
     matrix = snapshots.load(path)
     name = matrix.field_tag.name
-    matrix, dec = _decompose(matrix, outdir, name)
-    model = rom.select_leading_modes(matrix, dec, epsilon)
+    matrix, dec, model = _reduce(matrix, outdir, name, epsilon, time_errors=True)
     _write_spectrum(outdir / f"spectrum_{name}.csv", _spectrum_rows(dec, model))
     _write_errors(outdir / f"errors_{name}.csv", matrix, model.time_errors)
     return name, model
@@ -327,8 +333,7 @@ def _reduced_field(matrix: snapshots.SnapshotMatrix, outdir: Path, name: str,
                    epsilon: float, k: int):
     """Decompose ``matrix``, select its leading modes at ``epsilon`` and
     reconstruct snapshot ``k``; returns that (ny, nx) grid and the model."""
-    used, dec = _decompose(matrix, outdir, name)
-    model = rom.select_leading_modes(used, dec, epsilon)
+    _, dec, model = _reduce(matrix, outdir, name, epsilon, time_errors=False)
     rec = dmd.reconstruct(dec, model.selected, k + 1).reshape(matrix.ny, matrix.nx)
     return rec, model
 
@@ -412,27 +417,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the solver and write KSNP snapshots")
     _add_common(p)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("rom", help="decompose snapshots and select leading modes")
     _add_common(p)
     p.add_argument("paths", nargs="*", help="explicit .ksnp inputs")
-    p.set_defaults(func=cmd_rom)
 
     p = sub.add_parser("reconstruct", help="compare a snapshot with its reduced model")
     _add_common(p, with_time=True)
-    p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("vorticity", help="full versus reduced-order vorticity field")
     _add_common(p, with_time=True)
-    p.set_defaults(func=cmd_vorticity)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process: parsing leaves
+    it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up by name at each call, so a wrapper set on the module runs
+    command = globals()[f"cmd_{args.cmd}"]
     try:
-        return args.func(args)
+        return command(args)
     except (CflViolation, NonPositiveDepth) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2

@@ -24,27 +24,15 @@ applies V0 to one Nt-vector.  The Nx x m mode matrix is formed only when
 ``DmdDecomposition.modes`` is read.  A matrix X other than the one
 decomposed gets its coordinates from one real QR of [V0 | X]
 (``DmdDecomposition.coordinates``).  A decomposition is frozen, and
-complete when ``eigendecompose`` returns it.
-
-Decomposition store: ``decompose(matrix, cache=path)`` keeps what
-selection and ``reconstruct`` read (the eigenvalues, exponents,
-amplitudes, R, B, z and the number of snapshots actually decomposed)
-in one ``.npz`` file, keyed by the store format, the shape, the dtype
-and sha256 of the payload row block and the bits of dt.  A
-later call on the same bytes loads it instead of decomposing again; the
-key never reads a path, a size or a modification time.  Anything that
-does not read back as the decomposition of those bytes is a miss, which
-decomposes and overwrites the file.
+complete when ``eigendecompose`` returns it.  The store that keeps a
+decomposition on disk, with its selection curve, belongs to ``rom``
+(``rom.reduced_model``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import struct
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -59,9 +47,6 @@ _RANK_RTOL = 1e-12
 # smallest data norm whose machine-precision residual, 2**-52 of it, still
 # has a normal square: (2**-459 * 2**-52)**2 = 2**-1022
 _NORM_MIN = 2.0 ** -459
-# decomposition store: format version (part of the key) and the arrays kept
-_STORE_VERSION = 3
-_STORE_ARRAYS = ("lambdas", "exponents", "amplitudes", "r", "mode_coords", "z")
 
 
 @dataclass(frozen=True)
@@ -236,78 +221,7 @@ def _amplitudes(r: np.ndarray, b: np.ndarray, lambdas: np.ndarray) -> np.ndarray
     return a
 
 
-def _store_key(matrix: SnapshotMatrix) -> str:
-    """The store key of ``matrix``: format version, dtype and shape of its
-    payload row block, the bits of dt and the sha256 of the rows.
-
-    The rows are hashed in place through the buffer protocol, the whole
-    block at once in the ``assemble``/``load`` layout, else one snapshot
-    at a time, so no payload is copied.
-    """
-    rows = matrix.data.T
-    digest = hashlib.sha256()
-    if rows.flags.c_contiguous:
-        digest.update(rows)
-    else:
-        for row in rows:
-            digest.update(np.ascontiguousarray(row))
-    dt_bits = struct.pack("<d", matrix.dt).hex()
-    return (f"koopmanrom-dmd {_STORE_VERSION} {rows.dtype.str} "
-            f"{rows.shape[0]}x{rows.shape[1]} {dt_bits} {digest.hexdigest()}")
-
-
-def _load_store(path, key: str, matrix: SnapshotMatrix):
-    """The (matrix, decomposition) stored at ``path`` under ``key``, or
-    None when the file is missing, unreadable, foreign, stale or
-    malformed."""
-    nsnap = matrix.n_snapshots
-    try:
-        with np.load(path, allow_pickle=False) as store:
-            # members no larger than an nsnap x nsnap complex array each
-            if sum(info.file_size for info in store.zip.infolist()) > \
-                    (len(_STORE_ARRAYS) + 2) * (16 * nsnap * nsnap + 1024):
-                return None
-            if str(store["key"]) != key:
-                return None
-            n = store["n_snapshots"]
-            if n.shape != () or n.dtype.kind not in "iu" or not 2 <= n <= nsnap:
-                return None
-            n = int(n)
-            arrays = {name: store[name] for name in _STORE_ARRAYS}
-    except Exception:  # a store that does not read back is a miss, never an error
-        return None
-    nt = n - 1
-    for name, a in arrays.items():
-        allowed = (np.float64,) if name == "r" else (np.float64, np.complex128)
-        shape = (nt, nt) if name in ("r", "mode_coords", "z") else (nt,)
-        if a.dtype not in allowed or a.shape != shape:
-            return None
-    if n < nsnap:
-        matrix = replace(matrix, data=matrix.data[:, :n])
-    return matrix, DmdDecomposition(dt=matrix.dt, v0=snapshots.split(matrix).v0,
-                                    **arrays)
-
-
-def _save_store(path, key: str, matrix: SnapshotMatrix, dec: DmdDecomposition) -> None:
-    """Write the store of ``dec`` to ``path`` atomically: a temporary file
-    beside it, renamed over it once complete.  A store that cannot be
-    written is skipped; the next call then decomposes again."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    try:
-        try:
-            with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
-                np.savez(fh, key=np.array(key), n_snapshots=np.array(matrix.n_snapshots),
-                         **{name: getattr(dec, name) for name in _STORE_ARRAYS})
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-    except OSError:
-        pass
-
-
-def decompose(matrix: SnapshotMatrix,
-              cache=None) -> tuple[SnapshotMatrix, DmdDecomposition]:
+def decompose(matrix: SnapshotMatrix) -> tuple[SnapshotMatrix, DmdDecomposition]:
     """Fit, eigendecompose and project the amplitudes of ``matrix``.
 
     Data whose 2-norm overflows, or non-zero data whose 2-norm is below
@@ -317,19 +231,7 @@ def decompose(matrix: SnapshotMatrix,
     RankDeficient propagates naming that window, and r = 0 raises
     ZeroNormData.  Returns the matrix actually decomposed, shorter than
     ``matrix`` after a truncation, and its decomposition.
-
-    ``cache``, when given, is the path of a decomposition store (module
-    docstring).  If it holds the decomposition of the same bytes, that is
-    returned, with ``v0`` a view of ``matrix`` and no modes formed;
-    otherwise the matrix is decomposed and the store written there.  A
-    decomposition that raises writes nothing.  Deleting the file forces
-    a recompute.
     """
-    if cache is not None:
-        key = _store_key(matrix)
-        stored = _load_store(cache, key, matrix)
-        if stored is not None:
-            return stored
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(matrix.data)
     if not np.isfinite(norm):
@@ -354,10 +256,7 @@ def decompose(matrix: SnapshotMatrix,
             raise RankDeficient(again.rank, again.n_columns,
                                 what=f"V0 of the window truncated to the first "
                                      f"{exc.rank + 1} snapshots") from exc
-    dec = eigendecompose(fit, pair, matrix.dt)
-    if cache is not None:
-        _save_store(cache, key, matrix, dec)
-    return matrix, dec
+    return matrix, eigendecompose(fit, pair, matrix.dt)
 
 
 def reconstruct(dec: DmdDecomposition, subset: Sequence[int], i: int) -> np.ndarray:

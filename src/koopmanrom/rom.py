@@ -13,19 +13,68 @@ full-space residual.  The reference norms are those of T, the snapshot
 coordinates (R for the decomposed window, else from one QR of [V0 | X]),
 so no error forms the mode matrix or an Nx x Nt temporary.  A mode
 subset must name distinct modes (IndexOutOfRange otherwise).
+
+Selection curve: one ``_residuals`` pass over every conjugate group in
+admission order gives the aggregate error after each group.  The
+selection at any epsilon is the first prefix whose error is at most
+epsilon, the same floats and the same comparison as a loop that stops
+there, so a curve computed once serves every threshold.
+
+Decomposition store: ``reduced_model(matrix, epsilon, store)`` keeps a
+field's decomposition and its selection curve in one file at ``store``
+and reads it back while the snapshot bytes are unchanged, so a later
+selection at any epsilon runs no residual pass and no Vandermonde.  The
+file (format 4) is flat, not a zip: a fixed header (magic, format,
+key length, decomposed snapshots n, conjugate groups g), a table of
+(dtype, offset, length) per array, the key, then the raw little-endian
+arrays at 64-byte aligned offsets: the eigenvalues, exponents,
+amplitudes, R, B and z of ``dmd.DmdDecomposition``, the mode weights,
+the modes in admission order, the size of each group and the curve.
+It is read whole with one ``readinto`` into a buffer of its checked
+size, and the arrays are views of that buffer; nothing is unpickled.
+The key is the store format, the dtype and shape of the payload row
+block, the bits of dt and the sha256 of its rows; a path, a size or a
+modification time never enters it.  Anything that does not read back as
+the decomposition of those bytes (unreadable, foreign, stale, truncated,
+oversized, or an array of the wrong shape, dtype or extent) is a miss,
+which decomposes again and overwrites the file atomically.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import dataclass
+import os
+import struct
+from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from . import dmd
+from . import dmd, snapshots
 from .errors import ZeroNormData
 from .snapshots import SnapshotMatrix
+
+# decomposition store (module docstring): format version, also part of
+# the key, header, one table entry per array, and each array's extent
+# ("mode": one entry per mode, "square": Nt x Nt, "group": one entry per
+# conjugate group) with the dtypes it may have
+_STORE_VERSION = 4
+_STORE_MAGIC = b"KROMDMD\0"
+_STORE_HEAD = struct.Struct("<8s4I")    # magic, format, key bytes, n, g
+_STORE_ENTRY = struct.Struct("<4s2Q")   # dtype, offset, length in bytes
+_STORE_ALIGN = 64
+_EITHER = ("<f8", "<c16")
+_STORE_ARRAYS = {
+    "lambdas": ("mode", _EITHER), "exponents": ("mode", _EITHER),
+    "amplitudes": ("mode", _EITHER), "r": ("square", ("<f8",)),
+    "mode_coords": ("square", _EITHER), "z": ("square", _EITHER),
+    "weights": ("mode", ("<f8",)), "admitted": ("mode", ("<i8",)),
+    "group_sizes": ("group", ("<i8",)), "curve": ("group", ("<f8",)),
+}
+_DEC_ARRAYS = ("lambdas", "exponents", "amplitudes", "r", "mode_coords", "z")
+_STORE_TABLE_END = _STORE_HEAD.size + len(_STORE_ARRAYS) * _STORE_ENTRY.size
 
 
 @dataclass(frozen=True)
@@ -42,10 +91,11 @@ class RomModel:
     adjacent); ``converged`` is False when no prefix reached epsilon, in
     which case all modes are selected and achieved_error is the best
     (full-set) error.  ``weights`` holds the weight of every mode of the
-    decomposition, by mode index, and ``order`` its conjugate groups in
-    admission order.  ``time_errors`` holds the relative error of each
-    reconstructed snapshot under the selection, what ``per_time_errors``
-    returns for ``selected``, taken from the selection's own residual.
+    decomposition, by mode index, ``order`` its conjugate groups in
+    admission order and ``curve`` the aggregate relative error after
+    each group of ``order`` is admitted.  ``time_errors`` holds the
+    relative error of each reconstructed snapshot under the selection,
+    what ``per_time_errors`` returns for ``selected``.
     """
 
     selected: tuple[int, ...]
@@ -59,6 +109,7 @@ class RomModel:
     weights: Optional[np.ndarray] = None
     order: tuple[tuple[int, ...], ...] = ()
     time_errors: Optional[np.ndarray] = None
+    curve: Optional[np.ndarray] = None
 
 
 def mode_weights(dec: dmd.DmdDecomposition, n_steps: int, dt: float) -> list[ModeWeight]:
@@ -160,6 +211,11 @@ def _selection_order(dec: dmd.DmdDecomposition, weights: np.ndarray) -> list[lis
     return sorted(groups, key=key)
 
 
+def _require_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+
+
 def select_leading_modes(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
                          epsilon: float) -> RomModel:
     """Admit whole conjugate groups in descending weight order until the
@@ -169,28 +225,42 @@ def select_leading_modes(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
     if none does, returns all modes flagged as not converged with the
     best error achieved.  The error of each prefix is exactly what
     ``relative_error`` reports for it, and ``time_errors`` is exactly
-    what ``per_time_errors`` reports for the selection.
+    what ``per_time_errors`` reports for the selection.  The one residual
+    pass runs over every group, so the model carries the whole selection
+    curve; the per-time errors are taken from that pass where the curve
+    first reaches epsilon.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-
+    _require_epsilon(epsilon)
     weights = np.array([mw.weight for mw in
                         mode_weights(dec, matrix.n_snapshots - 1, dec.dt)])
     order = _selection_order(dec, weights)
     t, b = dec.coordinates(_reconstruction_span(matrix))
     ref = _reference_norm(t)
 
-    selected: list[int] = []
-    achieved = 1.0  # the empty reconstruction
-    for group, res in zip(order, _residuals(t, b, dec, order)):
-        selected.extend(group)
-        achieved = float(np.linalg.norm(res) / ref)
-        if achieved <= epsilon:
-            break
+    curve = np.empty(len(order))
+    time_errors = None
+    for k, res in enumerate(_residuals(t, b, dec, order)):
+        curve[k] = np.linalg.norm(res) / ref
+        if time_errors is None and curve[k] <= epsilon:
+            time_errors = _column_errors(res, t)
+    if time_errors is None:  # not converged: the errors of the full set
+        time_errors = _column_errors(res, t)
+    return _select(dec, weights, tuple(tuple(group) for group in order), curve,
+                   epsilon, time_errors)
 
+
+def _select(dec: dmd.DmdDecomposition, weights: np.ndarray, order, curve: np.ndarray,
+            epsilon: float, time_errors=None) -> RomModel:
+    """The model at ``epsilon`` on the selection curve ``curve`` of
+    ``order``: its first prefix whose error is at most epsilon, else
+    every group, not converged."""
+    reached = np.flatnonzero(curve <= epsilon)
+    count = int(reached[0]) + 1 if reached.size else len(order)
+    selected = tuple(j for group in order[:count] for j in group)
+    achieved = float(curve[count - 1])
     sel_arr = np.asarray(selected, dtype=int)
     return RomModel(
-        selected=tuple(selected),
+        selected=selected,
         lambdas=dec.lambdas[sel_arr],
         amplitudes=dec.amplitudes[sel_arr],
         n_dmd=len(selected),
@@ -199,9 +269,156 @@ def select_leading_modes(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
         full_rank=dec.lambdas.shape[0],
         converged=achieved <= epsilon,
         weights=weights,
-        order=tuple(tuple(group) for group in order),
-        time_errors=_column_errors(res, t),
+        order=order,
+        time_errors=time_errors,
+        curve=curve,
     )
+
+
+def reduced_model(matrix: SnapshotMatrix, epsilon: float, store, *,
+                  time_errors: bool = True):
+    """``dmd.decompose`` and ``select_leading_modes`` through the
+    decomposition store at the path ``store`` (module docstring).
+
+    Returns (matrix decomposed, decomposition, model) as those two give
+    them.  When ``store`` holds the decomposition of the same bytes, the
+    matrix is ``matrix`` or its truncated window, ``v0`` a view of it,
+    and the model is read off the stored selection curve with no
+    residual pass; only ``time_errors`` then takes one pass over the
+    selected modes, bit-identical to the errors a fresh selection
+    reports.  Otherwise the matrix is decomposed and selected, and the
+    store written there; a decomposition that raises writes nothing.
+    With ``time_errors`` False the model holds None there.  Deleting the
+    file forces a recompute.
+    """
+    _require_epsilon(epsilon)
+    key = _store_key(matrix)
+    stored = _load_store(store, key, matrix)
+    if stored is None:
+        used, dec = dmd.decompose(matrix)
+        model = select_leading_modes(used, dec, epsilon)
+        _save_store(store, key, used, dec, model)
+        if not time_errors:
+            model = replace(model, time_errors=None)
+        return used, dec, model
+    used, dec, (weights, order, curve) = stored
+    model = _select(dec, weights, order, curve, epsilon)
+    if time_errors:
+        model = replace(model, time_errors=per_time_errors(used, dec, model.selected))
+    return used, dec, model
+
+
+def _store_key(matrix: SnapshotMatrix) -> str:
+    """The store key of ``matrix``: format version, dtype and shape of its
+    payload row block, the bits of dt and the sha256 of the rows.
+
+    The rows are hashed in place through the buffer protocol, the whole
+    block at once in the ``assemble``/``load`` layout, else one snapshot
+    at a time, so no payload is copied.
+    """
+    rows = matrix.data.T
+    digest = hashlib.sha256()
+    if rows.flags.c_contiguous:
+        digest.update(rows)
+    else:
+        for row in rows:
+            digest.update(np.ascontiguousarray(row))
+    dt_bits = struct.pack("<d", matrix.dt).hex()
+    return (f"koopmanrom-dmd {_STORE_VERSION} {rows.dtype.str} "
+            f"{rows.shape[0]}x{rows.shape[1]} {dt_bits} {digest.hexdigest()}")
+
+
+def _aligned(offset: int) -> int:
+    return -(-offset // _STORE_ALIGN) * _STORE_ALIGN
+
+
+def _load_store(path, key: str, matrix: SnapshotMatrix):
+    """(matrix, decomposition, (weights, order, curve)) stored at
+    ``path`` under ``key``, or None when the file is missing,
+    unreadable, foreign, stale or malformed."""
+    nsnap = matrix.n_snapshots
+    key = key.encode()
+    start = _STORE_TABLE_END + len(key)
+    # every array no larger than an nsnap x nsnap complex one, checked
+    # against the file size before anything is allocated
+    bound = start + len(_STORE_ARRAYS) * (16 * nsnap * nsnap + _STORE_ALIGN)
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if not start <= size <= bound:
+                return None
+            buf = np.empty(size, dtype=np.uint8)
+            if fh.readinto(buf) != size:
+                return None
+    except OSError:  # a store that does not read back is a miss, never an error
+        return None
+    magic, version, key_len, n, groups = _STORE_HEAD.unpack_from(buf)
+    if (magic != _STORE_MAGIC or version != _STORE_VERSION or key_len != len(key)
+            or buf[_STORE_TABLE_END:start].tobytes() != key
+            or not 2 <= n <= nsnap or not 1 <= groups < n):
+        return None
+    nt = n - 1
+    shapes = {"mode": (nt,), "square": (nt, nt), "group": (groups,)}
+    arrays = {}
+    for i, (name, (extent, dtypes)) in enumerate(_STORE_ARRAYS.items()):
+        code, offset, length = _STORE_ENTRY.unpack_from(
+            buf, _STORE_HEAD.size + i * _STORE_ENTRY.size)
+        dtype = code.rstrip(b"\0").decode("ascii", "replace")
+        shape = shapes[extent]
+        if (dtype not in dtypes or offset + length > size
+                or length != math.prod(shape) * np.dtype(dtype).itemsize):
+            return None
+        arrays[name] = buf[offset:offset + length].view(dtype).reshape(shape)
+    admitted, sizes = arrays.pop("admitted"), arrays.pop("group_sizes")
+    if (np.any((sizes < 1) | (sizes > 2)) or sizes.sum() != nt
+            or not np.array_equal(np.sort(admitted), np.arange(nt))):
+        return None
+    flat, ends = admitted.tolist(), np.cumsum(sizes).tolist()
+    order = tuple(tuple(flat[end - size:end]) for end, size in zip(ends, sizes.tolist()))
+    weights, curve = arrays.pop("weights"), arrays.pop("curve")
+    if n < nsnap:
+        matrix = replace(matrix, data=matrix.data[:, :n])
+    dec = dmd.DmdDecomposition(dt=matrix.dt, v0=snapshots.split(matrix).v0, **arrays)
+    return matrix, dec, (weights, order, curve)
+
+
+def _save_store(path, key: str, matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
+                model: RomModel) -> None:
+    """Write the store of ``dec`` and ``model``'s selection curve to
+    ``path`` atomically: a temporary file beside it, renamed over it once
+    complete.  A store that cannot be written is skipped; the next call
+    then decomposes again."""
+    values = {name: getattr(dec, name) for name in _DEC_ARRAYS}
+    values.update(weights=model.weights,
+                  admitted=np.array([j for group in model.order for j in group], "<i8"),
+                  group_sizes=np.array([len(group) for group in model.order], "<i8"),
+                  curve=model.curve)
+    key = key.encode()
+    offset = _aligned(_STORE_TABLE_END + len(key))
+    entries, arrays = [], []
+    for name in _STORE_ARRAYS:
+        a = np.ascontiguousarray(values[name], dtype=values[name].dtype.newbyteorder("<"))
+        entries.append(_STORE_ENTRY.pack(a.dtype.str.encode(), offset, a.nbytes))
+        arrays.append((offset, a))
+        offset = _aligned(offset + a.nbytes)
+    head = _STORE_HEAD.pack(_STORE_MAGIC, _STORE_VERSION, len(key), matrix.n_snapshots,
+                            len(model.order))
+    parts = [head, *entries, key]
+    at = sum(map(len, parts))
+    for offset, a in arrays:
+        parts += [bytes(offset - at), a]
+        at = offset + a.nbytes
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        try:
+            with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
+                fh.writelines(parts)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError:
+        pass
 
 
 def reduction_percentage(rom: RomModel) -> float:
@@ -215,5 +432,5 @@ def reduction_percentage(rom: RomModel) -> float:
 __all__ = [
     "ModeWeight", "RomModel",
     "mode_weights", "relative_error", "per_time_errors",
-    "select_leading_modes", "reduction_percentage",
+    "select_leading_modes", "reduced_model", "reduction_percentage",
 ]

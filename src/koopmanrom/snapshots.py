@@ -45,8 +45,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (BadMagic, CorruptHeader, IndexOutOfRange, NonFiniteData,
-                     ShapeMismatch, TooFewColumns, UnsupportedVersion)
+from .errors import (BadMagic, CorruptHeader, IndexOutOfRange, InvalidValue,
+                     NonFiniteData, ShapeMismatch, TooFewColumns, UnsupportedVersion)
 from .swe import Grid
 
 _MAGIC = b"KSNP"
@@ -155,6 +155,9 @@ class KsnpWriter:
                  scale: float | None = None, check_finite: bool = True):
         if nsnap < 2:
             raise TooFewColumns("a KSNP file needs at least 2 snapshots")
+        if not _positive_spacings(dt, dx, dy):
+            raise InvalidValue(f"{path}: dt = {dt}, dx = {dx} and dy = {dy} must be "
+                               "finite and positive, or load would refuse the file")
         header = _HEADER.pack(_MAGIC, _VERSION, int(field_tag), 1 if nondimensional else 0,
                               nx, ny, nsnap, dt, dx, dy)
         self.path = Path(path)
@@ -221,6 +224,11 @@ def save(matrix: SnapshotMatrix, path) -> None:
         writer.commit()
 
 
+def _positive_spacings(*values: float) -> bool:
+    """Whether each sampling interval or grid spacing is finite and positive."""
+    return all(0.0 < v < np.inf for v in values)
+
+
 def _read_header(fh, path):
     """(tag, flags, nx, ny, nsnap, dt, dx, dy) from the open file's header."""
     head = fh.read(_HEADER.size)
@@ -233,8 +241,7 @@ def _read_header(fh, path):
     _, version, tag, flags, nx, ny, nsnap, dt, dx, dy = _HEADER.unpack(head)
     if version != _VERSION:
         raise UnsupportedVersion(f"{path}: version {version}, expected {_VERSION}")
-    if (tag > 3 or nx == 0 or ny == 0 or nsnap < 2
-            or not (0.0 < dt < np.inf and 0.0 < dx < np.inf and 0.0 < dy < np.inf)):
+    if tag > 3 or nx == 0 or ny == 0 or nsnap < 2 or not _positive_spacings(dt, dx, dy):
         raise CorruptHeader(f"{path}: implausible header (tag={tag}, nx={nx}, "
                             f"ny={ny}, nsnap={nsnap}, dt={dt}, dx={dx}, dy={dy})")
     return tag, flags, nx, ny, nsnap, dt, dx, dy
@@ -266,10 +273,10 @@ def load(path) -> SnapshotMatrix:
 def write_field_csv(field: np.ndarray, path) -> None:
     """Write a 2D field as bare CSV: one line per y-row, LF endings,
     17 significant digits (lossless for doubles)."""
+    rows = np.asarray(field)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
-        for row in np.asarray(field):
-            fh.write(",".join("%.17g" % x for x in row))
-            fh.write("\n")
+        fh.writelines(line % tuple(row) for row in rows.tolist())
 
 
 def export_csv(matrix: SnapshotMatrix, snapshot_index: int, path) -> None:

@@ -86,14 +86,14 @@ RANK_ONE_MODES = "error: mode matrix has numerical rank 1 < 11 columns\n"
 def test_commands_never_form_the_modes(tmp_path, monkeypatch, capsys):
     """rom, reconstruct and vorticity read no Nx x m mode matrix."""
     decs = []
-    decompose = dmd.decompose
+    reduced_model = rom.reduced_model
 
     def kept(*args, **kwargs):
-        used, dec = decompose(*args, **kwargs)
+        used, dec, model = reduced_model(*args, **kwargs)
         decs.append(dec)
-        return used, dec
+        return used, dec, model
 
-    monkeypatch.setattr(dmd, "decompose", kept)
+    monkeypatch.setattr(rom, "reduced_model", kept)
     rng = np.random.default_rng(9)
     for name in ("h", "u", "v"):
         synthetic_ksnp(tmp_path, rng, name=f"{name}.ksnp", rank_one=False, nsnap=7,
@@ -277,6 +277,27 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_grid_beyond_memory_exits_3(self, tmp_path):
+        """A 20000 x 20000 grid under a 2 GiB address-space limit: exit 3
+        naming the grid, no traceback and no output.  Run in a child
+        process, whose limit leaves this one alone."""
+        cfg = write_cfg(tmp_path, DESK_CFG + "nx = 20000\nny = 20000\n")
+        script = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from koopmanrom import cli
+sys.exit(cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]]))
+"""
+        src = str(Path(koopmanrom.__file__).parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path / "o")],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": path,
+                                   "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 3, proc.stderr
+        assert "grid 20000x20000" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "o").exists()
 
     def test_supercritical_defaults_exit_2_with_failing_time(self, tmp_path, capsys):
@@ -683,14 +704,24 @@ class TestVorticityCommand:
         assert np.allclose(w_full - w_rom, w_diff, atol=0.0, rtol=0.0)
 
 
+def run_counted(argv):
+    """main(argv) with stdout and stderr captured: (exit code, stdout,
+    stderr, number of companion fits, number of residual passes, number
+    of Vandermonde matrices)."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(dmd, "fit_companion", wraps=dmd.fit_companion) as fit, \
+            mock.patch.object(rom, "_residuals", wraps=rom._residuals) as passes, \
+            mock.patch.object(rom, "_vandermonde", wraps=rom._vandermonde) as vand, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return (code, out.getvalue(), err.getvalue(), fit.call_count, passes.call_count,
+            vand.call_count)
+
+
 def run_counting(argv):
     """main(argv) with stdout and stderr captured: (exit code, stdout,
     stderr, number of companion fits)."""
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(dmd, "fit_companion", wraps=dmd.fit_companion) as fit, \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([str(a) for a in argv])
-    return code, out.getvalue(), err.getvalue(), fit.call_count
+    return run_counted(argv)[:4]
 
 
 def outputs(directory):
@@ -720,7 +751,8 @@ def desk_ksnp(tmp_path_factory):
 
 class TestDecompositionStore:
     """rom leaves dmd_<field>.npz in --out; reconstruct and vorticity
-    reuse it while the snapshot bytes match, with the same outputs."""
+    reuse it while the snapshot bytes match, with the same outputs, and
+    read their selection off its stored curve."""
 
     QUERIES = (["reconstruct", "--field", "h", "--time", "5"],
                ["reconstruct", "--field", "u", "--index", "30"],
@@ -749,6 +781,18 @@ class TestDecompositionStore:
             assert (code, err, fits) == (0, "", 0), query
             made = {k: v for k, v in outputs(out).items() if k not in before}
             assert (code, echo, made) == cold_run(tmp_path, argv, data), query
+
+    def test_only_rom_runs_a_residual_pass(self, tmp_path, warm):
+        """One residual pass per field for rom, on a miss (the selection
+        curve) and on a hit (the per-time errors of the selection); none,
+        and no Vandermonde matrix, for the queries on a hit."""
+        cfg, data, out = warm
+        argv = ["rom", "--config", cfg, "--data", data]
+        assert run_counted([*argv, "--out", tmp_path / "cold"])[3:5] == (3, 3)
+        assert run_counted([*argv, "--out", out])[3:5] == (0, 3)
+        for query in self.QUERIES:
+            counts = run_counted([*query, "--config", cfg, "--out", out, "--data", data])
+            assert counts[0] == 0 and counts[3:] == (0, 0, 0), query
 
     def test_second_rom_gives_the_same_reports(self, warm):
         cfg, data, out = warm
@@ -804,8 +848,8 @@ class TestDecompositionStore:
         assert (code, echo) == cold_run(tmp_path, argv, tmp_path)[:2]
 
 
-STORE_MEMBERS = ("key", "n_snapshots") + dmd._STORE_ARRAYS
-STORE_CASES = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+STORE_CASES = settings(max_examples=80, deadline=None, database=None, derandomize=True)
+STORE_TABLE = rom._STORE_TABLE_END
 
 
 @pytest.fixture(scope="module")
@@ -827,42 +871,128 @@ def store_case(tmp_path_factory):
     return argv, stores, echo, outputs(root / "cold")
 
 
-def _rewritten(store: bytes, edit) -> bytes:
-    """The store with its members passed through ``edit`` (a dict)."""
-    with np.load(io.BytesIO(store), allow_pickle=False) as members:
-        arrays = {name: members[name] for name in members.files}
-    edit(arrays)
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    return buf.getvalue()
+def unpacked(store: bytes):
+    """The header fields (magic, format, key length, n, groups), the key
+    and the arrays, by name, of a format 4 store."""
+    head = list(rom._STORE_HEAD.unpack_from(store))
+    key = store[STORE_TABLE:STORE_TABLE + head[2]]
+    arrays = {}
+    for i, name in enumerate(rom._STORE_ARRAYS):
+        code, offset, length = rom._STORE_ENTRY.unpack_from(
+            store, rom._STORE_HEAD.size + i * rom._STORE_ENTRY.size)
+        arrays[name] = np.frombuffer(store[offset:offset + length],
+                                     code.rstrip(b"\0").decode())
+    return head, key, arrays
 
 
-def _reshaped(a: np.ndarray, how: str) -> np.ndarray:
-    if how == "axis":
-        return a[None]
-    if how == "short":
-        return a.reshape(-1)[:-1]
-    return a.astype("S") if a.dtype.kind == "U" else a.astype(np.complex64)
+def packed(head, key: bytes, arrays) -> bytes:
+    """The store of ``head``, ``key`` and ``arrays`` in the layout of
+    format 4: header, table, key, then each array 64-byte aligned.  An
+    array None leaves its table entry empty."""
+    entries, body = [], b""
+    start = -(-(STORE_TABLE + len(key)) // 64) * 64
+    for a in arrays.values():
+        if a is None:
+            entries.append(rom._STORE_ENTRY.pack(b"", 0, 0))
+            continue
+        offset = start + -(-len(body) // 64) * 64
+        body = body.ljust(offset - start, b"\0") + a.tobytes()
+        entries.append(rom._STORE_ENTRY.pack(a.dtype.str.encode(), offset, a.nbytes))
+    header = rom._STORE_HEAD.pack(*head) + b"".join(entries) + key
+    return header.ljust(start, b"\0") + body
+
+
+def _edited(store: bytes, name: str, how: str) -> bytes:
+    """The store with array ``name`` missing, reshaped or retyped."""
+    head, key, arrays = unpacked(store)
+    a = arrays[name]
+    if how == "missing":
+        arrays[name] = None
+    elif how == "long":
+        arrays[name] = np.concatenate([a, a[:1]])
+    elif how == "short":
+        arrays[name] = a[:-1]
+    elif how == "narrow":
+        arrays[name] = a.astype(np.complex64 if a.dtype.kind == "c" else np.float32)
+    else:  # the same bytes under another dtype
+        arrays[name] = a.view("<i8" if a.dtype.kind != "i" else "<f8")
+    return packed(head, key, arrays)
 
 
 @st.composite
 def damaged_stores(draw, stores):
-    """Bytes that are not h's store: random, truncated, u's store, or h's
-    store with one member missing or reshaped."""
+    """Bytes that are not h's store: random, truncated, u's store, h's
+    store with one array missing, reshaped or retyped, h's store under
+    an older format number, with one array past the end of the file, or
+    with counts that make it larger than the snapshots allow."""
     valid = stores["h"]
-    kind = draw(st.sampled_from(["random", "truncated", "other field", "missing",
-                                 "reshaped"]))
+    kind = draw(st.sampled_from(["random", "truncated", "other field", "array",
+                                 "older format", "past end", "counts"]))
     if kind == "random":
         return draw(st.binary(max_size=512))
     if kind == "truncated":
         return valid[:draw(st.integers(0, len(valid) - 1))]
     if kind == "other field":
         return stores["u"]
-    name = draw(st.sampled_from(STORE_MEMBERS))
-    if kind == "missing":
-        return _rewritten(valid, lambda arrays: arrays.pop(name))
-    how = draw(st.sampled_from(["axis", "short", "dtype"]))
-    return _rewritten(valid, lambda arrays: arrays.update({name: _reshaped(arrays[name], how)}))
+    if kind == "array":
+        return _edited(valid, draw(st.sampled_from(list(rom._STORE_ARRAYS))),
+                       draw(st.sampled_from(["missing", "long", "short", "narrow",
+                                             "retyped"])))
+    head, key, arrays = unpacked(valid)
+    if kind == "older format":
+        version = draw(st.integers(1, 3))
+        head[1] = version
+        return packed(head, key.replace(b" 4 ", f" {version} ".encode(), 1), arrays)
+    raw = bytearray(valid)
+    if kind == "past end":
+        at = rom._STORE_HEAD.size + rom._STORE_ENTRY.size * draw(
+            st.integers(0, len(rom._STORE_ARRAYS) - 1))
+        code, offset, length = rom._STORE_ENTRY.unpack_from(raw, at)
+        beyond = len(raw) - offset - length + draw(st.integers(1, 1 << 40))
+        if draw(st.booleans()):
+            offset += beyond
+        else:
+            length += beyond
+        raw[at:at + rom._STORE_ENTRY.size] = rom._STORE_ENTRY.pack(code, offset, length)
+        return bytes(raw)
+    # counts: more snapshots than the file has (9), or more groups than
+    # modes, in the header alone or with every array grown to match
+    how = draw(st.sampled_from(["snapshots", "groups", "grown"]))
+    if how == "grown":
+        return _grown(head, key, arrays, 10)
+    if how == "snapshots":
+        head[3] = draw(st.integers(10, (1 << 32) - 1))
+    else:
+        head[4] = draw(st.integers(head[3], (1 << 32) - 1))
+    raw[:rom._STORE_HEAD.size] = rom._STORE_HEAD.pack(*head)
+    return bytes(raw)
+
+
+def _grown(head, key: bytes, arrays, n: int) -> bytes:
+    """A store whose every array is extended, consistently, to ``n``
+    snapshots: one real mode more per extra snapshot, as its own group."""
+    old = head[3] - 1
+    extra = n - 1 - old
+    for name, (extent, _) in rom._STORE_ARRAYS.items():
+        a = arrays[name]
+        if name == "admitted":
+            arrays[name] = np.concatenate([a, np.arange(old, n - 1)])
+        elif name == "group_sizes":
+            arrays[name] = np.concatenate([a, np.ones(extra, a.dtype)])
+        elif extent == "square":
+            arrays[name] = np.pad(a.reshape(old, old), (0, extra), mode="edge").ravel()
+        else:
+            arrays[name] = np.pad(a, (0, extra), mode="edge")
+    head[3], head[4] = n, head[4] + extra
+    return packed(head, key, arrays)
+
+
+def test_store_layout_round_trips(store_case):
+    """The test's own reader and writer of format 4 give back h's store,
+    so every damaged store above differs from it only where it says."""
+    _, stores, _, _ = store_case
+    for store in stores.values():
+        assert packed(*unpacked(store)) == store
 
 
 @STORE_CASES
@@ -875,6 +1005,7 @@ def test_any_damaged_store_is_recomputed(store_case, data):
         (out / "dmd_h.npz").write_bytes(raw)
         code, echo, err, fits = run_counting([*argv, "--out", out])
         assert (code, err) == (0, "") and fits > 0
+        assert (out / "dmd_h.npz").read_bytes() == stores["h"]
         assert echo == cold_echo and outputs(out) == cold_files
         assert sorted(p.name for p in out.iterdir() if p.suffix == ".npz") == ["dmd_h.npz"]
         assert not [p for p in out.iterdir() if p.name.startswith(".")]

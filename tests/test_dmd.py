@@ -1,5 +1,5 @@
 """Companion fit, eigendecomposition, amplitudes, reconstruction and the
-decomposition store."""
+decomposition store that ``rom.reduced_model`` keeps of them."""
 
 from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import koopmanrom as kr
-from koopmanrom import dmd
+from koopmanrom import dmd, rom
 from koopmanrom.dmd import conjugate_groups
 from koopmanrom.errors import IndexOutOfRange, RankDeficient, ZeroNormData
 from koopmanrom.snapshots import FieldTag, ShiftedPair, SnapshotMatrix
@@ -416,9 +416,16 @@ def window_matrix(rows, dt=0.5):
                           field_tag=FieldTag.h)
 
 
+def stored(matrix, path):
+    """The (matrix, decomposition) of ``rom.reduced_model`` with the store
+    at ``path``."""
+    return kr.reduced_model(matrix, 1e-3, path)[:2]
+
+
 class TestDecompositionStore:
-    """decompose(matrix, cache=path) writes the decomposition once and
-    loads it back while the snapshot bytes and dt are unchanged."""
+    """reduced_model(matrix, epsilon, path) writes the decomposition and
+    its selection curve once and loads them back while the snapshot bytes
+    and dt are unchanged."""
 
     @pytest.fixture
     def rows(self):
@@ -428,12 +435,12 @@ class TestDecompositionStore:
     def decompose_counting(matrix, path):
         """decompose with the store; also the number of companion fits."""
         with mock.patch.object(dmd, "fit_companion", wraps=dmd.fit_companion) as fit:
-            result = kr.decompose(matrix, cache=path)
+            result = stored(matrix, path)
         return result, fit.call_count
 
     @staticmethod
     def assert_same(dec, other):
-        for name in dmd._STORE_ARRAYS:
+        for name in rom._DEC_ARRAYS:
             a, b = getattr(dec, name), getattr(other, name)
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes(), name
@@ -442,21 +449,21 @@ class TestDecompositionStore:
         m, path = window_matrix(rows), tmp_path / "dmd_h.npz"
         (used, dec), fits = self.decompose_counting(m, path)
         assert fits == 1 and path.is_file()
-        (again, stored), fits = self.decompose_counting(m, path)
+        (again, hit), fits = self.decompose_counting(m, path)
         assert fits == 0
-        assert again is m and stored.dt == m.dt
-        self.assert_same(stored, dec)
-        assert dmd._same_view(stored.v0, m.data[:, :-1])
-        assert "modes" not in vars(stored)
-        model, cold = (kr.select_leading_modes(m, d, 1e-3) for d in (stored, dec))
+        assert again is m and hit.dt == m.dt
+        self.assert_same(hit, dec)
+        assert dmd._same_view(hit.v0, m.data[:, :-1])
+        assert "modes" not in vars(hit)
+        model, cold = (kr.select_leading_modes(m, d, 1e-3) for d in (hit, dec))
         assert model.selected == cold.selected
-        assert np.array_equal(kr.reconstruct(stored, model.selected, 5),
+        assert np.array_equal(kr.reconstruct(hit, model.selected, 5),
                               kr.reconstruct(dec, cold.selected, 5))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dmd_h.npz"]
 
     def test_key_reads_the_bytes_not_the_array(self, tmp_path, rows):
         path = tmp_path / "dmd_h.npz"
-        kr.decompose(window_matrix(rows), cache=path)
+        stored(window_matrix(rows), path)
         # an equal copy, and the same values in a C-ordered (Nx, nsnap) array
         for data in (rows.T.copy(order="F"), np.ascontiguousarray(rows.T)):
             _, fits = self.decompose_counting(
@@ -467,7 +474,7 @@ class TestDecompositionStore:
     @pytest.mark.parametrize("change", ["word", "dt", "shape"])
     def test_changed_input_recomputes(self, tmp_path, rows, change):
         path = tmp_path / "dmd_h.npz"
-        kr.decompose(window_matrix(rows), cache=path)
+        stored(window_matrix(rows), path)
         if change == "word":
             rows = rows.copy()
             rows.view(np.uint64)[7, 13] ^= 1  # the last bit of one value
@@ -485,21 +492,33 @@ class TestDecompositionStore:
         _, fits = self.decompose_counting(m, path)
         assert fits == 0  # the store now holds the new decomposition
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_store_of_an_older_format_is_a_miss(self, tmp_path, rows, version):
         # format 1 solved the fit's triangle another way: its eigenvalues
         # differ in their last bits from a cold run of this one; format 2
-        # pinned each phase on the largest entry of the mode, not of z
+        # pinned each phase on the largest entry of the mode, not of z;
+        # format 3, an np.savez zip of the decomposition, kept no selection
+        # curve.  Each is written in the layout of this format, under its
+        # own number, and format 3 also as the zip it was.
         m, path = window_matrix(rows), tmp_path / "dmd_h.npz"
-        _, dec = kr.decompose(m, cache=path)
-        with np.load(path) as store:
-            members = dict(store)
-        tag, _, rest = str(members["key"]).split(" ", 2)
-        members["key"] = np.array(f"{tag} {version} {rest}")
-        np.savez(path, **members)
+        _, dec = stored(m, path)
+        raw = bytearray(path.read_bytes())
+        magic, _, key_len, n, groups = rom._STORE_HEAD.unpack_from(raw)
+        table = rom._STORE_TABLE_END
+        key = raw[table:table + key_len].replace(b" 4 ", f" {version} ".encode(), 1)
+        raw[:rom._STORE_HEAD.size] = rom._STORE_HEAD.pack(magic, version, key_len, n, groups)
+        raw[table:table + key_len] = key
+        path.write_bytes(bytes(raw))
         (_, again), fits = self.decompose_counting(m, path)
         assert fits == 1
         self.assert_same(again, dec)
+        if version == 3:
+            np.savez(path, key=np.array(key.decode()), n_snapshots=np.array(m.n_snapshots),
+                     **{name: getattr(dec, name) for name in rom._DEC_ARRAYS})
+            (_, again), fits = self.decompose_counting(m, path)
+            assert fits == 1
+            self.assert_same(again, dec)
+        assert path.read_bytes()[:8] == rom._STORE_MAGIC  # rewritten in format 4
 
     def test_truncated_window_is_restored(self, tmp_path):
         # 17 snapshots repeating with period 5: decomposed as the first 6
@@ -507,21 +526,21 @@ class TestDecompositionStore:
         m, path = window_matrix(base[np.arange(17) % 5]), tmp_path / "dmd_h.npz"
         (used, dec), fits = self.decompose_counting(m, path)
         assert fits == 2 and used.n_snapshots == 6
-        (again, stored), fits = self.decompose_counting(m, path)
+        (again, hit), fits = self.decompose_counting(m, path)
         assert fits == 0 and again.n_snapshots == 6
         assert np.shares_memory(again.data, m.data)
-        assert dmd._same_view(stored.v0, m.data[:, :5])
-        self.assert_same(stored, dec)
+        assert dmd._same_view(hit.v0, m.data[:, :5])
+        self.assert_same(hit, dec)
 
     def test_failed_decomposition_writes_nothing(self, tmp_path):
         path = tmp_path / "dmd_h.npz"
         with pytest.raises(ZeroNormData):
-            kr.decompose(window_matrix(np.zeros((6, 40))), cache=path)
+            stored(window_matrix(np.zeros((6, 40))), path)
         assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_store_is_skipped(self, tmp_path, rows):
         path = tmp_path / "no such directory" / "dmd_h.npz"
-        used, dec = kr.decompose(window_matrix(rows), cache=path)
+        used, dec = stored(window_matrix(rows), path)
         assert dec.amplitudes is not None
         assert list(tmp_path.iterdir()) == []
 
@@ -530,5 +549,5 @@ class TestDecompositionStore:
         for data in (big.T, np.ascontiguousarray(big.T)):
             m = SnapshotMatrix(data=data, nx=200, ny=100, dt=1.0, dx=1.0, dy=1.0,
                                field_tag=FieldTag.h)
-            _, peak = traced_peak(lambda: dmd._store_key(m))
+            _, peak = traced_peak(lambda: rom._store_key(m))
             assert peak < 0.05 * data.nbytes

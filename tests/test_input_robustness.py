@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import koopmanrom as kr
 from koopmanrom.cli import _KEYS, ExperimentConfig, main, parse_config
-from koopmanrom.errors import CorruptHeader, NonFiniteData, ToolkitError
+from koopmanrom.errors import CorruptHeader, InvalidValue, NonFiniteData, ToolkitError
 from koopmanrom.snapshots import FieldTag, KsnpWriter, SnapshotMatrix, load, save
 
 HEADER_BYTES = 52
@@ -75,17 +75,33 @@ class TestNonFiniteData:
 
     @pytest.mark.parametrize("dt", [0.0, -1800.0])
     def test_rom_on_non_positive_dt_exits_3(self, tmp_path, capsys, dt):
+        # the writer refuses such a dt, so the header bytes are forged
         rows = np.random.default_rng(0).standard_normal((12, 40))
         path = tmp_path / "h.ksnp"
-        with KsnpWriter(path, 12, nx=8, ny=5, dt=dt, dx=1.0, dy=1.0,
-                        field_tag=FieldTag.h) as sink:
-            for row in rows:
-                sink.append(row)
-            sink.commit()
+        save(SnapshotMatrix(data=rows.T, nx=8, ny=5, dt=60.0, dx=1.0, dy=1.0,
+                            field_tag=FieldTag.h), path)
+        raw = bytearray(path.read_bytes())
+        raw[28:36] = struct.pack("<d", dt)
+        path.write_bytes(bytes(raw))
         assert main(["rom", "--out", str(tmp_path / "out"), str(path)]) == 3
         err = capsys.readouterr().err
         assert "implausible header" in err and "Traceback" not in err
         assert not list(tmp_path.glob("out/spectrum_*"))
+
+    @pytest.mark.parametrize("name", ["dt", "dx", "dy"])
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, np.inf, np.nan])
+    def test_writer_refuses_what_load_refuses(self, tmp_path, name, value):
+        """KsnpWriter, and so save, raise InvalidValue (exit 3 in the
+        CLI) for a dt, dx or dy that is not finite and positive, before
+        any file is made."""
+        spacing = {"dt": 60.0, "dx": 1.0, "dy": 1.0, name: value}
+        with pytest.raises(InvalidValue, match=f"{name} = "):
+            KsnpWriter(tmp_path / "h.ksnp", 12, nx=8, ny=5, field_tag=FieldTag.h,
+                       **spacing)
+        with pytest.raises(InvalidValue):
+            save(SnapshotMatrix(data=np.ones((40, 12)), nx=8, ny=5, field_tag=FieldTag.h,
+                                **spacing), tmp_path / "h.ksnp")
+        assert list(tmp_path.iterdir()) == []
 
     def test_assemble_rejects_non_finite_field(self):
         grid = kr.Grid(nx=5, ny=4, dx=1.0, dy=1.0)

@@ -40,7 +40,8 @@ from koopmanrom import rom
 from koopmanrom.errors import EigenFailure, RankDeficient, ZeroNormData
 from koopmanrom.rom import ModeWeight, RomModel
 
-from conftest import lead_rotation, normwise_dev, rel_dev
+from conftest import (lead_rotation, make_modal_data, matrix_from_array, normwise_dev,
+                      rel_dev)
 
 EPSILON = 1e-3
 FIELDS = ("h", "u", "v")
@@ -303,3 +304,106 @@ def test_residual_kernel_matches_rank_one_updates(both_paths, monkeypatch, name)
     assert model.selected == ref.selected and model.order == ref.order
     assert rel_dev(model.achieved_error, ref.achieved_error) <= 1e-13
     assert rel_dev(model.time_errors, ref.time_errors) <= 1e-11
+
+
+# --- the selection curve against the greedy loop ---
+
+def loop_select_leading_modes(matrix, dec, epsilon):
+    """The greedy loop that stops at the first prefix within epsilon, as
+    ``rom.select_leading_modes`` ran it before the selection curve,
+    verbatim apart from its name and docstring."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+
+    weights = np.array([mw.weight for mw in
+                        rom.mode_weights(dec, matrix.n_snapshots - 1, dec.dt)])
+    order = rom._selection_order(dec, weights)
+    t, b = dec.coordinates(rom._reconstruction_span(matrix))
+    ref = rom._reference_norm(t)
+
+    selected: list[int] = []
+    achieved = 1.0  # the empty reconstruction
+    for group, res in zip(order, rom._residuals(t, b, dec, order)):
+        selected.extend(group)
+        achieved = float(np.linalg.norm(res) / ref)
+        if achieved <= epsilon:
+            break
+
+    sel_arr = np.asarray(selected, dtype=int)
+    return RomModel(
+        selected=tuple(selected),
+        lambdas=dec.lambdas[sel_arr],
+        amplitudes=dec.amplitudes[sel_arr],
+        n_dmd=len(selected),
+        achieved_error=achieved,
+        epsilon=epsilon,
+        full_rank=dec.lambdas.shape[0],
+        converged=achieved <= epsilon,
+        weights=weights,
+        order=tuple(tuple(group) for group in order),
+        time_errors=rom._column_errors(res, t),
+    )
+
+
+def sweep(curve):
+    """Every value of the curve inside (0, 1), its two floating-point
+    neighbours, and thresholds below and above every value."""
+    values = {1e-12, 0.999}
+    for c in curve.tolist():
+        values |= {c, float(np.nextafter(c, 0.0)), float(np.nextafter(c, 1.0))}
+    return sorted(v for v in values if 0.0 < v < 1.0)
+
+
+@pytest.fixture(scope="module", params=[*FIELDS, "synthetic"])
+def curve_case(request, desk_data, tmp_path_factory):
+    """A matrix, its decomposition and the path of its store, written by
+    a store miss at EPSILON."""
+    if request.param == "synthetic":
+        rng = np.random.default_rng(71)
+        data, *_ = make_modal_data(rng, 60, n_pairs=6, n_real=3, n_snapshots=31)
+        data += 1e-6 * rng.standard_normal(data.shape)
+        matrix = matrix_from_array(data, dt=0.25)
+    else:
+        matrix = desk_data[request.param]
+    path = tmp_path_factory.mktemp("curve") / "dmd.npz"
+    used, dec, model = kr.reduced_model(matrix, EPSILON, path)
+    return matrix, used, dec, model, path
+
+
+def assert_same_selection(model, ref):
+    assert model.selected == ref.selected
+    assert model.achieved_error == ref.achieved_error
+    assert model.converged == ref.converged
+    assert model.order == ref.order
+    assert np.array_equal(model.weights, ref.weights)
+
+
+def test_store_miss_is_the_loop(curve_case):
+    _, used, dec, model, _ = curve_case
+    ref = loop_select_leading_modes(used, dec, EPSILON)
+    assert_same_selection(model, ref)
+    assert np.array_equal(model.time_errors, ref.time_errors)
+
+
+def test_stored_curve_selects_as_the_loop_at_every_threshold(curve_case):
+    """The selection read off the stored curve, with no residual pass, is
+    the loop's at each threshold of the sweep: the same modes, the same
+    achieved error bit for bit and the same convergence flag.  At each
+    curve value itself the per-time errors of a hit are the loop's too."""
+    matrix, used, dec, model, path = curve_case
+    assert model.curve.shape == (len(model.order),)
+    values = set(model.curve.tolist())
+    converged = set()
+    for eps in sweep(model.curve):
+        ref = loop_select_leading_modes(used, dec, eps)
+        hit_used, hit_dec, hit = kr.reduced_model(matrix, eps, path,
+                                                  time_errors=eps in values)
+        assert hit_used.n_snapshots == used.n_snapshots
+        assert_same_selection(hit, ref)
+        assert np.array_equal(hit.curve, model.curve)
+        if eps in values:
+            assert np.array_equal(hit.time_errors, ref.time_errors)
+        else:
+            assert hit.time_errors is None
+        converged.add(hit.converged)
+    assert converged == {False, True}
