@@ -9,10 +9,10 @@ leading modes by weight until a relative-error threshold holds
 
 from .dmd import (CompanionFit, DmdDecomposition, decompose, eigendecompose,
                   fit_companion, reconstruct)
-from .rom import (ModeWeight, RomModel, mode_weights, per_time_errors, reduced_model,
+from .rom import (RomModel, mode_weights, per_time_errors, reduced_model,
                   reduction_percentage, relative_error, select_leading_modes)
-from .snapshots import (FieldTag, KsnpWriter, ShiftedPair, SnapshotMatrix, assemble,
-                        export_csv, load, save, split)
+from .snapshots import (FieldTag, KsnpWriter, SnapshotMatrix, assemble, export_csv,
+                        load, save)
 from .swe import (Grid, PhysicalConstants, ScaleSet, SweState, coriolis_at,
                   dimensionalize, geostrophic_velocities, grammeltvedt_height,
                   initial_state, lax_wendroff_step, nondimensionalize,

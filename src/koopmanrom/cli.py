@@ -373,8 +373,11 @@ def cmd_vorticity(args) -> int:
     if any(getattr(mu, a) != getattr(mv, a)
            for a in ("dt", "nx", "ny", "dx", "dy", "nondimensional")):
         raise InvalidValue("u.ksnp and v.ksnp disagree on sampling or grid")
+    try:
+        grid = swe.Grid(nx=mu.nx, ny=mu.ny, dx=mu.dx, dy=mu.dy)
+    except ValueError as exc:  # load has checked the spacings: the grid is too small
+        raise InvalidValue(f"u.ksnp and v.ksnp: grid {mu.nx}x{mu.ny}: {exc}") from exc
     k = _snapshot_index(args, mu, cfg)
-    grid = swe.Grid(nx=mu.nx, ny=mu.ny, dx=mu.dx, dy=mu.dy)
 
     def vort(ufield, vfield):
         state = swe.SweState(h=np.ones_like(ufield), u=ufield, v=vfield, t=0.0)

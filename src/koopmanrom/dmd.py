@@ -1,7 +1,7 @@
 """Companion-matrix dynamic mode decomposition.
 
-The last snapshot of the shifted pair is fit as a linear combination of
-its predecessors (least squares via QR; the normal equations would
+The last snapshot of the matrix is fit as a linear combination of its
+predecessors (least squares via QR; the normal equations would
 squander precision on these notoriously ill-conditioned bases).  The
 combination coefficients fill the last column of a companion matrix
 whose eigenvalues approximate the spectrum of the underlying evolution
@@ -36,12 +36,10 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from . import snapshots
 from .errors import (EigenFailure, IndexOutOfRange, NonFiniteData, RankDeficient,
                      ZeroNormData)
-from .snapshots import ShiftedPair, SnapshotMatrix
+from .snapshots import SnapshotMatrix
 
 _RANK_RTOL = 1e-12
 # smallest data norm whose machine-precision residual, 2**-52 of it, still
@@ -144,35 +142,25 @@ def _qr_solve(block: np.ndarray, what: str):
     return np.linalg.solve(r, rt[:n, n]), r, residual
 
 
-def _window(pair: ShiftedPair) -> np.ndarray:
-    """[V0 | u_N] as one array: a read-only view of the snapshot block
-    when V0 and V1 are the overlapping column views ``snapshots.split``
-    returns, else a copy."""
-    v0, v1 = pair.v0, pair.v1
-    if (v1.shape == v0.shape and v1.strides == v0.strides and v1.dtype == v0.dtype
-            and v1.ctypes.data == v0.ctypes.data + v0.strides[1]):
-        return as_strided(v0, shape=(v0.shape[0], v0.shape[1] + 1),
-                          strides=v0.strides, writeable=False)
-    return np.column_stack([v0, v1[:, -1]])
-
-
-def fit_companion(pair: ShiftedPair) -> CompanionFit:
+def fit_companion(matrix: SnapshotMatrix) -> CompanionFit:
     """Fit the last snapshot as a combination of all previous ones.
 
     Minimizes ||u_Nt - V0 c||_2, which makes the residual orthogonal to
-    the span of the previous snapshots.  Raises RankDeficient when V0
-    does not have full column rank at relative tolerance 1e-12, as when
-    it has fewer rows than columns.
+    the span of the previous snapshots; ``matrix.data`` is [V0 | u_Nt],
+    factored as it is.  Raises RankDeficient when V0 does not have full
+    column rank at relative tolerance 1e-12, as when it has fewer rows
+    than columns.
     """
-    c, r, residual = _qr_solve(_window(pair), what="V0")
+    c, r, residual = _qr_solve(matrix.data, what="V0")
     companion = np.eye(c.shape[0], k=-1)
     companion[:, -1] = c
     return CompanionFit(coefficients=c, companion=companion, residual_norm=residual,
                         r=r)
 
 
-def eigendecompose(fit: CompanionFit, pair: ShiftedPair, dt: float) -> DmdDecomposition:
-    """Eigen-decompose the companion matrix into modes and amplitudes.
+def eigendecompose(fit: CompanionFit, matrix: SnapshotMatrix) -> DmdDecomposition:
+    """Eigen-decompose the companion matrix of ``matrix``'s fit into modes
+    and amplitudes.
 
     Mode j is V0 z_j, with z_j scaled to a unit image and rotated so that
     its own largest-magnitude entry is real and positive, which pins the
@@ -196,10 +184,10 @@ def eigendecompose(fit: CompanionFit, pair: ShiftedPair, dt: float) -> DmdDecomp
     first = np.flatnonzero(lambdas.imag > 0)
     phase[first + 1] = phase[first].conj()
     with np.errstate(divide="ignore", invalid="ignore"):
-        exponents = np.log(lambdas) / dt
+        exponents = np.log(lambdas) / matrix.dt
     b = coords / norms * phase
-    return DmdDecomposition(lambdas, exponents, dt, _amplitudes(fit.r, b, lambdas),
-                            v0=pair.v0, r=fit.r, mode_coords=b, z=z / norms * phase)
+    return DmdDecomposition(lambdas, exponents, matrix.dt, _amplitudes(fit.r, b, lambdas),
+                            v0=matrix.v0, r=fit.r, mode_coords=b, z=z / norms * phase)
 
 
 def _amplitudes(r: np.ndarray, b: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
@@ -242,21 +230,19 @@ def decompose(matrix: SnapshotMatrix) -> tuple[SnapshotMatrix, DmdDecomposition]
                             "the square of a residual at machine precision is "
                             "subnormal; rescale the data")
     try:
-        pair = snapshots.split(matrix)
-        fit = fit_companion(pair)
+        fit = fit_companion(matrix)
     except RankDeficient as exc:
         if exc.rank == 0:
             raise ZeroNormData(f"V0 (the first {exc.n_columns} snapshots) is all "
                                "zero: there are no dynamics to fit") from exc
         matrix = replace(matrix, data=matrix.data[:, :exc.rank + 1])
-        pair = snapshots.split(matrix)
         try:
-            fit = fit_companion(pair)
+            fit = fit_companion(matrix)
         except RankDeficient as again:
             raise RankDeficient(again.rank, again.n_columns,
                                 what=f"V0 of the window truncated to the first "
                                      f"{exc.rank + 1} snapshots") from exc
-    return matrix, eigendecompose(fit, pair, matrix.dt)
+    return matrix, eigendecompose(fit, matrix)
 
 
 def reconstruct(dec: DmdDecomposition, subset: Sequence[int], i: int) -> np.ndarray:

@@ -52,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import dmd, snapshots
+from . import dmd
 from .errors import ZeroNormData
 from .snapshots import SnapshotMatrix
 
@@ -75,12 +75,6 @@ _STORE_ARRAYS = {
 }
 _DEC_ARRAYS = ("lambdas", "exponents", "amplitudes", "r", "mode_coords", "z")
 _STORE_TABLE_END = _STORE_HEAD.size + len(_STORE_ARRAYS) * _STORE_ENTRY.size
-
-
-@dataclass(frozen=True)
-class ModeWeight:
-    mode_index: int
-    weight: float
 
 
 @dataclass(frozen=True)
@@ -112,17 +106,11 @@ class RomModel:
     curve: Optional[np.ndarray] = None
 
 
-def mode_weights(dec: dmd.DmdDecomposition, n_steps: int, dt: float) -> list[ModeWeight]:
-    """Weight of every mode over an n_steps reconstruction horizon."""
+def mode_weights(dec: dmd.DmdDecomposition, n_steps: int, dt: float) -> np.ndarray:
+    """Weight of every mode over an n_steps reconstruction horizon, a
+    float64 array indexed by mode."""
     powers = np.abs(dec.lambdas)[None, :] ** np.arange(n_steps)[:, None]
-    w = dt * (np.abs(dec.amplitudes)[None, :] * powers).sum(axis=0)
-    return [ModeWeight(mode_index=j, weight=float(w[j])) for j in range(w.shape[0])]
-
-
-def _reconstruction_span(matrix: SnapshotMatrix) -> np.ndarray:
-    # snapshots i = 1..Nt (1-based), i.e. all columns but the last: the
-    # final snapshot is the fit target and lies outside the expansion
-    return matrix.data[:, :-1]
+    return dt * (np.abs(dec.amplitudes)[None, :] * powers).sum(axis=0)
 
 
 def _vandermonde(lambdas: np.ndarray, n_steps: int) -> np.ndarray:
@@ -168,7 +156,7 @@ def relative_error(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
     """Frobenius-aggregate relative error of the subset reconstruction
     over every reconstructible snapshot."""
     idx = dec._mode_index(subset)
-    t, b = dec.coordinates(_reconstruction_span(matrix))
+    t, b = dec.coordinates(matrix.v0)
     ref = _reference_norm(t)
     (res,) = _residuals(t, b, dec, [idx])
     return float(np.linalg.norm(res) / ref)
@@ -181,7 +169,7 @@ def per_time_errors(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
     Entry k corresponds to snapshot index i = k + 1 (source column k).
     """
     idx = dec._mode_index(subset)
-    t, b = dec.coordinates(_reconstruction_span(matrix))
+    t, b = dec.coordinates(matrix.v0)
     (res,) = _residuals(t, b, dec, [idx])
     return _column_errors(res, t)
 
@@ -231,10 +219,9 @@ def select_leading_modes(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
     first reaches epsilon.
     """
     _require_epsilon(epsilon)
-    weights = np.array([mw.weight for mw in
-                        mode_weights(dec, matrix.n_snapshots - 1, dec.dt)])
+    weights = mode_weights(dec, matrix.n_snapshots - 1, dec.dt)
     order = _selection_order(dec, weights)
-    t, b = dec.coordinates(_reconstruction_span(matrix))
+    t, b = dec.coordinates(matrix.v0)
     ref = _reference_norm(t)
 
     curve = np.empty(len(order))
@@ -378,7 +365,7 @@ def _load_store(path, key: str, matrix: SnapshotMatrix):
     weights, curve = arrays.pop("weights"), arrays.pop("curve")
     if n < nsnap:
         matrix = replace(matrix, data=matrix.data[:, :n])
-    dec = dmd.DmdDecomposition(dt=matrix.dt, v0=snapshots.split(matrix).v0, **arrays)
+    dec = dmd.DmdDecomposition(dt=matrix.dt, v0=matrix.v0, **arrays)
     return matrix, dec, (weights, order, curve)
 
 
@@ -430,7 +417,7 @@ def reduction_percentage(rom: RomModel) -> float:
 
 
 __all__ = [
-    "ModeWeight", "RomModel",
+    "RomModel",
     "mode_weights", "relative_error", "per_time_errors",
     "select_leading_modes", "reduced_model", "reduction_percentage",
 ]

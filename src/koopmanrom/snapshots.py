@@ -18,9 +18,10 @@ The on-disk format (KSNP v1) is sealed and bit-exact:
 
 In memory ``assemble`` and ``load`` fill one C-ordered (nsnap, nx*ny)
 payload block; ``SnapshotMatrix.data`` is its transpose, the column-major
-V0 that LAPACK factors, written and read with no copy.  Non-finite values
-have no place in a snapshot matrix: ``assemble`` and ``load`` reject them
-with NonFiniteData instead of letting them reach the decomposition.
+block [V0 | u_N] that LAPACK factors, written and read with no copy.
+Non-finite values have no place in a snapshot matrix: ``assemble`` and
+``load`` reject them with NonFiniteData instead of letting them reach
+the decomposition.
 
 Every KSNP file is written by one ``KsnpWriter``: it packs the header,
 nsnap included, then takes the payload rows in order, one snapshot or a
@@ -86,19 +87,18 @@ class SnapshotMatrix:
     def n_snapshots(self) -> int:
         return self.data.shape[1]
 
+    @property
+    def v0(self) -> np.ndarray:
+        """V0, the view of every column but the last: the last snapshot is
+        the fit target, which the companion fit expresses in V0 and no
+        reconstruction covers."""
+        return self.data[:, :-1]
+
     def field(self, index: int) -> np.ndarray:
         """Un-flatten snapshot ``index`` back to a (ny, nx) array."""
         if not 0 <= index < self.n_snapshots:
             raise IndexOutOfRange(f"snapshot index {index} not in [0, {self.n_snapshots})")
         return self.data[:, index].reshape(self.ny, self.nx)
-
-
-@dataclass(frozen=True)
-class ShiftedPair:
-    """The snapshot matrix split into its first and last Nt columns."""
-
-    v0: np.ndarray
-    v1: np.ndarray
 
 
 def assemble(fields: Sequence[np.ndarray], dt: float, tag: FieldTag, grid: Grid,
@@ -127,13 +127,6 @@ def _require_finite(snapshots: np.ndarray, what, first: int = 0) -> None:
         raise NonFiniteData(f"{what}: {finite.size - finite.sum()} non-finite values, "
                             f"first {snapshots[snap, cell]} at snapshot {first + snap}, "
                             f"cell {cell}")
-
-
-def split(matrix: SnapshotMatrix) -> ShiftedPair:
-    """Form the shifted pair: v0 = columns 0..Nt-1, v1 = columns 1..Nt."""
-    if matrix.n_snapshots < 2:
-        raise TooFewColumns("need at least 2 columns to split")
-    return ShiftedPair(v0=matrix.data[:, :-1], v1=matrix.data[:, 1:])
 
 
 class KsnpWriter:
@@ -285,6 +278,6 @@ def export_csv(matrix: SnapshotMatrix, snapshot_index: int, path) -> None:
 
 
 __all__ = [
-    "FieldTag", "SnapshotMatrix", "ShiftedPair", "KsnpWriter",
-    "assemble", "split", "save", "load", "export_csv", "write_field_csv",
+    "FieldTag", "SnapshotMatrix", "KsnpWriter",
+    "assemble", "save", "load", "export_csv", "write_field_csv",
 ]

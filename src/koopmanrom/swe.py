@@ -682,8 +682,6 @@ def dimensionalize(states: Sequence[SweState], scales: ScaleSet) -> list[SweStat
 def vorticity(state: SweState, grid: Grid) -> np.ndarray:
     """dv/dx - du/dy: centred interior, periodic wrap in x, one-sided at
     the walls.  Returns a (ny, nx) array, periodic-consistent in x."""
-    if grid.nx < 3 or grid.ny < 3:
-        raise ValueError("vorticity needs nx >= 3 and ny >= 3")
     nxu = grid.nx - 1
     u = state.u[:, :nxu]
     v = state.v[:, :nxu]

@@ -11,6 +11,7 @@ the pipeline.
 
 import shutil
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -109,9 +110,7 @@ def build_field_matrices(constants, nx, ny, n_snapshots, snapshot_dt,
 
 def decompose(matrix):
     """Companion fit, eigendecomposition and amplitudes for one matrix."""
-    pair = kr.split(matrix)
-    fit = kr.fit_companion(pair)
-    return kr.eigendecompose(fit, pair, matrix.dt)
+    return kr.eigendecompose(kr.fit_companion(matrix), matrix)
 
 
 @pytest.fixture(scope="session")
@@ -164,6 +163,12 @@ def matrix_from_array(data, dt=1.0, tag=FieldTag.other):
     from koopmanrom.snapshots import SnapshotMatrix
     return SnapshotMatrix(data=np.asarray(data, dtype=float), nx=data.shape[0],
                           ny=1, dt=dt, dx=1.0, dy=1.0, field_tag=tag)
+
+
+def shifted_pair(matrix):
+    """The shifted pair the verbatim oracle copies read: ``v0`` = columns
+    0..Nt-1 and ``v1`` = columns 1..Nt, views of ``matrix.data``."""
+    return SimpleNamespace(v0=matrix.v0, v1=matrix.data[:, 1:])
 
 
 def rel_dev(new, old):

@@ -17,7 +17,7 @@ import pytest
 import koopmanrom as kr
 from koopmanrom.errors import NonPositiveDepth, RankDeficient
 from koopmanrom.rom import RomModel
-from koopmanrom.snapshots import FieldTag, SnapshotMatrix, load, save, split
+from koopmanrom.snapshots import FieldTag, SnapshotMatrix, load, save
 from koopmanrom.swe import max_signal_speed
 
 from conftest import CLASSIC, build_field_matrices, decompose, make_modal_data
@@ -53,7 +53,7 @@ def test_dmd_exact_recovery():
         matrix = SnapshotMatrix(data=data, nx=n_space, ny=1, dt=1.0, dx=1.0,
                                 dy=1.0, field_tag=FieldTag.other)
         with pytest.raises(RankDeficient) as exc:
-            kr.fit_companion(split(matrix))
+            kr.fit_companion(matrix)
         assert exc.value.rank == 5
         window = SnapshotMatrix(data=data[:, :exc.value.rank + 1], nx=n_space,
                                 ny=1, dt=1.0, dx=1.0, dy=1.0,
@@ -72,11 +72,10 @@ def test_companion_polynomial_oracle():
         rng = np.random.default_rng(7)
         for nt in range(1, 9):
             data = rng.standard_normal((2 * nt + 4, nt + 1))
-            pair = split(SnapshotMatrix(data=data, nx=data.shape[0], ny=1,
-                                        dt=1.0, dx=1.0, dy=1.0,
-                                        field_tag=FieldTag.other))
-            fit = kr.fit_companion(pair)
-            dec = kr.eigendecompose(fit, pair, 1.0)
+            matrix = SnapshotMatrix(data=data, nx=data.shape[0], ny=1, dt=1.0,
+                                    dx=1.0, dy=1.0, field_tag=FieldTag.other)
+            fit = kr.fit_companion(matrix)
+            dec = kr.eigendecompose(fit, matrix)
             coeffs = [mpmath.mpf(1)] + [-mpmath.mpf(c) for c in fit.coefficients[::-1]]
             roots = mpmath.polyroots(coeffs, maxsteps=300, extraprec=160)
             roots = np.sort_complex(np.array([complex(r) for r in roots]))
@@ -88,13 +87,13 @@ def test_companion_polynomial_oracle():
 def test_hand_solved_fit():
     with criterion("hand-solved-fit"):
         data = np.array([[1.0, 2.0, 4.0], [1.0, 3.0, 9.0]])
-        pair = split(SnapshotMatrix(data=data, nx=2, ny=1, dt=1.0, dx=1.0,
-                                    dy=1.0, field_tag=FieldTag.other))
-        fit = kr.fit_companion(pair)
+        matrix = SnapshotMatrix(data=data, nx=2, ny=1, dt=1.0, dx=1.0, dy=1.0,
+                                field_tag=FieldTag.other)
+        fit = kr.fit_companion(matrix)
         assert abs(fit.coefficients[0] + 6.0) <= 1e-12
         assert abs(fit.coefficients[1] - 5.0) <= 1e-12
         assert np.array_equal(fit.companion[:, 0], [0.0, 1.0])
-        dec = kr.eigendecompose(fit, pair, 1.0)
+        dec = kr.eigendecompose(fit, matrix)
         lam = np.sort(dec.lambdas.real)
         assert abs(lam[0] - 2.0) <= 1e-12 and abs(lam[1] - 3.0) <= 1e-12
         assert np.max(np.abs(dec.lambdas.imag)) <= 1e-12
@@ -218,7 +217,7 @@ def test_error_orders_on_integrable_channel():
         matrices = build_field_matrices(CLASSIC, 129, 65, 289, 1800.0)
         matrix = matrices["h"]
         assert matrix.n_snapshots == 289
-        assert kr.split(matrix).v0.shape[1] == 288
+        assert matrix.v0.shape[1] == 288
         dec = decompose(matrix)
         k = 100  # T = 50 h
         for eps, bound in ((1e-3, 5e-3), (1e-4, 5e-4)):

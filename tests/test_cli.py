@@ -688,6 +688,19 @@ class TestVorticityCommand:
         assert capsys.readouterr().err == \
             "error: u.ksnp and v.ksnp disagree on sampling or grid\n"
 
+    @pytest.mark.parametrize("nx, ny", [(3, 3), (2, 5), (5, 2)])
+    def test_grid_below_4x4_exits_3(self, tmp_path, capsys, nx, ny):
+        rng = np.random.default_rng(12)
+        for name in ("u", "v"):
+            save(SnapshotMatrix(data=rng.standard_normal((nx * ny, 5)), nx=nx, ny=ny,
+                                dt=10.0, dx=100.0, dy=100.0, field_tag=FieldTag[name]),
+                 tmp_path / f"{name}.ksnp")
+        code = main(["vorticity", "--out", str(tmp_path / "out"), "--data", str(tmp_path),
+                     "--index", "2"])
+        assert code == 3
+        assert capsys.readouterr().err == (f"error: u.ksnp and v.ksnp: grid {nx}x{ny}: "
+                                           "grid needs nx >= 4 and ny >= 4\n")
+
     def test_rom_vorticity_tracks_full(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, DESK_CFG + "n_snapshots = 25\n")
         out = tmp_path / "out"

@@ -11,21 +11,14 @@ import koopmanrom as kr
 from koopmanrom import dmd, rom
 from koopmanrom.dmd import conjugate_groups
 from koopmanrom.errors import IndexOutOfRange, RankDeficient, ZeroNormData
-from koopmanrom.snapshots import FieldTag, ShiftedPair, SnapshotMatrix
+from koopmanrom.snapshots import FieldTag, SnapshotMatrix
 
 from conftest import make_modal_data, matrix_from_array, traced_peak
 
 
-def pair_from(data):
-    return ShiftedPair(v0=np.asarray(data, float)[:, :-1],
-                       v1=np.asarray(data, float)[:, 1:])
-
-
 def full_decomposition(data, dt=1.0):
     m = matrix_from_array(np.asarray(data, float), dt=dt)
-    pair = kr.split(m)
-    fit = kr.fit_companion(pair)
-    return m, kr.eigendecompose(fit, pair, dt)
+    return m, kr.eigendecompose(kr.fit_companion(m), m)
 
 
 class Unreadable(np.ndarray):
@@ -41,7 +34,7 @@ class Unreadable(np.ndarray):
 class TestFitCompanion:
     def test_hand_solved_two_column_pair(self):
         data = np.array([[1.0, 2.0, 4.0], [1.0, 3.0, 9.0]])  # columns [2^i, 3^i]
-        fit = kr.fit_companion(pair_from(data))
+        fit = kr.fit_companion(matrix_from_array(data))
         assert fit.coefficients == pytest.approx([-6.0, 5.0], rel=1e-12)
         assert np.array_equal(fit.companion[1, 0], 1.0)
         assert fit.companion[0, 0] == 0.0
@@ -50,7 +43,7 @@ class TestFitCompanion:
 
     def test_constant_data_identity_dynamics(self):
         u0 = np.array([3.0, -1.0, 2.0])
-        fit = kr.fit_companion(pair_from(np.stack([u0, u0], axis=1)))
+        fit = kr.fit_companion(matrix_from_array(np.stack([u0, u0], axis=1)))
         assert fit.coefficients == pytest.approx([1.0], rel=1e-14)
         assert fit.companion.shape == (1, 1)
         assert fit.residual_norm <= 1e-14
@@ -63,13 +56,13 @@ class TestFitCompanion:
         for _ in range(6):
             cols.append(a @ cols[-1])
         data = np.stack(cols, axis=1)
-        fit = kr.fit_companion(pair_from(data))
+        fit = kr.fit_companion(matrix_from_array(data))
         assert fit.residual_norm <= 1e-10 * np.linalg.norm(data[:, -1])
 
     def test_companion_sparsity(self):
         rng = np.random.default_rng(1)
         data = rng.standard_normal((30, 9))
-        fit = kr.fit_companion(pair_from(data))
+        fit = kr.fit_companion(matrix_from_array(data))
         s = fit.companion
         nt = 8
         assert s.shape == (nt, nt)
@@ -82,41 +75,40 @@ class TestFitCompanion:
     def test_residual_orthogonal_to_history(self):
         rng = np.random.default_rng(2)
         data = rng.standard_normal((40, 11))
-        pair = pair_from(data)
-        fit = kr.fit_companion(pair)
-        resid = pair.v1[:, -1] - pair.v0 @ fit.coefficients
-        bound = 1e-8 * np.linalg.norm(pair.v0) * np.linalg.norm(pair.v1[:, -1])
-        assert np.max(np.abs(pair.v0.T @ resid)) <= bound
+        m = matrix_from_array(data)
+        fit = kr.fit_companion(m)
+        resid = m.data[:, -1] - m.v0 @ fit.coefficients
+        bound = 1e-8 * np.linalg.norm(m.v0) * np.linalg.norm(m.data[:, -1])
+        assert np.max(np.abs(m.v0.T @ resid)) <= bound
 
     def test_rank_deficient_reports_numerical_rank(self):
         rng = np.random.default_rng(3)
         base = rng.standard_normal((20, 3))
         data = np.hstack([base, base[:, :2], rng.standard_normal((20, 1))])
         with pytest.raises(RankDeficient) as exc:
-            kr.fit_companion(pair_from(data))
+            kr.fit_companion(matrix_from_array(data))
         assert exc.value.rank == 3
         assert exc.value.n_columns == 5
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_window_view_fits_bit_identically(self, order):
-        """The fit factors the block V0 and u_N share; a pair of separate
-        arrays is stacked instead, to the same bits."""
+        """The fit factors ``matrix.data`` as it is: a C-ordered and an
+        F-ordered matrix of the same values fit to the same bits."""
         data = np.random.default_rng(18).standard_normal((50, 9))
         m = matrix_from_array(np.array(data, order=order))
-        pair = kr.split(m)
-        assert np.shares_memory(dmd._window(pair), m.data)
-        apart = ShiftedPair(v0=pair.v0.copy(), v1=pair.v1.copy())
-        assert not np.shares_memory(dmd._window(apart), m.data)
-        view, copy = kr.fit_companion(pair), kr.fit_companion(apart)
-        assert np.array_equal(view.coefficients, copy.coefficients)
-        assert np.array_equal(view.r, copy.r)
-        assert view.residual_norm == copy.residual_norm
+        other = matrix_from_array(np.array(data, order="F" if order == "C" else "C"))
+        contiguous = f"{order}_CONTIGUOUS"
+        assert m.data.flags[contiguous] and not other.data.flags[contiguous]
+        fit, other_fit = kr.fit_companion(m), kr.fit_companion(other)
+        assert np.array_equal(fit.coefficients, other_fit.coefficients)
+        assert np.array_equal(fit.r, other_fit.r)
+        assert fit.residual_norm == other_fit.residual_norm
 
     def test_underdetermined_rejected(self):
         # 3 rows < 5 columns: the rank gate fails, as for any deficient V0
         rng = np.random.default_rng(4)
         with pytest.raises(RankDeficient) as exc:
-            kr.fit_companion(pair_from(rng.standard_normal((3, 6))))
+            kr.fit_companion(matrix_from_array(rng.standard_normal((3, 6))))
         assert exc.value.n_columns == 5
         assert exc.value.rank <= 3
 
@@ -138,7 +130,7 @@ class TestDecompose:
         base = rng.standard_normal((40, 5))
         m = matrix_from_array(base[:, np.arange(17) % 5])
         with pytest.raises(RankDeficient):
-            kr.fit_companion(kr.split(m))
+            kr.fit_companion(m)
         used, dec = kr.decompose(m)
         assert used.n_snapshots == 6
         assert np.array_equal(used.data, m.data[:, :6])
@@ -172,15 +164,15 @@ class TestDecompose:
 class TestEigendecompose:
     def test_hand_solved_eigenvalues(self):
         data = np.array([[1.0, 2.0, 4.0], [1.0, 3.0, 9.0]])
-        pair = pair_from(data)
-        dec = kr.eigendecompose(kr.fit_companion(pair), pair, dt=1.0)
+        m = matrix_from_array(data)
+        dec = kr.eigendecompose(kr.fit_companion(m), m)
         assert sorted(dec.lambdas.real) == pytest.approx([2.0, 3.0], rel=1e-12)
         assert np.max(np.abs(dec.lambdas.imag)) <= 1e-12
 
     def test_identity_map(self):
         u0 = np.array([3.0, -1.0, 2.0])
-        pair = pair_from(np.stack([u0, u0], axis=1))
-        dec = kr.eigendecompose(kr.fit_companion(pair), pair, dt=0.5)
+        m = matrix_from_array(np.stack([u0, u0], axis=1), dt=0.5)
+        dec = kr.eigendecompose(kr.fit_companion(m), m)
         assert dec.lambdas[0] == pytest.approx(1.0, rel=1e-14)
         assert dec.exponents[0] == pytest.approx(0.0, abs=1e-14)
 
@@ -212,12 +204,11 @@ class TestEigendecompose:
 
     def test_reads_no_element_of_v0(self):
         m = matrix_from_array(np.random.default_rng(13).standard_normal((25, 9)))
-        pair = kr.split(m)
-        fit = kr.fit_companion(pair)
-        guarded = pair.v0.view(Unreadable)
-        dec = kr.eigendecompose(fit, ShiftedPair(v0=guarded, v1=pair.v1), m.dt)
-        plain = kr.eigendecompose(fit, pair, m.dt)
-        assert dec.v0 is guarded
+        fit = kr.fit_companion(m)
+        guarded = replace(m, data=m.data.view(Unreadable))
+        dec = kr.eigendecompose(fit, guarded)
+        plain = kr.eigendecompose(fit, m)
+        assert type(dec.v0) is Unreadable and dmd._same_view(dec.v0, m.v0)
         for name in ("lambdas", "exponents", "mode_coords", "z"):
             assert np.array_equal(getattr(dec, name), getattr(plain, name)), name
 
@@ -250,7 +241,6 @@ class TestEigendecompose:
 class TestAmplitudes:
     def test_single_mode_recovers_norm(self):
         u0 = np.array([3.0, 0.0, 4.0])
-        pair = pair_from(np.stack([u0, u0], axis=1))
         m, dec = full_decomposition(np.stack([u0, u0], axis=1))
         assert dec.amplitudes == pytest.approx([5.0], rel=1e-14)
 
@@ -314,9 +304,9 @@ class TestInvariants:
         rng = np.random.default_rng(16)
         for nt in range(1, 9):
             data = rng.standard_normal((12, nt + 1))
-            pair = pair_from(data)
-            fit = kr.fit_companion(pair)
-            dec = kr.eigendecompose(fit, pair, dt=1.0)
+            m = matrix_from_array(data)
+            fit = kr.fit_companion(m)
+            dec = kr.eigendecompose(fit, m)
             coeffs = [mpmath.mpf(1)] + [-mpmath.mpf(c) for c in fit.coefficients[::-1]]
             roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=120)
             roots = np.sort_complex(np.array([complex(r) for r in roots]))

@@ -56,7 +56,7 @@ from koopmanrom.dmd import CompanionFit, _qr_solve, conjugate_groups
 from koopmanrom.errors import EigenFailure, RankDeficient
 
 from conftest import (lead_rotation, make_modal_data, matrix_from_array, normwise_dev,
-                      rel_dev)
+                      rel_dev, shifted_pair)
 
 EPSILON = 1e-3
 FIELDS = ("h", "u", "v")
@@ -144,10 +144,9 @@ def old_form_modes(fit, pair):
 
 
 def assert_modes_match_formation(matrix):
-    pair = kr.split(matrix)
-    fit = kr.fit_companion(pair)
-    dec = kr.eigendecompose(fit, pair, matrix.dt)
-    ref, ref_coords = old_form_modes(fit, pair)
+    fit = kr.fit_companion(matrix)
+    dec = kr.eigendecompose(fit, matrix)
+    ref, ref_coords = old_form_modes(fit, shifted_pair(matrix))
     modes = dec.modes
     rot = lead_rotation(modes, ref)
     assert np.max(np.abs(modes * rot - ref)) <= 1e-10
@@ -176,11 +175,9 @@ def fits(desk_data):
     out = {}
     for name in FIELDS:
         matrix = desk_data[name]
-        pair = kr.split(matrix)
-        new_fit, old_fit = kr.fit_companion(pair), old_fit_companion(pair)
-        new_dec = kr.eigendecompose(new_fit, pair, matrix.dt)
-        old_dec = old_compute_amplitudes(kr.eigendecompose(old_fit, pair, matrix.dt),
-                                         matrix)
+        new_fit, old_fit = kr.fit_companion(matrix), old_fit_companion(shifted_pair(matrix))
+        new_dec = kr.eigendecompose(new_fit, matrix)
+        old_dec = old_compute_amplitudes(kr.eigendecompose(old_fit, matrix), matrix)
         out[name] = (matrix, new_fit, old_fit,
                      kr.select_leading_modes(matrix, new_dec, EPSILON),
                      kr.select_leading_modes(matrix, old_dec, EPSILON),
@@ -215,7 +212,7 @@ def test_spectrum_and_selection_match_explicit_q(fits, name):
 
 def test_square_v0_has_zero_residual():
     rng = np.random.default_rng(20)
-    fit = kr.fit_companion(kr.split(matrix_from_array(rng.standard_normal((6, 7)))))
+    fit = kr.fit_companion(matrix_from_array(rng.standard_normal((6, 7))))
     assert fit.residual_norm == 0.0
     assert fit.r.shape == (6, 6)
 

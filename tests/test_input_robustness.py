@@ -1,6 +1,9 @@
 """Non-finite snapshot data, malformed KSNP bytes and malformed config
-files fail with typed errors."""
+files fail with typed errors, and the query commands end with an exit
+code on any small KSNP input."""
 
+import contextlib
+import io
 import struct
 
 import numpy as np
@@ -206,3 +209,68 @@ class TestConfigFuzz:
         assert cfg is None or isinstance(cfg, ExperimentConfig)
         if cfg is not None:
             assert np.isfinite(cfg.snapshot_dt) and cfg.snapshot_dt > 0
+
+
+# --- the query commands on small KSNP inputs ---
+
+QUERIES = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+DATA_KINDS = ("random", "constant", "zero-first", "repeated", "rank-1")
+
+
+def field_rows(rng, kind, nsnap, cells):
+    """An (nsnap, cells) payload of the given kind, of order 1."""
+    if kind == "constant":
+        return np.full((nsnap, cells), rng.standard_normal())
+    if kind == "repeated":
+        return np.tile(rng.standard_normal(cells), (nsnap, 1))
+    if kind == "rank-1":
+        return np.outer(rng.standard_normal(nsnap), rng.standard_normal(cells))
+    rows = rng.standard_normal((nsnap, cells))
+    if kind == "zero-first":
+        rows[0] = 0.0
+    return rows
+
+
+@st.composite
+def query_inputs(draw):
+    """Grids 1..8 x 1..8, 2-6 snapshots, h/u/v files of each data kind at
+    scales and sampling intervals from 1e-300 to 1e300, and a command."""
+    nx, ny, nsnap = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(2, 6))
+    dt = 10.0 ** draw(st.floats(-300.0, 300.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fields = {}
+    for name in ("h", "u", "v"):
+        kind = draw(st.sampled_from(DATA_KINDS))
+        scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+        fields[name] = field_rows(rng, kind, nsnap, nx * ny) * scale
+    command = draw(st.sampled_from(["rom", "reconstruct", "vorticity"]))
+    argv = [command]
+    if command != "rom":
+        argv += ["--index", str(draw(st.integers(-1, 7)))]
+    if command == "reconstruct":
+        argv += ["--field", draw(st.sampled_from(["h", "u", "v"]))]
+    eps = draw(st.sampled_from([None, 1e-12, 0.5, 0.999]))
+    if eps is not None:
+        argv += ["--eps", repr(eps)]
+    return (nx, ny, dt), fields, argv
+
+
+class TestQueryCommands:
+    @QUERIES
+    @given(case=query_inputs())
+    def test_every_input_ends_with_an_exit_code(self, tmp_path_factory, case):
+        """rom, reconstruct and vorticity exit 0-3 with no exception, run
+        twice so that the second run reads the store the first one left."""
+        (nx, ny, dt), fields, argv = case
+        data = tmp_path_factory.mktemp("query")
+        for name, rows in fields.items():
+            with KsnpWriter(data / f"{name}.ksnp", len(rows), nx=nx, ny=ny, dt=dt, dx=1.0,
+                            dy=1.0, field_tag=FieldTag[name]) as writer:
+                writer.append(rows)
+                writer.commit()
+        argv = argv + ["--out", str(data / "out"), "--data", str(data)]
+        for _ in range(2):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2, 3)

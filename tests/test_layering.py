@@ -1,14 +1,21 @@
-"""Layering: no module of the package reads a private name of a sibling.
+"""Layering: no module of the package reads a private name of a sibling,
+and the public names are real and documented.
 
 A name that starts with ``_`` belongs to its own module.  The CLI
 parses, calls the library and writes reports through public functions
 only, and the library modules keep to each other's public names, so a
 tracer that wraps public module attributes sees every call between
 them.  Each module's syntax tree is walked for ``sibling._name``
-attribute reads and ``from .sibling import _name`` imports.
+attribute reads and ``from .sibling import _name`` imports.  Every name
+in a module's ``__all__`` must resolve (a tracer that walks ``__all__``
+would pass over a stale entry in silence), and every public name the
+package exports must appear in the README as code.
 """
 
 import ast
+import importlib
+import re
+import types
 from pathlib import Path
 
 import pytest
@@ -48,3 +55,19 @@ def test_checker_finds_each_form():
 
 def test_every_sibling_is_a_module_of_the_package():
     assert {p.stem for p in PACKAGE.glob("*.py")} >= set(SIBLINGS)
+
+
+@pytest.mark.parametrize("name", ["dmd", "rom", "snapshots", "swe"])
+def test_every_name_in_all_resolves(name):
+    module = importlib.import_module(f"koopmanrom.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_every_exported_name_is_in_the_readme():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    exported = sorted(name for name, value in vars(koopmanrom).items()
+                      if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    # at the start of a code span, or called through the package in a sketch
+    missing = [name for name in exported
+               if not re.search(rf"(`|\bkr\.){re.escape(name)}\b", readme)]
+    assert missing == []

@@ -27,28 +27,27 @@ def with_spectrum(lambdas, amplitudes, dt=1.0):
 class TestModeWeights:
     def test_unit_amplitude_unit_eigenvalue(self):
         dec = with_spectrum([1.0], [1.0], dt=1.0)
-        (w,) = kr.mode_weights(dec, 3, 1.0)
-        assert w.mode_index == 0
-        assert w.weight == pytest.approx(3.0, rel=1e-15)
+        weights = kr.mode_weights(dec, 3, 1.0)
+        assert weights.shape == (1,) and weights.dtype == np.float64
+        assert weights[0] == pytest.approx(3.0, rel=1e-15)
 
     def test_growing_eigenvalue_brute_sum(self):
         dec = with_spectrum([2.0], [1.0], dt=0.5)
         (w,) = kr.mode_weights(dec, 3, 0.5)
-        assert w.weight == pytest.approx(3.5, rel=1e-15)  # 0.5 * (1 + 2 + 4)
+        assert w == pytest.approx(3.5, rel=1e-15)  # 0.5 * (1 + 2 + 4)
 
     def test_zero_amplitude_zero_weight(self):
         dec = with_spectrum([5.0, 0.3], [0.0, 1.0], dt=1.0)
         weights = kr.mode_weights(dec, 6, 1.0)
-        assert weights[0].weight == 0.0
-        assert weights[1].weight > 0.0
+        assert weights[0] == 0.0
+        assert weights[1] > 0.0
 
     def test_weights_nonnegative_and_finite(self):
         rng = np.random.default_rng(0)
         data, *_ = make_modal_data(rng, 30, n_pairs=2, n_real=1, n_snapshots=6)
         m = matrix_from_array(data)
         dec = decompose(m)
-        weights = kr.mode_weights(dec, m.n_snapshots - 1, dec.dt)
-        vals = np.array([w.weight for w in weights])
+        vals = kr.mode_weights(dec, m.n_snapshots - 1, dec.dt)
         assert np.all(vals >= 0.0) and np.all(np.isfinite(vals))
 
     def test_index_map_is_bijection(self):
@@ -57,7 +56,8 @@ class TestModeWeights:
         m = matrix_from_array(data)
         dec = decompose(m)
         weights = kr.mode_weights(dec, m.n_snapshots - 1, dec.dt)
-        assert sorted(w.mode_index for w in weights) == list(range(12))
+        # entry j is the weight of mode j
+        assert weights.shape == (12,) == dec.lambdas.shape
 
 
 class TestRelativeError:
@@ -160,8 +160,7 @@ class TestSelection:
         m = matrix_from_array(data)
         dec = decompose(m)
         rom = kr.select_leading_modes(m, dec, 1e-4)
-        weights = np.array([w.weight for w in
-                            kr.mode_weights(dec, m.n_snapshots - 1, dec.dt)])
+        weights = kr.mode_weights(dec, m.n_snapshots - 1, dec.dt)
         chosen = set(rom.selected)
         if len(chosen) < len(weights):
             lowest_in = min(weights[j] for j in chosen)

@@ -2,7 +2,9 @@
 
 The functions prefixed ``old_`` are the full-space implementations that
 the coordinate path replaced, copied verbatim apart from their names,
-most docstrings and the missing-amplitude guards: every reconstruction
+most docstrings, the missing-amplitude guards and the weights, which
+``old_mode_weights`` returns as the array the list of ``ModeWeight``
+records held (that record is gone): every reconstruction
 is an Nx x Nt complex product, and the amplitudes are a QR solve
 against the Nx x m mode matrix, and ``reconstruct`` reads the formed
 modes.  The old modes pin each phase on the largest entry of the mode,
@@ -38,10 +40,10 @@ from scipy.linalg.blas import dger
 import koopmanrom as kr
 from koopmanrom import rom
 from koopmanrom.errors import EigenFailure, RankDeficient, ZeroNormData
-from koopmanrom.rom import ModeWeight, RomModel
+from koopmanrom.rom import RomModel
 
 from conftest import (lead_rotation, make_modal_data, matrix_from_array, normwise_dev,
-                      rel_dev)
+                      rel_dev, shifted_pair)
 
 EPSILON = 1e-3
 FIELDS = ("h", "u", "v")
@@ -123,8 +125,7 @@ def old_conjugate_groups(lambdas, rtol=1e-10):
 
 def old_mode_weights(dec, n_steps, dt):
     powers = np.abs(dec.lambdas)[None, :] ** np.arange(n_steps)[:, None]
-    w = dt * (np.abs(dec.amplitudes)[None, :] * powers).sum(axis=0)
-    return [ModeWeight(mode_index=j, weight=float(w[j])) for j in range(w.shape[0])]
+    return dt * (np.abs(dec.amplitudes)[None, :] * powers).sum(axis=0)
 
 
 def old_reconstruction_span(matrix):
@@ -170,8 +171,7 @@ def old_selection_order(dec, weights):
 
 
 def old_select_leading_modes(matrix, dec, epsilon):
-    weights = np.array([mw.weight for mw in
-                        old_mode_weights(dec, matrix.n_snapshots - 1, dec.dt)])
+    weights = old_mode_weights(dec, matrix.n_snapshots - 1, dec.dt)
     order = old_selection_order(dec, weights)
 
     target = old_reconstruction_span(matrix)
@@ -236,10 +236,9 @@ def both_paths(desk_data):
     out = {}
     for name in FIELDS:
         matrix = desk_data[name]
-        pair = kr.split(matrix)
-        fit = kr.fit_companion(pair)
-        new = kr.eigendecompose(fit, pair, matrix.dt)
-        old = old_eigendecompose(fit, pair, matrix.dt)
+        fit = kr.fit_companion(matrix)
+        new = kr.eigendecompose(fit, matrix)
+        old = old_eigendecompose(fit, shifted_pair(matrix), matrix.dt)
         old_compute_amplitudes(old, matrix)
         out[name] = (matrix, new, kr.select_leading_modes(matrix, new, EPSILON),
                      old, old_select_leading_modes(matrix, old, EPSILON))
@@ -262,7 +261,7 @@ def test_selection_matches(both_paths, name):
     assert model.selected == ref.selected
     assert model.converged and ref.converged
     assert rel_dev(model.achieved_error, ref.achieved_error) <= 1e-9
-    weights = [mw.weight for mw in old_mode_weights(old, matrix.n_snapshots - 1, old.dt)]
+    weights = old_mode_weights(old, matrix.n_snapshots - 1, old.dt)
     assert normwise_dev(model.weights, weights) <= 1e-9
     assert rel_dev(kr.per_time_errors(matrix, new, model.selected),
                    old_per_time_errors(matrix, old, ref.selected)) <= 1e-6
@@ -315,10 +314,9 @@ def loop_select_leading_modes(matrix, dec, epsilon):
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
 
-    weights = np.array([mw.weight for mw in
-                        rom.mode_weights(dec, matrix.n_snapshots - 1, dec.dt)])
+    weights = rom.mode_weights(dec, matrix.n_snapshots - 1, dec.dt)
     order = rom._selection_order(dec, weights)
-    t, b = dec.coordinates(rom._reconstruction_span(matrix))
+    t, b = dec.coordinates(matrix.v0)
     ref = rom._reference_norm(t)
 
     selected: list[int] = []

@@ -1,4 +1,4 @@
-"""Snapshot matrix assembly, splitting, binary round-trips and CSV export."""
+"""Snapshot matrix assembly, its V0 view, binary round-trips and CSV export."""
 
 import struct
 
@@ -71,27 +71,27 @@ class TestAssemble:
 
 
 class TestSplit:
+    """``SnapshotMatrix.v0``: the matrix split before its last column, the
+    fit target."""
+
     def test_minimal_two_columns(self):
         rng = np.random.default_rng(1)
         m = random_matrix(rng, nsnap=2)
-        pair = kr.split(m)
-        assert pair.v0.shape == (15, 1) and pair.v1.shape == (15, 1)
-        assert np.array_equal(pair.v0[:, 0], m.data[:, 0])
-        assert np.array_equal(pair.v1[:, 0], m.data[:, 1])
+        assert m.v0.shape == (15, 1)
+        assert np.array_equal(m.v0[:, 0], m.data[:, 0])
 
     def test_289_column_run_gives_rank_288_pair(self):
         rng = np.random.default_rng(2)
         m = random_matrix(rng, nx=2, ny=2, nsnap=289)
-        pair = kr.split(m)
-        assert pair.v0.shape == (4, 288) and pair.v1.shape == (4, 288)
+        assert m.v0.shape == (4, 288)
 
     def test_reinterleave_restores_matrix(self):
         rng = np.random.default_rng(3)
         m = random_matrix(rng, nsnap=9)
-        pair = kr.split(m)
-        rebuilt = np.hstack([pair.v0, pair.v1[:, -1:]])
-        assert np.array_equal(rebuilt, m.data)
-        assert np.array_equal(pair.v0[:, 1:], pair.v1[:, :-1])
+        v0 = m.v0
+        assert v0.base is not None and np.shares_memory(v0, m.data)
+        assert np.array_equal(v0, m.data[:, :8])
+        assert np.array_equal(np.hstack([v0, m.data[:, -1:]]), m.data)
 
     def test_single_column_matrix_rejected(self):
         with pytest.raises(TooFewColumns):
