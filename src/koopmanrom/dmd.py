@@ -7,6 +7,17 @@ combination coefficients fill the last column of a companion matrix
 whose eigenvalues approximate the spectrum of the underlying evolution
 operator; modes are the snapshot-basis images of its eigenvectors.
 
+Companion spectrum: the eigenvalues of the companion matrix are the
+roots of its polynomial p(x) = x^Nt - sum_k c_k x^k, found by the
+Aberth-Ehrlich iteration at O(Nt^2) a step (``_aberth``), and its right
+eigenvectors follow from the backward recursion of Horner's rule on p,
+z[Nt-1] = 1, z[k-1] = lambda z[k] - c_k.  When the iteration does not
+converge, an iterate is not finite, two roots are not separated (a
+multiple root, as of a zero fit target) or a root has no conjugate
+partner, ``np.linalg.eig`` of the companion matrix gives them instead.
+Either way a conjugate pair is listed in adjacent columns, positive
+imaginary part first, exactly conjugate.
+
 Reconstruction indexing: with amplitudes fit to the first snapshot,
 ``reconstruct(dec, subset, i)`` approximates the i-th snapshot (1-based,
 so i = 1 is the first column of the source matrix).
@@ -45,6 +56,10 @@ _RANK_RTOL = 1e-12
 # smallest data norm whose machine-precision residual, 2**-52 of it, still
 # has a normal square: (2**-459 * 2**-52)**2 = 2**-1022
 _NORM_MIN = 2.0 ** -459
+# the companion's roots (``_aberth``): machine epsilon of the rounding
+# bound, and the iteration cap beyond which np.linalg.eig takes over
+_EPS = float(np.finfo(float).eps)
+_ABERTH_MAX_IT = 60
 
 
 @dataclass(frozen=True)
@@ -86,9 +101,6 @@ class DmdDecomposition:
         modes.real = self.v0 @ self.z.real
         if np.iscomplexobj(self.z):
             modes.imag = self.v0 @ self.z.imag
-            # eig lists a pair as adjacent columns, positive imaginary part first
-            first = np.flatnonzero(self.lambdas.imag > 0)
-            modes[:, first + 1] = modes[:, first].conj()
         return modes
 
     def coordinates(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,24 +182,221 @@ def eigendecompose(fit: CompanionFit, matrix: SnapshotMatrix) -> DmdDecompositio
     coordinates R z and the amplitudes (a rank-deficient mode matrix
     raises RankDeficient), and forms the modes when they are read.
     """
-    try:
-        lambdas, z = np.linalg.eig(fit.companion)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
+    lambdas, z = _companion_eig(fit)
     coords = fit.r @ z
     norms = np.linalg.norm(coords, axis=0)
     if np.any(norms == 0.0):
         raise EigenFailure("eigenvector mapped to a zero mode")
     lead = z[np.argmax(np.abs(z), axis=0), np.arange(z.shape[1])]
     phase = np.abs(lead) / lead
-    # the partners of a pair share the lead entry's row: conjugate phases
-    first = np.flatnonzero(lambdas.imag > 0)
-    phase[first + 1] = phase[first].conj()
     with np.errstate(divide="ignore", invalid="ignore"):
         exponents = np.log(lambdas) / matrix.dt
     b = coords / norms * phase
     return DmdDecomposition(lambdas, exponents, matrix.dt, _amplitudes(fit.r, b, lambdas),
                             v0=matrix.v0, r=fit.r, mode_coords=b, z=z / norms * phase)
+
+
+def _companion_eig(fit: CompanionFit) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and right eigenvectors of the companion matrix of
+    ``fit``, in the layout ``np.linalg.eig`` gives them: real arrays when
+    every eigenvalue is real, else each conjugate pair in adjacent
+    columns, positive imaginary part first, exactly conjugate.
+
+    The eigenvalues are the roots of p(x) = x^Nt - sum_k c_k x^k
+    (``_aberth``), listed by descending modulus, then ascending argument;
+    an eigenvalue within 1e-10 relative of the real axis (the test of
+    ``conjugate_groups``) is made real.  Eigenvector j is Horner's rule
+    on p at lambda_j, the backward recursion z[Nt-1] = 1,
+    z[k-1] = lambda_j z[k] - c_k, divided by its largest-magnitude entry.
+    When the iteration does not converge, an iterate or a vector is not
+    finite, the roots are not separated by their inclusion radii (a
+    multiple root, as of a zero fit target), or a root has no conjugate
+    partner, the companion matrix goes to ``np.linalg.eig`` instead.
+    """
+    found = _aberth(fit.coefficients)
+    if found is not None:
+        found = _conjugate_layout(fit.coefficients, *found)
+    if found is not None:
+        return found
+    try:
+        return np.linalg.eig(fit.companion)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+
+
+def _conjugate_layout(c: np.ndarray, x: np.ndarray, radius: np.ndarray):
+    """The eigenpairs of ``_companion_eig`` from the roots ``x`` of its
+    polynomial, with inclusion radii ``radius``: real roots made real,
+    each upper root averaged with the conjugate of its nearest lower root
+    and listed with its conjugate after it.  None when a root has no
+    conjugate partner within their radii, two inclusion disks of the
+    listed roots meet, or a vector is not finite."""
+    real = np.abs(x.imag) <= 1e-10 * np.maximum(np.abs(x), 1.0)
+    upper = np.flatnonzero(~real & (x.imag > 0))
+    lower = np.flatnonzero(~real & (x.imag < 0))
+    if upper.size != lower.size:
+        return None
+    mate = lower
+    if upper.size:
+        gap = np.abs(x[upper, None] - x[None, lower].conj())
+        mate = lower[np.argmin(gap, axis=1)]
+        if (len(set(mate.tolist())) < mate.size
+                or np.any(gap.min(axis=1) > radius[upper] + radius[mate])):
+            return None
+    reps = np.concatenate([x[real].real.astype(complex),
+                           0.5 * (x[upper] + x[mate].conj())])
+    rad = np.concatenate([radius[real], np.maximum(radius[upper], radius[mate])])
+    order = np.lexsort((np.angle(reps), -np.abs(reps)))
+    reps, rad = reps[order], rad[order]
+    pair = reps.imag > 0
+    lambdas = np.repeat(reps, np.where(pair, 2, 1))
+    rad = np.repeat(rad, np.where(pair, 2, 1))
+    first = np.arange(reps.size) + np.cumsum(pair) - pair
+    lambdas[first[pair] + 1] = reps[pair].conj()
+    if not pair.any():
+        lambdas = lambdas.real.copy()
+    gap = np.abs(lambdas[:, None] - lambdas[None, :])
+    np.fill_diagonal(gap, np.inf)
+    if np.any(gap <= rad[:, None] + rad[None, :]):
+        return None
+    nt = c.shape[0]
+    z = np.empty((nt, nt), dtype=lambdas.dtype)
+    z[-1] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(nt - 1, 0, -1):
+            np.multiply(z[k], lambdas, out=z[k - 1])
+            z[k - 1] -= c[k]
+    if not np.all(np.isfinite(z)):
+        return None
+    lead = np.argmax(np.abs(z), axis=0), np.arange(nt)
+    z /= z[lead]
+    z[lead] = 1.0
+    return lambdas, z
+
+
+def _aberth(c: np.ndarray):
+    """Roots of p(x) = x^Nt - sum_k c_k x^k by the Aberth-Ehrlich
+    iteration, with their inclusion radii, or None.
+
+    D. A. Bini, "Numerical computation of polynomial zeros by means of
+    Aberth's method", Numer. Algorithms 13 (1996): every root moves at
+    once by x_i -= N_i / (1 - N_i sum_{j != i} 1 / (x_i - x_j)), N_i the
+    Newton correction p(x_i) / p'(x_i), from Bini's starting points on
+    the circles of the Newton polygon of p.  A root stops when |p(x_i)|
+    is at or below the rounding bound of Horner's rule,
+    eps sum_k (3.8 k + 1) |a_k| |x_i|^k with a_k the coefficient of x^k,
+    computed in the same pass as p(x_i) (the stopping rule of MPSolve:
+    Bini & Robol, J. Comput. Appl. Math. 272, 2014).  When every root
+    has stopped, one more step polishes them all.
+
+    The radius of root i is Nt (|p(x_i)| + b_i) / |p'(x_i)|, b_i that
+    bound with every |a_k| taken as max_k |a_k|: a disk about x_i that
+    holds a root of p under coefficient errors of rounding size relative
+    to the largest coefficient, the errors a least-squares fit leaves in
+    c and the backward error of ``np.linalg.eig``.  Roots whose disks
+    meet count as one multiple root (``_conjugate_layout``).  None when
+    a root has not stopped after ``_ABERTH_MAX_IT`` steps or an iterate
+    is not finite.
+    """
+    nt = c.shape[0]
+    a = np.append(-c, 1.0)  # a_k, the coefficient of x^k
+    k = np.arange(nt + 1)
+    # rows: p and its reversal x^Nt p(1/x), then their derivatives, as
+    # coefficients of the powers 0..Nt; the rounding bounds of both, and
+    # the normwise bound of the radii
+    table = np.zeros((4, nt + 1))
+    table[0], table[1] = a, a[::-1]
+    table[2:, :-1] = k[1:] * table[:2, 1:]
+    bounds = np.abs(table[[0, 1, 0]])
+    bounds[2] = bounds[2].max()
+    bounds *= _EPS * (3.8 * k + 1.0)
+    # a non-finite step ends in np.linalg.eig, not in a warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = _aberth_start(a)
+        if x is None:
+            return None
+        stopped = np.zeros(nt, dtype=bool)
+        for _ in range(_ABERTH_MAX_IT):
+            moving = np.flatnonzero(~stopped)
+            newton, done, _ = _newton_terms(x[moving], table, bounds)
+            stopped[moving[done]] = True
+            moving, newton = moving[~done], newton[~done]
+            if moving.size == 0:
+                break
+            x[moving] -= newton / (1.0 - newton * _aberth_sums(x, moving))
+            if not np.all(np.isfinite(x[moving])):
+                return None
+        else:
+            return None
+        newton, _, radius = _newton_terms(x, table, bounds)
+        x -= newton / (1.0 - newton * _aberth_sums(x, np.arange(nt)))
+    if not np.all(np.isfinite(x)):
+        return None
+    return x, radius
+
+
+def _aberth_start(a: np.ndarray):
+    """Bini's starting points for the roots of sum_k a_k x^k: for each
+    edge (i, j) of the upper convex hull of the points (k, log|a_k|), j - i
+    points on the circle of radius |a_i / a_j|^(1 / (j - i)), spread
+    evenly and turned by 2 pi i / Nt + 0.7.  None when a_0 is zero (a
+    root at 0) or a radius is not finite."""
+    nt = a.shape[0] - 1
+    logs = np.log(np.abs(a)).tolist()
+    if logs[0] == -np.inf:
+        return None
+    hull: list[int] = []
+    for k in range(nt + 1):
+        if logs[k] == -np.inf:
+            continue
+        # drop the last vertex while it lies on or below the chord to k
+        while len(hull) >= 2 and ((logs[hull[-1]] - logs[hull[-2]]) * (k - hull[-2])
+                                  <= (logs[k] - logs[hull[-2]]) * (hull[-1] - hull[-2])):
+            hull.pop()
+        hull.append(k)
+    x = np.empty(nt, dtype=complex)
+    for i, j in zip(hull, hull[1:]):
+        angles = 2.0 * np.pi * (np.arange(j - i) / (j - i) + i / nt) + 0.7
+        x[i:j] = np.exp((logs[i] - logs[j]) / (j - i) + 1j * angles)
+    return x if np.all(np.isfinite(x)) else None
+
+
+def _newton_terms(x: np.ndarray, table: np.ndarray, bounds: np.ndarray):
+    """At each point x: the Newton correction p(x) / p'(x), whether |p(x)|
+    is within its rounding bound, and the inclusion radius (``_aberth``).
+
+    A point inside the unit circle evaluates p at w = x, one outside its
+    reversal q(w) = x^-Nt p(x) at w = 1/x, so no power overflows; then
+    p / p' = x q / (Nt q - w q').  All rows of ``table`` and ``bounds``
+    are taken in one pass, as products with the powers w^0..w^Nt (one
+    cumulative product) and their moduli.
+    """
+    nt = table.shape[1] - 1
+    outside = np.abs(x) > 1.0
+    w = x.copy()
+    w[outside] = 1.0 / x[outside]
+    powers = np.empty((nt + 1, x.shape[0]), dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = w
+    np.multiply.accumulate(powers, axis=0, out=powers)
+    values = (table @ powers.view(float)).view(complex)
+    sums = bounds @ np.abs(powers)
+    cols = np.arange(x.shape[0])
+    pick = outside.astype(int)
+    p, dp, bound = values[pick, cols], values[pick + 2, cols], sums[pick, cols]
+    num = np.where(outside, x * p, p)
+    den = np.where(outside, nt * p - w * dp, dp)
+    radius = nt * np.where(outside, np.abs(x), 1.0) * (np.abs(p) + sums[2]) / np.abs(den)
+    return num / den, np.abs(p) <= bound, radius
+
+
+def _aberth_sums(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_{j != i} 1 / (x_i - x_j) for each i in ``rows``, as
+    conj(d) / |d|^2 in real arithmetic."""
+    d = x[rows, None] - x[None, :]
+    sq = d.real * d.real + d.imag * d.imag
+    sq[np.arange(rows.shape[0]), rows] = np.inf
+    return (d.real / sq).sum(axis=1) - 1j * (d.imag / sq).sum(axis=1)
 
 
 def _amplitudes(r: np.ndarray, b: np.ndarray, lambdas: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ Decomposition store: ``reduced_model(matrix, epsilon, store)`` keeps a
 field's decomposition and its selection curve in one file at ``store``
 and reads it back while the snapshot bytes are unchanged, so a later
 selection at any epsilon runs no residual pass and no Vandermonde.  The
-file (format 4) is flat, not a zip: a fixed header (magic, format,
+file (format 5) is flat, not a zip: a fixed header (magic, format,
 key length, decomposed snapshots n, conjugate groups g), a table of
 (dtype, offset, length) per array, the key, then the raw little-endian
 arrays at 64-byte aligned offsets: the eigenvalues, exponents,
@@ -60,7 +60,7 @@ from .snapshots import SnapshotMatrix
 # the key, header, one table entry per array, and each array's extent
 # ("mode": one entry per mode, "square": Nt x Nt, "group": one entry per
 # conjugate group) with the dtypes it may have
-_STORE_VERSION = 4
+_STORE_VERSION = 5
 _STORE_MAGIC = b"KROMDMD\0"
 _STORE_HEAD = struct.Struct("<8s4I")    # magic, format, key bytes, n, g
 _STORE_ENTRY = struct.Struct("<4s2Q")   # dtype, offset, length in bytes
@@ -108,13 +108,26 @@ class RomModel:
 
 def mode_weights(dec: dmd.DmdDecomposition, n_steps: int, dt: float) -> np.ndarray:
     """Weight of every mode over an n_steps reconstruction horizon, a
-    float64 array indexed by mode."""
+    float64 array indexed by mode: dt times ``_mode_sums``, inf where
+    that product overflows."""
+    with np.errstate(over="ignore"):
+        return dt * _mode_sums(dec, n_steps)
+
+
+def _mode_sums(dec: dmd.DmdDecomposition, n_steps: int) -> np.ndarray:
+    """sum_{i < n_steps} |a_j| |lambda_j|^i of every mode: its weight over
+    dt, which orders the modes as the weights do for any dt > 0."""
     powers = np.abs(dec.lambdas)[None, :] ** np.arange(n_steps)[:, None]
-    return dt * (np.abs(dec.amplitudes)[None, :] * powers).sum(axis=0)
+    return (np.abs(dec.amplitudes)[None, :] * powers).sum(axis=0)
 
 
 def _vandermonde(lambdas: np.ndarray, n_steps: int) -> np.ndarray:
-    return lambdas[:, None] ** np.arange(n_steps)[None, :]
+    """lambda_j^k in row j, column k < n_steps, by one cumulative product
+    in place: columns 0 and 1 are exactly 1 and lambda_j."""
+    powers = np.empty((lambdas.shape[0], n_steps), dtype=lambdas.dtype)
+    powers[:, :1] = 1.0
+    powers[:, 1:] = lambdas[:, None]
+    return np.cumprod(powers, axis=1, out=powers)
 
 
 def _reference_norm(t: np.ndarray) -> float:
@@ -183,8 +196,9 @@ def _column_errors(res: np.ndarray, t: np.ndarray) -> np.ndarray:
         return np.where(den > 0.0, num / den, np.inf)
 
 
-def _selection_order(dec: dmd.DmdDecomposition, weights: np.ndarray) -> list[list[int]]:
-    """Conjugate groups sorted by descending weight.
+def _selection_order(dec: dmd.DmdDecomposition, sums: np.ndarray) -> list[list[int]]:
+    """Conjugate groups sorted by descending weight, read from the sums
+    of ``_mode_sums``, which a large dt cannot overflow.
 
     Ties break toward the lower |frequency|, then the lower index, so
     the ordering is deterministic.
@@ -194,7 +208,7 @@ def _selection_order(dec: dmd.DmdDecomposition, weights: np.ndarray) -> list[lis
 
     def key(group):
         j = min(group, key=lambda k: (freq[k], k))
-        return (-weights[group[0]], freq[j], j)
+        return (-sums[group[0]], freq[j], j)
 
     return sorted(groups, key=key)
 
@@ -219,8 +233,10 @@ def select_leading_modes(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
     first reaches epsilon.
     """
     _require_epsilon(epsilon)
-    weights = mode_weights(dec, matrix.n_snapshots - 1, dec.dt)
-    order = _selection_order(dec, weights)
+    sums = _mode_sums(dec, matrix.n_snapshots - 1)
+    order = _selection_order(dec, sums)
+    with np.errstate(over="ignore"):
+        weights = dec.dt * sums
     t, b = dec.coordinates(matrix.v0)
     ref = _reference_norm(t)
 

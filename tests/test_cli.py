@@ -886,7 +886,7 @@ def store_case(tmp_path_factory):
 
 def unpacked(store: bytes):
     """The header fields (magic, format, key length, n, groups), the key
-    and the arrays, by name, of a format 4 store."""
+    and the arrays, by name, of a store of this format."""
     head = list(rom._STORE_HEAD.unpack_from(store))
     key = store[STORE_TABLE:STORE_TABLE + head[2]]
     arrays = {}
@@ -900,7 +900,7 @@ def unpacked(store: bytes):
 
 def packed(head, key: bytes, arrays) -> bytes:
     """The store of ``head``, ``key`` and ``arrays`` in the layout of
-    format 4: header, table, key, then each array 64-byte aligned.  An
+    this format: header, table, key, then each array 64-byte aligned.  An
     array None leaves its table entry empty."""
     entries, body = [], b""
     start = -(-(STORE_TABLE + len(key)) // 64) * 64
@@ -953,9 +953,10 @@ def damaged_stores(draw, stores):
                                              "retyped"])))
     head, key, arrays = unpacked(valid)
     if kind == "older format":
-        version = draw(st.integers(1, 3))
+        version = draw(st.integers(1, rom._STORE_VERSION - 1))
         head[1] = version
-        return packed(head, key.replace(b" 4 ", f" {version} ".encode(), 1), arrays)
+        return packed(head, key.replace(f" {rom._STORE_VERSION} ".encode(),
+                                        f" {version} ".encode(), 1), arrays)
     raw = bytearray(valid)
     if kind == "past end":
         at = rom._STORE_HEAD.size + rom._STORE_ENTRY.size * draw(
@@ -1001,7 +1002,7 @@ def _grown(head, key: bytes, arrays, n: int) -> bytes:
 
 
 def test_store_layout_round_trips(store_case):
-    """The test's own reader and writer of format 4 give back h's store,
+    """The test's own reader and writer of this format give back h's store,
     so every damaged store above differs from it only where it says."""
     _, stores, _, _ = store_case
     for store in stores.values():

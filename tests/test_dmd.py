@@ -482,20 +482,23 @@ class TestDecompositionStore:
         _, fits = self.decompose_counting(m, path)
         assert fits == 0  # the store now holds the new decomposition
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_store_of_an_older_format_is_a_miss(self, tmp_path, rows, version):
         # format 1 solved the fit's triangle another way: its eigenvalues
         # differ in their last bits from a cold run of this one; format 2
         # pinned each phase on the largest entry of the mode, not of z;
         # format 3, an np.savez zip of the decomposition, kept no selection
-        # curve.  Each is written in the layout of this format, under its
-        # own number, and format 3 also as the zip it was.
+        # curve; format 4 took its eigenvalues from np.linalg.eig, not from
+        # the roots of the companion polynomial.  Each is written in the
+        # layout of this format, under its own number, and format 3 also
+        # as the zip it was.
         m, path = window_matrix(rows), tmp_path / "dmd_h.npz"
         _, dec = stored(m, path)
         raw = bytearray(path.read_bytes())
         magic, _, key_len, n, groups = rom._STORE_HEAD.unpack_from(raw)
         table = rom._STORE_TABLE_END
-        key = raw[table:table + key_len].replace(b" 4 ", f" {version} ".encode(), 1)
+        key = raw[table:table + key_len].replace(f" {rom._STORE_VERSION} ".encode(),
+                                                  f" {version} ".encode(), 1)
         raw[:rom._STORE_HEAD.size] = rom._STORE_HEAD.pack(magic, version, key_len, n, groups)
         raw[table:table + key_len] = key
         path.write_bytes(bytes(raw))
@@ -508,7 +511,7 @@ class TestDecompositionStore:
             (_, again), fits = self.decompose_counting(m, path)
             assert fits == 1
             self.assert_same(again, dec)
-        assert path.read_bytes()[:8] == rom._STORE_MAGIC  # rewritten in format 4
+        assert path.read_bytes()[:8] == rom._STORE_MAGIC  # rewritten in this format
 
     def test_truncated_window_is_restored(self, tmp_path):
         # 17 snapshots repeating with period 5: decomposed as the first 6

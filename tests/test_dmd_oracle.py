@@ -23,9 +23,11 @@ docstring and the line that stored the amplitudes on the decomposition
 its result bit for bit.
 
 ``old_form_modes`` is the mode formation of ``eigendecompose`` before
-the modes were formed on demand, also verbatim: the complex product
-V0 @ z, its column norms and the phase pin on the largest entry of the
-mode.  The phase is now pinned on the largest entry of the eigenvector
+the modes were formed on demand, verbatim but for its eigenpairs, which
+it takes from the library's solver (``dmd._companion_eig``) rather than
+from ``np.linalg.eig``, so both formations start from one spectrum in
+one order: the complex product V0 @ z, its column norms and the phase
+pin on the largest entry of the mode.  The phase is now pinned on the largest entry of the eigenvector
 z_j instead, so each new column (and its coordinates) is compared after
 the rotation that puts its entry in the old lead row on the positive
 real axis.  Tolerances on desk h/u/v and on the seeded spectra: modes
@@ -34,6 +36,16 @@ lead entry in every column.  The norms now come from R z_j: for a mode
 whose image is 5e-8 of ||V0|| (desk h), both formations round its norm
 and phase differently by up to 2e-11, and neither is the more exact
 one.
+
+The solver oracle checks ``dmd._companion_eig`` itself.  Against
+``np.linalg.eig`` on desk h/u/v and on the seeded spectra, its
+eigenvalues match one to one within 1e-11 of max|lambda|, 1e-10 on desk
+u, where eig itself is off by about 2e-11.  Against roots refined by
+Newton's method in 40-digit ``mpmath``, with eigenvectors from the same
+backward recursion, its eigenvalues are within 1e-12 of max|lambda| and
+its modes within 1e-10 entrywise after the lead-row rotation.  The desk
+fields never reach ``np.linalg.eig``; a zero fit target and the
+repeated-root windows do, and decompose bit for bit as that path alone.
 
 The property tests draw seeded modal spectra (``make_modal_data`` plus
 noise below the selection threshold) and check invariants of the whole
@@ -44,15 +56,18 @@ mode matrix rank 1.
 """
 
 import dataclasses
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import koopmanrom as kr
-from koopmanrom.dmd import CompanionFit, _qr_solve, conjugate_groups
+from koopmanrom.dmd import CompanionFit, _companion_eig, _qr_solve, conjugate_groups
 from koopmanrom.errors import EigenFailure, RankDeficient
 
 from conftest import (lead_rotation, make_modal_data, matrix_from_array, normwise_dev,
@@ -128,10 +143,7 @@ def test_amplitudes_match_compute_amplitudes(desk_data, name):
 
 def old_form_modes(fit, pair):
     """The modes and mode coordinates ``eigendecompose`` returned."""
-    try:
-        lambdas, z = np.linalg.eig(fit.companion)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
+    lambdas, z = _companion_eig(fit)
     modes = pair.v0 @ z
     norms = np.linalg.norm(modes, axis=0)
     if np.any(norms == 0.0):
@@ -305,9 +317,20 @@ def repeated_root_windows(draw):
     return matrix_from_array(np.column_stack([v0, v0 @ c]))
 
 
+def assert_takes_eig(matrix):
+    """The eigenpairs of ``matrix``'s companion are those of
+    ``np.linalg.eig``, bit for bit, so its decomposition is that path's."""
+    fit = kr.fit_companion(matrix)
+    lambdas, z = _companion_eig(fit)
+    ref_lambdas, ref_z = np.linalg.eig(fit.companion)
+    assert lambdas.dtype == ref_lambdas.dtype and z.dtype == ref_z.dtype
+    assert np.array_equal(lambdas, ref_lambdas) and np.array_equal(z, ref_z)
+
+
 @SPECTRA
 @given(repeated_root_windows())
 def test_repeated_roots_give_a_model_or_a_deficient_mode_matrix(matrix):
+    assert_takes_eig(matrix)
     try:
         used, dec = kr.decompose(matrix)
     except RankDeficient as exc:
@@ -327,7 +350,85 @@ def test_zero_fit_target_gives_rank_one_mode_matrix(nt):
     last snapshot of V0."""
     data = np.random.default_rng(nt).standard_normal((40, nt + 1))
     data[:, -1] = 0.0
+    assert_takes_eig(matrix_from_array(data))
     with pytest.raises(RankDeficient) as info:
         kr.decompose(matrix_from_array(data))
     assert (info.value.rank, info.value.n_columns) == (1, nt)
     assert str(info.value) == f"mode matrix has numerical rank 1 < {nt} columns"
+
+
+# --- the companion solver against np.linalg.eig and extended precision ---
+
+EIG_TOL = {"h": 1e-11, "u": 1e-10, "v": 1e-11}
+
+
+def matched_gap(lambdas, ref):
+    """Largest distance between ``lambdas`` and ``ref`` matched one to
+    one (a minimum-cost assignment)."""
+    dist = np.abs(lambdas[:, None] - ref[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(dist)
+    return float(dist[rows, cols].max())
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_solver_matches_eig(desk_data, name):
+    fit = kr.fit_companion(desk_data[name])
+    lambdas, _ = _companion_eig(fit)
+    ref = np.linalg.eigvals(fit.companion)
+    assert matched_gap(lambdas, ref) <= EIG_TOL[name] * np.max(np.abs(ref))
+
+
+@SPECTRA
+@given(modal_matrices())
+def test_solver_matches_eig_on_spectra(matrix):
+    fit = kr.fit_companion(matrix)
+    lambdas, _ = _companion_eig(fit)
+    ref = np.linalg.eigvals(fit.companion)
+    assert matched_gap(lambdas, ref) <= 1e-11 * np.max(np.abs(ref))
+
+
+def refined(c, lambdas, dps=40):
+    """The roots of x^Nt - sum_k c_k x^k reached from ``lambdas`` by
+    Newton's method in ``dps``-digit arithmetic, and their eigenvectors
+    from the backward recursion z[Nt-1] = 1, z[k-1] = x z[k] - c_k in
+    the same arithmetic, both rounded to complex128."""
+    with mpmath.workdps(dps):
+        coeffs = [mpmath.mpf(1)] + [-mpmath.mpf(float(ck)) for ck in c[::-1]]
+        tiny = mpmath.mpf(10) ** (5 - dps)
+        roots, vectors = [], []
+        for lam in lambdas:
+            x = mpmath.mpc(complex(lam))
+            for _ in range(8):
+                p, dp = mpmath.polyval(coeffs, x, derivative=True)
+                step = p / dp
+                x -= step
+                if abs(step) <= tiny * max(abs(x), 1):
+                    break
+            else:
+                raise AssertionError(f"Newton's method did not settle from {lam}")
+            z = [mpmath.mpc(1)]
+            for ck in c[:0:-1]:
+                z.append(x * z[-1] - mpmath.mpf(float(ck)))
+            roots.append(complex(x))
+            vectors.append([complex(v) for v in z[::-1]])
+    return np.array(roots), np.array(vectors).T
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_solver_matches_extended_precision(desk_data, name):
+    matrix = desk_data[name]
+    used, dec = kr.decompose(matrix)
+    assert used is matrix
+    roots, z = refined(kr.fit_companion(matrix).coefficients, dec.lambdas)
+    assert np.max(np.abs(dec.lambdas - roots)) <= 1e-12 * np.max(np.abs(roots))
+    ref = matrix.v0 @ z
+    ref /= np.linalg.norm(ref, axis=0)
+    ref *= lead_rotation(ref, ref)
+    modes = dec.modes * lead_rotation(dec.modes, ref)
+    assert np.max(np.abs(modes - ref)) <= 1e-10
+
+
+def test_desk_fields_never_call_eig(desk_data):
+    with mock.patch.object(np.linalg, "eig", side_effect=AssertionError("eig called")):
+        for name in FIELDS:
+            kr.decompose(desk_data[name])

@@ -1,5 +1,6 @@
 """Mode weights, relative error and greedy leading-mode selection."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -49,6 +50,26 @@ class TestModeWeights:
         dec = decompose(m)
         vals = kr.mode_weights(dec, m.n_snapshots - 1, dec.dt)
         assert np.all(vals >= 0.0) and np.all(np.isfinite(vals))
+
+    def test_overflowing_weights_keep_the_order_of_the_sums(self):
+        """dt = 1e300 makes every weight overflow: they read inf, with no
+        warning, and the admission order is still the one the finite
+        weights give at dt = 1."""
+        data = 1e10 * np.random.default_rng(43).standard_normal((16, 6))
+        unit = matrix_from_array(data, dt=1.0)
+        huge = matrix_from_array(data, dt=1e300)
+        ref = kr.select_leading_modes(unit, decompose(unit), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = decompose(huge)
+            model = kr.select_leading_modes(huge, dec, 0.5)
+            weights = kr.mode_weights(dec, huge.n_snapshots - 1, huge.dt)
+        assert model.order == ref.order and model.selected == ref.selected
+        with np.errstate(over="ignore"):
+            expected = 1e300 * ref.weights
+        assert np.all(np.isinf(expected))
+        assert np.array_equal(model.weights, expected)
+        assert np.array_equal(weights, expected)
 
     def test_index_map_is_bijection(self):
         rng = np.random.default_rng(1)

@@ -19,7 +19,11 @@ by up to 1e-7 of their own size between the two solves: both are
 rounding, at a mode-matrix condition number near 100.)  A decomposition
 is frozen and has no hand-built form, so ``old_eigendecompose`` returns
 a namespace of the same fields, on which ``old_compute_amplitudes``
-stores the amplitudes as it did.
+stores the amplitudes as it did.  ``old_eigendecompose`` takes its
+eigenpairs from the library's solver (``dmd._companion_eig``), not from
+``np.linalg.eig``, so both paths form modes, amplitudes and selections
+from one spectrum listed in one order; the solver itself is checked in
+``test_dmd_oracle``.
 
 ``old_residuals`` is the coordinate residual kernel before it applied
 each mode as one real rank-2 product: two rank-one BLAS updates per
@@ -38,7 +42,7 @@ import scipy.linalg
 from scipy.linalg.blas import dger
 
 import koopmanrom as kr
-from koopmanrom import rom
+from koopmanrom import dmd, rom
 from koopmanrom.errors import EigenFailure, RankDeficient, ZeroNormData
 from koopmanrom.rom import RomModel
 
@@ -69,10 +73,7 @@ def old_qr_solve(basis, target, what):
 
 
 def old_eigendecompose(fit, pair, dt):
-    try:
-        lambdas, z = np.linalg.eig(fit.companion)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
+    lambdas, z = dmd._companion_eig(fit)
     modes = pair.v0 @ z
     norms = np.linalg.norm(modes, axis=0)
     if np.any(norms == 0.0):
