@@ -15,8 +15,10 @@ z[Nt-1] = 1, z[k-1] = lambda z[k] - c_k.  When the iteration does not
 converge, an iterate is not finite, two roots are not separated (a
 multiple root, as of a zero fit target) or a root has no conjugate
 partner, ``np.linalg.eig`` of the companion matrix gives them instead.
-Either way a conjugate pair is listed in adjacent columns, positive
-imaginary part first, exactly conjugate.
+The layout is fixed there once, on either path: a conjugate pair is
+listed in adjacent columns, positive imaginary part first, exactly
+conjugate, and each eigenvector is divided by its largest-magnitude
+entry.  The pairs are read from that layout (``conjugate_groups``).
 
 Reconstruction indexing: with amplitudes fit to the first snapshot,
 ``reconstruct(dec, subset, i)`` approximates the i-th snapshot (1-based,
@@ -26,12 +28,12 @@ Snapshot coordinates: one R-only QR, [V0 | u_N] = Q [R, q; 0, rho],
 gives the Nt x Nt triangle R of V0 = Q R, q = Q^T u_N and the fit
 residual |rho|; Q (real, orthonormal, Nx x Nt) is never formed.  The
 decomposition keeps the companion eigenvectors z, each scaled to a unit
-image and rotated so that its own largest-magnitude entry is real and
-positive, so mode j is V0 z_j = Q B[:, j] with B = R z, and for any
-coefficients C, ||V0 - Re(Phi C)|| = ||R - Re(B C)|| column by column.
-The amplitudes here and every reconstruction error in ``rom`` are
-therefore computed from the Nt x Nt arrays R and B, and ``reconstruct``
-applies V0 to one Nt-vector.  The Nx x m mode matrix is formed only when
+image, its own largest-magnitude entry real and positive, so mode j is
+V0 z_j = Q B[:, j] with B = R z, and for any coefficients C,
+||V0 - Re(Phi C)|| = ||R - Re(B C)|| column by column.  The amplitudes
+here and every reconstruction error in ``rom`` are therefore computed
+from the Nt x Nt arrays R and B, and ``reconstruct`` applies V0 to one
+Nt-vector.  The Nx x m mode matrix is formed only when
 ``DmdDecomposition.modes`` is read.  A matrix X other than the one
 decomposed gets its coordinates from one real QR of [V0 | X]
 (``DmdDecomposition.coordinates``).  A decomposition is frozen, and
@@ -67,9 +69,16 @@ class CompanionFit:
     """Least-squares combination coefficients and their companion matrix."""
 
     coefficients: np.ndarray    # c, shape (Nt,)
-    companion: np.ndarray       # S, shape (Nt, Nt)
     residual_norm: float
     r: np.ndarray               # R of V0 = Q R, shape (Nt, Nt)
+
+    @cached_property
+    def companion(self) -> np.ndarray:
+        """The (Nt, Nt) companion matrix S, formed at the first read: ones
+        on the subdiagonal, the coefficients in the last column."""
+        companion = np.eye(self.coefficients.shape[0], k=-1)
+        companion[:, -1] = self.coefficients
+        return companion
 
 
 @dataclass(frozen=True)
@@ -94,9 +103,8 @@ class DmdDecomposition:
     @cached_property
     def modes(self) -> np.ndarray:
         """The complex (Nx, m) unit modes V0 @ z, formed at the first read
-        from two real products, one per part of z; the second column of
-        each conjugate pair is set to the conjugate of the first, so the
-        pair is exactly conjugate."""
+        from two real products, one per part of z; a conjugate pair of
+        modes is exactly conjugate because its pair of z columns is."""
         modes = np.empty((self.v0.shape[0], self.z.shape[1]), dtype=self.z.dtype)
         modes.real = self.v0 @ self.z.real
         if np.iscomplexobj(self.z):
@@ -164,73 +172,75 @@ def fit_companion(matrix: SnapshotMatrix) -> CompanionFit:
     than columns.
     """
     c, r, residual = _qr_solve(matrix.data, what="V0")
-    companion = np.eye(c.shape[0], k=-1)
-    companion[:, -1] = c
-    return CompanionFit(coefficients=c, companion=companion, residual_norm=residual,
-                        r=r)
+    return CompanionFit(coefficients=c, residual_norm=residual, r=r)
 
 
 def eigendecompose(fit: CompanionFit, matrix: SnapshotMatrix) -> DmdDecomposition:
     """Eigen-decompose the companion matrix of ``matrix``'s fit into modes
     and amplitudes.
 
-    Mode j is V0 z_j, with z_j scaled to a unit image and rotated so that
-    its own largest-magnitude entry is real and positive, which pins the
-    phase and keeps conjugate eigenvector pairs exactly conjugate.  The
-    norms are those of R z_j (Q is orthonormal), so no element of V0 is
-    read: the decomposition keeps V0, R, the pinned z, the mode
-    coordinates R z and the amplitudes (a rank-deficient mode matrix
-    raises RankDeficient), and forms the modes when they are read.
+    Mode j is V0 z_j, with z_j as ``_companion_eig`` lays it out (its
+    largest-magnitude entry 1, which pins the phase) scaled to a unit
+    image.  The norms are those of R z_j (Q is orthonormal), so no
+    element of V0 is read: the decomposition keeps V0, R, the scaled z,
+    the mode coordinates R z and the amplitudes (a rank-deficient mode
+    matrix raises RankDeficient), and forms the modes when they are
+    read.  The exponents are taken on the complex plane, so a negative
+    real eigenvalue has frequency pi/dt.
     """
     lambdas, z = _companion_eig(fit)
     coords = fit.r @ z
     norms = np.linalg.norm(coords, axis=0)
     if np.any(norms == 0.0):
         raise EigenFailure("eigenvector mapped to a zero mode")
-    lead = z[np.argmax(np.abs(z), axis=0), np.arange(z.shape[1])]
-    phase = np.abs(lead) / lead
     with np.errstate(divide="ignore", invalid="ignore"):
-        exponents = np.log(lambdas) / matrix.dt
-    b = coords / norms * phase
+        exponents = np.log(lambdas.astype(complex, copy=False)) / matrix.dt
+    b = coords / norms
     return DmdDecomposition(lambdas, exponents, matrix.dt, _amplitudes(fit.r, b, lambdas),
-                            v0=matrix.v0, r=fit.r, mode_coords=b, z=z / norms * phase)
+                            v0=matrix.v0, r=fit.r, mode_coords=b, z=z / norms)
 
 
 def _companion_eig(fit: CompanionFit) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors of the companion matrix of
-    ``fit``, in the layout ``np.linalg.eig`` gives them: real arrays when
-    every eigenvalue is real, else each conjugate pair in adjacent
-    columns, positive imaginary part first, exactly conjugate.
+    ``fit``, in the one layout the rest of the package reads: real arrays
+    when every eigenvalue is real, else each conjugate pair in adjacent
+    columns, positive imaginary part first, exactly conjugate, as
+    ``np.linalg.eig`` gives them; each eigenvector divided by its
+    largest-magnitude entry, on either path, so that entry is 1.
 
     The eigenvalues are the roots of p(x) = x^Nt - sum_k c_k x^k
     (``_aberth``), listed by descending modulus, then ascending argument;
-    an eigenvalue within 1e-10 relative of the real axis (the test of
-    ``conjugate_groups``) is made real.  Eigenvector j is Horner's rule
-    on p at lambda_j, the backward recursion z[Nt-1] = 1,
-    z[k-1] = lambda_j z[k] - c_k, divided by its largest-magnitude entry.
-    When the iteration does not converge, an iterate or a vector is not
-    finite, the roots are not separated by their inclusion radii (a
-    multiple root, as of a zero fit target), or a root has no conjugate
-    partner, the companion matrix goes to ``np.linalg.eig`` instead.
+    an eigenvalue within 1e-10 relative of the real axis is made real.
+    Eigenvector j is Horner's rule on p at lambda_j, the backward
+    recursion z[Nt-1] = 1, z[k-1] = lambda_j z[k] - c_k.  When the
+    iteration does not converge, an iterate or a vector is not finite,
+    the roots are not separated by their inclusion radii (a multiple
+    root, as of a zero fit target), or a root has no conjugate partner,
+    the companion matrix goes to ``np.linalg.eig`` instead.
     """
     found = _aberth(fit.coefficients)
     if found is not None:
         found = _conjugate_layout(fit.coefficients, *found)
-    if found is not None:
-        return found
-    try:
-        return np.linalg.eig(fit.companion)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
+    if found is None:
+        try:
+            found = np.linalg.eig(fit.companion)
+        except np.linalg.LinAlgError as exc:
+            raise EigenFailure(str(exc)) from exc
+    lambdas, z = found
+    lead = np.argmax(np.abs(z), axis=0), np.arange(z.shape[1])
+    z /= z[lead]
+    z[lead] = 1.0
+    return lambdas, z
 
 
 def _conjugate_layout(c: np.ndarray, x: np.ndarray, radius: np.ndarray):
-    """The eigenpairs of ``_companion_eig`` from the roots ``x`` of its
-    polynomial, with inclusion radii ``radius``: real roots made real,
-    each upper root averaged with the conjugate of its nearest lower root
-    and listed with its conjugate after it.  None when a root has no
-    conjugate partner within their radii, two inclusion disks of the
-    listed roots meet, or a vector is not finite."""
+    """The eigenvalues and recursion eigenvectors of ``_companion_eig``
+    from the roots ``x`` of its polynomial, with inclusion radii
+    ``radius``: real roots made real, each upper root averaged with the
+    conjugate of its nearest lower root and listed with its conjugate
+    after it.  None when a root has no conjugate partner within their
+    radii, two inclusion disks of the listed roots meet, or a vector is
+    not finite."""
     real = np.abs(x.imag) <= 1e-10 * np.maximum(np.abs(x), 1.0)
     upper = np.flatnonzero(~real & (x.imag > 0))
     lower = np.flatnonzero(~real & (x.imag < 0))
@@ -268,9 +278,6 @@ def _conjugate_layout(c: np.ndarray, x: np.ndarray, radius: np.ndarray):
             z[k - 1] -= c[k]
     if not np.all(np.isfinite(z)):
         return None
-    lead = np.argmax(np.abs(z), axis=0), np.arange(nt)
-    z /= z[lead]
-    z[lead] = 1.0
     return lambdas, z
 
 
@@ -405,16 +412,15 @@ def _amplitudes(r: np.ndarray, b: np.ndarray, lambdas: np.ndarray) -> np.ndarray
     Solved in snapshot coordinates, min ||R[:, 0] - B a|| (module
     docstring); the rank gate reads the singular values of B, which are
     those of the mode matrix.  The snapshot is real, so the exact
-    amplitudes of a mode pair with exactly conjugate coordinates are
+    amplitudes of a mode pair (j, j + 1 for lambdas[j].imag > 0, the
+    layout of ``_companion_eig``) with exactly conjugate coordinates are
     conjugate; they are made so, which gives both partners one weight.
     """
     a, _, _ = _qr_solve(np.column_stack([b, r[:, 0]]), what="mode matrix")
-    pairs = np.array([g for g in conjugate_groups(lambdas) if len(g) == 2],
-                     dtype=int).reshape(-1, 2)
-    exact = np.all(b[:, pairs[:, 1]] == b[:, pairs[:, 0]].conj(), axis=0)
-    j, k = pairs[exact].T
-    a[j] = 0.5 * (a[j] + a[k].conj())
-    a[k] = a[j].conj()
+    j = np.flatnonzero(lambdas.imag > 0)
+    j = j[np.all(b[:, j + 1] == b[:, j].conj(), axis=0)]
+    a[j] = 0.5 * (a[j] + a[j + 1].conj())
+    a[j + 1] = a[j].conj()
     return a
 
 
@@ -471,37 +477,14 @@ def reconstruct(dec: DmdDecomposition, subset: Sequence[int], i: int) -> np.ndar
     return dec.v0 @ (dec.z[:, idx] @ coef).real
 
 
-def conjugate_groups(lambdas: np.ndarray, rtol: float = 1e-10) -> list[list[int]]:
-    """Partition mode indices into conjugate pairs and real singletons.
-
-    A pair is two unused indices whose eigenvalues are mutual conjugates
-    within ``rtol`` (relative to the eigenvalue magnitude); eigenvalues
-    with negligible imaginary part stand alone.
-    """
-    n = lambdas.shape[0]
-    used = np.zeros(n, dtype=bool)
-    groups: list[list[int]] = []
-    for j in range(n):
-        if used[j]:
-            continue
-        lam = lambdas[j]
-        scale = max(abs(lam), 1.0)
-        if abs(lam.imag) <= rtol * scale:
-            groups.append([j])
-            used[j] = True
-            continue
-        d = np.abs(lambdas - np.conj(lam))
-        d[used] = np.inf
-        d[j] = np.inf
-        # the last index at the smallest distance within tolerance
-        partner = n - 1 - int(np.argmin(d[::-1]))
-        if d[partner] <= rtol * scale:
-            groups.append([j, partner])
-            used[partner] = True
-        else:
-            groups.append([j])
-        used[j] = True
-    return groups
+def conjugate_groups(lambdas: np.ndarray) -> list[list[int]]:
+    """Partition mode indices into conjugate pairs and real singletons,
+    read from the layout of ``_companion_eig``: [j, j + 1] is a pair
+    where lambdas[j].imag > 0, and every other index stands alone."""
+    upper = (lambdas.imag > 0).tolist()
+    second = [False] + upper[:-1]
+    return [[j, j + 1] if up else [j]
+            for j, (up, sec) in enumerate(zip(upper, second)) if not sec]
 
 
 __all__ = [

@@ -24,7 +24,7 @@ Decomposition store: ``reduced_model(matrix, epsilon, store)`` keeps a
 field's decomposition and its selection curve in one file at ``store``
 and reads it back while the snapshot bytes are unchanged, so a later
 selection at any epsilon runs no residual pass and no Vandermonde.  The
-file (format 5) is flat, not a zip: a fixed header (magic, format,
+file (format 6) is flat, not a zip: a fixed header (magic, format,
 key length, decomposed snapshots n, conjugate groups g), a table of
 (dtype, offset, length) per array, the key, then the raw little-endian
 arrays at 64-byte aligned offsets: the eigenvalues, exponents,
@@ -60,7 +60,7 @@ from .snapshots import SnapshotMatrix
 # the key, header, one table entry per array, and each array's extent
 # ("mode": one entry per mode, "square": Nt x Nt, "group": one entry per
 # conjugate group) with the dtypes it may have
-_STORE_VERSION = 5
+_STORE_VERSION = 6
 _STORE_MAGIC = b"KROMDMD\0"
 _STORE_HEAD = struct.Struct("<8s4I")    # magic, format, key bytes, n, g
 _STORE_ENTRY = struct.Struct("<4s2Q")   # dtype, offset, length in bytes
@@ -205,12 +205,8 @@ def _selection_order(dec: dmd.DmdDecomposition, sums: np.ndarray) -> list[list[i
     """
     groups = dmd.conjugate_groups(dec.lambdas)
     freq = np.abs(dec.exponents.imag)
-
-    def key(group):
-        j = min(group, key=lambda k: (freq[k], k))
-        return (-sums[group[0]], freq[j], j)
-
-    return sorted(groups, key=key)
+    # partners share their weight and |frequency|; group[0] is the lower index
+    return sorted(groups, key=lambda group: (-sums[group[0]], freq[group[0]], group[0]))
 
 
 def _require_epsilon(epsilon: float) -> None:

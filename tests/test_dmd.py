@@ -237,6 +237,19 @@ class TestEigendecompose:
         assert np.all(omega > -np.pi / dt) and np.all(omega <= np.pi / dt)
         assert np.exp(dec.exponents * dt) == pytest.approx(dec.lambdas, rel=1e-12)
 
+    def test_negative_real_eigenvalue_takes_the_principal_branch(self):
+        """A spectrum with no conjugate pair is a real array; its negative
+        eigenvalue still gets log|lambda|/dt + i pi/dt, not nan."""
+        phi = np.random.default_rng(10).standard_normal((6, 2))
+        data = phi @ (np.array([[-0.5], [0.8]]) ** np.arange(3))
+        dt = 2.0
+        _, dec = full_decomposition(data, dt=dt)
+        assert dec.lambdas.dtype == np.float64
+        assert dec.lambdas == pytest.approx([0.8, -0.5], rel=1e-12)
+        assert np.all(np.isfinite(dec.exponents))
+        assert dec.exponents.real == pytest.approx(np.log([0.8, 0.5]) / dt, rel=1e-12)
+        assert np.array_equal(dec.exponents.imag, [0.0, np.pi / dt])
+
 
 class TestAmplitudes:
     def test_single_mode_recovers_norm(self):
@@ -482,16 +495,17 @@ class TestDecompositionStore:
         _, fits = self.decompose_counting(m, path)
         assert fits == 0  # the store now holds the new decomposition
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_store_of_an_older_format_is_a_miss(self, tmp_path, rows, version):
         # format 1 solved the fit's triangle another way: its eigenvalues
         # differ in their last bits from a cold run of this one; format 2
         # pinned each phase on the largest entry of the mode, not of z;
         # format 3, an np.savez zip of the decomposition, kept no selection
         # curve; format 4 took its eigenvalues from np.linalg.eig, not from
-        # the roots of the companion polynomial.  Each is written in the
-        # layout of this format, under its own number, and format 3 also
-        # as the zip it was.
+        # the roots of the companion polynomial; format 5 took the exponent
+        # of a spectrum with no conjugate pair on the real line, nan for a
+        # negative eigenvalue.  Each is written in the layout of this
+        # format, under its own number, and format 3 also as the zip it was.
         m, path = window_matrix(rows), tmp_path / "dmd_h.npz"
         _, dec = stored(m, path)
         raw = bytearray(path.read_bytes())

@@ -6,7 +6,9 @@ docstrings: LAPACK forms Q, the fit reads Q^T u_N from it, and the
 residual is a second pass over V0.  ``old_compute_amplitudes`` is the
 amplitude solve of that version, which called the same ``_qr_solve``;
 it returns a copy of the frozen decomposition with its amplitudes
-instead of storing them on it.
+instead of storing them on it.  ``old_fit_companion`` no longer hands
+its companion matrix to ``CompanionFit``, which forms its own when it
+is read; it checks that the two are equal.
 Tolerances on the desk channel: coefficients 1e-9 of the largest one,
 residual norm 1e-9 relative, R 1e-12 of max|R|, eigenvalues 1e-9 of
 max|lambda|, selection exact, achieved error 1e-9 relative.  The two
@@ -44,8 +46,13 @@ u, where eig itself is off by about 2e-11.  Against roots refined by
 Newton's method in 40-digit ``mpmath``, with eigenvectors from the same
 backward recursion, its eigenvalues are within 1e-12 of max|lambda| and
 its modes within 1e-10 entrywise after the lead-row rotation.  The desk
-fields never reach ``np.linalg.eig``; a zero fit target and the
-repeated-root windows do, and decompose bit for bit as that path alone.
+fields never reach ``np.linalg.eig`` and never form the companion
+matrix; a zero fit target and the repeated-root windows do reach eig,
+and take its eigenpairs bit for bit, each eigenvector divided by its
+largest-magnitude entry.  On both paths the solver keeps one layout
+(``assert_layout``), which ``conjugate_groups`` reads; on the desk
+fields and the seeded spectra its groups are those of the tolerance
+search it replaced (``old_conjugate_groups`` of ``test_rom_oracle``).
 
 The property tests draw seeded modal spectra (``make_modal_data`` plus
 noise below the selection threshold) and check invariants of the whole
@@ -72,6 +79,7 @@ from koopmanrom.errors import EigenFailure, RankDeficient
 
 from conftest import (lead_rotation, make_modal_data, matrix_from_array, normwise_dev,
                       rel_dev, shifted_pair)
+from test_rom_oracle import old_conjugate_groups
 
 EPSILON = 1e-3
 FIELDS = ("h", "u", "v")
@@ -103,8 +111,9 @@ def old_fit_companion(pair):
         companion[np.arange(1, nt), np.arange(nt - 1)] = 1.0
     companion[:, -1] = c
     residual = float(np.linalg.norm(u_last - v0 @ c))
-    return CompanionFit(coefficients=c, companion=companion, residual_norm=residual,
-                        r=r)
+    fit = CompanionFit(coefficients=c, residual_norm=residual, r=r)
+    assert np.array_equal(fit.companion, companion)
+    return fit
 
 
 def old_compute_amplitudes(dec, matrix):
@@ -317,14 +326,34 @@ def repeated_root_windows(draw):
     return matrix_from_array(np.column_stack([v0, v0 @ c]))
 
 
+def assert_layout(lambdas, z):
+    """The layout of ``_companion_eig``: each conjugate pair in adjacent
+    columns, positive imaginary part first, exactly conjugate, and each
+    column's largest-magnitude entry exactly 1; ``conjugate_groups``
+    lists those pairs and every other index alone, in order."""
+    j = np.flatnonzero(lambdas.imag > 0)
+    assert np.array_equal(np.flatnonzero(lambdas.imag < 0), j + 1)
+    assert np.array_equal(lambdas[j + 1], lambdas[j].conj())
+    assert np.array_equal(z[:, j + 1], z[:, j].conj())
+    assert np.all(z[np.argmax(np.abs(z), axis=0), np.arange(z.shape[1])] == 1.0)
+    groups = conjugate_groups(lambdas)
+    assert [k for group in groups for k in group] == list(range(lambdas.shape[0]))
+    assert [group[0] for group in groups if len(group) == 2] == j.tolist()
+
+
 def assert_takes_eig(matrix):
     """The eigenpairs of ``matrix``'s companion are those of
-    ``np.linalg.eig``, bit for bit, so its decomposition is that path's."""
+    ``np.linalg.eig``, each eigenvector divided by its largest-magnitude
+    entry, bit for bit, so its decomposition is that path's."""
     fit = kr.fit_companion(matrix)
     lambdas, z = _companion_eig(fit)
     ref_lambdas, ref_z = np.linalg.eig(fit.companion)
+    lead = np.argmax(np.abs(ref_z), axis=0), np.arange(ref_z.shape[1])
+    ref_z /= ref_z[lead]
+    ref_z[lead] = 1.0
     assert lambdas.dtype == ref_lambdas.dtype and z.dtype == ref_z.dtype
     assert np.array_equal(lambdas, ref_lambdas) and np.array_equal(z, ref_z)
+    assert_layout(lambdas, z)
 
 
 @SPECTRA
@@ -429,6 +458,32 @@ def test_solver_matches_extended_precision(desk_data, name):
 
 
 def test_desk_fields_never_call_eig(desk_data):
+    """No desk field reaches ``np.linalg.eig``, and no desk fit forms its
+    companion matrix."""
     with mock.patch.object(np.linalg, "eig", side_effect=AssertionError("eig called")):
         for name in FIELDS:
-            kr.decompose(desk_data[name])
+            fit = kr.fit_companion(desk_data[name])
+            kr.eigendecompose(fit, desk_data[name])
+            assert "companion" not in fit.__dict__
+
+
+# --- the layout of the Aberth path against the tolerance search ---
+
+def assert_groups_match_search(matrix):
+    """On the Aberth path, the groups read from the layout are those of
+    the tolerance search."""
+    with mock.patch.object(np.linalg, "eig", side_effect=AssertionError("eig called")):
+        lambdas, z = _companion_eig(kr.fit_companion(matrix))
+    assert_layout(lambdas, z)
+    assert conjugate_groups(lambdas) == old_conjugate_groups(lambdas)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_groups_match_tolerance_search(desk_data, name):
+    assert_groups_match_search(desk_data[name])
+
+
+@SPECTRA
+@given(modal_matrices())
+def test_groups_match_tolerance_search_on_spectra(matrix):
+    assert_groups_match_search(matrix)
