@@ -5,8 +5,9 @@ selection pipeline, and writes KSNP snapshot files plus CSV reports
 (spectrum, per-time errors, summary table, field and vorticity grids).
 Every command that decomposes a field keeps its decomposition and
 selection curve in ``dmd_<field>.npz`` in the output directory and
-reuses them while the field's snapshot bytes are unchanged
-(``rom.reduced_model``).
+reuses them while the field's snapshot bytes are unchanged; the
+exponents, weights and admission order of the spectrum report are
+derived from them as a fresh run derives them (``rom.reduced_model``).
 
 Exit codes: 0 success, 1 selection did not converge (or decomposition
 failure), 2 solver failure, 3 I/O, config or input-data failure.

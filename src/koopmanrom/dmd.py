@@ -83,14 +83,9 @@ class CompanionFit:
 
 @dataclass(frozen=True)
 class DmdDecomposition:
-    """Eigenvalues, continuous exponents, amplitudes and unit modes.
-
-    exponents[j] = log(lambdas[j]) / dt on the principal branch, so the
-    imaginary part (the frequency) lies in (-pi/dt, pi/dt].
-    """
+    """Eigenvalues, amplitudes and unit modes; ``exponents`` is derived."""
 
     lambdas: np.ndarray         # complex, shape (m,)
-    exponents: np.ndarray       # complex, shape (m,)
     dt: float
     amplitudes: np.ndarray      # complex, shape (m,)
     # snapshot coordinates: the decomposed V0 (a view, not a copy), R, B
@@ -99,6 +94,14 @@ class DmdDecomposition:
     r: np.ndarray = field(repr=False)
     mode_coords: np.ndarray = field(repr=False)
     z: np.ndarray = field(repr=False)
+
+    @cached_property
+    def exponents(self) -> np.ndarray:
+        """log(lambdas) / dt on the principal branch, formed at the first
+        read: the frequency lies in (-pi/dt, pi/dt], and the real part is
+        -inf, with no warning, for lambda = 0 or a decay that overflows."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.log(self.lambdas.astype(complex, copy=False)) / self.dt
 
     @cached_property
     def modes(self) -> np.ndarray:
@@ -184,19 +187,15 @@ def eigendecompose(fit: CompanionFit, matrix: SnapshotMatrix) -> DmdDecompositio
     image.  The norms are those of R z_j (Q is orthonormal), so no
     element of V0 is read: the decomposition keeps V0, R, the scaled z,
     the mode coordinates R z and the amplitudes (a rank-deficient mode
-    matrix raises RankDeficient), and forms the modes when they are
-    read.  The exponents are taken on the complex plane, so a negative
-    real eigenvalue has frequency pi/dt.
+    matrix raises RankDeficient), and forms the modes when they are read.
     """
     lambdas, z = _companion_eig(fit)
     coords = fit.r @ z
     norms = np.linalg.norm(coords, axis=0)
     if np.any(norms == 0.0):
         raise EigenFailure("eigenvector mapped to a zero mode")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        exponents = np.log(lambdas.astype(complex, copy=False)) / matrix.dt
     b = coords / norms
-    return DmdDecomposition(lambdas, exponents, matrix.dt, _amplitudes(fit.r, b, lambdas),
+    return DmdDecomposition(lambdas, matrix.dt, _amplitudes(fit.r, b, lambdas),
                             v0=matrix.v0, r=fit.r, mode_coords=b, z=z / norms)
 
 

@@ -24,20 +24,22 @@ Decomposition store: ``reduced_model(matrix, epsilon, store)`` keeps a
 field's decomposition and its selection curve in one file at ``store``
 and reads it back while the snapshot bytes are unchanged, so a later
 selection at any epsilon runs no residual pass and no Vandermonde.  The
-file (format 6) is flat, not a zip: a fixed header (magic, format,
-key length, decomposed snapshots n, conjugate groups g), a table of
-(dtype, offset, length) per array, the key, then the raw little-endian
-arrays at 64-byte aligned offsets: the eigenvalues, exponents,
-amplitudes, R, B and z of ``dmd.DmdDecomposition``, the mode weights,
-the modes in admission order, the size of each group and the curve.
-It is read whole with one ``readinto`` into a buffer of its checked
-size, and the arrays are views of that buffer; nothing is unpickled.
-The key is the store format, the dtype and shape of the payload row
-block, the bits of dt and the sha256 of its rows; a path, a size or a
-modification time never enters it.  Anything that does not read back as
-the decomposition of those bytes (unreadable, foreign, stale, truncated,
-oversized, or an array of the wrong shape, dtype or extent) is a miss,
-which decomposes again and overwrites the file atomically.
+file (format 7) is flat, not a zip: a fixed header (magic, format,
+key length, decomposed snapshots n), a table of (dtype, offset, length)
+per array, the key, then the raw little-endian arrays at 64-byte
+aligned offsets: the eigenvalues, amplitudes, R, B and z of
+``dmd.DmdDecomposition`` and the curve.  The exponents, weights and
+admission order are derived from them, on a hit as on a miss.  It is
+read whole with one ``readinto`` into a buffer of its checked size, and
+the arrays are views of that buffer; nothing is unpickled.  The key is
+the store format, the dtype and shape of the payload row block, the
+bits of dt and the sha256 of its rows; a path, a size or a modification
+time never enters it.  A load checks the file's size against the
+snapshots, its magic, format, key and 2 <= n <= the snapshots, and
+each array's dtype, bounds and extent: n - 1 entries, (n - 1)^2, or for
+the curve one per conjugate group of the eigenvalues.  A file that
+fails a check is a miss, which decomposes again and overwrites the
+file atomically.
 """
 
 from __future__ import annotations
@@ -59,21 +61,19 @@ from .snapshots import SnapshotMatrix
 # decomposition store (module docstring): format version, also part of
 # the key, header, one table entry per array, and each array's extent
 # ("mode": one entry per mode, "square": Nt x Nt, "group": one entry per
-# conjugate group) with the dtypes it may have
-_STORE_VERSION = 6
+# conjugate group of the eigenvalues) with the dtypes it may have; every
+# array but the curve is the decomposition's attribute of that name
+_STORE_VERSION = 7
 _STORE_MAGIC = b"KROMDMD\0"
-_STORE_HEAD = struct.Struct("<8s4I")    # magic, format, key bytes, n, g
+_STORE_HEAD = struct.Struct("<8s3I")    # magic, format, key bytes, n
 _STORE_ENTRY = struct.Struct("<4s2Q")   # dtype, offset, length in bytes
 _STORE_ALIGN = 64
 _EITHER = ("<f8", "<c16")
 _STORE_ARRAYS = {
-    "lambdas": ("mode", _EITHER), "exponents": ("mode", _EITHER),
-    "amplitudes": ("mode", _EITHER), "r": ("square", ("<f8",)),
-    "mode_coords": ("square", _EITHER), "z": ("square", _EITHER),
-    "weights": ("mode", ("<f8",)), "admitted": ("mode", ("<i8",)),
-    "group_sizes": ("group", ("<i8",)), "curve": ("group", ("<f8",)),
+    "lambdas": ("mode", _EITHER), "amplitudes": ("mode", _EITHER),
+    "r": ("square", ("<f8",)), "mode_coords": ("square", _EITHER),
+    "z": ("square", _EITHER), "curve": ("group", ("<f8",)),
 }
-_DEC_ARRAYS = ("lambdas", "exponents", "amplitudes", "r", "mode_coords", "z")
 _STORE_TABLE_END = _STORE_HEAD.size + len(_STORE_ARRAYS) * _STORE_ENTRY.size
 
 
@@ -106,12 +106,20 @@ class RomModel:
     curve: Optional[np.ndarray] = None
 
 
-def mode_weights(dec: dmd.DmdDecomposition, n_steps: int, dt: float) -> np.ndarray:
+def mode_weights(dec: dmd.DmdDecomposition, n_steps: int) -> np.ndarray:
     """Weight of every mode over an n_steps reconstruction horizon, a
-    float64 array indexed by mode: dt times ``_mode_sums``, inf where
-    that product overflows."""
+    float64 array indexed by mode: the weights of ``_ranking``."""
+    return _ranking(dec, n_steps)[0]
+
+
+def _ranking(dec: dmd.DmdDecomposition, n_steps: int):
+    """(weights, order) over an n_steps horizon: each mode's weight,
+    dec.dt times ``_mode_sums``, inf where that product overflows, and the
+    conjugate groups in admission order (``_selection_order``)."""
+    sums = _mode_sums(dec, n_steps)
     with np.errstate(over="ignore"):
-        return dt * _mode_sums(dec, n_steps)
+        weights = dec.dt * sums
+    return weights, tuple(tuple(group) for group in _selection_order(dec, sums))
 
 
 def _mode_sums(dec: dmd.DmdDecomposition, n_steps: int) -> np.ndarray:
@@ -229,10 +237,7 @@ def select_leading_modes(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
     first reaches epsilon.
     """
     _require_epsilon(epsilon)
-    sums = _mode_sums(dec, matrix.n_snapshots - 1)
-    order = _selection_order(dec, sums)
-    with np.errstate(over="ignore"):
-        weights = dec.dt * sums
+    weights, order = _ranking(dec, matrix.n_snapshots - 1)
     t, b = dec.coordinates(matrix.v0)
     ref = _reference_norm(t)
 
@@ -244,8 +249,7 @@ def select_leading_modes(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
             time_errors = _column_errors(res, t)
     if time_errors is None:  # not converged: the errors of the full set
         time_errors = _column_errors(res, t)
-    return _select(dec, weights, tuple(tuple(group) for group in order), curve,
-                   epsilon, time_errors)
+    return _select(dec, weights, order, curve, epsilon, time_errors)
 
 
 def _select(dec: dmd.DmdDecomposition, weights: np.ndarray, order, curve: np.ndarray,
@@ -283,10 +287,12 @@ def reduced_model(matrix: SnapshotMatrix, epsilon: float, store, *,
     them.  When ``store`` holds the decomposition of the same bytes, the
     matrix is ``matrix`` or its truncated window, ``v0`` a view of it,
     and the model is read off the stored selection curve with no
-    residual pass; only ``time_errors`` then takes one pass over the
-    selected modes, bit-identical to the errors a fresh selection
-    reports.  Otherwise the matrix is decomposed and selected, and the
-    store written there; a decomposition that raises writes nothing.
+    residual pass, its weights and order derived by ``_ranking`` as a
+    fresh selection derives them; only ``time_errors`` then takes one
+    pass over the selected modes, bit-identical to the errors a fresh
+    selection reports.  Otherwise the matrix is decomposed and selected,
+    and the store written there; a decomposition that raises writes
+    nothing.
     With ``time_errors`` False the model holds None there.  Deleting the
     file forces a recompute.
     """
@@ -296,11 +302,12 @@ def reduced_model(matrix: SnapshotMatrix, epsilon: float, store, *,
     if stored is None:
         used, dec = dmd.decompose(matrix)
         model = select_leading_modes(used, dec, epsilon)
-        _save_store(store, key, used, dec, model)
+        _save_store(store, key, used, dec, model.curve)
         if not time_errors:
             model = replace(model, time_errors=None)
         return used, dec, model
-    used, dec, (weights, order, curve) = stored
+    used, dec, curve = stored
+    weights, order = _ranking(dec, used.n_snapshots - 1)
     model = _select(dec, weights, order, curve, epsilon)
     if time_errors:
         model = replace(model, time_errors=per_time_errors(used, dec, model.selected))
@@ -332,9 +339,9 @@ def _aligned(offset: int) -> int:
 
 
 def _load_store(path, key: str, matrix: SnapshotMatrix):
-    """(matrix, decomposition, (weights, order, curve)) stored at
-    ``path`` under ``key``, or None when the file is missing,
-    unreadable, foreign, stale or malformed."""
+    """(matrix, decomposition, curve) stored at ``path`` under ``key``,
+    or None when the file is missing, unreadable, foreign, stale or
+    malformed."""
     nsnap = matrix.n_snapshots
     key = key.encode()
     start = _STORE_TABLE_END + len(key)
@@ -351,57 +358,47 @@ def _load_store(path, key: str, matrix: SnapshotMatrix):
                 return None
     except OSError:  # a store that does not read back is a miss, never an error
         return None
-    magic, version, key_len, n, groups = _STORE_HEAD.unpack_from(buf)
+    magic, version, key_len, n = _STORE_HEAD.unpack_from(buf)
     if (magic != _STORE_MAGIC or version != _STORE_VERSION or key_len != len(key)
-            or buf[_STORE_TABLE_END:start].tobytes() != key
-            or not 2 <= n <= nsnap or not 1 <= groups < n):
+            or buf[_STORE_TABLE_END:start].tobytes() != key or not 2 <= n <= nsnap):
         return None
     nt = n - 1
-    shapes = {"mode": (nt,), "square": (nt, nt), "group": (groups,)}
+    shapes = {"mode": (nt,), "square": (nt, nt)}
     arrays = {}
     for i, (name, (extent, dtypes)) in enumerate(_STORE_ARRAYS.items()):
         code, offset, length = _STORE_ENTRY.unpack_from(
             buf, _STORE_HEAD.size + i * _STORE_ENTRY.size)
         dtype = code.rstrip(b"\0").decode("ascii", "replace")
+        if extent == "group":  # the eigenvalues come first in the table
+            shapes[extent] = (len(dmd.conjugate_groups(arrays["lambdas"])),)
         shape = shapes[extent]
         if (dtype not in dtypes or offset + length > size
                 or length != math.prod(shape) * np.dtype(dtype).itemsize):
             return None
         arrays[name] = buf[offset:offset + length].view(dtype).reshape(shape)
-    admitted, sizes = arrays.pop("admitted"), arrays.pop("group_sizes")
-    if (np.any((sizes < 1) | (sizes > 2)) or sizes.sum() != nt
-            or not np.array_equal(np.sort(admitted), np.arange(nt))):
-        return None
-    flat, ends = admitted.tolist(), np.cumsum(sizes).tolist()
-    order = tuple(tuple(flat[end - size:end]) for end, size in zip(ends, sizes.tolist()))
-    weights, curve = arrays.pop("weights"), arrays.pop("curve")
+    curve = arrays.pop("curve")
     if n < nsnap:
         matrix = replace(matrix, data=matrix.data[:, :n])
     dec = dmd.DmdDecomposition(dt=matrix.dt, v0=matrix.v0, **arrays)
-    return matrix, dec, (weights, order, curve)
+    return matrix, dec, curve
 
 
 def _save_store(path, key: str, matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
-                model: RomModel) -> None:
-    """Write the store of ``dec`` and ``model``'s selection curve to
-    ``path`` atomically: a temporary file beside it, renamed over it once
+                curve: np.ndarray) -> None:
+    """Write the store of ``dec`` and its selection curve to ``path``
+    atomically: a temporary file beside it, renamed over it once
     complete.  A store that cannot be written is skipped; the next call
     then decomposes again."""
-    values = {name: getattr(dec, name) for name in _DEC_ARRAYS}
-    values.update(weights=model.weights,
-                  admitted=np.array([j for group in model.order for j in group], "<i8"),
-                  group_sizes=np.array([len(group) for group in model.order], "<i8"),
-                  curve=model.curve)
     key = key.encode()
     offset = _aligned(_STORE_TABLE_END + len(key))
     entries, arrays = [], []
     for name in _STORE_ARRAYS:
-        a = np.ascontiguousarray(values[name], dtype=values[name].dtype.newbyteorder("<"))
+        a = curve if name == "curve" else getattr(dec, name)
+        a = np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<"))
         entries.append(_STORE_ENTRY.pack(a.dtype.str.encode(), offset, a.nbytes))
         arrays.append((offset, a))
         offset = _aligned(offset + a.nbytes)
-    head = _STORE_HEAD.pack(_STORE_MAGIC, _STORE_VERSION, len(key), matrix.n_snapshots,
-                            len(model.order))
+    head = _STORE_HEAD.pack(_STORE_MAGIC, _STORE_VERSION, len(key), matrix.n_snapshots)
     parts = [head, *entries, key]
     at = sum(map(len, parts))
     for offset, a in arrays:

@@ -53,6 +53,7 @@ from .swe import Grid
 _MAGIC = b"KSNP"
 _VERSION = 1
 _HEADER = struct.Struct("<4s6I3d")
+_U32_MAX = 2 ** 32 - 1
 
 
 class FieldTag(enum.IntEnum):
@@ -148,9 +149,14 @@ class KsnpWriter:
                  scale: float | None = None, check_finite: bool = True):
         if nsnap < 2:
             raise TooFewColumns("a KSNP file needs at least 2 snapshots")
+        for name, count in (("nx", nx), ("ny", ny), ("nsnap", nsnap)):
+            if not 0 <= count <= _U32_MAX:
+                raise InvalidValue(f"{path}: {name} = {count} does not fit the header's "
+                                   f"u32 field (at most {_U32_MAX})")
         if not _positive_spacings(dt, dx, dy):
             raise InvalidValue(f"{path}: dt = {dt}, dx = {dx} and dy = {dy} must be "
-                               "finite and positive, or load would refuse the file")
+                               "finite and positive, with a finite reciprocal, or load would "
+                               "refuse the file")
         header = _HEADER.pack(_MAGIC, _VERSION, int(field_tag), 1 if nondimensional else 0,
                               nx, ny, nsnap, dt, dx, dy)
         self.path = Path(path)
@@ -218,8 +224,10 @@ def save(matrix: SnapshotMatrix, path) -> None:
 
 
 def _positive_spacings(*values: float) -> bool:
-    """Whether each sampling interval or grid spacing is finite and positive."""
-    return all(0.0 < v < np.inf for v in values)
+    """Whether each sampling interval or grid spacing is finite and
+    positive, with a finite reciprocal: one below about 5.6e-309, as
+    5e-324, has none, and would make a rate or a quotient inf or nan."""
+    return all(0.0 < v < np.inf and 1.0 / float(v) < np.inf for v in values)
 
 
 def _read_header(fh, path):

@@ -885,8 +885,8 @@ def store_case(tmp_path_factory):
 
 
 def unpacked(store: bytes):
-    """The header fields (magic, format, key length, n, groups), the key
-    and the arrays, by name, of a store of this format."""
+    """The header fields (magic, format, key length, n), the key and the
+    arrays, by name, of a store of this format."""
     head = list(rom._STORE_HEAD.unpack_from(store))
     key = store[STORE_TABLE:STORE_TABLE + head[2]]
     arrays = {}
@@ -935,9 +935,10 @@ def _edited(store: bytes, name: str, how: str) -> bytes:
 @st.composite
 def damaged_stores(draw, stores):
     """Bytes that are not h's store: random, truncated, u's store, h's
-    store with one array missing, reshaped or retyped, h's store under
-    an older format number, with one array past the end of the file, or
-    with counts that make it larger than the snapshots allow."""
+    store with one array missing, reshaped or retyped (a curve one entry
+    longer or shorter than the conjugate groups among them), h's store
+    under an older format number, with one array past the end of the
+    file, or with a count of snapshots larger than the file has."""
     valid = stores["h"]
     kind = draw(st.sampled_from(["random", "truncated", "other field", "array",
                                  "older format", "past end", "counts"]))
@@ -969,35 +970,28 @@ def damaged_stores(draw, stores):
             length += beyond
         raw[at:at + rom._STORE_ENTRY.size] = rom._STORE_ENTRY.pack(code, offset, length)
         return bytes(raw)
-    # counts: more snapshots than the file has (9), or more groups than
-    # modes, in the header alone or with every array grown to match
-    how = draw(st.sampled_from(["snapshots", "groups", "grown"]))
-    if how == "grown":
+    # counts: more snapshots than the file has (9), in the header alone
+    # or with every array grown to match
+    if draw(st.booleans()):
         return _grown(head, key, arrays, 10)
-    if how == "snapshots":
-        head[3] = draw(st.integers(10, (1 << 32) - 1))
-    else:
-        head[4] = draw(st.integers(head[3], (1 << 32) - 1))
+    head[3] = draw(st.integers(10, (1 << 32) - 1))
     raw[:rom._STORE_HEAD.size] = rom._STORE_HEAD.pack(*head)
     return bytes(raw)
 
 
 def _grown(head, key: bytes, arrays, n: int) -> bytes:
     """A store whose every array is extended, consistently, to ``n``
-    snapshots: one real mode more per extra snapshot, as its own group."""
+    snapshots: one mode more per extra snapshot, a copy of the last, which
+    is real or the lower of a conjugate pair, so it is its own group."""
     old = head[3] - 1
     extra = n - 1 - old
     for name, (extent, _) in rom._STORE_ARRAYS.items():
         a = arrays[name]
-        if name == "admitted":
-            arrays[name] = np.concatenate([a, np.arange(old, n - 1)])
-        elif name == "group_sizes":
-            arrays[name] = np.concatenate([a, np.ones(extra, a.dtype)])
-        elif extent == "square":
+        if extent == "square":
             arrays[name] = np.pad(a.reshape(old, old), (0, extra), mode="edge").ravel()
         else:
             arrays[name] = np.pad(a, (0, extra), mode="edge")
-    head[3], head[4] = n, head[4] + extra
+    head[3] = n
     return packed(head, key, arrays)
 
 
@@ -1007,6 +1001,16 @@ def test_store_layout_round_trips(store_case):
     _, stores, _, _ = store_case
     for store in stores.values():
         assert packed(*unpacked(store)) == store
+
+
+@pytest.mark.parametrize("how", ["long", "short"])
+def test_curve_not_one_entry_per_conjugate_group_is_a_miss(store_case, tmp_path, how):
+    argv, stores, cold_echo, cold_files = store_case
+    (tmp_path / "dmd_h.npz").write_bytes(_edited(stores["h"], "curve", how))
+    code, echo, err, fits = run_counting([*argv, "--out", tmp_path])
+    assert (code, err) == (0, "") and fits > 0
+    assert echo == cold_echo and outputs(tmp_path) == cold_files
+    assert (tmp_path / "dmd_h.npz").read_bytes() == stores["h"]
 
 
 @STORE_CASES

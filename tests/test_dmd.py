@@ -1,6 +1,7 @@
 """Companion fit, eigendecomposition, amplitudes, reconstruction and the
 decomposition store that ``rom.reduced_model`` keeps of them."""
 
+import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
 
@@ -250,6 +251,17 @@ class TestEigendecompose:
         assert dec.exponents.real == pytest.approx(np.log([0.8, 0.5]) / dt, rel=1e-12)
         assert np.array_equal(dec.exponents.imag, [0.0, np.pi / dt])
 
+    def test_fast_decay_at_a_tiny_dt_has_exponent_minus_inf(self):
+        """At dt = 1e-308 a mode that decays by 1e-10 a step has exponent
+        log(1e-10) / dt, beyond the largest float: -inf, with no warning."""
+        _, dec = full_decomposition(np.random.default_rng(12).standard_normal((6, 3)))
+        dec = replace(dec, lambdas=np.array([1e-10, 0.8]), dt=1e-308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exponents = dec.exponents
+        assert exponents[0].real == -np.inf and exponents[0].imag == 0.0
+        assert exponents[1].real == pytest.approx(np.log(0.8) / 1e-308, rel=1e-15)
+
 
 class TestAmplitudes:
     def test_single_mode_recovers_norm(self):
@@ -419,6 +431,11 @@ def window_matrix(rows, dt=0.5):
                           field_tag=FieldTag.h)
 
 
+# the arrays of a decomposition: a store holds all but the exponents,
+# which a hit derives from the eigenvalues
+DEC_ARRAYS = ("lambdas", "exponents", "amplitudes", "r", "mode_coords", "z")
+
+
 def stored(matrix, path):
     """The (matrix, decomposition) of ``rom.reduced_model`` with the store
     at ``path``."""
@@ -443,7 +460,7 @@ class TestDecompositionStore:
 
     @staticmethod
     def assert_same(dec, other):
-        for name in rom._DEC_ARRAYS:
+        for name in DEC_ARRAYS:
             a, b = getattr(dec, name), getattr(other, name)
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes(), name
@@ -495,7 +512,7 @@ class TestDecompositionStore:
         _, fits = self.decompose_counting(m, path)
         assert fits == 0  # the store now holds the new decomposition
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_store_of_an_older_format_is_a_miss(self, tmp_path, rows, version):
         # format 1 solved the fit's triangle another way: its eigenvalues
         # differ in their last bits from a cold run of this one; format 2
@@ -504,16 +521,18 @@ class TestDecompositionStore:
         # curve; format 4 took its eigenvalues from np.linalg.eig, not from
         # the roots of the companion polynomial; format 5 took the exponent
         # of a spectrum with no conjugate pair on the real line, nan for a
-        # negative eigenvalue.  Each is written in the layout of this
-        # format, under its own number, and format 3 also as the zip it was.
+        # negative eigenvalue; format 6 stored the exponents, weights and
+        # admission order, which a load could not check against the
+        # eigenvalues.  Each is written in the layout of this format, under
+        # its own number, and format 3 also as the zip it was.
         m, path = window_matrix(rows), tmp_path / "dmd_h.npz"
         _, dec = stored(m, path)
         raw = bytearray(path.read_bytes())
-        magic, _, key_len, n, groups = rom._STORE_HEAD.unpack_from(raw)
+        magic, _, key_len, n = rom._STORE_HEAD.unpack_from(raw)
         table = rom._STORE_TABLE_END
         key = raw[table:table + key_len].replace(f" {rom._STORE_VERSION} ".encode(),
                                                   f" {version} ".encode(), 1)
-        raw[:rom._STORE_HEAD.size] = rom._STORE_HEAD.pack(magic, version, key_len, n, groups)
+        raw[:rom._STORE_HEAD.size] = rom._STORE_HEAD.pack(magic, version, key_len, n)
         raw[table:table + key_len] = key
         path.write_bytes(bytes(raw))
         (_, again), fits = self.decompose_counting(m, path)
@@ -521,7 +540,7 @@ class TestDecompositionStore:
         self.assert_same(again, dec)
         if version == 3:
             np.savez(path, key=np.array(key.decode()), n_snapshots=np.array(m.n_snapshots),
-                     **{name: getattr(dec, name) for name in rom._DEC_ARRAYS})
+                     **{name: getattr(dec, name) for name in DEC_ARRAYS})
             (_, again), fits = self.decompose_counting(m, path)
             assert fits == 1
             self.assert_same(again, dec)

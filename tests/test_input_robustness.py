@@ -66,7 +66,7 @@ class TestNonFiniteData:
         with pytest.raises(CorruptHeader):
             load(path)
 
-    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, np.inf])
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, np.inf, 5e-324])
     @pytest.mark.parametrize("offset", [28, 36, 44], ids=["dt", "dx", "dy"])
     def test_load_rejects_non_positive_header_float(self, scratch, offset, value):
         path, valid = scratch
@@ -92,11 +92,11 @@ class TestNonFiniteData:
         assert not list(tmp_path.glob("out/spectrum_*"))
 
     @pytest.mark.parametrize("name", ["dt", "dx", "dy"])
-    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, np.inf, np.nan, 5e-324])
     def test_writer_refuses_what_load_refuses(self, tmp_path, name, value):
         """KsnpWriter, and so save, raise InvalidValue (exit 3 in the
-        CLI) for a dt, dx or dy that is not finite and positive, before
-        any file is made."""
+        CLI) for a dt, dx or dy that is not finite and positive, or whose
+        reciprocal overflows, before any file is made."""
         spacing = {"dt": 60.0, "dx": 1.0, "dy": 1.0, name: value}
         with pytest.raises(InvalidValue, match=f"{name} = "):
             KsnpWriter(tmp_path / "h.ksnp", 12, nx=8, ny=5, field_tag=FieldTag.h,

@@ -315,7 +315,7 @@ def loop_select_leading_modes(matrix, dec, epsilon):
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
 
-    weights = rom.mode_weights(dec, matrix.n_snapshots - 1, dec.dt)
+    weights = rom.mode_weights(dec, matrix.n_snapshots - 1)
     order = rom._selection_order(dec, weights)
     t, b = dec.coordinates(matrix.v0)
     ref = rom._reference_norm(t)

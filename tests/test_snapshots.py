@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import koopmanrom as kr
-from koopmanrom.errors import (BadMagic, CorruptHeader, IndexOutOfRange, NonFiniteData,
-                               ShapeMismatch, TooFewColumns, UnsupportedVersion)
+from koopmanrom.errors import (BadMagic, CorruptHeader, IndexOutOfRange, InvalidValue,
+                               NonFiniteData, ShapeMismatch, TooFewColumns,
+                               UnsupportedVersion)
 from koopmanrom.snapshots import FieldTag, KsnpWriter, SnapshotMatrix, save, load
 
 from conftest import traced_peak
@@ -310,7 +311,13 @@ class TestKsnpWriter:
         with pytest.raises(TooFewColumns):
             KsnpWriter(tmp_path / "one.ksnp", 1, nx=5, ny=3, dt=1.0, dx=1.0, dy=1.0,
                        field_tag=FieldTag.h)
-        assert not (tmp_path / "one.ksnp").exists()
+        # a count beyond the header's u32 field is refused before any file
+        counts = {"nsnap": 7, "nx": 5, "ny": 3}
+        for name in counts:
+            with pytest.raises(InvalidValue, match=f"{name} = 4294967297"):
+                KsnpWriter(tmp_path / "big.ksnp", dt=1.0, dx=1.0, dy=1.0,
+                           field_tag=FieldTag.h, **{**counts, name: 2 ** 32 + 1})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.ksnp"]
 
 
 class TestCsvExport:
