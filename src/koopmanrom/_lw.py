@@ -76,7 +76,7 @@ class Kernel:
         self._fn.restype = ctypes.c_int
 
     def bind(self, w):
-        """A function ``step(dt) -> speed`` for the workspace ``w``.
+        """A function ``step(dt) -> speed`` on the buffers of ``w``, which outlive it.
 
         It advances ``w.p`` in place and returns the next signal speed,
         or returns None, leaving ``w.p`` unchanged and the new conserved
@@ -106,7 +106,6 @@ class Kernel:
                 return None
             return speed.value
 
-        step.arrays = arrays   # the kernel holds raw pointers into these
         return step
 
 

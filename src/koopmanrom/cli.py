@@ -10,7 +10,7 @@ exponents, weights and admission order of the spectrum report are
 derived from them as a fresh run derives them (``rom.reduced_model``).
 
 Exit codes: 0 success, 1 selection did not converge (or decomposition
-failure), 2 solver failure, 3 I/O, config or input-data failure.
+failure), 2 solver failure, 3 usage, I/O, config or input-data failure.
 """
 
 from __future__ import annotations
@@ -442,7 +442,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:   # argparse exits 2 after a usage error, 0 after --help
+        if exc.code != 2:
+            raise
+        return 3
     # looked up by name at each call, so a wrapper set on the module runs
     command = globals()[f"cmd_{args.cmd}"]
     try:

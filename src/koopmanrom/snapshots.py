@@ -150,9 +150,9 @@ class KsnpWriter:
         if nsnap < 2:
             raise TooFewColumns("a KSNP file needs at least 2 snapshots")
         for name, count in (("nx", nx), ("ny", ny), ("nsnap", nsnap)):
-            if not 0 <= count <= _U32_MAX:
-                raise InvalidValue(f"{path}: {name} = {count} does not fit the header's "
-                                   f"u32 field (at most {_U32_MAX})")
+            if not 0 < count <= _U32_MAX:
+                raise InvalidValue(f"{path}: {name} = {count} outside 1..{_U32_MAX}: load "
+                                   "refuses an empty grid, and the header holds no more")
         if not _positive_spacings(dt, dx, dy):
             raise InvalidValue(f"{path}: dt = {dt}, dx = {dx} and dy = {dy} must be "
                                "finite and positive, with a finite reciprocal, or load would "

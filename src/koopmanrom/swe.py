@@ -29,12 +29,13 @@ per run (``_Workspace``).
 
 ``simulate`` (per sub-step) and ``lax_wendroff_step`` share one Python
 stepping entry, ``_advance``: CFL gate, step, halo refresh, depth check,
-velocity recovery and v = 0 on the walls.  The step has two
-implementations with bit-identical results.  ``_step_unique`` is the
-numpy one, the portable path and the reference.  ``_lw.c`` is one fused C
-function doing the same operations in the same order per element; it is
-built with the C compiler at the first ``_advance`` of a process (never
-at import), cached per user, and selected only when one step of it on a
+velocity recovery and v = 0 on the walls, returning the new signal
+speed.  The step has two implementations with bit-identical results and
+one contract, stated by ``_numpy_step``, the portable one and the
+reference.  ``_compiled_step`` runs ``_lw.c``, one fused C function
+doing the same operations in the same order per element; it is built
+with the C compiler at the first ``_advance`` of a process (never at
+import), cached per user, and selected only when one step of it on a
 probe grid matches the numpy step bit for bit.  Without a compiler, or
 when the build, the load or that check fails, the numpy step runs.
 """
@@ -308,8 +309,8 @@ class _Workspace:
     column 0 is a halo copy of unique column nx-2, columns 1..nx-1 are
     the unique columns 0..nx-2, and column nx copies unique column 0.
     A stack (3, ny * E) holds (h, u, v) or (h, uh, vh).  A step reads
-    ``p`` and writes the new state into ``q``; ``_advance`` then swaps
-    the two.
+    ``p`` = (h, u, v), writes the new conserved state into ``q`` and then
+    the new (h, u, v) into ``p``; the two buffers are never swapped.
     """
 
     def __init__(self, constants: PhysicalConstants, grid: Grid):
@@ -324,11 +325,14 @@ class _Workspace:
         self.q_mx = np.zeros((3, n - 1))     # x faces: between cells k and k + 1
         self.q_my = np.zeros((3, n - e))     # y faces: between cells k and k + E
         self.s, self.t = np.zeros(n), np.zeros((2, n))   # source and speed scratch
-        self.speed = None          # the next signal speed, when a step gave it
         self.kernel_step = None    # the compiled step bound to these buffers
 
     def load(self, state: SweState) -> None:
-        """(h, u, v) of ``state``, whose column nx-1 is ignored, into p."""
+        """(h, u, v) of ``state``, whose column nx-1 is ignored, into p;
+        NonPositiveDepth at ``state.t`` unless its depth is positive."""
+        h_min = float(np.min(state.h))
+        if h_min <= 0.0:
+            raise NonPositiveDepth(state.t, h_min)
         p = self.p.reshape(3, self.ny, self.width)
         for dst, src in zip(p, (state.h, state.u, state.v)):
             dst[:, 1:-1] = src[:, :self.width - 2]
@@ -341,12 +345,8 @@ class _Workspace:
         return SweState(h=h, u=u, v=v, t=t)
 
     def signal_speed(self) -> float:
-        """max(|u| + |v| + sqrt(g h)) of p: the value the last step gave,
-        used once, else computed from p."""
-        speed, self.speed = self.speed, None
-        if speed is None:
-            speed = _signal_speed(self.p, self.gravity, self.s, self.t[0])
-        return speed
+        """max(|u| + |v| + sqrt(g h)) of p."""
+        return _signal_speed(self.p, self.gravity, self.s, self.t[0])
 
 
 def _primitive(q):
@@ -498,56 +498,49 @@ def _close(a, grid: Grid) -> np.ndarray:
     return out
 
 
-def _numpy_step(w: _Workspace, dt: float) -> bool:
-    """One step of ``_step_unique``, then the depth check, the velocity
-    recovery and v = 0 on the walls; the post-step part runs on whole
-    contiguous blocks and sees each unique value, some twice.  p and q
-    then trade buffers: a step allocates nothing, so its speed does not
-    depend on how malloc reuses freed blocks (a copy here once made glibc
-    return the step's temporaries to the OS every step: 850 rather than
-    6 page faults and twice the time per 129 x 65 step).  False, with p
-    unchanged and the new conserved state in q, when the new depth is not
-    finite and positive."""
-    q = _step_unique(w, dt)
+def _numpy_step(w: _Workspace, dt: float) -> float | None:
+    """One step of ``_step_unique`` under the contract of both step
+    implementations: the new conserved state goes into q and the new
+    (h, u, v), with v = 0 on the walls, into p, allocating nothing; the
+    signal speed of the new p is returned, or None, with p unchanged,
+    when the new depth is not finite and positive."""
+    p, q = w.p, _step_unique(w, dt)
     h = q[0]
     if not (h.min() > 0.0 and h.max() < np.inf):
-        return False
-    _primitive(q)
-    q[2, :w.width] = 0.0
-    q[2, -w.width:] = 0.0
-    w.p, w.q = q, w.p
-    return True
+        return None
+    p[0] = h
+    np.divide(q[1:], h, out=p[1:])
+    p[2, :w.width] = 0.0
+    p[2, -w.width:] = 0.0
+    return w.signal_speed()
 
 
-def _compiled_step(w: _Workspace, dt: float) -> bool:
-    """The same step by the compiled kernel, which writes the new
-    (h, u, v) into p itself and hands back its signal speed, kept in
-    ``w.speed`` for the next ``signal_speed``.  False, with p unchanged
-    and the new conserved state in q, when the new depth is not finite
-    and positive."""
-    if w.kernel_step is None or w.kernel_step.arrays["p"] is not w.p:
+def _compiled_step(w: _Workspace, dt: float) -> float | None:
+    """The same step, with the same result and return value, by the
+    compiled kernel, bound to the buffers of ``w`` at its first step."""
+    if w.kernel_step is None:
         w.kernel_step = _kernel.bind(w)
-    w.speed = w.kernel_step(dt)
-    return w.speed is not None
+    return w.kernel_step(dt)
 
 
-# The step implementation _advance runs: "compiled", the fused sub-step
-# of _lw.c, or "numpy", _numpy_step.  None until the first _advance of
-# the process picks one (_select_path); tests set it to run either.
-_path = None
-_kernel = None   # the loaded _lw.Kernel, once the compiled path is picked
+# The step implementation _advance runs: _compiled_step or _numpy_step.
+# None until the first _advance of the process picks one (_select_step);
+# tests set it to run either.
+_step = None
+_kernel = None   # the loaded _lw.Kernel, once the compiled step is picked
 
 
-def _select_path() -> str:
+def _select_step():
     """The step implementation, picked at the first call of a process:
-    "compiled" when the kernel builds, loads and matches the numpy step
-    bit for bit on one step of a small hilly grid, else "numpy"."""
-    global _path, _kernel
-    if _path is None:
+    _compiled_step when the kernel builds, loads and matches the numpy
+    step bit for bit on one step of a small hilly grid, else _numpy_step."""
+    global _step, _kernel
+    if _step is None:
         from . import _lw
         _kernel = _lw.load()
-        _path = "compiled" if _kernel is not None and _compiled_matches_numpy() else "numpy"
-    return _path
+        compiled = _kernel is not None and _compiled_matches_numpy()
+        _step = _compiled_step if compiled else _numpy_step
+    return _step
 
 
 def _compiled_matches_numpy() -> bool:
@@ -559,15 +552,14 @@ def _compiled_matches_numpy() -> bool:
     ref.load(state)
     got.load(state)
     dt = 0.8 * min(grid.dx, grid.dy) / ref.signal_speed()
-    if not (_numpy_step(ref, dt) and _compiled_step(got, dt)):
-        return False
-    return (np.array_equal(ref.p.view(np.int64), got.p.view(np.int64))
-            and ref.signal_speed() == got.signal_speed())
+    want, speed = _numpy_step(ref, dt), _compiled_step(got, dt)
+    return (want is not None and speed == want
+            and np.array_equal(ref.p.view(np.int64), got.p.view(np.int64)))
 
 
-def _advance(w: _Workspace, t, dt, smax):
+def _advance(w: _Workspace, t, dt, smax) -> float:
     """Advance w.p = (h, u, v), with signal-speed bound smax, from time t
-    by dt, in place, on the step implementation ``_path`` picks.
+    by dt, in place; returns the signal speed of the new state.
 
     Raises CflViolation if dt exceeds min(dx, dy) / smax and
     NonPositiveDepth if the new depth is not finite and positive; w.p
@@ -577,12 +569,13 @@ def _advance(w: _Workspace, t, dt, smax):
     dt_max = min(w.dx, w.dy) / smax
     if dt > dt_max * (1.0 + 1e-12):
         raise CflViolation(dt, dt_max, t)
-    step = _compiled_step if (_path or _select_path()) == "compiled" else _numpy_step
-    if not step(w, dt):
+    speed = (_step or _select_step())(w, dt)
+    if speed is None:
         h = w.q[0]
         bad = h[np.isfinite(h)]
         h_min = float(bad.min()) if bad.size else float("nan")
         raise NonPositiveDepth(t + dt, h_min)
+    return speed
 
 
 def lax_wendroff_step(state: SweState, dt: float, constants: PhysicalConstants,
@@ -593,8 +586,6 @@ def lax_wendroff_step(state: SweState, dt: float, constants: PhysicalConstants,
     min(dx, dy) / max(|u| + |v| + sqrt(g h)) and NonPositiveDepth if the
     given or the updated depth is not strictly positive everywhere.
     """
-    if np.min(state.h) <= 0.0:
-        raise NonPositiveDepth(state.t, float(np.min(state.h)))
     w = _Workspace(constants, grid)
     w.load(state)
     _advance(w, state.t, dt, max_signal_speed(state, constants))
@@ -615,10 +606,10 @@ def simulate(constants: PhysicalConstants, grid: Grid, snapshot_dt: float,
     so the sink may keep or modify them.  The first state reaches the
     sink only after every setup check below has passed.
 
-    Raises ValueError, naming snapshot_dt, before the first step when the
-    horizon (n_snapshots - 1) * snapshot_dt is not finite or needs more
-    than 2**53 sub-steps of the initial CFL step: float time cannot
-    resolve a sub-step that far out.  Any finite horizon below that
+    Raises ValueError before the first step, naming cfl unless 0 < cfl <
+    inf, and naming snapshot_dt when the horizon (n_snapshots - 1) *
+    snapshot_dt is not finite or needs more than 2**53 sub-steps of the
+    initial CFL step: float time cannot resolve a sub-step that far out.  Any finite horizon below that
     bound runs for as long as it needs.  Should the time still stop
     advancing (t + dt == t), that is a blow-up when the signal speed has
     risen over the last two sub-steps: it raises NonPositiveDepth at t
@@ -628,13 +619,13 @@ def simulate(constants: PhysicalConstants, grid: Grid, snapshot_dt: float,
     """
     if n_snapshots < 2:
         raise ValueError("need at least two snapshots")
+    if not 0.0 < cfl < np.inf:
+        raise ValueError(f"cfl = {cfl} must be finite and positive")
     if not (snapshot_dt > 0 and np.isfinite((n_snapshots - 1) * snapshot_dt)):
         raise ValueError("snapshot_dt must be positive with a finite horizon "
                          "(n_snapshots - 1) * snapshot_dt")
 
     state = initial_state(constants, grid)
-    if np.min(state.h) <= 0.0:
-        raise NonPositiveDepth(0.0, float(np.min(state.h)))
     w = _Workspace(constants, grid)
     w.load(state)
     dmin = min(grid.dx, grid.dy)
@@ -658,9 +649,8 @@ def simulate(constants: PhysicalConstants, grid: Grid, snapshot_dt: float,
                     raise ValueError(f"time stops advancing at t = {t:g} s: a sub-step of "
                                      f"{dt:g} s leaves it unchanged, short of the horizon "
                                      f"of snapshot_dt = {snapshot_dt:g} s")
-            _advance(w, t, dt, smax)
+            s_prev2, s_prev, smax = s_prev, smax, _advance(w, t, dt, smax)
             t = t_target if t_target - t <= dt * (1.0 + 1e-12) else t + dt
-            s_prev2, s_prev, smax = s_prev, smax, w.signal_speed()
         out.append(w.state(t_target))
     return out
 

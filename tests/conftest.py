@@ -43,7 +43,7 @@ def private_build_cache(tmp_path_factory):
 @pytest.fixture
 def numpy_step(monkeypatch):
     """Run the solver on the numpy step, ``swe._step_unique``."""
-    monkeypatch.setattr(swe, "_path", "numpy")
+    monkeypatch.setattr(swe, "_step", swe._numpy_step)
 
 
 @pytest.fixture
@@ -51,11 +51,11 @@ def compiled_step(monkeypatch):
     """Run the solver on the compiled step of ``_lw.c``, on the entry the
     loader binds (``lw_step_avx2`` on a CPU with AVX2); skip only when
     there is no C compiler to build it."""
-    if swe._select_path() != "compiled":
+    if swe._select_step() is not swe._compiled_step:
         if shutil.which(_lw._CC) is None:
             pytest.skip(f"no C compiler ({_lw._CC}) to build the compiled sub-step")
         pytest.fail("a C compiler exists, but the compiled sub-step was not selected")
-    monkeypatch.setattr(swe, "_path", "compiled")
+    monkeypatch.setattr(swe, "_step", swe._compiled_step)
 
 
 @pytest.fixture

@@ -223,6 +223,27 @@ class TestParseConfig:
         assert "UTF-8" in capsys.readouterr().err
 
 
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["rom", "--bogus"], ["reconstruct"], ["vorticity", "--time", "1", "--index", "1"],
+        ["reconstruct", "--index", "x"], ["nosuch"], []],
+        ids=["unknown-option", "no-time-or-index", "time-and-index", "bad-index",
+             "unknown-command", "no-command"])
+    def test_usage_error_exits_3(self, argv, capsys):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: koopmanrom")
+        assert "error: " in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["rom", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: koopmanrom")
+
+
 class TestSimulateCommand:
     def test_writes_one_file_per_field(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, DESK_CFG + "n_snapshots = 5\n")
@@ -270,13 +291,27 @@ class TestSimulateCommand:
         ("snapshot_dt = 1e300\nn_snapshots = 3\n", "snapshot_dt"),
         ("coriolis_f0 = 0\ncoriolis_beta = 0\n", "Coriolis parameter vanishes"),
         ("shear_depth = 0\nwave_depth = 0\n", "non-positive reference scales"),
-    ], ids=["unresolvable-horizon", "no-coriolis", "still-water"])
+        ("cfl = inf\n", "cfl = inf must be finite"),
+    ], ids=["unresolvable-horizon", "no-coriolis", "still-water", "infinite-cfl"])
     def test_solver_setup_error_exits_3(self, tmp_path, capsys, text, message):
         # each passes the config checks and is rejected before any output
         cfg = write_cfg(tmp_path, DESK_CFG + "nx = 16\nny = 8\nn_snapshots = 3\n" + text)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("n_snapshots = 1\n", "n_snapshots = 1 < 2"),
+        ("cfl = 0\n", "cfl = 0.0 must be positive"),
+        ("coriolis_f0 = inf\n", "coriolis_f0 = inf is not finite"),
+        ("gravity = -1\n", "gravity, channel_length and channel_width must be positive"),
+    ], ids=["one-snapshot", "zero-cfl", "infinite-coriolis", "negative-gravity"])
+    def test_config_guard_exits_3(self, tmp_path, capsys, text, message):
+        cfg = write_cfg(tmp_path, DESK_CFG + "nx = 16\nny = 8\nn_snapshots = 3\n" + text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not (tmp_path / "o").exists()
 
     def test_grid_beyond_memory_exits_3(self, tmp_path):

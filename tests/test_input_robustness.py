@@ -91,19 +91,22 @@ class TestNonFiniteData:
         assert "implausible header" in err and "Traceback" not in err
         assert not list(tmp_path.glob("out/spectrum_*"))
 
-    @pytest.mark.parametrize("name", ["dt", "dx", "dy"])
-    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, np.inf, np.nan, 5e-324])
+    @pytest.mark.parametrize("value, name", [
+        *((value, name) for name in ("dt", "dx", "dy")
+          for value in (0.0, -0.0, -1.0, np.inf, np.nan, 5e-324)),
+        (0, "nx"), (0, "ny")])
     def test_writer_refuses_what_load_refuses(self, tmp_path, name, value):
         """KsnpWriter, and so save, raise InvalidValue (exit 3 in the
         CLI) for a dt, dx or dy that is not finite and positive, or whose
-        reciprocal overflows, before any file is made."""
-        spacing = {"dt": 60.0, "dx": 1.0, "dy": 1.0, name: value}
+        reciprocal overflows, and for an empty grid, before any file is
+        made."""
+        header = {"nx": 8, "ny": 5, "dt": 60.0, "dx": 1.0, "dy": 1.0, name: value}
         with pytest.raises(InvalidValue, match=f"{name} = "):
-            KsnpWriter(tmp_path / "h.ksnp", 12, nx=8, ny=5, field_tag=FieldTag.h,
-                       **spacing)
+            KsnpWriter(tmp_path / "h.ksnp", 12, field_tag=FieldTag.h, **header)
+        data = np.ones((header["nx"] * header["ny"], 12))
         with pytest.raises(InvalidValue):
-            save(SnapshotMatrix(data=np.ones((40, 12)), nx=8, ny=5, field_tag=FieldTag.h,
-                                **spacing), tmp_path / "h.ksnp")
+            save(SnapshotMatrix(data=data, field_tag=FieldTag.h, **header),
+                 tmp_path / "h.ksnp")
         assert list(tmp_path.iterdir()) == []
 
     def test_assemble_rejects_non_finite_field(self):

@@ -189,6 +189,21 @@ class TestLaxWendroffStep:
         with pytest.raises(CflViolation):
             kr.lax_wendroff_step(state, 2.0 * dt_max, classic_constants, grid)
 
+    def test_non_positive_depth_is_refused_before_the_step(self, classic_constants,
+                                                            monkeypatch):
+        def no_step(*args):
+            raise AssertionError("lax_wendroff_step stepped a state with h <= 0")
+
+        monkeypatch.setattr(kr.swe, "_advance", no_step)
+        grid = kr.Grid.for_channel(16, 8, classic_constants)
+        s0 = kr.initial_state(classic_constants, grid)
+        h = s0.h.copy()
+        h[3, 5] = -5.0
+        with pytest.raises(NonPositiveDepth) as exc:
+            kr.lax_wendroff_step(kr.SweState(h=h, u=s0.u, v=s0.v, t=1800.0), 1.0,
+                                 classic_constants, grid)
+        assert (exc.value.t, exc.value.h_min) == (1800.0, -5.0)
+
     def test_supercritical_defaults_blow_up(self, paper_constants):
         # the default constants imply a hypersonic jet; the scheme
         # detects the shock-driven depth collapse within seconds
@@ -265,6 +280,33 @@ class TestSimulate:
         with pytest.raises(ValueError, match="snapshot_dt"):
             kr.simulate(classic_constants, grid, snapshot_dt, 3)
 
+    @pytest.mark.parametrize("cfl", [0.0, -0.5, np.nan, np.inf])
+    def test_rejects_bad_cfl_before_stepping(self, classic_constants, monkeypatch, cfl):
+        # unchecked, 0 and -0.5 would be blamed on snapshot_dt, NaN would
+        # give a depth collapse at t = nan and inf a CFL violation at t = 0
+        def no_step(*args):
+            raise AssertionError("simulate stepped with an invalid cfl")
+
+        monkeypatch.setattr(kr.swe, "_advance", no_step)
+        grid = kr.Grid.for_channel(16, 8, classic_constants)
+        with pytest.raises(ValueError, match="cfl"):
+            kr.simulate(classic_constants, grid, 600.0, 3, cfl=cfl)
+
+    def test_initial_depth_below_zero_raises_at_t0(self, monkeypatch):
+        # mean_depth 500 m under a 700 m shear layer: min depth about -200 m
+        def no_step(*args):
+            raise AssertionError("simulate stepped a state with h <= 0")
+
+        monkeypatch.setattr(kr.swe, "_advance", no_step)
+        constants = kr.PhysicalConstants(mean_depth=500.0)
+        grid = kr.Grid.for_channel(16, 8, constants)
+        sink = []
+        with pytest.raises(NonPositiveDepth) as exc:
+            kr.simulate(constants, grid, 30.0, 2, out=sink)
+        assert exc.value.t == 0.0
+        assert exc.value.h_min == np.min(kr.initial_state(constants, grid).h) < 0.0
+        assert sink == []
+
     def test_stalled_time_raises(self, classic_constants, monkeypatch):
         # a signal speed that jumps once and then holds: t + dt == t with
         # nothing running away, which would otherwise loop for ever
@@ -272,6 +314,7 @@ class TestSimulate:
             if not calls:
                 w.p[1] *= 1e30
             calls.append(args)
+            return w.signal_speed()
 
         calls = []
         monkeypatch.setattr(kr.swe, "_advance", jump_once)
@@ -282,15 +325,15 @@ class TestSimulate:
 
 
 class TestSignalSpeed:
-    def test_speed_from_a_step_is_used_once(self, classic_constants, step_path):
+    def test_returned_speed_is_that_of_the_new_state(self, classic_constants, step_path):
         grid = kr.Grid.for_channel(16, 8, classic_constants)
         w = kr.swe._Workspace(classic_constants, grid)
         w.load(kr.initial_state(classic_constants, grid))
         speed = w.signal_speed()
-        kr.swe._advance(w, 0.0, 0.5 * min(grid.dx, grid.dy) / speed, speed)
+        got = kr.swe._advance(w, 0.0, 0.5 * min(grid.dx, grid.dy) / speed, speed)
         state = w.state(0.0)
-        assert w.signal_speed() == max_signal_speed(state, classic_constants)
-        w.p[1] *= 2.0   # a later edit of p is seen, not a stale speed
+        assert got == max_signal_speed(state, classic_constants)
+        w.p[1] *= 2.0   # signal_speed reads p as it is now
         assert w.signal_speed() == max_signal_speed(
             kr.SweState(h=state.h, u=2.0 * state.u, v=state.v, t=0.0), classic_constants)
 
@@ -302,9 +345,9 @@ class TestSignalSpeed:
         k = 3 * w.width + 4
         w.tab.cell[1][0, k] = np.nan
         speed = w.signal_speed()
-        kr.swe._advance(w, 0.0, 0.5 * min(grid.dx, grid.dy) / speed, speed)
+        got = kr.swe._advance(w, 0.0, 0.5 * min(grid.dx, grid.dy) / speed, speed)
         assert np.all(np.isfinite(w.p[0])) and np.isnan(w.p[1, k])
-        assert np.isnan(w.signal_speed())
+        assert np.isnan(got)
 
     # (row, flat column) of a 16 x 7 grid, whose blocks hold 7 rows of
     # 17: the compiled kernel takes the maximum over groups of 4 values,
@@ -322,10 +365,9 @@ class TestSignalSpeed:
         # so a large negative value gives that cell the largest |u|
         w.tab.cell[1][0, row * w.width + col] = push
         speed = w.signal_speed()
-        kr.swe._advance(w, 0.0, 0.5 * min(grid.dx, grid.dy) / speed, speed)
+        got = kr.swe._advance(w, 0.0, 0.5 * min(grid.dx, grid.dy) / speed, speed)
         u = np.abs(w.p[1].reshape(grid.ny, w.width)[:, 1:-1])   # unique cells
         assert u[row, col - 1] == u.max() and np.sum(u == u.max()) == 1
-        got = w.signal_speed()
         want = kr.swe._signal_speed(w.p, classic_constants.gravity,
                                     *np.empty((2, w.p.shape[1])))
         assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)

@@ -38,7 +38,7 @@ channel_width = 4400e3
 @pytest.fixture
 def unselected(monkeypatch):
     """No step implementation picked yet, as at the start of a process."""
-    monkeypatch.setattr(swe, "_path", None)
+    monkeypatch.setattr(swe, "_step", None)
     monkeypatch.setattr(swe, "_kernel", None)
 
 
@@ -56,16 +56,16 @@ def simulate(tmp_path, name):
 
 @needs_cc
 def test_compiled_path_is_selected_where_a_compiler_exists(unselected):
-    assert swe._select_path() == "compiled"
+    assert swe._select_step() is swe._compiled_step
 
 
 def test_missing_compiler_falls_back_to_the_same_output(tmp_path, monkeypatch, unselected):
-    monkeypatch.setattr(swe, "_path", "numpy")
+    monkeypatch.setattr(swe, "_step", swe._numpy_step)
     want = simulate(tmp_path, "numpy")
-    monkeypatch.setattr(swe, "_path", None)
+    monkeypatch.setattr(swe, "_step", None)
     monkeypatch.setattr(_lw, "_CC", str(tmp_path / "no-such-cc"))
     got = simulate(tmp_path, "fallback")
-    assert swe._path == "numpy"
+    assert swe._step is swe._numpy_step
     assert got == want
     code, _, err, files = got
     assert code == 0 and err == "" and sorted(files) == ["h.ksnp", "u.ksnp", "v.ksnp"]
@@ -73,7 +73,7 @@ def test_missing_compiler_falls_back_to_the_same_output(tmp_path, monkeypatch, u
 
 def test_compiled_output_matches_numpy_byte_for_byte(tmp_path, monkeypatch, compiled_step):
     got = simulate(tmp_path, "compiled")
-    monkeypatch.setattr(swe, "_path", "numpy")
+    monkeypatch.setattr(swe, "_step", swe._numpy_step)
     assert got == simulate(tmp_path, "numpy")
 
 
@@ -113,11 +113,10 @@ def test_a_kernel_that_disagrees_is_not_selected(monkeypatch, unselected):
                 w.p[1, w.width + 3] += 1e-12
                 return speed
 
-            off.arrays = step.arrays
             return off
 
     monkeypatch.setattr(_lw, "load", Off)
-    assert swe._select_path() == "numpy"
+    assert swe._select_step() is swe._numpy_step
 
 
 def garbage(path):
@@ -150,14 +149,15 @@ def test_unusable_cache_builds_for_the_process(tmp_path, monkeypatch, unselected
     # the cache root is a file, so no cache directory can be made
     (tmp_path / "file").write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
-    assert swe._select_path() == "compiled"
+    assert swe._select_step() is swe._compiled_step
     assert sorted(tmp_path.iterdir()) == [tmp_path / "file"]
 
 
 @needs_cc
 def test_concurrent_first_builds_leave_one_library(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(tmp_path))
-    code = "from koopmanrom import swe; assert swe._select_path() == 'compiled'"
+    code = ("from koopmanrom import swe; "
+            "assert swe._select_step() is swe._compiled_step")
     procs = [subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(2)]
     assert [p.wait(timeout=120) for p in procs] == [0, 0]
     files = sorted((tmp_path / "koopmanrom").iterdir())
@@ -177,7 +177,7 @@ def test_import_builds_nothing():
         subprocess.Popen.__init__ = refuse
         import koopmanrom, koopmanrom.cli
         assert "koopmanrom._lw" not in sys.modules
-        assert koopmanrom.swe._path is None
+        assert koopmanrom.swe._step is None
         """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
