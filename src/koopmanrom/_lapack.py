@@ -1,0 +1,103 @@
+"""The LAPACK of numpy's own wheel, bound for ``dmd``'s least-squares solves.
+
+numpy's wheels bundle scipy-openblas, built with 64-bit integers, in
+``numpy.libs/libscipy_openblas64_*.so``, and load it at import; its
+LAPACK routines carry the ``scipy_`` prefix and the ``64_`` suffix.
+``load()`` binds ``dgeqrf``, ``zgeqrf``, ``dtrtrs``, ``dtrtri`` and
+``ztrtri`` of that library, looked up among the libraries the process
+has already loaded (``RTLD_NOLOAD``: it never loads one), or returns
+None when the library or any of the routines is missing; ``dmd`` then
+runs ``np.linalg``.  The routines numpy calls through its gufuncs are
+the same code, so the same call gives the same bits.
+
+Nothing here runs at import of the package: ``load()`` runs at the
+first solve, once per process.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import os
+from pathlib import Path
+
+import numpy as np
+
+_INT = ctypes.c_int64
+
+
+def _bind(lib: ctypes.CDLL, name: str, n_args: int, n_flags: int):
+    """The Fortran subroutine ``name``: ``n_args`` arguments by reference,
+    INFO the last, then the hidden lengths of its ``n_flags`` flags."""
+    fn = getattr(lib, name)
+    fn.argtypes = [ctypes.c_void_p] * n_args + [ctypes.c_size_t] * n_flags
+    fn.restype = None
+    return fn
+
+
+def _call(fn, *args) -> int:
+    """Call the routine ``fn`` on ``args`` (ints, arrays and one-letter
+    flags), with INFO and the flags' lengths appended; returns INFO."""
+    for a in args:
+        if isinstance(a, np.ndarray) and not (a.flags.f_contiguous and a.flags.writeable
+                                              and a.dtype.isnative):
+            raise ValueError("LAPACK takes writable, native, Fortran-ordered arrays")
+    info = _INT(0)
+    refs = [a.ctypes.data if isinstance(a, np.ndarray)
+            else a if isinstance(a, bytes) else ctypes.byref(_INT(a)) for a in args]
+    fn(*refs, ctypes.byref(info), *(1 for a in args if isinstance(a, bytes)))
+    return info.value
+
+
+class Lapack:
+    """The bound routines, on Fortran-ordered float64 or complex128 arrays."""
+
+    def __init__(self, lib: ctypes.CDLL):
+        self._geqrf = {np.float64: _bind(lib, "scipy_dgeqrf_64_", 8, 0),
+                       np.complex128: _bind(lib, "scipy_zgeqrf_64_", 8, 0)}
+        self._trtri = {np.float64: _bind(lib, "scipy_dtrtri_64_", 6, 2),
+                       np.complex128: _bind(lib, "scipy_ztrtri_64_", 6, 2)}
+        self._dtrtrs = _bind(lib, "scipy_dtrtrs_64_", 10, 3)
+
+    def geqrf(self, a: np.ndarray) -> None:
+        """Factor ``a`` = QR in place: R in its upper triangle, the
+        reflectors below.  The workspace is the one numpy's QR asks for,
+        max(1, n, the size a query returns), since the block size of the
+        factorization, and so its bits, depend on it."""
+        fn, (m, n) = self._geqrf[a.dtype.type], a.shape
+        tau, query = np.zeros(min(m, n), a.dtype), np.zeros(1, a.dtype)
+        if _call(fn, m, n, a, max(1, m), tau, query, -1) == 0:
+            work = np.empty(max(1, n, int(query[0].real)), a.dtype)
+            if _call(fn, m, n, a, max(1, m), tau, work, work.size) == 0:
+                return
+        raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+    def trtri(self, a: np.ndarray) -> bool:
+        """Invert the upper triangle of the square ``a`` in place; False,
+        with ``a`` part inverted, when a diagonal entry is zero."""
+        n = a.shape[0]
+        if a.shape != (n, n):
+            raise ValueError("trtri inverts a square triangle")
+        return _call(self._trtri[a.dtype.type], b"U", b"N", n, a, max(1, n)) == 0
+
+    def trtrs(self, a: np.ndarray, n: int, b: np.ndarray) -> np.ndarray:
+        """x with R x = b for the float64 upper triangle R = a[:n, :n];
+        LinAlgError, as from ``np.linalg.solve``, when R is singular."""
+        if a.dtype != np.float64 or not n <= min(a.shape) or b.shape != (n,):
+            raise ValueError("trtrs solves a float64 triangle against an n-vector")
+        x = np.array(b, dtype=np.float64)
+        if _call(self._dtrtrs, b"U", b"N", b"N", n, 1, a, max(1, a.shape[0]), x, max(1, n)):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return x
+
+
+@functools.cache
+def load() -> Lapack | None:
+    """The routines of the bundled library numpy has loaded, or None."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            return Lapack(ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD))
+        except (OSError, AttributeError):   # not loaded, a routine missing
+            continue
+    return None

@@ -331,7 +331,7 @@ class _Workspace:
         """(h, u, v) of ``state``, whose column nx-1 is ignored, into p;
         NonPositiveDepth at ``state.t`` unless its depth is positive."""
         h_min = float(np.min(state.h))
-        if h_min <= 0.0:
+        if not h_min > 0.0:   # a NaN depth fails too
             raise NonPositiveDepth(state.t, h_min)
         p = self.p.reshape(3, self.ny, self.width)
         for dst, src in zip(p, (state.h, state.u, state.v)):
@@ -561,13 +561,13 @@ def _advance(w: _Workspace, t, dt, smax) -> float:
     """Advance w.p = (h, u, v), with signal-speed bound smax, from time t
     by dt, in place; returns the signal speed of the new state.
 
-    Raises CflViolation if dt exceeds min(dx, dy) / smax and
-    NonPositiveDepth if the new depth is not finite and positive; w.p
-    is then unchanged.  The new state has its halo columns refreshed and
-    v = 0 on the walls.
+    Raises CflViolation unless dt is within min(dx, dy) / smax, as for a
+    NaN smax, and NonPositiveDepth if the new depth is not finite and
+    positive; w.p is then unchanged.  The new state has its halo columns
+    refreshed and v = 0 on the walls.
     """
     dt_max = min(w.dx, w.dy) / smax
-    if dt > dt_max * (1.0 + 1e-12):
+    if not dt <= dt_max * (1.0 + 1e-12):   # a NaN speed fails too
         raise CflViolation(dt, dt_max, t)
     speed = (_step or _select_step())(w, dt)
     if speed is None:
@@ -582,9 +582,10 @@ def lax_wendroff_step(state: SweState, dt: float, constants: PhysicalConstants,
                       grid: Grid) -> SweState:
     """Advance one step of length dt.
 
-    Raises CflViolation if dt exceeds the unit-Courant envelope
-    min(dx, dy) / max(|u| + |v| + sqrt(g h)) and NonPositiveDepth if the
-    given or the updated depth is not strictly positive everywhere.
+    Raises CflViolation unless dt is within the unit-Courant envelope
+    min(dx, dy) / max(|u| + |v| + sqrt(g h)), which a NaN velocity makes
+    NaN, and NonPositiveDepth if the given or the updated depth is not
+    strictly positive everywhere (a NaN depth is not).
     """
     w = _Workspace(constants, grid)
     w.load(state)

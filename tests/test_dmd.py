@@ -358,8 +358,10 @@ class TestModesOnDemand:
 
     Peaks are tracemalloc peaks in payloads, the bytes of a 20 000-cell,
     41-snapshot matrix in the layout ``assemble`` and ``load`` give.
-    What is left of decompose is the working copy ``np.linalg.qr``
-    makes of [V0 | u_N], and of reconstruct one snapshot (1/41).
+    What is left of decompose is the one Fortran copy of [V0 | u_N]
+    that the bundled LAPACK factors (without that library, the copy
+    ``np.linalg.qr`` makes with ``astype``; its LAPACK buffer is malloc'd
+    outside tracemalloc's view), and of reconstruct one snapshot (1/41).
     """
 
     @pytest.fixture(scope="class")
@@ -399,8 +401,10 @@ class TestModesOnDemand:
         assert "modes" not in vars(dec)  # nothing above formed the modes
 
     def test_errors_of_a_foreign_matrix(self, matrix, decomposed):
-        """One real QR of [V0 | X]: about four payloads of X (the stacked
-        block and the working copy the QR makes of it), no mode matrix."""
+        """One real QR of [V0 | X]: about two payloads of X, the buffer
+        the QR factors, and four without the bundled LAPACK (the stacked
+        block and the working copy ``np.linalg.qr`` makes of it); no mode
+        matrix."""
         used, dec, model = decomposed
         rows = np.random.default_rng(32).standard_normal((41, 20000))
         foreign = replace(used, data=rows.T)

@@ -1,0 +1,195 @@
+"""The LAPACK bundled with numpy, as ``dmd`` binds it (``_lapack``).
+
+Every solve through the binding gives the bits of the ``np.linalg`` path
+it replaces, which runs when the binding is patched off; the rank gate's
+certificate passes no triangle that the SVD gate fails.
+"""
+
+import contextlib
+import io
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from koopmanrom import _lapack, dmd
+from koopmanrom.cli import main
+from koopmanrom.errors import RankDeficient
+
+SRC = Path(__file__).parents[1] / "src"
+CONFIGS = Path(__file__).parents[1] / "configs"
+
+needs_lapack = pytest.mark.skipif(_lapack.load() is None,
+                                  reason="numpy bundles no scipy-openblas64 here")
+CASES = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+
+def without_binding():
+    """A context in which ``dmd`` runs ``np.linalg`` alone."""
+    return mock.patch.object(_lapack, "load", lambda: None)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides
+            and a.tobytes() == b.tobytes())
+
+
+def solved(block):
+    """``_qr_solve`` of ``block``, or the rank it reports as deficient."""
+    try:
+        return dmd._qr_solve(block, what="basis")
+    except RankDeficient as exc:
+        return exc.rank, exc.n_columns
+
+
+@st.composite
+def blocks(draw):
+    """[basis | target] blocks: tall, square and wide, one column, C or
+    F order, strided column slices, real or complex, some of them of
+    deficient rank (a zero column or a repeated one)."""
+    rows = draw(st.sampled_from([1, 2, 3, 7, 40, 300, 400]))
+    # past 128 columns dgeqrf factors in blocks, whose size the workspace sets
+    cols = draw(st.integers(1, 12 if rows < 40 else 60 if rows < 300 else 200))
+    stride = draw(st.sampled_from([1, 1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    complex_ = draw(st.booleans())
+    data = rng.standard_normal((rows, cols * stride))
+    if complex_:
+        data = data + 1j * rng.standard_normal((rows, cols * stride))
+    data *= 10.0 ** draw(st.integers(-6, 6))
+    if draw(st.booleans()):
+        data = np.asfortranarray(data)
+    block = data[:, ::stride]
+    defect = draw(st.sampled_from(["none", "none", "zero", "repeat"]))
+    if defect != "none" and cols >= 3:
+        block[:, 1] = 0.0 if defect == "zero" else block[:, 0]
+    return block
+
+
+@needs_lapack
+@CASES
+@given(blocks())
+def test_qr_solve_gives_the_bits_of_np_linalg(block):
+    got = solved(block)
+    with without_binding():
+        want = solved(block)
+    assert len(got) == len(want)
+    if len(want) == 2:   # both rank deficient, at the same rank
+        assert got == want
+        return
+    for a, b in zip(got, want):
+        assert same_bits(a, b)
+
+
+def graded_triangle(rng, n, ratio, complex_):
+    """An upper triangle with singular values graded from 1 to ``ratio``."""
+    def orthogonal():
+        a = rng.standard_normal((n, n))
+        if complex_:
+            a = a + 1j * rng.standard_normal((n, n))
+        return np.linalg.qr(a)[0]
+
+    sigma = np.logspace(0.0, np.log10(ratio), n)
+    return np.linalg.qr((orthogonal() * sigma) @ orthogonal().conj().T, mode="r")
+
+
+def svd_passes(r) -> bool:
+    sv = np.linalg.svd(r, compute_uv=False)
+    return bool(np.all(sv > dmd._RANK_RTOL * sv[0]))
+
+
+@needs_lapack
+@CASES
+@given(n=st.integers(2, 200), exponent=st.floats(-14.0, -9.0),
+       seed=st.integers(0, 2**32 - 1), complex_=st.booleans())
+def test_certificate_passes_only_what_the_svd_passes(n, exponent, seed, complex_):
+    r = graded_triangle(np.random.default_rng(seed), n, 10.0 ** exponent, complex_)
+    if dmd._certified_full_rank(_lapack.load(), r):
+        assert svd_passes(r)
+
+
+@needs_lapack
+@pytest.mark.parametrize("complex_", [False, True])
+def test_certificate_spares_the_svd_of_a_well_conditioned_triangle(complex_):
+    r = graded_triangle(np.random.default_rng(5), 50, 1e-9, complex_)
+    assert dmd._certified_full_rank(_lapack.load(), r)
+
+
+@needs_lapack
+@pytest.mark.parametrize("tiny", [1e-200, 0.0, np.nan])
+def test_certificate_fails_without_a_warning(tiny):
+    # an inverse whose norm overflows, a zero pivot, a NaN: the SVD decides
+    r = np.triu(np.random.default_rng(7).standard_normal((6, 6))) + 6.0 * np.eye(6)
+    r[4, 4] = tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not dmd._certified_full_rank(_lapack.load(), r)
+
+
+@needs_lapack
+@pytest.mark.parametrize("complex_", [False, True])
+def test_triangle_below_the_gate_raises_with_the_svd_rank(complex_):
+    rng = np.random.default_rng(6)
+    r = graded_triangle(rng, 40, 1e-13, complex_)
+    block = np.column_stack([r, rng.standard_normal(40)])
+    sv = np.linalg.svd(np.linalg.qr(block, mode="r")[:40, :40], compute_uv=False)
+    rank = int(np.sum(sv > dmd._RANK_RTOL * sv[0]))
+    assert rank < 40
+    for context in (contextlib.nullcontext(), without_binding()):
+        with context, pytest.raises(RankDeficient) as exc:
+            dmd._qr_solve(block, what="basis")
+        assert (exc.value.rank, exc.value.n_columns) == (rank, 40)
+
+
+@pytest.fixture(scope="module")
+def desk_snapshots(tmp_path_factory):
+    """h, u and v KSNP files of ``configs/desk_channel.cfg``."""
+    data = tmp_path_factory.mktemp("desk") / "data"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", str(CONFIGS / "desk_channel.cfg"),
+                     "--out", str(data)]) == 0
+    return data
+
+
+def desk_outputs(data, out):
+    """stdout and the bytes of every file that desk rom, reconstruct of
+    h, u and v and vorticity at three indices write, each run cold."""
+    runs = [["rom"], *(["reconstruct", "--field", f, "--index", "7"] for f in "huv"),
+            *(["vorticity", "--index", str(i)] for i in (3, 50, 120))]
+    found = {}
+    for k, argv in enumerate(runs):
+        echo = io.StringIO()
+        with contextlib.redirect_stdout(echo):
+            code = main([*argv, "--config", str(CONFIGS / "desk_channel.cfg"),
+                         "--data", str(data), "--out", str(out / str(k))])
+        found[" ".join(argv)] = (code, echo.getvalue())
+        found.update({f"{k}/{p.name}": p.read_bytes() for p in (out / str(k)).iterdir()})
+    return found
+
+
+@needs_lapack
+def test_desk_commands_give_the_same_bytes_without_the_binding(tmp_path, desk_snapshots):
+    got = desk_outputs(desk_snapshots, tmp_path / "bound")
+    with without_binding():
+        want = desk_outputs(desk_snapshots, tmp_path / "unbound")
+    assert got.keys() == want.keys() and any(k.endswith(".npz") for k in got)
+    for key in want:
+        assert got[key] == want[key], key
+
+
+def test_import_binds_nothing():
+    code = """if True:
+        import koopmanrom, koopmanrom.cli
+        from koopmanrom import _lapack
+        assert _lapack.load.cache_info().currsize == 0
+        """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

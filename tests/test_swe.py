@@ -204,6 +204,32 @@ class TestLaxWendroffStep:
                                  classic_constants, grid)
         assert (exc.value.t, exc.value.h_min) == (1800.0, -5.0)
 
+    def test_nan_velocity_is_a_cfl_violation_before_the_step(self, classic_constants):
+        # a NaN signal speed makes the CFL bound NaN, which no dt is within:
+        # a step of 1e9 s used to run and end in a depth collapse at t + dt
+        grid = kr.Grid.for_channel(16, 8, classic_constants)
+        s0 = kr.initial_state(classic_constants, grid)
+        u = s0.u.copy()
+        u[3, 5] = np.nan
+        with pytest.raises(CflViolation) as exc:
+            kr.lax_wendroff_step(kr.SweState(h=s0.h, u=u, v=s0.v, t=1800.0), 1e9,
+                                 classic_constants, grid)
+        assert exc.value.t == 1800.0 and np.isnan(exc.value.dt_max)
+
+    def test_nan_depth_is_refused_before_the_step(self, classic_constants, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("lax_wendroff_step stepped a state with a NaN depth")
+
+        monkeypatch.setattr(kr.swe, "_advance", no_step)
+        grid = kr.Grid.for_channel(16, 8, classic_constants)
+        s0 = kr.initial_state(classic_constants, grid)
+        h = s0.h.copy()
+        h[3, 5] = np.nan
+        with pytest.raises(NonPositiveDepth) as exc:
+            kr.lax_wendroff_step(kr.SweState(h=h, u=s0.u, v=s0.v, t=1800.0), 1e9,
+                                 classic_constants, grid)
+        assert exc.value.t == 1800.0 and np.isnan(exc.value.h_min)
+
     def test_supercritical_defaults_blow_up(self, paper_constants):
         # the default constants imply a hypersonic jet; the scheme
         # detects the shock-driven depth collapse within seconds
@@ -305,6 +331,21 @@ class TestSimulate:
             kr.simulate(constants, grid, 30.0, 2, out=sink)
         assert exc.value.t == 0.0
         assert exc.value.h_min == np.min(kr.initial_state(constants, grid).h) < 0.0
+        assert sink == []
+
+    def test_nan_initial_depth_raises_at_t0(self, monkeypatch):
+        # it used to pass the depth check, and then the CFL gate with a NaN
+        # sub-step, and raise at t = nan
+        def no_step(*args):
+            raise AssertionError("simulate stepped a state with a NaN depth")
+
+        monkeypatch.setattr(kr.swe, "_advance", no_step)
+        constants = kr.PhysicalConstants(mean_depth=np.nan)
+        grid = kr.Grid.for_channel(16, 8, constants)
+        sink = []
+        with pytest.raises(NonPositiveDepth) as exc:
+            kr.simulate(constants, grid, 30.0, 2, out=sink)
+        assert exc.value.t == 0.0 and np.isnan(exc.value.h_min)
         assert sink == []
 
     def test_stalled_time_raises(self, classic_constants, monkeypatch):
