@@ -3,11 +3,11 @@
 numpy's wheels bundle scipy-openblas, built with 64-bit integers, in
 ``numpy.libs/libscipy_openblas64_*.so``, and load it at import; its
 LAPACK routines carry the ``scipy_`` prefix and the ``64_`` suffix.
-``load()`` binds ``dgeqrf``, ``zgeqrf``, ``dtrtrs``, ``dtrtri`` and
-``ztrtri`` of that library, looked up among the libraries the process
-has already loaded (``RTLD_NOLOAD``: it never loads one), or returns
-None when the library or any of the routines is missing; ``dmd`` then
-runs ``np.linalg``.  The routines numpy calls through its gufuncs are
+``load()`` binds ``dgeqrf``, ``zgeqrf``, ``dtrtri`` and ``ztrtri`` of
+that library, looked up among the libraries the process has already
+loaded (``RTLD_NOLOAD``: it never loads one), or returns None when the
+library or any of the routines is missing; ``dmd`` then runs
+``np.linalg``.  The routines numpy calls through its gufuncs are
 the same code, so the same call gives the same bits.
 
 Nothing here runs at import of the package: ``load()`` runs at the
@@ -57,7 +57,6 @@ class Lapack:
                        np.complex128: _bind(lib, "scipy_zgeqrf_64_", 8, 0)}
         self._trtri = {np.float64: _bind(lib, "scipy_dtrtri_64_", 6, 2),
                        np.complex128: _bind(lib, "scipy_ztrtri_64_", 6, 2)}
-        self._dtrtrs = _bind(lib, "scipy_dtrtrs_64_", 10, 3)
 
     def geqrf(self, a: np.ndarray) -> None:
         """Factor ``a`` = QR in place: R in its upper triangle, the
@@ -79,16 +78,6 @@ class Lapack:
         if a.shape != (n, n):
             raise ValueError("trtri inverts a square triangle")
         return _call(self._trtri[a.dtype.type], b"U", b"N", n, a, max(1, n)) == 0
-
-    def trtrs(self, a: np.ndarray, n: int, b: np.ndarray) -> np.ndarray:
-        """x with R x = b for the float64 upper triangle R = a[:n, :n];
-        LinAlgError, as from ``np.linalg.solve``, when R is singular."""
-        if a.dtype != np.float64 or not n <= min(a.shape) or b.shape != (n,):
-            raise ValueError("trtrs solves a float64 triangle against an n-vector")
-        x = np.array(b, dtype=np.float64)
-        if _call(self._dtrtrs, b"U", b"N", b"N", n, 1, a, max(1, a.shape[0]), x, max(1, n)):
-            raise np.linalg.LinAlgError("Singular matrix")
-        return x
 
 
 @functools.cache

@@ -41,14 +41,16 @@ complete when ``eigendecompose`` returns it.  The store that keeps a
 decomposition on disk, with its selection curve, belongs to ``rom``
 (``rom.reduced_model``).
 
-Least squares: every QR here (``_qr_solve``, ``coordinates``) factors
-one Fortran copy of its block through the LAPACK that numpy's wheel
-bundles (``_lapack``), with numpy's own workspace query, so R has the
-bits of ``np.linalg.qr`` without its two payload-sized copies.  The rank
-gate certifies full rank from ||R||_F ||R^-1||_F where it can
-(``_certified_full_rank``) and takes the SVD of R otherwise, so it
-decides as the SVD alone did.  Where that library is missing,
-``np.linalg`` does the same work as before.
+Least squares: ``_qr_solve`` factors one Fortran copy of its block
+through the LAPACK that numpy's wheel bundles (``_lapack``), with
+numpy's own workspace query, so R has the bits of ``np.linalg.qr``
+without its two payload-sized copies, and ``np.linalg.solve``
+back-substitutes on R.  The rank gate certifies full rank from
+||R||_F ||R^-1||_F where it can (``_certified_full_rank``) and takes
+the SVD of R otherwise, so it decides as the SVD alone did.  Where that
+library is missing, or the block is neither float64 nor complex128,
+``np.linalg`` does the same work.  ``coordinates`` of a foreign matrix
+takes ``np.linalg.qr`` of [V0 | X], the same routine on the same block.
 """
 
 from __future__ import annotations
@@ -132,21 +134,14 @@ class DmdDecomposition:
         T - Re(B C).
 
         Returns the stored R and B when ``x`` equals the decomposed V0;
-        otherwise takes them from one real QR of [V0 | x] = Q R', as
-        T = R'[:, Nt:] and B = R'[:, :Nt] z, and forms no mode matrix:
-        [V0 | x] is written once, into the buffer the QR factors.
+        otherwise takes them from one real QR of [V0 | x] = Q R'
+        (``np.linalg.qr``), as T = R'[:, Nt:] and B = R'[:, :Nt] z, and
+        forms no mode matrix.
         """
         if _same_view(x, self.v0) or np.array_equal(x, self.v0):
             return self.r, self.mode_coords
         nt = self.v0.shape[1]
-        dtype = np.result_type(self.v0, x)
-        lapack = _lapack_for(dtype)
-        if lapack is None:
-            r = np.linalg.qr(np.hstack([self.v0, x]), mode="r")
-        else:
-            buf = np.empty((x.shape[0], nt + x.shape[1]), dtype.type, order="F")
-            buf[:, :nt], buf[:, nt:] = self.v0, x
-            r = _triangle(lapack, buf)
+        r = np.linalg.qr(np.hstack([self.v0, x]), mode="r")
         return r[:, nt:], r[:, :nt] @ self.z
 
     def _mode_index(self, subset: Sequence[int]) -> np.ndarray:
@@ -173,19 +168,20 @@ def _qr_solve(block: np.ndarray, what: str):
     norm (0 for a square basis).
 
     A float64 or complex128 block is factored on one Fortran copy by the
-    LAPACK bundled with numpy, with the bits of ``np.linalg.qr``, and a
-    real one solved by ``dtrtrs``, with the bits of ``np.linalg.solve``
-    on a triangle; the rank gate reads the singular values of R only
-    where ``_certified_full_rank`` does not pass it.  Without that
-    library, and for other dtypes, ``np.linalg`` does all three.
+    LAPACK bundled with numpy, with the bits of ``np.linalg.qr``, and the
+    rank gate reads the singular values of R only where
+    ``_certified_full_rank`` does not pass it.  Without that library,
+    and for other dtypes, ``np.linalg.qr`` factors the block and the SVD
+    decides.  ``np.linalg.solve`` back-substitutes on R either way.
     """
     n = block.shape[1] - 1
-    lapack = _lapack_for(block.dtype)
+    lapack = _lapack.load() if block.dtype.type in (np.float64, np.complex128) else None
     if lapack is None:
         rt = np.linalg.qr(block, mode="r")
     else:
         buf = np.array(block, dtype=block.dtype.type, order="F")
-        rt = _triangle(lapack, buf)
+        lapack.geqrf(buf)
+        rt = np.triu(buf[:min(buf.shape)])
     r = rt[:n, :n]
     if lapack is None or not _certified_full_rank(lapack, r):
         sv = np.linalg.svd(r, compute_uv=False)
@@ -193,23 +189,9 @@ def _qr_solve(block: np.ndarray, what: str):
         if rank < n:
             raise RankDeficient(rank, n, what=what)
     residual = float(abs(rt[n, n])) if rt.shape[0] > n else 0.0
-    if lapack is not None and buf.dtype == np.float64:
-        return lapack.trtrs(buf, n, rt[:n, n]), r, residual
     # LU of an upper triangle pivots on its diagonal, which the rank gate
     # keeps nonzero: this is a back-substitution
     return np.linalg.solve(r, rt[:n, n]), r, residual
-
-
-def _lapack_for(dtype: np.dtype):
-    """The bundled LAPACK when there is one and it takes ``dtype``, else None."""
-    return _lapack.load() if dtype.type in (np.float64, np.complex128) else None
-
-
-def _triangle(lapack, buf: np.ndarray) -> np.ndarray:
-    """R of ``buf`` = QR, factored in place, as ``np.linalg.qr(buf, mode="r")``
-    returns it."""
-    lapack.geqrf(buf)
-    return np.triu(buf[:min(buf.shape)])
 
 
 def _certified_full_rank(lapack, r: np.ndarray) -> bool:
@@ -518,6 +500,10 @@ def decompose(matrix: SnapshotMatrix) -> tuple[SnapshotMatrix, DmdDecomposition]
         raise NonFiniteData("snapshot data: non-finite 2-norm (the sum of squares "
                             "overflows); rescale the data")
     if norm < _NORM_MIN and np.any(matrix.data):
+        # the sum of squares may underflow to 0: take the norm of the data
+        # divided by its largest magnitude
+        peak = np.max(np.abs(matrix.data))
+        norm = peak * np.linalg.norm(matrix.data / peak)
         raise NonFiniteData(f"snapshot data: 2-norm {norm:.3g} below 2**-459, where "
                             "the square of a residual at machine precision is "
                             "subnormal; rescale the data")

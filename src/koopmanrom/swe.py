@@ -622,7 +622,11 @@ def simulate(constants: PhysicalConstants, grid: Grid, snapshot_dt: float,
         raise ValueError("need at least two snapshots")
     if not 0.0 < cfl < np.inf:
         raise ValueError(f"cfl = {cfl} must be finite and positive")
-    if not (snapshot_dt > 0 and np.isfinite((n_snapshots - 1) * snapshot_dt)):
+    try:
+        horizon = float(n_snapshots - 1) * snapshot_dt
+    except OverflowError:   # an integer beyond the range of a float
+        horizon = np.inf
+    if not (snapshot_dt > 0 and np.isfinite(horizon)):
         raise ValueError("snapshot_dt must be positive with a finite horizon "
                          "(n_snapshots - 1) * snapshot_dt")
 
@@ -630,7 +634,6 @@ def simulate(constants: PhysicalConstants, grid: Grid, snapshot_dt: float,
     w = _Workspace(constants, grid)
     w.load(state)
     dmin = min(grid.dx, grid.dy)
-    horizon = (n_snapshots - 1) * snapshot_dt
     smax = w.signal_speed()
     if horizon > 2.0 ** 53 * (cfl * dmin / smax):
         raise ValueError(f"snapshot_dt = {snapshot_dt:g} s: the horizon {horizon:g} s "

@@ -401,10 +401,9 @@ class TestModesOnDemand:
         assert "modes" not in vars(dec)  # nothing above formed the modes
 
     def test_errors_of_a_foreign_matrix(self, matrix, decomposed):
-        """One real QR of [V0 | X]: about two payloads of X, the buffer
-        the QR factors, and four without the bundled LAPACK (the stacked
-        block and the working copy ``np.linalg.qr`` makes of it); no mode
-        matrix."""
+        """One real QR of [V0 | X] by ``np.linalg.qr``: about four
+        payloads of X, the stacked block and the working copy the QR
+        makes of it; no mode matrix."""
         used, dec, model = decomposed
         rows = np.random.default_rng(32).standard_normal((41, 20000))
         foreign = replace(used, data=rows.T)

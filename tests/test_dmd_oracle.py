@@ -62,7 +62,10 @@ matrix; a zero fit target makes the companion matrix nilpotent and the
 mode matrix rank 1.
 """
 
+import contextlib
 import dataclasses
+import io
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -74,6 +77,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import koopmanrom as kr
+from koopmanrom import _lapack
+from koopmanrom.cli import main
 from koopmanrom.dmd import CompanionFit, _companion_eig, _qr_solve, conjugate_groups
 from koopmanrom.errors import EigenFailure, RankDeficient
 
@@ -81,6 +86,7 @@ from conftest import (lead_rotation, make_modal_data, matrix_from_array, normwis
                       rel_dev, shifted_pair)
 from test_rom_oracle import old_conjugate_groups
 
+CONFIGS = Path(__file__).parents[1] / "configs"
 EPSILON = 1e-3
 FIELDS = ("h", "u", "v")
 _RANK_RTOL = 1e-12
@@ -465,6 +471,27 @@ def test_desk_fields_never_call_eig(desk_data):
             fit = kr.fit_companion(desk_data[name])
             kr.eigendecompose(fit, desk_data[name])
             assert "companion" not in fit.__dict__
+
+
+@pytest.mark.skipif(_lapack.load() is None, reason="numpy bundles no scipy-openblas64 here")
+def test_desk_commands_never_call_qr_svd_or_eig(tmp_path):
+    """With the bundled LAPACK, desk ``rom`` and the queries after it factor
+    every block through ``geqrf``, pass every rank gate on the certificate,
+    and hand ``coordinates`` only the decomposed view: none of them reaches
+    ``np.linalg.qr``, ``np.linalg.svd`` or ``np.linalg.eig``."""
+    cfg, data = str(CONFIGS / "desk_channel.cfg"), str(tmp_path / "data")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", cfg, "--out", data]) == 0
+    runs = [["rom"], *(["reconstruct", "--field", "h", "--index", i] for i in ("7", "50")),
+            *(["vorticity", "--index", i] for i in ("7", "101"))]
+    with contextlib.ExitStack() as stack:
+        for name in ("qr", "svd", "eig"):
+            stack.enter_context(mock.patch.object(
+                np.linalg, name, side_effect=AssertionError(f"np.linalg.{name} called")))
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        for k, argv in enumerate(runs):
+            assert main([*argv, "--config", cfg, "--data", data,
+                         "--out", str(tmp_path / str(k))]) == 0, argv
 
 
 # --- the layout of the Aberth path against the tolerance search ---

@@ -4,6 +4,7 @@ code on any small KSNP input."""
 
 import contextlib
 import io
+import re
 import struct
 
 import numpy as np
@@ -128,13 +129,17 @@ class TestNonFiniteData:
         # finite data whose 2-norm overflows: its modes cannot be normalized;
         # data whose 2-norm is below 2**-459: its residuals square to subnormals
         data[7, 3] = 0.0
-        for scale in (1e155, 1e200, 1e-150, 1e-170):
+        # (at 1e-300 its sum of squares underflows to 0, the norm does not)
+        for scale in (1e155, 1e200, 1e-150, 1e-170, 1e-300):
             save(SnapshotMatrix(data=data * scale, nx=8, ny=5, dt=60.0, dx=1.0,
                                 dy=1.0, field_tag=FieldTag.h), path)
             assert main(["rom", "--out", str(tmp_path / "out"), str(path)]) == 3
             err = capsys.readouterr().err
             assert "rescale the data" in err and "Traceback" not in err
             assert ("non-finite" in err) == (scale > 1.0)
+            if scale < 1.0:
+                stated = float(re.search(r"2-norm (\S+) below", err).group(1))
+                assert stated == pytest.approx(np.linalg.norm(data) * scale, rel=1e-2, abs=0)
 
 
 class TestLoadFuzz:

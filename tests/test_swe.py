@@ -306,6 +306,23 @@ class TestSimulate:
         with pytest.raises(ValueError, match="snapshot_dt"):
             kr.simulate(classic_constants, grid, snapshot_dt, 3)
 
+    @pytest.mark.parametrize("snapshot_dt, n_snapshots",
+                             [(1800.0, 10**400), (10**400, 3), (10**20, 3)],
+                             ids=["count-1e400", "interval-1e400", "interval-1e20"])
+    def test_rejects_integers_beyond_float_range_before_stepping(
+            self, classic_constants, monkeypatch, snapshot_dt, n_snapshots):
+        # 10**400 has no float: the horizon is infinite; a horizon of
+        # 2e20 s is finite, but past 2**53 sub-steps
+        def no_step(*args):
+            raise AssertionError("simulate stepped with an invalid horizon")
+
+        monkeypatch.setattr(kr.swe, "_advance", no_step)
+        grid = kr.Grid.for_channel(16, 8, classic_constants)
+        sink = []
+        with pytest.raises(ValueError, match="snapshot_dt"):
+            kr.simulate(classic_constants, grid, snapshot_dt, n_snapshots, out=sink)
+        assert sink == []
+
     @pytest.mark.parametrize("cfl", [0.0, -0.5, np.nan, np.inf])
     def test_rejects_bad_cfl_before_stepping(self, classic_constants, monkeypatch, cfl):
         # unchecked, 0 and -0.5 would be blamed on snapshot_dt, NaN would
