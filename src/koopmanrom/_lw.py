@@ -21,7 +21,9 @@ library can crash the loader.  A build goes to a temporary file that is
 renamed into place, so concurrent first builds leave one complete
 library.  A cached file that does not match or load is rebuilt; an
 unwritable cache directory gives a build in a per-process temporary
-directory.
+directory.  Each load sets the library's mtime, and a build removes the
+files of other keys that no process has loaded for a week, so a changed
+source or compiler leaves no stale library behind for long.
 
 Nothing here runs at import of the package: ``swe`` imports this module
 at the first sub-step of a process.
@@ -29,6 +31,7 @@ at the first sub-step of a process.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -36,6 +39,7 @@ import platform
 import shutil
 import subprocess
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +48,7 @@ _SOURCE = Path(__file__).with_name("_lw.c")
 _CC = "cc"
 _FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 _BUILD_TIMEOUT_S = 120
+_EVICT_AFTER_S = 7 * 24 * 3600
 
 _ARRAYS = ("p", "q", "F", "G", "Fx", "Gy", "Fm", "qmx", "qmy",
            "cell_f", "cell_g", "mx_g", "my_f", "my_g")
@@ -139,9 +144,12 @@ def _open(path: Path):
     try:
         if _digest(path) != path.stem.rsplit("-", 1)[-1]:
             return None
-        return Kernel(ctypes.CDLL(str(path)))
+        kernel = Kernel(ctypes.CDLL(str(path)))
     except (OSError, AttributeError):   # unreadable, foreign
         return None
+    with contextlib.suppress(OSError):   # a read-only cache
+        os.utime(path)
+    return kernel
 
 
 def library_key(cc: str) -> str:
@@ -168,7 +176,7 @@ def load():
             return kernel
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        return _open(_build(cc, directory, key))
+        built = _build(cc, directory, key)
     except subprocess.SubprocessError:
         return None
     except OSError:
@@ -179,3 +187,10 @@ def load():
                 return _open(_build(cc, Path(tmp), key))
             except (OSError, subprocess.SubprocessError):
                 return None
+    # the mapped library of a running process outlives its file
+    for path in directory.glob("_lw-*"):
+        with contextlib.suppress(OSError):   # removed meanwhile
+            if (not path.name.startswith(f"_lw-{key}-")
+                    and path.stat().st_mtime < time.time() - _EVICT_AFTER_S):
+                path.unlink()
+    return _open(built)

@@ -19,7 +19,7 @@ import argparse
 import functools
 import io
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,20 +46,20 @@ class ExperimentConfig:
     nondimensionalize: bool = True
 
 
-_CONSTANT_KEYS = ("coriolis_f0", "coriolis_beta", "gravity", "orography_amplitude",
-                  "mean_depth", "shear_depth", "wave_depth", "channel_length",
-                  "channel_width")
-_KEYS = ("nx", "ny", "snapshot_dt", "n_snapshots", "cfl", "epsilon", "fields",
-         "output_dir", "nondimensionalize") + _CONSTANT_KEYS
+# each config key's declared type: ExperimentConfig's fields, then the constants'
+_TYPES = {f.name: f.type for cls in (ExperimentConfig, swe.PhysicalConstants)
+          for f in fields(cls) if f.name != "constants"}
+_KEYS = tuple(_TYPES)
+_CONSTANT_KEYS = tuple(f.name for f in fields(swe.PhysicalConstants))
 
 
 def _parse_value(key: str, text: str):
     try:
-        if key in ("nx", "ny", "n_snapshots"):
+        if _TYPES[key] == "int":
             return int(text)
-        if key in ("snapshot_dt", "cfl", "epsilon") or key in _CONSTANT_KEYS:
+        if _TYPES[key] == "float":
             return float(text)
-        if key == "nondimensionalize":
+        if _TYPES[key] == "bool":
             low = text.lower()
             if low in ("true", "false"):
                 return low == "true"
@@ -134,13 +134,10 @@ def parse_config(path) -> ExperimentConfig:
 
 def _load_config(args) -> ExperimentConfig:
     cfg = parse_config(args.config) if args.config else _validate(ExperimentConfig())
-    if getattr(args, "out", None):
-        cfg = replace(cfg, output_dir=args.out)
-    if getattr(args, "eps", None) is not None:
+    if args.eps is not None:
         cfg = _validate(replace(cfg, epsilon=args.eps))
-    if getattr(args, "field", None):
-        cfg = replace(cfg, fields=(args.field,))
-    return cfg
+    return replace(cfg, output_dir=args.out or cfg.output_dir,
+                   fields=(args.field,) if args.field else cfg.fields)
 
 
 # --- pipeline pieces ---
@@ -240,24 +237,16 @@ def _reduce(matrix: snapshots.SnapshotMatrix, outdir: Path, name: str, epsilon: 
     return used, dec, model
 
 
-def _spectrum_rows(dec, model):
+def _write_spectrum(path, dec, model):
+    """One row per mode, in the admission order ``model.order``."""
     chosen = set(model.selected)
-    rows = []
-    for j in (j for group in model.order for j in group):
-        lam = dec.lambdas[j]
-        s = dec.exponents[j]
-        rows.append((j, lam.real, lam.imag, s.real, s.imag,
-                     model.weights[j], 1 if j in chosen else 0,
-                     abs(dec.amplitudes[j])))
-    return rows
-
-
-def _write_spectrum(path, rows):
     with open(path, "w", newline="") as fh:
         fh.write("index,re_lambda,im_lambda,sigma,omega,weight,selected,amp_abs\n")
-        for j, re_l, im_l, sig, om, w, sel, amp in rows:
-            fh.write(f"{j},{re_l:.17g},{im_l:.17g},{sig:.17g},{om:.17g},"
-                     f"{w:.17g},{sel},{amp:.17g}\n")
+        for j in (j for group in model.order for j in group):
+            lam, s = dec.lambdas[j], dec.exponents[j]
+            fh.write(f"{j},{lam.real:.17g},{lam.imag:.17g},{s.real:.17g},{s.imag:.17g},"
+                     f"{model.weights[j]:.17g},{int(j in chosen)},"
+                     f"{abs(dec.amplitudes[j]):.17g}\n")
 
 
 def _write_errors(path, matrix, errors):
@@ -274,7 +263,7 @@ def _rom_field(path: Path, outdir: Path, epsilon: float):
     matrix = snapshots.load(path)
     name = matrix.field_tag.name
     matrix, dec, model = _reduce(matrix, outdir, name, epsilon, time_errors=True)
-    _write_spectrum(outdir / f"spectrum_{name}.csv", _spectrum_rows(dec, model))
+    _write_spectrum(outdir / f"spectrum_{name}.csv", dec, model)
     _write_errors(outdir / f"errors_{name}.csv", matrix, model.time_errors)
     return name, model
 
@@ -339,12 +328,15 @@ def _reduced_field(matrix: snapshots.SnapshotMatrix, outdir: Path, name: str,
     return rec, model
 
 
-def _relative_difference(full: np.ndarray, rec: np.ndarray) -> float:
-    """||full - rec|| / ||full||; for a zero ``full``, 0 if ``rec`` is zero
-    too, else inf."""
-    ref = float(np.linalg.norm(full))
-    diff = float(np.linalg.norm(full - rec))
-    return diff / ref if ref > 0.0 else (0.0 if diff == 0.0 else float("inf"))
+def _write_comparison(outdir: Path, pattern: str, full: np.ndarray, rec: np.ndarray) -> float:
+    """Write ``full``, ``rec`` and their difference as the grids ``pattern``
+    names with "full", "rom" and "diff"; returns ||full - rec|| / ||full||,
+    for a zero ``full`` 0 if ``rec`` is zero too, else inf."""
+    diff = full - rec
+    for label, grid in (("full", full), ("rom", rec), ("diff", diff)):
+        snapshots.write_field_csv(grid, outdir / pattern.format(label))
+    ref, err = float(np.linalg.norm(full)), float(np.linalg.norm(diff))
+    return err / ref if ref > 0.0 else (0.0 if err == 0.0 else float("inf"))
 
 
 def cmd_reconstruct(args) -> int:
@@ -354,12 +346,8 @@ def cmd_reconstruct(args) -> int:
     matrix = snapshots.load(datadir / f"{name}.ksnp")
     k = _snapshot_index(args, matrix, cfg)
 
-    full = matrix.field(k)
     rec, model = _reduced_field(matrix, outdir, name, cfg.epsilon, k)
-    err = _relative_difference(full, rec)
-    snapshots.write_field_csv(full, outdir / f"full_{name}_{k}.csv")
-    snapshots.write_field_csv(rec, outdir / f"rom_{name}_{k}.csv")
-    snapshots.write_field_csv(full - rec, outdir / f"diff_{name}_{k}.csv")
+    err = _write_comparison(outdir, f"{{}}_{name}_{k}.csv", matrix.field(k), rec)
     conv = "" if model.converged else " (selection not converged)"
     print(f"field {name}, snapshot {k}: n_dmd = {model.n_dmd}, "
           f"per-time relative error = {err:.6e}{conv}")
@@ -384,16 +372,10 @@ def cmd_vorticity(args) -> int:
         state = swe.SweState(h=np.ones_like(ufield), u=ufield, v=vfield, t=0.0)
         return swe.vorticity(state, grid)
 
-    w_full = vort(mu.field(k), mv.field(k))
-
     u_rec, model_u = _reduced_field(mu, outdir, "u", cfg.epsilon, k)
     v_rec, model_v = _reduced_field(mv, outdir, "v", cfg.epsilon, k)
-    w_rom = vort(u_rec, v_rec)
-
-    snapshots.write_field_csv(w_full, outdir / f"vort_full_{k}.csv")
-    snapshots.write_field_csv(w_rom, outdir / f"vort_rom_{k}.csv")
-    snapshots.write_field_csv(w_full - w_rom, outdir / f"vort_diff_{k}.csv")
-    err = _relative_difference(w_full, w_rom)
+    err = _write_comparison(outdir, f"vort_{{}}_{k}.csv", vort(mu.field(k), mv.field(k)),
+                            vort(u_rec, v_rec))
     conv = model_u.converged and model_v.converged
     note = "" if conv else " (selection not converged)"
     print(f"vorticity at snapshot {k}: relative difference = {err:.6e}{note}")

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import koopmanrom
-from koopmanrom import dmd, rom, swe
+from koopmanrom import dmd, rom, snapshots, swe
 from koopmanrom.cli import main, parse_config
 from koopmanrom.errors import InvalidValue, ParseError, UnknownKey
 from koopmanrom.snapshots import FieldTag, SnapshotMatrix, load, save
@@ -896,6 +896,112 @@ class TestDecompositionStore:
         assert (code, echo) == cold_run(tmp_path, argv, tmp_path)[:2]
 
 
+# the report writers as the command line had them before it formatted
+# the spectrum from the model and wrote each comparison in one place,
+# kept verbatim: the reports of today's commands must equal their bytes
+
+def _spectrum_rows(dec, model):
+    chosen = set(model.selected)
+    rows = []
+    for j in (j for group in model.order for j in group):
+        lam = dec.lambdas[j]
+        s = dec.exponents[j]
+        rows.append((j, lam.real, lam.imag, s.real, s.imag,
+                     model.weights[j], 1 if j in chosen else 0,
+                     abs(dec.amplitudes[j])))
+    return rows
+
+
+def _write_spectrum(path, rows):
+    with open(path, "w", newline="") as fh:
+        fh.write("index,re_lambda,im_lambda,sigma,omega,weight,selected,amp_abs\n")
+        for j, re_l, im_l, sig, om, w, sel, amp in rows:
+            fh.write(f"{j},{re_l:.17g},{im_l:.17g},{sig:.17g},{om:.17g},"
+                     f"{w:.17g},{sel},{amp:.17g}\n")
+
+
+def _write_errors(path, matrix, errors):
+    with open(path, "w", newline="") as fh:
+        fh.write("snapshot,time,rel_error\n")
+        for k, err in enumerate(errors):
+            fh.write(f"{k},{k * matrix.dt:.17g},{err:.17g}\n")
+
+
+def _relative_difference(full: np.ndarray, rec: np.ndarray) -> float:
+    """||full - rec|| / ||full||; for a zero ``full``, 0 if ``rec`` is zero
+    too, else inf."""
+    ref = float(np.linalg.norm(full))
+    diff = float(np.linalg.norm(full - rec))
+    return diff / ref if ref > 0.0 else (0.0 if diff == 0.0 else float("inf"))
+
+
+class TestReportBytes:
+    """The spectrum, errors and comparison files of rom, reconstruct and
+    vorticity on the desk channel, byte for byte against the writers
+    above fed by the library."""
+
+    @pytest.fixture(scope="class")
+    def desk_run(self, tmp_path_factory, desk_ksnp):
+        """rom, then reconstruct u and vorticity at snapshot 7: (output
+        directory, {command: stdout}, the decomposed fields)."""
+        cfg, data = desk_ksnp
+        out = tmp_path_factory.mktemp("reports")
+        echoes = {}
+        for argv in (["rom"], ["reconstruct", "--field", "u", "--index", "7"],
+                     ["vorticity", "--index", "7"]):
+            code, echoes[argv[0]], err, _ = run_counting(
+                [*argv, "--config", cfg, "--data", data, "--out", out])
+            assert (code, err) == (0, "")
+        # the library, each field decomposed afresh
+        eps = parse_config(cfg).epsilon
+        reduced = {name: rom.reduced_model(load(data / f"{name}.ksnp"), eps,
+                                           tmp_path_factory.mktemp("store") / "dmd.npz")
+                   for name in ("h", "u", "v")}
+        return out, echoes, reduced
+
+    @staticmethod
+    def reference_triple(directory, names, full, rec):
+        for name, grid in zip(names, (full, rec, full - rec)):
+            snapshots.write_field_csv(grid, directory / name)
+        return _relative_difference(full, rec)
+
+    @pytest.mark.parametrize("name", ["h", "u", "v"])
+    def test_spectrum_and_errors(self, tmp_path, desk_run, name):
+        out, _, reduced = desk_run
+        used, dec, model = reduced[name]
+        _write_spectrum(tmp_path / "spectrum.csv", _spectrum_rows(dec, model))
+        _write_errors(tmp_path / "errors.csv", used, model.time_errors)
+        for report in ("spectrum", "errors"):
+            assert (out / f"{report}_{name}.csv").read_bytes() == \
+                (tmp_path / f"{report}.csv").read_bytes()
+
+    def test_reconstruct_triple(self, tmp_path, desk_run):
+        out, echoes, reduced = desk_run
+        used, dec, model = reduced["u"]
+        rec = dmd.reconstruct(dec, model.selected, 8).reshape(used.ny, used.nx)
+        names = [f"{kind}_u_7.csv" for kind in ("full", "rom", "diff")]
+        err = self.reference_triple(tmp_path, names, used.field(7), rec)
+        for name in names:
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+        assert echoes["reconstruct"].endswith(f"per-time relative error = {err:.6e}\n")
+
+    def test_vorticity_triple(self, tmp_path, desk_run):
+        out, echoes, reduced = desk_run
+        (mu, dec_u, model_u), (mv, dec_v, model_v) = reduced["u"], reduced["v"]
+        grid = swe.Grid(nx=mu.nx, ny=mu.ny, dx=mu.dx, dy=mu.dy)
+
+        def vort(u, v):
+            return swe.vorticity(swe.SweState(h=np.ones_like(u), u=u, v=v, t=0.0), grid)
+
+        def rec(matrix, dec, model):
+            return dmd.reconstruct(dec, model.selected, 8).reshape(matrix.ny, matrix.nx)
+
+        names = [f"vort_{kind}_7.csv" for kind in ("full", "rom", "diff")]
+        err = self.reference_triple(tmp_path, names, vort(mu.field(7), mv.field(7)),
+                                    vort(rec(mu, dec_u, model_u), rec(mv, dec_v, model_v)))
+        for name in names:
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+        assert echoes["vorticity"].endswith(f"relative difference = {err:.6e}\n")
 STORE_CASES = settings(max_examples=80, deadline=None, database=None, derandomize=True)
 STORE_TABLE = rom._STORE_TABLE_END
 

@@ -279,7 +279,7 @@ class TestAmplitudes:
             j = int(np.argmin(np.abs(dec.lambdas - lam)))
             assert abs(dec.amplitudes[j]) == pytest.approx(abs(amp), rel=1e-8)
             # amplitude times mode must match the seeded product
-            assert dec.amplitudes[j] * dec.modes[:, j] == pytest.approx(amp * phi, rel=1e-8)
+            assert dec.amplitudes[j] * dec.modes[:, j] == pytest.approx(amp * phi, rel=1e-8, abs=0)
 
 
 class TestReconstruct:

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 import koopmanrom as kr
 from koopmanrom.cli import _KEYS, ExperimentConfig, main, parse_config
-from koopmanrom.errors import CorruptHeader, InvalidValue, NonFiniteData, ToolkitError
-from koopmanrom.snapshots import FieldTag, KsnpWriter, SnapshotMatrix, load, save
+from koopmanrom.errors import (CorruptHeader, InvalidValue, NonFiniteData,
+                               TooFewColumns, ToolkitError)
+from koopmanrom.snapshots import (FieldTag, KsnpWriter, SnapshotMatrix, field_tag, load,
+                                  save)
 
 HEADER_BYTES = 52
 NX, NY, NSNAP = 3, 2, 4
@@ -109,6 +111,38 @@ class TestNonFiniteData:
             save(SnapshotMatrix(data=data, field_tag=FieldTag.h, **header),
                  tmp_path / "h.ksnp")
         assert list(tmp_path.iterdir()) == []
+
+    @settings(FUZZ, max_examples=400)
+    @given(counts=st.tuples(*[st.one_of(st.sampled_from([0, 1, 2, 2 ** 32 - 1]),
+                                        st.integers(0, 2 ** 32 - 1))] * 3),
+           spacings=st.tuples(*[st.one_of(st.floats(1e-300, 1e300),
+                                          st.sampled_from([0.0, -0.0, np.inf, -np.inf,
+                                                           np.nan, 5e-324]),
+                                          st.floats())] * 3),
+           tag=st.sampled_from(FieldTag), nondimensional=st.booleans())
+    def test_writer_and_load_accept_the_same_headers(self, tmp_path_factory, counts,
+                                                      spacings, tag, nondimensional):
+        """KsnpWriter refuses a header, leaving no file, exactly when
+        load refuses the same 52 bytes as CorruptHeader."""
+        (nx, ny, nsnap), (dt, dx, dy) = counts, spacings
+        directory = tmp_path_factory.mktemp("header")
+        head = struct.pack("<4s6I3d", b"KSNP", 1, int(tag), int(nondimensional), nx, ny,
+                           nsnap, dt, dx, dy)
+        assert len(head) == HEADER_BYTES
+        (directory / "forged.ksnp").write_bytes(head)
+        try:
+            field_tag(directory / "forged.ksnp")
+            loads = True
+        except CorruptHeader:
+            loads = False
+        try:
+            KsnpWriter(directory / "h.ksnp", nsnap, nx=nx, ny=ny, dt=dt, dx=dx, dy=dy,
+                       field_tag=tag, nondimensional=nondimensional).abort()
+            writes = True
+        except (InvalidValue, TooFewColumns):
+            writes = False
+        assert writes == loads
+        assert [p.name for p in directory.iterdir()] == ["forged.ksnp"]
 
     def test_assemble_rejects_non_finite_field(self):
         grid = kr.Grid(nx=5, ny=4, dx=1.0, dy=1.0)

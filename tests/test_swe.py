@@ -19,10 +19,10 @@ class TestCoriolis:
         assert kr.coriolis_at(paper_constants.channel_width, paper_constants) == 1e-4
 
     def test_at_near_wall(self, paper_constants):
-        assert kr.coriolis_at(0.0, paper_constants) == pytest.approx(9.91e-5, rel=1e-12)
+        assert kr.coriolis_at(0.0, paper_constants) == pytest.approx(9.91e-5, rel=1e-12, abs=0)
 
     def test_at_mid_channel(self, paper_constants):
-        assert kr.coriolis_at(30e3, paper_constants) == pytest.approx(9.955e-5, rel=1e-12)
+        assert kr.coriolis_at(30e3, paper_constants) == pytest.approx(9.955e-5, rel=1e-12, abs=0)
 
 
 class TestOrography:
@@ -508,7 +508,7 @@ class TestScaling:
         for s, b in zip(states, back):
             assert np.allclose(s.h, b.h, rtol=1e-15, atol=0.0)
             assert np.allclose(s.u, b.u, rtol=1e-15, atol=0.0)
-            assert s.t == pytest.approx(b.t, rel=1e-15)
+            assert s.t == pytest.approx(b.t, rel=1e-15, abs=0)
 
     def test_scale_set_consistency_enforced(self):
         with pytest.raises(ValueError):

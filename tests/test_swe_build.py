@@ -8,6 +8,7 @@ import platform
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,37 @@ def test_damaged_cache_file_is_rebuilt(tmp_path, monkeypatch, damage):
     damage(cached)
     assert _lw.load() is not None
     assert cached.read_bytes() == good.read_bytes()
+
+
+@needs_cc
+def test_a_build_removes_only_libraries_unloaded_for_a_week(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    directory = _lw.cache_dir()
+    directory.mkdir()
+    now = time.time()
+    planted = {days: directory / f"_lw-{str(days) * 32}-{'ab' * 8}.so" for days in (8, 1)}
+    for days, path in planted.items():
+        path.write_bytes(b"a library of another source or compiler")
+        os.utime(path, (now - days * 86400,) * 2)
+    # the cache holds no library of this key: the load builds one
+    assert _lw.load() is not None
+    assert not planted[8].exists() and planted[1].exists()
+    assert len(list(directory.glob(f"_lw-{_lw.library_key(_lw._CC)}-*.so"))) == 1
+
+
+@needs_cc
+def test_a_load_moves_the_library_mtime_forward(tmp_path, monkeypatch):
+    cc = shutil.which(_lw._CC)
+    good = _lw._build(cc, tmp_path, _lw.library_key(cc))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cached = _lw.cache_dir() / good.name
+    cached.parent.mkdir()
+    shutil.copy(good, cached)
+    before = time.time() - 8 * 86400
+    os.utime(cached, (before, before))
+    assert _lw.load() is not None
+    assert cached.stat().st_mtime > before + 7 * 86400
+    assert sorted(cached.parent.iterdir()) == [cached]
 
 
 @needs_cc
