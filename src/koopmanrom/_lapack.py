@@ -10,12 +10,21 @@ library or any of the routines is missing; ``dmd`` then runs
 ``np.linalg``.  The routines numpy calls through its gufuncs are
 the same code, so the same call gives the same bits.
 
-Nothing here runs at import of the package: ``load()`` runs at the
-first solve, once per process.
+``one_thread()`` runs a block, or a function it decorates, on one
+thread of that library and then restores the caller's count, so a BLAS
+reduction (a dot product, a QR) sums in one order whatever
+``OPENBLAS_NUM_THREADS`` is: ``dmd`` and ``rom`` give the same bits at
+every thread count.  Where the library is not loaded, or lacks the
+thread calls, it runs the block as it is.  The count is process-wide:
+Python threads that pin at once may restore it out of order.
+
+Nothing here runs at import of the package: the library is looked up at
+the first solve or pinned call, once per process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -81,12 +90,53 @@ class Lapack:
 
 
 @functools.cache
-def load() -> Lapack | None:
-    """The routines of the bundled library numpy has loaded, or None."""
+def _library() -> ctypes.CDLL | None:
+    """The bundled library, when numpy has loaded it; else None."""
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         try:
-            return Lapack(ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD))
-        except (OSError, AttributeError):   # not loaded, a routine missing
+            return ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+        except OSError:   # not loaded
             continue
     return None
+
+
+@functools.cache
+def load() -> Lapack | None:
+    """The routines of the bundled library numpy has loaded, or None."""
+    lib = _library()
+    try:
+        return None if lib is None else Lapack(lib)
+    except AttributeError:   # a routine missing
+        return None
+
+
+@functools.cache
+def _threads():
+    """(get, set) of the bundled library's thread count, or None."""
+    lib = _library()
+    try:
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except AttributeError:   # no library (None), or no thread calls
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextlib.contextmanager
+def one_thread():
+    """Run the block on one BLAS thread, restoring the caller's count
+    after it; as a decorator, ``@one_thread()``, each call of the
+    function (``functools.wraps`` keeps its name and module)."""
+    bound = _threads()
+    count = bound[0]() if bound else 1
+    if count == 1:
+        yield
+        return
+    bound[1](1)
+    try:
+        yield
+    finally:
+        bound[1](count)

@@ -10,7 +10,8 @@ exponents, weights and admission order of the spectrum report are
 derived from them as a fresh run derives them (``rom.reduced_model``).
 
 Exit codes: 0 success, 1 selection did not converge (or decomposition
-failure), 2 solver failure, 3 usage, I/O, config or input-data failure.
+failure), 2 solver failure, 3 usage, I/O, config or input-data failure,
+an input beyond memory among them.
 """
 
 from __future__ import annotations
@@ -438,7 +439,8 @@ def main(argv=None) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
     except (OSError, ParseError, UnknownKey, InvalidValue, IndexOutOfRange,
-            BadMagic, UnsupportedVersion, CorruptHeader, NonFiniteData) as exc:
+            BadMagic, UnsupportedVersion, CorruptHeader, NonFiniteData,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ToolkitError as exc:

@@ -51,6 +51,10 @@ the SVD of R otherwise, so it decides as the SVD alone did.  Where that
 library is missing, or the block is neither float64 nor complex128,
 ``np.linalg`` does the same work.  ``coordinates`` of a foreign matrix
 takes ``np.linalg.qr`` of [V0 | X], the same routine on the same block.
+
+Thread count: the public functions that factor, multiply or take norms
+run on one BLAS thread (``_lapack.one_thread``), so their bits do not
+depend on the thread count the caller set.
 """
 
 from __future__ import annotations
@@ -225,6 +229,7 @@ def _certified_full_rank(lapack, r: np.ndarray) -> bool:
         return bool(nr >= _NORM_MIN and ni >= _NORM_MIN and nr * ni < 0.5 / _RANK_RTOL)
 
 
+@_lapack.one_thread()
 def fit_companion(matrix: SnapshotMatrix) -> CompanionFit:
     """Fit the last snapshot as a combination of all previous ones.
 
@@ -238,6 +243,7 @@ def fit_companion(matrix: SnapshotMatrix) -> CompanionFit:
     return CompanionFit(coefficients=c, residual_norm=residual, r=r)
 
 
+@_lapack.one_thread()
 def eigendecompose(fit: CompanionFit, matrix: SnapshotMatrix) -> DmdDecomposition:
     """Eigen-decompose the companion matrix of ``matrix``'s fit into modes
     and amplitudes.
@@ -483,6 +489,7 @@ def _amplitudes(r: np.ndarray, b: np.ndarray, lambdas: np.ndarray) -> np.ndarray
     return a
 
 
+@_lapack.one_thread()
 def decompose(matrix: SnapshotMatrix) -> tuple[SnapshotMatrix, DmdDecomposition]:
     """Fit, eigendecompose and project the amplitudes of ``matrix``.
 
@@ -523,6 +530,7 @@ def decompose(matrix: SnapshotMatrix) -> tuple[SnapshotMatrix, DmdDecomposition]
     return matrix, eigendecompose(fit, matrix)
 
 
+@_lapack.one_thread()
 def reconstruct(dec: DmdDecomposition, subset: Sequence[int], i: int) -> np.ndarray:
     """Real part of sum_j a_j lambda_j^(i-1) phi_j over the subset.
 

@@ -24,22 +24,24 @@ Decomposition store: ``reduced_model(matrix, epsilon, store)`` keeps a
 field's decomposition and its selection curve in one file at ``store``
 and reads it back while the snapshot bytes are unchanged, so a later
 selection at any epsilon runs no residual pass and no Vandermonde.  The
-file (format 7) is flat, not a zip: a fixed header (magic, format,
-key length, decomposed snapshots n), a table of (dtype, offset, length)
-per array, the key, then the raw little-endian arrays at 64-byte
-aligned offsets: the eigenvalues, amplitudes, R, B and z of
-``dmd.DmdDecomposition`` and the curve.  The exponents, weights and
-admission order are derived from them, on a hit as on a miss.  It is
-read whole with one ``readinto`` into a buffer of its checked size, and
-the arrays are views of that buffer; nothing is unpickled.  The key is
-the store format, the dtype and shape of the payload row block, the
-bits of dt and the sha256 of its rows; a path, a size or a modification
-time never enters it.  A load checks the file's size against the
-snapshots, its magic, format, key and 2 <= n <= the snapshots, and
-each array's dtype, bounds and extent: n - 1 entries, (n - 1)^2, or for
-the curve one per conjugate group of the eigenvalues.  A file that
-fails a check is a miss, which decomposes again and overwrites the
-file atomically.
+file (format 8) is flat, not a zip: a header (magic, format, key length,
+decomposed snapshots n, a complex flag and the number of conjugate
+groups), the key, then the little-endian arrays at the 64-byte aligned
+offsets the header fixes (``_store_layout``): the eigenvalues,
+amplitudes, R, B and z of ``dmd.DmdDecomposition`` and the curve, all
+float64 but the four that ``dmd`` makes complex128 with the spectrum
+(the flag).  The exponents, weights and admission order are derived
+from them, on a hit as on a miss.  It is read whole with one
+``readinto`` into a buffer of its checked size, and the arrays are views
+of that buffer; nothing is unpickled.  The key is the store format, the
+dtype and shape of the payload row block, the bits of dt and the sha256
+of its rows; a path, a size or a modification time never enters it.  A
+load checks the file's size against the snapshots, its magic, format,
+key, 2 <= n <= the snapshots and the flag, that its size is its
+layout's, and that the curve has one entry per conjugate group of the
+eigenvalues.  A file that fails a check is a miss, which decomposes
+again and overwrites the file atomically; arrays of other dtypes (of a
+float32 matrix) are never written.
 """
 
 from __future__ import annotations
@@ -54,27 +56,16 @@ from typing import Optional
 
 import numpy as np
 
-from . import dmd
+from . import _lapack, dmd
 from .errors import ZeroNormData
 from .snapshots import SnapshotMatrix
 
 # decomposition store (module docstring): format version, also part of
-# the key, header, one table entry per array, and each array's extent
-# ("mode": one entry per mode, "square": Nt x Nt, "group": one entry per
-# conjugate group of the eigenvalues) with the dtypes it may have; every
-# array but the curve is the decomposition's attribute of that name
-_STORE_VERSION = 7
+# the key, header and array alignment
+_STORE_VERSION = 8
 _STORE_MAGIC = b"KROMDMD\0"
-_STORE_HEAD = struct.Struct("<8s3I")    # magic, format, key bytes, n
-_STORE_ENTRY = struct.Struct("<4s2Q")   # dtype, offset, length in bytes
+_STORE_HEAD = struct.Struct("<8s5I")    # magic, format, key bytes, n, complex, groups
 _STORE_ALIGN = 64
-_EITHER = ("<f8", "<c16")
-_STORE_ARRAYS = {
-    "lambdas": ("mode", _EITHER), "amplitudes": ("mode", _EITHER),
-    "r": ("square", ("<f8",)), "mode_coords": ("square", _EITHER),
-    "z": ("square", _EITHER), "curve": ("group", ("<f8",)),
-}
-_STORE_TABLE_END = _STORE_HEAD.size + len(_STORE_ARRAYS) * _STORE_ENTRY.size
 
 
 @dataclass(frozen=True)
@@ -113,20 +104,20 @@ def mode_weights(dec: dmd.DmdDecomposition, n_steps: int) -> np.ndarray:
 
 
 def _ranking(dec: dmd.DmdDecomposition, n_steps: int):
-    """(weights, order) over an n_steps horizon: each mode's weight,
-    dec.dt times ``_mode_sums``, inf where that product overflows, and the
-    conjugate groups in admission order (``_selection_order``)."""
-    sums = _mode_sums(dec, n_steps)
+    """(weights, order) over an n_steps horizon: each mode's weight, dt
+    times its sum_{i < n_steps} |a_j| |lambda_j|^i, inf where that
+    product overflows, and the conjugate groups sorted by descending
+    weight, read from the sums, which a large dt cannot overflow; ties
+    break toward the lower |frequency|, then the lower index."""
+    powers = np.abs(dec.lambdas)[None, :] ** np.arange(n_steps)[:, None]
+    sums = (np.abs(dec.amplitudes)[None, :] * powers).sum(axis=0)
     with np.errstate(over="ignore"):
         weights = dec.dt * sums
-    return weights, tuple(tuple(group) for group in _selection_order(dec, sums))
-
-
-def _mode_sums(dec: dmd.DmdDecomposition, n_steps: int) -> np.ndarray:
-    """sum_{i < n_steps} |a_j| |lambda_j|^i of every mode: its weight over
-    dt, which orders the modes as the weights do for any dt > 0."""
-    powers = np.abs(dec.lambdas)[None, :] ** np.arange(n_steps)[:, None]
-    return (np.abs(dec.amplitudes)[None, :] * powers).sum(axis=0)
+    freq = np.abs(dec.exponents.imag)
+    # partners share their weight and |frequency|; group[0] is the lower index
+    order = sorted(dmd.conjugate_groups(dec.lambdas),
+                   key=lambda group: (-sums[group[0]], freq[group[0]], group[0]))
+    return weights, tuple(tuple(group) for group in order)
 
 
 def _vandermonde(lambdas: np.ndarray, n_steps: int) -> np.ndarray:
@@ -172,6 +163,7 @@ def _residuals(t: np.ndarray, b: np.ndarray, dec: dmd.DmdDecomposition, groups):
         yield res
 
 
+@_lapack.one_thread()
 def relative_error(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
                    subset) -> float:
     """Frobenius-aggregate relative error of the subset reconstruction
@@ -183,6 +175,7 @@ def relative_error(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
     return float(np.linalg.norm(res) / ref)
 
 
+@_lapack.one_thread()
 def per_time_errors(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
                     subset) -> np.ndarray:
     """Relative error of each reconstructed snapshot separately.
@@ -204,24 +197,12 @@ def _column_errors(res: np.ndarray, t: np.ndarray) -> np.ndarray:
         return np.where(den > 0.0, num / den, np.inf)
 
 
-def _selection_order(dec: dmd.DmdDecomposition, sums: np.ndarray) -> list[list[int]]:
-    """Conjugate groups sorted by descending weight, read from the sums
-    of ``_mode_sums``, which a large dt cannot overflow.
-
-    Ties break toward the lower |frequency|, then the lower index, so
-    the ordering is deterministic.
-    """
-    groups = dmd.conjugate_groups(dec.lambdas)
-    freq = np.abs(dec.exponents.imag)
-    # partners share their weight and |frequency|; group[0] is the lower index
-    return sorted(groups, key=lambda group: (-sums[group[0]], freq[group[0]], group[0]))
-
-
 def _require_epsilon(epsilon: float) -> None:
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
 
 
+@_lapack.one_thread()
 def select_leading_modes(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
                          epsilon: float) -> RomModel:
     """Admit whole conjugate groups in descending weight order until the
@@ -334,8 +315,21 @@ def _store_key(matrix: SnapshotMatrix) -> str:
             f"{rows.shape[0]}x{rows.shape[1]} {dt_bits} {digest.hexdigest()}")
 
 
-def _aligned(offset: int) -> int:
-    return -(-offset // _STORE_ALIGN) * _STORE_ALIGN
+def _store_layout(key_len: int, n: int, is_complex: int, groups: int):
+    """({array: (offset, shape, dtype)}, file size) of a store with that
+    header; every array but the curve is the decomposition's attribute
+    of that name."""
+    nt = n - 1
+    either = "<c16" if is_complex else "<f8"
+    arrays = (("lambdas", (nt,), either), ("amplitudes", (nt,), either),
+              ("r", (nt, nt), "<f8"), ("mode_coords", (nt, nt), either),
+              ("z", (nt, nt), either), ("curve", (groups,), "<f8"))
+    layout, end = {}, _STORE_HEAD.size + key_len
+    for name, shape, dtype in arrays:
+        offset = -(-end // _STORE_ALIGN) * _STORE_ALIGN
+        layout[name] = offset, shape, np.dtype(dtype)
+        end = offset + math.prod(shape) * layout[name][2].itemsize
+    return layout, end
 
 
 def _load_store(path, key: str, matrix: SnapshotMatrix):
@@ -344,39 +338,31 @@ def _load_store(path, key: str, matrix: SnapshotMatrix):
     malformed."""
     nsnap = matrix.n_snapshots
     key = key.encode()
-    start = _STORE_TABLE_END + len(key)
-    # every array no larger than an nsnap x nsnap complex one, checked
-    # against the file size before anything is allocated
-    bound = start + len(_STORE_ARRAYS) * (16 * nsnap * nsnap + _STORE_ALIGN)
+    # the largest layout the snapshots allow, checked before allocating
+    _, bound = _store_layout(len(key), nsnap, 1, nsnap - 1)
     try:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            if not start <= size <= bound:
+            if not _STORE_HEAD.size + len(key) <= size <= bound:
                 return None
             buf = np.empty(size, dtype=np.uint8)
             if fh.readinto(buf) != size:
                 return None
     except OSError:  # a store that does not read back is a miss, never an error
         return None
-    magic, version, key_len, n = _STORE_HEAD.unpack_from(buf)
+    magic, version, key_len, n, is_complex, groups = _STORE_HEAD.unpack_from(buf)
     if (magic != _STORE_MAGIC or version != _STORE_VERSION or key_len != len(key)
-            or buf[_STORE_TABLE_END:start].tobytes() != key or not 2 <= n <= nsnap):
+            or buf[_STORE_HEAD.size:][:key_len].tobytes() != key
+            or not 2 <= n <= nsnap or is_complex not in (0, 1)):
         return None
-    nt = n - 1
-    shapes = {"mode": (nt,), "square": (nt, nt)}
-    arrays = {}
-    for i, (name, (extent, dtypes)) in enumerate(_STORE_ARRAYS.items()):
-        code, offset, length = _STORE_ENTRY.unpack_from(
-            buf, _STORE_HEAD.size + i * _STORE_ENTRY.size)
-        dtype = code.rstrip(b"\0").decode("ascii", "replace")
-        if extent == "group":  # the eigenvalues come first in the table
-            shapes[extent] = (len(dmd.conjugate_groups(arrays["lambdas"])),)
-        shape = shapes[extent]
-        if (dtype not in dtypes or offset + length > size
-                or length != math.prod(shape) * np.dtype(dtype).itemsize):
-            return None
-        arrays[name] = buf[offset:offset + length].view(dtype).reshape(shape)
+    layout, end = _store_layout(key_len, n, is_complex, groups)
+    if size != end:
+        return None
+    arrays = {name: np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape)
+              for name, (offset, shape, dtype) in layout.items()}
     curve = arrays.pop("curve")
+    if groups != len(dmd.conjugate_groups(arrays["lambdas"])):
+        return None
     if n < nsnap:
         matrix = replace(matrix, data=matrix.data[:, :n])
     dec = dmd.DmdDecomposition(dt=matrix.dt, v0=matrix.v0, **arrays)
@@ -387,22 +373,18 @@ def _save_store(path, key: str, matrix: SnapshotMatrix, dec: dmd.DmdDecompositio
                 curve: np.ndarray) -> None:
     """Write the store of ``dec`` and its selection curve to ``path``
     atomically: a temporary file beside it, renamed over it once
-    complete.  A store that cannot be written is skipped; the next call
-    then decomposes again."""
+    complete.  A store that cannot be written, or whose arrays have
+    other dtypes than its layout, is skipped; the next call then
+    decomposes again."""
     key = key.encode()
-    offset = _aligned(_STORE_TABLE_END + len(key))
-    entries, arrays = [], []
-    for name in _STORE_ARRAYS:
+    head = (len(key), matrix.n_snapshots, int(np.iscomplexobj(dec.lambdas)), len(curve))
+    parts = [_STORE_HEAD.pack(_STORE_MAGIC, _STORE_VERSION, *head), key]
+    at = _STORE_HEAD.size + len(key)
+    for name, (offset, _, dtype) in _store_layout(*head)[0].items():
         a = curve if name == "curve" else getattr(dec, name)
-        a = np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<"))
-        entries.append(_STORE_ENTRY.pack(a.dtype.str.encode(), offset, a.nbytes))
-        arrays.append((offset, a))
-        offset = _aligned(offset + a.nbytes)
-    head = _STORE_HEAD.pack(_STORE_MAGIC, _STORE_VERSION, len(key), matrix.n_snapshots)
-    parts = [head, *entries, key]
-    at = sum(map(len, parts))
-    for offset, a in arrays:
-        parts += [bytes(offset - at), a]
+        if a.dtype.newbyteorder("<") != dtype:
+            return
+        parts += [bytes(offset - at), np.ascontiguousarray(a, dtype=dtype)]
         at = offset + a.nbytes
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")

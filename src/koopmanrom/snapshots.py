@@ -256,14 +256,19 @@ def field_tag(path) -> FieldTag:
 
 
 def load(path) -> SnapshotMatrix:
-    """Read a KSNP v1 file written by :func:`save`."""
+    """Read a KSNP v1 file written by :func:`save`; a payload that does
+    not fit in memory raises MemoryError naming the file."""
     with open(path, "rb") as fh:
         tag, flags, nx, ny, nsnap, dt, dx, dy = _read_header(fh, path)
         expected = _HEADER.size + 8 * nx * ny * nsnap
         size = os.fstat(fh.fileno()).st_size  # checked before anything is allocated
         if size != expected:
             raise CorruptHeader(f"{path}: {size} bytes, expected {expected}")
-        payload = np.empty((nsnap, nx * ny), dtype="<f8")
+        try:
+            payload = np.empty((nsnap, nx * ny), dtype="<f8")
+        except MemoryError as exc:
+            raise MemoryError(f"{path}: {nsnap} snapshots of {ny}x{nx} do not fit in "
+                              "the memory available") from exc
         if fh.readinto(payload) != payload.nbytes:
             raise CorruptHeader(f"{path}: payload shorter than {payload.nbytes} bytes")
     _require_finite(payload, path)

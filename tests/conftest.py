@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import koopmanrom as kr
-from koopmanrom import _lw, swe
+from koopmanrom import _lapack, _lw, swe
 from koopmanrom.snapshots import FieldTag
 
 
@@ -37,6 +37,16 @@ def private_build_cache(tmp_path_factory):
     into the user's cache; tests that set XDG_CACHE_HOME keep theirs."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg_cache")))
+        yield
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    """Run the session on one BLAS thread, as the library runs its own
+    calls: the bit-exact oracles take their references from numpy
+    outside the library, and a BLAS reduction on more threads sums in
+    another order.  Child processes keep the count they are given."""
+    with _lapack.one_thread():
         yield
 
 

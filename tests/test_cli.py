@@ -3,6 +3,7 @@ decomposition store."""
 
 import contextlib
 import io
+import math
 import os
 import shutil
 import subprocess
@@ -244,6 +245,43 @@ class TestUsage:
         assert capsys.readouterr().out.startswith("usage: koopmanrom")
 
 
+def main_within_2_gib(argv):
+    """cli.main(argv) in a child process on one BLAS thread, under a 2 GiB
+    address-space limit that leaves this process alone."""
+    script = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from koopmanrom import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+    src = str(Path(koopmanrom.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["rom"], "h"), (["reconstruct", "--field", "v", "--index", "3"], "v"),
+    (["vorticity", "--index", "3"], "u")], ids=["rom", "reconstruct", "vorticity"])
+def test_input_beyond_memory_exits_3(tmp_path, argv, name):
+    """KSNP files whose headers claim 64 snapshots of 4096 x 4096
+    (8 GiB each, sparse) under a 2 GiB address-space limit: exit 3
+    naming the file, no traceback and no store."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for field in ("h", "u", "v"):
+        path = data / f"{field}.ksnp"
+        path.write_bytes(snapshots._HEADER.pack(
+            snapshots._MAGIC, 1, int(FieldTag[field]), 1, 4096, 4096, 64, 1.0, 1.0, 1.0))
+        os.truncate(path, snapshots._HEADER.size + 8 * 4096 * 4096 * 64)
+    proc = main_within_2_gib([*argv, "--data", data, "--out", tmp_path / "o"])
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(f"error: {data / name}.ksnp: ")
+    assert "Traceback" not in proc.stderr
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 class TestSimulateCommand:
     def test_writes_one_file_per_field(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, DESK_CFG + "n_snapshots = 5\n")
@@ -316,21 +354,9 @@ class TestSimulateCommand:
 
     def test_grid_beyond_memory_exits_3(self, tmp_path):
         """A 20000 x 20000 grid under a 2 GiB address-space limit: exit 3
-        naming the grid, no traceback and no output.  Run in a child
-        process, whose limit leaves this one alone."""
+        naming the grid, no traceback and no output."""
         cfg = write_cfg(tmp_path, DESK_CFG + "nx = 20000\nny = 20000\n")
-        script = """
-import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-from koopmanrom import cli
-sys.exit(cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]]))
-"""
-        src = str(Path(koopmanrom.__file__).parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path / "o")],
-                              capture_output=True, text=True, timeout=300,
-                              env={**os.environ, "PYTHONPATH": path,
-                                   "OPENBLAS_NUM_THREADS": "1"})
+        proc = main_within_2_gib(["simulate", "--config", cfg, "--out", tmp_path / "o"])
         assert proc.returncode == 3, proc.stderr
         assert "grid 20000x20000" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "o").exists()
@@ -1003,7 +1029,6 @@ class TestReportBytes:
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
         assert echoes["vorticity"].endswith(f"relative difference = {err:.6e}\n")
 STORE_CASES = settings(max_examples=80, deadline=None, database=None, derandomize=True)
-STORE_TABLE = rom._STORE_TABLE_END
 
 
 @pytest.fixture(scope="module")
@@ -1026,98 +1051,89 @@ def store_case(tmp_path_factory):
 
 
 def unpacked(store: bytes):
-    """The header fields (magic, format, key length, n), the key and the
-    arrays, by name, of a store of this format."""
+    """The header fields (magic, format, key length, n, complex flag,
+    conjugate groups), the key and the flat arrays, by name, of a store
+    of this format."""
     head = list(rom._STORE_HEAD.unpack_from(store))
-    key = store[STORE_TABLE:STORE_TABLE + head[2]]
-    arrays = {}
-    for i, name in enumerate(rom._STORE_ARRAYS):
-        code, offset, length = rom._STORE_ENTRY.unpack_from(
-            store, rom._STORE_HEAD.size + i * rom._STORE_ENTRY.size)
-        arrays[name] = np.frombuffer(store[offset:offset + length],
-                                     code.rstrip(b"\0").decode())
+    key = store[rom._STORE_HEAD.size:][:head[2]]
+    layout, _ = rom._store_layout(*head[2:])
+    arrays = {name: np.frombuffer(store, dtype, math.prod(shape), offset)
+              for name, (offset, shape, dtype) in layout.items()}
     return head, key, arrays
 
 
 def packed(head, key: bytes, arrays) -> bytes:
-    """The store of ``head``, ``key`` and ``arrays`` in the layout of
-    this format: header, table, key, then each array 64-byte aligned.  An
-    array None leaves its table entry empty."""
-    entries, body = [], b""
-    start = -(-(STORE_TABLE + len(key)) // 64) * 64
+    """The header ``head``, the key, then each array at the next 64-byte
+    aligned offset: the store of this format when the arrays have the
+    extents and dtypes the header gives them."""
+    raw = rom._STORE_HEAD.pack(*head) + key
     for a in arrays.values():
-        if a is None:
-            entries.append(rom._STORE_ENTRY.pack(b"", 0, 0))
-            continue
-        offset = start + -(-len(body) // 64) * 64
-        body = body.ljust(offset - start, b"\0") + a.tobytes()
-        entries.append(rom._STORE_ENTRY.pack(a.dtype.str.encode(), offset, a.nbytes))
-    header = rom._STORE_HEAD.pack(*head) + b"".join(entries) + key
-    return header.ljust(start, b"\0") + body
+        raw = raw.ljust(-(-len(raw) // 64) * 64, b"\0") + a.tobytes()
+    return raw
 
 
 def _edited(store: bytes, name: str, how: str) -> bytes:
-    """The store with array ``name`` missing, reshaped or retyped."""
+    """The store with array ``name`` one 64-byte block longer or shorter
+    (or empty), narrowed to float32 or complex64, or retyped between
+    float64 and complex128, under the same header: each edit moves the
+    end of the file off its layout's."""
     head, key, arrays = unpacked(store)
     a = arrays[name]
-    if how == "missing":
-        arrays[name] = None
-    elif how == "long":
-        arrays[name] = np.concatenate([a, a[:1]])
+    block = 64 // a.itemsize
+    if how == "long":
+        arrays[name] = np.concatenate([a, a[:1].repeat(block)])
     elif how == "short":
-        arrays[name] = a[:-1]
+        arrays[name] = a[:-block]
     elif how == "narrow":
         arrays[name] = a.astype(np.complex64 if a.dtype.kind == "c" else np.float32)
-    else:  # the same bytes under another dtype
-        arrays[name] = a.view("<i8" if a.dtype.kind != "i" else "<f8")
+    else:
+        arrays[name] = a.real if a.dtype.kind == "c" else a.astype(np.complex128)
     return packed(head, key, arrays)
 
 
 @st.composite
 def damaged_stores(draw, stores):
     """Bytes that are not h's store: random, truncated, u's store, h's
-    store with one array missing, reshaped or retyped (a curve one entry
-    longer or shorter than the conjugate groups among them), h's store
-    under an older format number, with one array past the end of the
-    file, or with a count of snapshots larger than the file has."""
+    store one byte longer or shorter, with one array edited
+    (``_edited``), with another complex flag, with a count of conjugate
+    groups that its eigenvalues do not have (with the curve as long as
+    that count, or not), under an older format number, or with a count
+    of snapshots larger than the file has."""
     valid = stores["h"]
-    kind = draw(st.sampled_from(["random", "truncated", "other field", "array",
-                                 "older format", "past end", "counts"]))
+    kind = draw(st.sampled_from(["random", "truncated", "other field", "byte", "array",
+                                 "flag", "groups", "older format", "counts"]))
     if kind == "random":
         return draw(st.binary(max_size=512))
     if kind == "truncated":
         return valid[:draw(st.integers(0, len(valid) - 1))]
     if kind == "other field":
         return stores["u"]
+    if kind == "byte":
+        return valid + b"\0" if draw(st.booleans()) else valid[:-1]
     if kind == "array":
-        return _edited(valid, draw(st.sampled_from(list(rom._STORE_ARRAYS))),
-                       draw(st.sampled_from(["missing", "long", "short", "narrow",
-                                             "retyped"])))
+        return _edited(valid, draw(st.sampled_from(list(unpacked(valid)[2]))),
+                       draw(st.sampled_from(["long", "short", "narrow", "retyped"])))
     head, key, arrays = unpacked(valid)
+    if kind == "flag":
+        head[4] = draw(st.integers(0, (1 << 32) - 1).filter(lambda f: f != head[4]))
+        return packed(head, key, arrays)
+    if kind == "groups":
+        groups = head[5]
+        head[5] = draw(st.integers(0, 2 * groups).filter(lambda g: g != groups))
+        if draw(st.booleans()):
+            arrays["curve"] = np.resize(arrays["curve"], head[5])
+        return packed(head, key, arrays)
     if kind == "older format":
         version = draw(st.integers(1, rom._STORE_VERSION - 1))
         head[1] = version
         return packed(head, key.replace(f" {rom._STORE_VERSION} ".encode(),
                                         f" {version} ".encode(), 1), arrays)
-    raw = bytearray(valid)
-    if kind == "past end":
-        at = rom._STORE_HEAD.size + rom._STORE_ENTRY.size * draw(
-            st.integers(0, len(rom._STORE_ARRAYS) - 1))
-        code, offset, length = rom._STORE_ENTRY.unpack_from(raw, at)
-        beyond = len(raw) - offset - length + draw(st.integers(1, 1 << 40))
-        if draw(st.booleans()):
-            offset += beyond
-        else:
-            length += beyond
-        raw[at:at + rom._STORE_ENTRY.size] = rom._STORE_ENTRY.pack(code, offset, length)
-        return bytes(raw)
     # counts: more snapshots than the file has (9), in the header alone
     # or with every array grown to match
     if draw(st.booleans()):
         return _grown(head, key, arrays, 10)
     head[3] = draw(st.integers(10, (1 << 32) - 1))
-    raw[:rom._STORE_HEAD.size] = rom._STORE_HEAD.pack(*head)
-    return bytes(raw)
+    return packed(head, key, arrays)
 
 
 def _grown(head, key: bytes, arrays, n: int) -> bytes:
@@ -1126,28 +1142,37 @@ def _grown(head, key: bytes, arrays, n: int) -> bytes:
     is real or the lower of a conjugate pair, so it is its own group."""
     old = head[3] - 1
     extra = n - 1 - old
-    for name, (extent, _) in rom._STORE_ARRAYS.items():
-        a = arrays[name]
-        if extent == "square":
+    for name, a in arrays.items():
+        if a.size == old * old:
             arrays[name] = np.pad(a.reshape(old, old), (0, extra), mode="edge").ravel()
         else:
             arrays[name] = np.pad(a, (0, extra), mode="edge")
-    head[3] = n
+    head[3], head[5] = n, head[5] + extra
     return packed(head, key, arrays)
 
 
 def test_store_layout_round_trips(store_case):
-    """The test's own reader and writer of this format give back h's store,
-    so every damaged store above differs from it only where it says."""
+    """The test's reader and writer of this format give back h's store,
+    so every damaged store above differs from it only where it says, and
+    each edit of an array moves the end of the file."""
     _, stores, _, _ = store_case
     for store in stores.values():
         assert packed(*unpacked(store)) == store
+        for name in unpacked(store)[2]:
+            for how in ("long", "short", "narrow", "retyped"):
+                assert len(_edited(store, name, how)) != len(store), (name, how)
 
 
 @pytest.mark.parametrize("how", ["long", "short"])
 def test_curve_not_one_entry_per_conjugate_group_is_a_miss(store_case, tmp_path, how):
+    """A curve one entry longer or shorter, with the header's count of
+    groups to match: the file ends where its layout does, and only the
+    count of conjugate groups of the eigenvalues tells it from a store."""
     argv, stores, cold_echo, cold_files = store_case
-    (tmp_path / "dmd_h.npz").write_bytes(_edited(stores["h"], "curve", how))
+    head, key, arrays = unpacked(stores["h"])
+    head[5] += 1 if how == "long" else -1
+    arrays["curve"] = np.resize(arrays["curve"], head[5])
+    (tmp_path / "dmd_h.npz").write_bytes(packed(head, key, arrays))
     code, echo, err, fits = run_counting([*argv, "--out", tmp_path])
     assert (code, err) == (0, "") and fits > 0
     assert echo == cold_echo and outputs(tmp_path) == cold_files

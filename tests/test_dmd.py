@@ -1,8 +1,11 @@
 """Companion fit, eigendecomposition, amplitudes, reconstruction and the
 decomposition store that ``rom.reduced_model`` keeps of them."""
 
+import os
+import struct
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -515,7 +518,7 @@ class TestDecompositionStore:
         _, fits = self.decompose_counting(m, path)
         assert fits == 0  # the store now holds the new decomposition
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
     def test_store_of_an_older_format_is_a_miss(self, tmp_path, rows, version):
         # format 1 solved the fit's triangle another way: its eigenvalues
         # differ in their last bits from a cold run of this one; format 2
@@ -527,27 +530,45 @@ class TestDecompositionStore:
         # negative eigenvalue; format 6 stored the exponents, weights and
         # admission order, which a load could not check against the
         # eigenvalues.  Each is written in the layout of this format, under
-        # its own number, and format 3 also as the zip it was.
+        # its own number, and format 3 also as the zip it was.  Format 7,
+        # with its table of (dtype, offset, length) per array, is written
+        # by its own writer, kept below.
         m, path = window_matrix(rows), tmp_path / "dmd_h.npz"
-        _, dec = stored(m, path)
-        raw = bytearray(path.read_bytes())
-        magic, _, key_len, n = rom._STORE_HEAD.unpack_from(raw)
-        table = rom._STORE_TABLE_END
-        key = raw[table:table + key_len].replace(f" {rom._STORE_VERSION} ".encode(),
-                                                  f" {version} ".encode(), 1)
-        raw[:rom._STORE_HEAD.size] = rom._STORE_HEAD.pack(magic, version, key_len, n)
-        raw[table:table + key_len] = key
-        path.write_bytes(bytes(raw))
+        used, dec, model = kr.reduced_model(m, 1e-3, path)
+        key = rom._store_key(m).replace(f" {rom._STORE_VERSION} ", f" {version} ", 1)
+        if version == 7:
+            format7_save_store(path, key, used, dec, model.curve)
+        else:
+            raw = bytearray(path.read_bytes())
+            head = list(rom._STORE_HEAD.unpack_from(raw))
+            head[1] = version
+            raw[:rom._STORE_HEAD.size] = rom._STORE_HEAD.pack(*head)
+            raw[rom._STORE_HEAD.size:rom._STORE_HEAD.size + head[2]] = key.encode()
+            path.write_bytes(bytes(raw))
         (_, again), fits = self.decompose_counting(m, path)
         assert fits == 1
         self.assert_same(again, dec)
         if version == 3:
-            np.savez(path, key=np.array(key.decode()), n_snapshots=np.array(m.n_snapshots),
+            np.savez(path, key=np.array(key), n_snapshots=np.array(m.n_snapshots),
                      **{name: getattr(dec, name) for name in DEC_ARRAYS})
             (_, again), fits = self.decompose_counting(m, path)
             assert fits == 1
             self.assert_same(again, dec)
         assert path.read_bytes()[:8] == rom._STORE_MAGIC  # rewritten in this format
+        assert self.decompose_counting(m, path)[1] == 0
+
+    def test_float32_matrix_is_never_stored(self, tmp_path, rows):
+        """A float32 matrix decomposes into float32 arrays, which the
+        store's float64 layout cannot hold as they are: no store is
+        written, so every call decomposes and gives the same dtypes."""
+        m = window_matrix(rows.astype(np.float32))
+        path = tmp_path / "dmd_h.npz"
+        (_, dec), fits = self.decompose_counting(m, path)
+        assert fits == 1 and dec.r.dtype == np.float32
+        (_, again), fits = self.decompose_counting(m, path)
+        assert fits == 1
+        self.assert_same(again, dec)
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncated_window_is_restored(self, tmp_path):
         # 17 snapshots repeating with period 5: decomposed as the first 6
@@ -580,3 +601,60 @@ class TestDecompositionStore:
                                field_tag=FieldTag.h)
             _, peak = traced_peak(lambda: rom._store_key(m))
             assert peak < 0.05 * data.nbytes
+
+
+# the writer of store format 7, kept verbatim apart from the names of
+# its constants and its own: a header of magic, format, key length and
+# n, then a table of (dtype, offset, length) per array, the key and the
+# arrays at 64-byte aligned offsets
+
+F7_STORE_VERSION = 7
+F7_STORE_MAGIC = b"KROMDMD\0"
+F7_STORE_HEAD = struct.Struct("<8s3I")    # magic, format, key bytes, n
+F7_STORE_ENTRY = struct.Struct("<4s2Q")   # dtype, offset, length in bytes
+F7_STORE_ALIGN = 64
+F7_EITHER = ("<f8", "<c16")
+F7_STORE_ARRAYS = {
+    "lambdas": ("mode", F7_EITHER), "amplitudes": ("mode", F7_EITHER),
+    "r": ("square", ("<f8",)), "mode_coords": ("square", F7_EITHER),
+    "z": ("square", F7_EITHER), "curve": ("group", ("<f8",)),
+}
+F7_STORE_TABLE_END = F7_STORE_HEAD.size + len(F7_STORE_ARRAYS) * F7_STORE_ENTRY.size
+
+
+def f7_aligned(offset: int) -> int:
+    return -(-offset // F7_STORE_ALIGN) * F7_STORE_ALIGN
+
+
+def format7_save_store(path, key: str, matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
+                       curve: np.ndarray) -> None:
+    """Write the store of ``dec`` and its selection curve to ``path``
+    atomically: a temporary file beside it, renamed over it once
+    complete.  A store that cannot be written is skipped; the next call
+    then decomposes again."""
+    key = key.encode()
+    offset = f7_aligned(F7_STORE_TABLE_END + len(key))
+    entries, arrays = [], []
+    for name in F7_STORE_ARRAYS:
+        a = curve if name == "curve" else getattr(dec, name)
+        a = np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<"))
+        entries.append(F7_STORE_ENTRY.pack(a.dtype.str.encode(), offset, a.nbytes))
+        arrays.append((offset, a))
+        offset = f7_aligned(offset + a.nbytes)
+    head = F7_STORE_HEAD.pack(F7_STORE_MAGIC, F7_STORE_VERSION, len(key), matrix.n_snapshots)
+    parts = [head, *entries, key]
+    at = sum(map(len, parts))
+    for offset, a in arrays:
+        parts += [bytes(offset - at), a]
+        at = offset + a.nbytes
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        try:
+            with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
+                fh.writelines(parts)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError:
+        pass

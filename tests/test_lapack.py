@@ -7,6 +7,7 @@ certificate passes no triangle that the SVD gate fails.
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -159,13 +160,16 @@ def desk_snapshots(tmp_path_factory):
     return data
 
 
+# desk rom, reconstruct of h, u and v, and vorticity at three indices
+DESK_RUNS = [["rom"], *(["reconstruct", "--field", f, "--index", "7"] for f in "huv"),
+             *(["vorticity", "--index", str(i)] for i in (3, 50, 120))]
+
+
 def desk_outputs(data, out):
-    """stdout and the bytes of every file that desk rom, reconstruct of
-    h, u and v and vorticity at three indices write, each run cold."""
-    runs = [["rom"], *(["reconstruct", "--field", f, "--index", "7"] for f in "huv"),
-            *(["vorticity", "--index", str(i)] for i in (3, 50, 120))]
+    """stdout and the bytes of every file that ``DESK_RUNS`` write, each
+    run cold."""
     found = {}
-    for k, argv in enumerate(runs):
+    for k, argv in enumerate(DESK_RUNS):
         echo = io.StringIO()
         with contextlib.redirect_stdout(echo):
             code = main([*argv, "--config", str(CONFIGS / "desk_channel.cfg"),
@@ -185,11 +189,49 @@ def test_desk_commands_give_the_same_bytes_without_the_binding(tmp_path, desk_sn
         assert got[key] == want[key], key
 
 
+# the runs of its last argument, a JSON list, as desk_outputs runs them,
+# in a child process: the exit code and stdout of each, one line apiece
+DESK_CHILD = """if True:
+    import contextlib, io, json, sys
+    from koopmanrom.cli import main
+    cfg, data, out, runs = sys.argv[1:]
+    for k, argv in enumerate(json.loads(runs)):
+        echo = io.StringIO()
+        with contextlib.redirect_stdout(echo):
+            code = main([*argv, "--config", cfg, "--data", data, "--out", f"{out}/{k}"])
+        print(code, repr(echo.getvalue()))
+    """
+
+
+@pytest.mark.skipif(_lapack._threads() is None,
+                    reason="numpy bundles no scipy-openblas64 here to pin")
+def test_outputs_do_not_depend_on_the_thread_count(tmp_path, desk_snapshots):
+    """Desk rom, reconstruct and vorticity, each cold, in child processes
+    on 1 and on 2 BLAS threads: the same exit codes, stdout and bytes of
+    every file, stores included.  It can fail only on a machine with at
+    least 2 CPUs; on one, OpenBLAS runs both on one thread."""
+    found = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
+        argv = [CONFIGS / "desk_channel.cfg", desk_snapshots, out, json.dumps(DESK_RUNS)]
+        proc = subprocess.run([sys.executable, "-c", DESK_CHILD, *map(str, argv)], env=env,
+                              capture_output=True, text=True, check=True, timeout=300)
+        files = {p.relative_to(out): p.read_bytes() for p in out.glob("*/*")}
+        assert any(p.suffix == ".npz" for p in files)
+        found.append((proc.stdout, files))
+    assert found[0][0] == found[1][0]
+    assert found[0][1].keys() == found[1][1].keys()
+    for path in found[0][1]:
+        assert found[0][1][path] == found[1][1][path], path
+
+
 def test_import_binds_nothing():
     code = """if True:
         import koopmanrom, koopmanrom.cli
         from koopmanrom import _lapack
         assert _lapack.load.cache_info().currsize == 0
+        assert _lapack._threads.cache_info().currsize == 0
         """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

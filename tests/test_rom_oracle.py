@@ -311,12 +311,12 @@ def test_residual_kernel_matches_rank_one_updates(both_paths, monkeypatch, name)
 def loop_select_leading_modes(matrix, dec, epsilon):
     """The greedy loop that stops at the first prefix within epsilon, as
     ``rom.select_leading_modes`` ran it before the selection curve,
-    verbatim apart from its name and docstring."""
+    verbatim apart from its name, docstring and the weights and order,
+    which ``rom._ranking`` now gives in one call."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
 
-    weights = rom.mode_weights(dec, matrix.n_snapshots - 1)
-    order = rom._selection_order(dec, weights)
+    weights, order = rom._ranking(dec, matrix.n_snapshots - 1)
     t, b = dec.coordinates(matrix.v0)
     ref = rom._reference_norm(t)
 
