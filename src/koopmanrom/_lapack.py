@@ -18,6 +18,9 @@ every thread count.  Where the library is not loaded, or lacks the
 thread calls, it runs the block as it is.  The count is process-wide:
 Python threads that pin at once may restore it out of order.
 
+``blas_id()`` names the BLAS here for the decomposition store's key:
+OpenBLAS picks its kernels by CPU, and a kernel moves the last bits.
+
 Nothing here runs at import of the package: the library is looked up at
 the first solve or pinned call, once per process.
 """
@@ -123,6 +126,20 @@ def _threads():
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
     return get, put
+
+
+@functools.cache
+def blas_id() -> str:
+    """The bundled library's core type and config string, read once per
+    process, or else numpy's BLAS entry from ``np.show_config``."""
+    lib = _library()
+    try:
+        calls = [lib.scipy_openblas_get_corename64_, lib.scipy_openblas_get_config64_]
+    except AttributeError:   # no library (None), or no such calls
+        return repr(np.show_config(mode="dicts")["Build Dependencies"]["blas"])
+    for call in calls:
+        call.argtypes, call.restype = [], ctypes.c_char_p
+    return " ".join(call().decode() for call in calls)
 
 
 @contextlib.contextmanager

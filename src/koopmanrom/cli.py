@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dmd, rom, snapshots, swe
+from . import _files, _lapack, dmd, rom, snapshots, swe
 from .errors import (BadMagic, CflViolation, CorruptHeader, IndexOutOfRange,
                      InvalidValue, NonFiniteData, NonPositiveDepth, ParseError,
                      ToolkitError, UnknownKey, UnsupportedVersion)
@@ -241,7 +241,7 @@ def _reduce(matrix: snapshots.SnapshotMatrix, outdir: Path, name: str, epsilon: 
 def _write_spectrum(path, dec, model):
     """One row per mode, in the admission order ``model.order``."""
     chosen = set(model.selected)
-    with open(path, "w", newline="") as fh:
+    with _files.Replacement(path, text=True) as fh:
         fh.write("index,re_lambda,im_lambda,sigma,omega,weight,selected,amp_abs\n")
         for j in (j for group in model.order for j in group):
             lam, s = dec.lambdas[j], dec.exponents[j]
@@ -251,7 +251,7 @@ def _write_spectrum(path, dec, model):
 
 
 def _write_errors(path, matrix, errors):
-    with open(path, "w", newline="") as fh:
+    with _files.Replacement(path, text=True) as fh:
         fh.write("snapshot,time,rel_error\n")
         for k, err in enumerate(errors):
             fh.write(f"{k},{k * matrix.dt:.17g},{err:.17g}\n")
@@ -286,7 +286,7 @@ def cmd_rom(args) -> int:
 
     models = [_rom_field(path, outdir, cfg.epsilon) for path in paths]
 
-    with open(outdir / "summary.csv", "w", newline="") as fh:
+    with _files.Replacement(outdir / "summary.csv", text=True) as fh:
         fh.write("field,full_rank,n_dmd,reduction_percent,achieved_error,converged\n")
         print(f"{'field':>6} {'rank':>5} {'n_dmd':>6} {'reduction':>10} {'error':>12}")
         for name, m in models:
@@ -329,6 +329,7 @@ def _reduced_field(matrix: snapshots.SnapshotMatrix, outdir: Path, name: str,
     return rec, model
 
 
+@_lapack.one_thread()   # a grid of 10^4 cells or more is a threaded dot
 def _write_comparison(outdir: Path, pattern: str, full: np.ndarray, rec: np.ndarray) -> float:
     """Write ``full``, ``rec`` and their difference as the grids ``pattern``
     names with "full", "rom" and "diff"; returns ||full - rec|| / ||full||,

@@ -34,14 +34,14 @@ float64 but the four that ``dmd`` makes complex128 with the spectrum
 from them, on a hit as on a miss.  It is read whole with one
 ``readinto`` into a buffer of its checked size, and the arrays are views
 of that buffer; nothing is unpickled.  The key is the store format, the
-dtype and shape of the payload row block, the bits of dt and the sha256
-of its rows; a path, a size or a modification time never enters it.  A
-load checks the file's size against the snapshots, its magic, format,
-key, 2 <= n <= the snapshots and the flag, that its size is its
-layout's, and that the curve has one entry per conjugate group of the
-eigenvalues.  A file that fails a check is a miss, which decomposes
-again and overwrites the file atomically; arrays of other dtypes (of a
-float32 matrix) are never written.
+dtype and shape of the payload row block, the bits of dt, the sha256 of
+its rows and the BLAS (``_lapack.blas_id``); a path, a size or an mtime
+never enters it.  A load checks the file's size against the snapshots,
+its magic, format, key, 2 <= n <= the snapshots and the flag, that its
+size is its layout's, and that the curve has one entry per conjugate
+group of the eigenvalues.  A file that fails a check is a miss, which
+decomposes again and overwrites the file (``_files.Replacement``);
+arrays of other dtypes (of a float32 matrix) are never written.
 """
 
 from __future__ import annotations
@@ -51,12 +51,11 @@ import math
 import os
 import struct
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from . import _lapack, dmd
+from . import _files, _lapack, dmd
 from .errors import ZeroNormData
 from .snapshots import SnapshotMatrix
 
@@ -297,7 +296,7 @@ def reduced_model(matrix: SnapshotMatrix, epsilon: float, store, *,
 
 def _store_key(matrix: SnapshotMatrix) -> str:
     """The store key of ``matrix``: format version, dtype and shape of its
-    payload row block, the bits of dt and the sha256 of the rows.
+    payload row block, the bits of dt, the sha256 of the rows, the BLAS.
 
     The rows are hashed in place through the buffer protocol, the whole
     block at once in the ``assemble``/``load`` layout, else one snapshot
@@ -312,7 +311,8 @@ def _store_key(matrix: SnapshotMatrix) -> str:
             digest.update(np.ascontiguousarray(row))
     dt_bits = struct.pack("<d", matrix.dt).hex()
     return (f"koopmanrom-dmd {_STORE_VERSION} {rows.dtype.str} "
-            f"{rows.shape[0]}x{rows.shape[1]} {dt_bits} {digest.hexdigest()}")
+            f"{rows.shape[0]}x{rows.shape[1]} {dt_bits} {digest.hexdigest()} "
+            f"{_lapack.blas_id()}")
 
 
 def _store_layout(key_len: int, n: int, is_complex: int, groups: int):
@@ -371,11 +371,9 @@ def _load_store(path, key: str, matrix: SnapshotMatrix):
 
 def _save_store(path, key: str, matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
                 curve: np.ndarray) -> None:
-    """Write the store of ``dec`` and its selection curve to ``path``
-    atomically: a temporary file beside it, renamed over it once
-    complete.  A store that cannot be written, or whose arrays have
-    other dtypes than its layout, is skipped; the next call then
-    decomposes again."""
+    """Write the store of ``dec`` and its curve to ``path`` (``_files``);
+    one that cannot be written, or whose arrays have other dtypes than
+    its layout, is skipped, and the next call decomposes again."""
     key = key.encode()
     head = (len(key), matrix.n_snapshots, int(np.iscomplexobj(dec.lambdas)), len(curve))
     parts = [_STORE_HEAD.pack(_STORE_MAGIC, _STORE_VERSION, *head), key]
@@ -386,15 +384,9 @@ def _save_store(path, key: str, matrix: SnapshotMatrix, dec: dmd.DmdDecompositio
             return
         parts += [bytes(offset - at), np.ascontiguousarray(a, dtype=dtype)]
         at = offset + a.nbytes
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        try:
-            with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
-                fh.writelines(parts)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        with _files.Replacement(path) as fh:
+            fh.writelines(parts)
     except OSError:
         pass
 

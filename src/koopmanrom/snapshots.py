@@ -28,11 +28,9 @@ nsnap included, then takes the payload rows in order, one snapshot or a
 whole row block at a time, so a solver can stream its output to disk
 without holding the run.  By default each row is checked for non-finite
 values (the error names the snapshot and cell) and then divided in
-place by a reference scale, if one is given.  The rows go to a
-temporary file in the target's directory, which ``commit`` renames over
-the target once all nsnap rows are in; on any failure the temporary
-file is removed, so the target is either the complete new file or left
-as it was.  ``save`` is that writer fed a matrix's whole row block.
+place by a reference scale, if one is given.  ``commit`` lands the file
+(``_files.Replacement``) once all nsnap rows are in.  ``save`` is that
+writer fed a matrix's whole row block.
 """
 
 from __future__ import annotations
@@ -46,6 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _files
 from .errors import (BadMagic, CorruptHeader, IndexOutOfRange, InvalidValue,
                      NonFiniteData, ShapeMismatch, TooFewColumns, UnsupportedVersion)
 from .swe import Grid
@@ -134,9 +133,9 @@ class KsnpWriter:
     """A KSNP v1 file of ``nsnap`` snapshots, written row by row.
 
     The header is written on construction; ``append`` adds payload rows
-    in snapshot order and ``commit`` renames the temporary file over
-    ``path`` once exactly nsnap rows are in.  ``abort``, or leaving a
-    ``with`` block without a commit, removes the temporary file.
+    in snapshot order and ``commit`` lands the file at ``path`` once
+    exactly nsnap rows are in (``_files.Replacement``).  ``abort``, or
+    leaving a ``with`` block without a commit, leaves ``path`` as it was.
 
     With ``check_finite`` each row is checked before it is written, and
     NonFiniteData names its snapshot and cell; with a ``scale`` each row
@@ -162,14 +161,8 @@ class KsnpWriter:
         self.path = Path(path)
         self.nsnap, self.written = nsnap, 0
         self._cells, self._scale, self._check = nx * ny, scale, check_finite
-        # a fresh name beside the target, created like open(path, "wb") would
-        self._tmp = self.path.with_name(f".{self.path.name}.{os.urandom(8).hex()}.tmp")
-        self._fh = open(os.open(self._tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
-        try:
-            self._fh.write(header)
-        except BaseException:
-            self.abort()
-            raise
+        self._out = _files.Replacement(self.path)
+        self._out.write(header)   # into an empty buffer: no call that can fail
 
     def __enter__(self) -> "KsnpWriter":
         return self
@@ -190,24 +183,19 @@ class KsnpWriter:
             _require_finite(rows, self.path, first=self.written)
         if self._scale is not None:
             np.divide(rows, self._scale, out=rows)
-        self._fh.write(np.ascontiguousarray(rows, dtype="<f8"))
+        self._out.write(np.ascontiguousarray(rows, dtype="<f8"))
         self.written += len(rows)
 
     def commit(self) -> None:
-        """Close the file and rename it over ``path``."""
+        """Land the complete file at ``path``."""
         if self.written != self.nsnap:
             raise ShapeMismatch(f"{self.path}: {self.written} of {self.nsnap} snapshots "
                                 "written")
-        self._fh.close()
-        os.replace(self._tmp, self.path)
-        self._tmp = None
+        self._out.commit()
 
     def abort(self) -> None:
-        """Remove the temporary file, unless committed; safe to repeat."""
-        self._fh.close()
-        if self._tmp is not None:
-            self._tmp.unlink(missing_ok=True)
-            self._tmp = None
+        """Discard the file, unless committed; safe to repeat."""
+        self._out.abort()
 
 
 def save(matrix: SnapshotMatrix, path) -> None:
@@ -281,7 +269,7 @@ def write_field_csv(field: np.ndarray, path) -> None:
     17 significant digits (lossless for doubles)."""
     rows = np.asarray(field)
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    with open(path, "w", newline="") as fh:
+    with _files.Replacement(path, text=True) as fh:
         fh.writelines(line % tuple(row) for row in rows.tolist())
 
 

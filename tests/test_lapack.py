@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopmanrom import _lapack, dmd
+from koopmanrom import _lapack, cli, dmd, rom, snapshots
 from koopmanrom.cli import main
 from koopmanrom.errors import RankDeficient
 
@@ -226,12 +226,55 @@ def test_outputs_do_not_depend_on_the_thread_count(tmp_path, desk_snapshots):
         assert found[0][1][path] == found[1][1][path], path
 
 
+@pytest.mark.skipif(_lapack._threads() is None,
+                    reason="numpy bundles no scipy-openblas64 here to pin")
+def test_comparison_does_not_depend_on_the_thread_count(tmp_path):
+    """The error of a 144 x 144 comparison, whose norms are BLAS dots
+    long enough to be threaded, on 1 and on 2 threads of the library.
+    It can fail only on a machine with at least 2 CPUs."""
+    rng = np.random.default_rng(0)
+    full = rng.standard_normal((144, 144))
+    rec = full + 1e-3 * rng.standard_normal(full.shape)
+    get, put = _lapack._threads()
+    count, errors = get(), []
+    try:
+        for threads in (1, 2):
+            put(threads)
+            errors.append(cli._write_comparison(tmp_path, "{}.csv", full, rec))
+    finally:
+        put(count)
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.skipif(_lapack._library() is None,
+                    reason="numpy bundles no scipy-openblas64 here")
+def test_store_key_changes_with_the_blas_core(desk_snapshots):
+    """The store key of desk h in a child process under
+    OPENBLAS_CORETYPE=Haswell differs from this process's exactly when
+    the two core types differ; where the default core is Haswell, the
+    keys are equal."""
+    code = """if True:
+        import sys
+        from koopmanrom import _lapack, rom, snapshots
+        print(_lapack.blas_id().split()[0])
+        print(rom._store_key(snapshots.load(sys.argv[1])))
+        """
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_CORETYPE="Haswell")
+    proc = subprocess.run([sys.executable, "-c", code, str(desk_snapshots / "h.ksnp")],
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    core, key = proc.stdout.splitlines()
+    here = rom._store_key(snapshots.load(desk_snapshots / "h.ksnp"))
+    assert key.split()[:6] == here.split()[:6]   # the format, the payload and dt
+    assert (key != here) == (core != _lapack.blas_id().split()[0])
+
+
 def test_import_binds_nothing():
     code = """if True:
         import koopmanrom, koopmanrom.cli
         from koopmanrom import _lapack
         assert _lapack.load.cache_info().currsize == 0
         assert _lapack._threads.cache_info().currsize == 0
+        assert _lapack.blas_id.cache_info().currsize == 0
         """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

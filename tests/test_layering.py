@@ -10,6 +10,11 @@ attribute reads and ``from .sibling import _name`` imports.  Every name
 in a module's ``__all__`` must resolve (a tracer that walks ``__all__``
 would pass over a stale entry in silence), and every public name the
 package exports must appear in the README as code.
+
+Every output file lands through one writer, ``_files.Replacement``: no
+other module renames a file into place or opens one for writing.
+``_lw`` is the exception, since the compiler writes its library by
+path, under a name that is the digest of what it wrote.
 """
 
 import ast
@@ -71,3 +76,53 @@ def test_every_exported_name_is_in_the_readme():
     missing = [name for name in exported
                if not re.search(rf"(`|\bkr\.){re.escape(name)}\b", readme)]
     assert missing == []
+
+
+WRITER_MODULES = ("_files.py", "_lw.py")
+
+
+def file_writes(source: str) -> list[str]:
+    """Calls in ``source`` that write a file other than through the
+    writer: ``os.replace``, ``os.open`` with ``O_CREAT`` in its flags,
+    and ``open`` (or a method ``open``) whose mode is not a constant
+    free of "w", "a", "x" and "+"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        on_os = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os"
+        if on_os and name == "replace":
+            found.append(f"os.replace (line {node.lineno})")
+        elif on_os and name == "open":
+            flags = node.args[1] if len(node.args) > 1 else None
+            if flags is None or any(getattr(n, "attr", getattr(n, "id", None)) == "O_CREAT"
+                                    for n in ast.walk(flags)):
+                found.append(f"os.open (line {node.lineno})")
+        elif name == "open":
+            # open(file, mode) is a builtin; path.open(mode) a method
+            place = 1 if isinstance(func, ast.Name) else 0
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        node.args[place] if len(node.args) > place else ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")):
+                found.append(f"open (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name not in WRITER_MODULES),
+                         ids=lambda p: p.name)
+def test_every_output_goes_through_the_writer(path):
+    assert file_writes(path.read_text()) == []
+
+
+def test_write_checker_finds_each_form():
+    source = ("os.replace(a, b)\nos.open(p, os.O_WRONLY | os.O_CREAT, 0o666)\n"
+              "open(p, 'w', newline='')\nopen(p, mode='ab')\nPath(p).open('r+')\n"
+              "open(p, mode)\nopen(p)\nopen(p, 'rb')\nos.open(p, os.O_RDONLY)\n"
+              "text.replace('a', 'b')\n")
+    assert file_writes(source) == ["os.replace (line 1)", "os.open (line 2)",
+                                   "open (line 3)", "open (line 4)", "open (line 5)",
+                                   "open (line 6)"]
