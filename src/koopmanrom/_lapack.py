@@ -131,12 +131,14 @@ def _threads():
 @functools.cache
 def blas_id() -> str:
     """The bundled library's core type and config string, read once per
-    process, or else numpy's BLAS entry from ``np.show_config``."""
+    process; else numpy's BLAS entry (``np.show_config``) or version."""
     lib = _library()
     try:
         calls = [lib.scipy_openblas_get_corename64_, lib.scipy_openblas_get_config64_]
     except AttributeError:   # no library (None), or no such calls
-        return repr(np.show_config(mode="dicts")["Build Dependencies"]["blas"])
+        with contextlib.suppress(TypeError, KeyError):   # numpy < 1.26 takes no mode
+            return repr(np.show_config(mode="dicts")["Build Dependencies"]["blas"])
+        return f"numpy {np.__version__}"
     for call in calls:
         call.argtypes, call.restype = [], ctypes.c_char_p
     return " ".join(call().decode() for call in calls)

@@ -310,9 +310,8 @@ def _store_key(matrix: SnapshotMatrix) -> str:
         for row in rows:
             digest.update(np.ascontiguousarray(row))
     dt_bits = struct.pack("<d", matrix.dt).hex()
-    return (f"koopmanrom-dmd {_STORE_VERSION} {rows.dtype.str} "
-            f"{rows.shape[0]}x{rows.shape[1]} {dt_bits} {digest.hexdigest()} "
-            f"{_lapack.blas_id()}")
+    return (f"koopmanrom-dmd {_STORE_VERSION} {rows.dtype.str} {rows.shape[0]}x{rows.shape[1]} "
+            f"{dt_bits} {digest.hexdigest()} {_lapack.blas_id()}")
 
 
 def _store_layout(key_len: int, n: int, is_complex: int, groups: int):

@@ -268,6 +268,25 @@ def test_store_key_changes_with_the_blas_core(desk_snapshots):
     assert (key != here) == (core != _lapack.blas_id().split()[0])
 
 
+@pytest.mark.parametrize("show_config", [
+    np.show_config,
+    lambda: None,                       # numpy < 1.26: no mode argument
+    lambda mode: {"Build Dependencies": {}},   # no BLAS entry
+], ids=["numpy", "no-mode", "no-blas-entry"])
+def test_store_key_without_the_bundled_library(desk_snapshots, show_config):
+    """Where numpy bundles no scipy-openblas64, the key names numpy's BLAS
+    entry, or numpy's version where ``np.show_config`` cannot give it;
+    keying a store never raises."""
+    with mock.patch.object(_lapack, "_library", lambda: None), \
+            mock.patch.object(np, "show_config", show_config), \
+            mock.patch.object(_lapack, "blas_id", _lapack.blas_id.__wrapped__):
+        blas = _lapack.blas_id()
+        key = rom._store_key(snapshots.load(desk_snapshots / "h.ksnp"))
+    assert blas and key.endswith(" " + blas)
+    if show_config is not np.show_config:
+        assert blas == f"numpy {np.__version__}"
+
+
 def test_import_binds_nothing():
     code = """if True:
         import koopmanrom, koopmanrom.cli
