@@ -20,10 +20,35 @@
  *
  * Layout (see swe._Workspace): each variable is a C-contiguous block of
  * ny rows of e = nx + 1 values, n = ny * e, with periodic halo columns 0
- * and e - 1.  Stacks of three variables are three such blocks back to
- * back; the face buffers qmx and qmy hold blocks of n - 1 and n - e.
- * Values that land in a halo column are garbage no unique cell reads;
- * the halo refresh overwrites them before the depth check.
+ * and e - 1; p and q are stacks of three such blocks back to back.
+ *
+ * One sweep over the rows.  numpy forms each intermediate (the cell
+ * state and fluxes, the centred gradients, the half states and fluxes at
+ * the x and y faces) over the whole grid before the next, so every pass
+ * streams whole-grid stacks through the cache.  The sweep forms them row
+ * by row as the update needs them, in rings of a few rows that stay in
+ * cache.  For row r it forms the y gradients of row r, the x faces of
+ * row r, the y faces between rows r and r + 1, then the update of row r
+ * into q and its halo columns, and last the cell row, fluxes and x
+ * gradients of row r + 2, ready for the next rows.  The rings hold 3 cell
+ * rows, 2 rows of x gradients and of y faces, and 1 of y gradients and of
+ * x faces: RING_SLOTS slots of e values, each padded to a multiple of 8
+ * and 64-byte aligned, in one block the caller provides (w->ring).  A
+ * cell row keeps only what is not already held elsewhere: h is read from
+ * p, and the mass fluxes uh and vh are the momenta.
+ *
+ * Elements that numpy forms only for a halo column, which the halo
+ * refresh overwrites, are skipped: the x gradients at columns 0 and
+ * e - 1, the last x face of each row, and the y faces and the update at
+ * the halo columns.  The y gradients at both halo columns are formed,
+ * since the x faces at columns 0 and e - 2 read them.  Every element that
+ * feeds a unique cell has numpy's expression and operands, so the order
+ * of the sweep changes no bit.
+ *
+ * The tail runs once the sweep is done, so that p is unchanged when the
+ * depth check fails: the depth check over q, then the velocity recovery
+ * into p, which folds each signal speed into a row of column maxima, and
+ * last the maximum of that row.
  *
  * No loop writes an element that another iteration of it reads, which
  * "#pragma GCC ivdep" states: without it gcc 12 vectorises none of the
@@ -32,17 +57,14 @@
  */
 
 #include <math.h>
+#include <stddef.h>
 
 typedef struct {
     long ny, e;                 /* rows; row length nx + 1 */
     double g, dx, dy;
     double *p;                  /* (h, u, v) in; the new (h, u, v) out */
     double *q;                  /* (h, uh, vh) of the new state */
-    double *F;                  /* cell x fluxes, then the y face fluxes */
-    double *G;                  /* cell y fluxes */
-    double *Fx, *Gy;            /* centred flux gradients */
-    double *Fm;                 /* x face fluxes */
-    double *qmx, *qmy;          /* half states at x and y faces */
+    double *ring;               /* RING_SLOTS slots of lw_stride(e), 64-byte aligned */
     const double *cell_f;       /* (f, -f) at cells, blocks of n */
     const double *cell_g;       /* (g Hx, g Hy) at cells, blocks of n */
     const double *mx_g;         /* (g Hx, g Hy) at x faces, blocks of n */
@@ -50,127 +72,126 @@ typedef struct {
     const double *my_g;         /* (g Hx, g Hy) at y faces, blocks of n - e */
 } lw_work;
 
+/* Slots of one ring row.  A cell row holds the momenta uh and vh and
+ * the momentum fluxes: q = (h, uh, vh), F = (uh, FU, FV) and
+ * G = (vh, GU, GV), whose h is read from p.  A gradient row holds the
+ * gradients of three fluxes, and a face row the face states (h, u, v)
+ * and their fluxes. */
+enum { UH, VH, FU, FV, GU, GV, CELL };
+enum { GRAD = 3, FACE = 6 };
+#define RING_SLOTS (3 * CELL + 2 * GRAD + GRAD + FACE + 2 * FACE)
+
 /* The kernel's functions are inlined into each entry below, so each
  * entry compiles the whole step for its own instruction set. */
 #define LW_INLINE static inline __attribute__((always_inline))
 
-/* (h, u, v) from (h, uh, vh) for k in [lo, hi), v = 0 on a wall row, and
- * |u| + |v| + sqrt(g h) into s. */
-LW_INLINE void recover(long lo, long hi, int wall, double g,
-                       const double *restrict qh, const double *restrict quh,
-                       const double *restrict qvh, double *restrict h,
-                       double *restrict u, double *restrict v, double *restrict s)
+/* The values apart of two ring slots: e padded to a multiple of 8. */
+LW_INLINE long lw_stride(long e)
 {
-    #pragma GCC ivdep
-    for (long k = lo; k < hi; k++) {
-        const double hk = qh[k], uk = quh[k] / hk, vk = wall ? 0.0 : qvh[k] / hk;
-        h[k] = hk;
-        u[k] = uk;
-        v[k] = vk;
-        s[k] = fabs(uk) + fabs(vk) + sqrt(hk * g);
-    }
+    return (e + 7) & ~7L;
 }
 
-/* max(s[0], ..., s[n - 1], 0), or NaN when any s[k] is NaN, in a pass of
- * its own so that the recovery loops vectorise.  LANES independent
- * running maxima and NaN flags split the one long dependency chain; the
- * maximum is exact, so the order it is taken in does not matter. */
-#define LANES 4
-LW_INLINE double max_or_nan(long n, const double *restrict s)
+/* The step's constants, as Python forms them. */
+typedef struct {
+    double dt, hg, two_dx, two_dy, cx, cy, qdt, hdt, dtdx, dtdy;
+} lw_consts;
+
+/* The cell row of the m cells (h, u, v) into the slots at c, L values
+ * apart. */
+LW_INLINE void cells(long m, long L, double hg, const double *restrict h,
+                     const double *restrict u, const double *restrict v,
+                     double *restrict c)
 {
-    double top[LANES] = {0.0};
-    long bad[LANES] = {0};
-    long k = 0;
-    for (; k + LANES <= n; k += LANES)
-        for (int j = 0; j < LANES; j++) {
-            const double x = s[k + j];
-            bad[j] |= x != x;
-            top[j] = x > top[j] ? x : top[j];
-        }
-    for (; k < n; k++) {
-        bad[0] |= s[k] != s[k];
-        top[0] = s[k] > top[0] ? s[k] : top[0];
-    }
-    for (int j = 1; j < LANES; j++) {
-        bad[0] |= bad[j];
-        top[0] = top[j] > top[0] ? top[j] : top[0];
-    }
-    return bad[0] ? NAN : top[0];
-}
-
-/* The body of both step entries below. */
-LW_INLINE int step(const lw_work *w, double dt, double *speed)
-{
-    const long e = w->e, n = w->ny * w->e, nx1 = n - 1, ny1 = n - e;
-    const double g = w->g, dx = w->dx, dy = w->dy;
-    /* the constants as Python forms them */
-    const double hg = 0.5 * g, two_dx = 2.0 * dx, two_dy = 2.0 * dy;
-    const double cx = 0.5 * dt / dx, cy = 0.5 * dt / dy, qdt = 0.25 * dt;
-    const double hdt = 0.5 * dt, dtdx = dt / dx, dtdy = dt / dy;
-
-    double *restrict h = w->p, *restrict u = w->p + n, *restrict v = w->p + 2 * n;
-    double *restrict q0 = w->q, *restrict q1 = w->q + n, *restrict q2 = w->q + 2 * n;
-    double *restrict F0 = w->F, *restrict F1 = w->F + n, *restrict F2 = w->F + 2 * n;
-    double *restrict G0 = w->G, *restrict G1 = w->G + n, *restrict G2 = w->G + 2 * n;
-    double *restrict Fx0 = w->Fx, *restrict Fx1 = w->Fx + n, *restrict Fx2 = w->Fx + 2 * n;
-    double *restrict Gy0 = w->Gy, *restrict Gy1 = w->Gy + n, *restrict Gy2 = w->Gy + 2 * n;
-    double *restrict Fm0 = w->Fm, *restrict Fm1 = w->Fm + n, *restrict Fm2 = w->Fm + 2 * n;
-    double *restrict X0 = w->qmx, *restrict X1 = w->qmx + nx1, *restrict X2 = w->qmx + 2 * nx1;
-    double *restrict Y0 = w->qmy, *restrict Y1 = w->qmy + ny1, *restrict Y2 = w->qmy + 2 * ny1;
-    const double *restrict fc = w->cell_f, *restrict mfc = w->cell_f + n;
-    const double *restrict gxc = w->cell_g, *restrict gyc = w->cell_g + n;
-    const double *restrict gxx = w->mx_g, *restrict gyx = w->mx_g + n;
-    const double *restrict fy = w->my_f, *restrict mfy = w->my_f + ny1;
-    const double *restrict gxy = w->my_g, *restrict gyy = w->my_g + ny1;
-    long k;
-
-    /* conserved state and cell fluxes */
+    double *restrict q1 = c + UH * L, *restrict q2 = c + VH * L;
+    double *restrict F1 = c + FU * L, *restrict F2 = c + FV * L;
+    double *restrict G1 = c + GU * L, *restrict G2 = c + GV * L;
     #pragma GCC ivdep
-    for (k = 0; k < n; k++) {
+    for (long k = 0; k < m; k++) {
         const double hk = h[k], uk = u[k], vk = v[k];
         const double uh = uk * hk, vh = vk * hk, pr = hk * hg * hk;
-        q0[k] = hk;
         q1[k] = uh;
         q2[k] = vh;
-        F0[k] = uh;
         F1[k] = uh * uk + pr;
         F2[k] = uh * vk;
-        G0[k] = vh;
         G1[k] = uk * vh;
         G2[k] = vk * vh + pr;
     }
+}
 
-    /* centred gradients; mirror ghost rows beyond each wall, where h and
-     * u are even and v is odd, so the y fluxes carry signs (-1, -1, +1) */
+/* Centred x gradients of the cell x fluxes of the row c into Fx, at the
+ * unique columns 1..e-2. */
+LW_INLINE void x_gradients(long e, long L, double two_dx, const double *restrict c,
+                           double *restrict Fx)
+{
+    const double *restrict F0 = c + UH * L, *restrict F1 = c + FU * L, *restrict F2 = c + FV * L;
+    double *restrict Fx0 = Fx, *restrict Fx1 = Fx + L, *restrict Fx2 = Fx + 2 * L;
     #pragma GCC ivdep
-    for (k = 1; k < n - 1; k++) {
+    for (long k = 1; k < e - 1; k++) {
         Fx0[k] = (F0[k + 1] - F0[k - 1]) / two_dx;
         Fx1[k] = (F1[k + 1] - F1[k - 1]) / two_dx;
         Fx2[k] = (F2[k + 1] - F2[k - 1]) / two_dx;
     }
-    #pragma GCC ivdep
-    for (k = 0; k < e; k++) {
-        Gy0[k] = (G0[k + e] - -G0[k + e]) / two_dy;
-        Gy1[k] = (G1[k + e] - -G1[k + e]) / two_dy;
-        Gy2[k] = (G2[k + e] - G2[k + e]) / two_dy;
-    }
-    #pragma GCC ivdep
-    for (k = e; k < n - e; k++) {
-        Gy0[k] = (G0[k + e] - G0[k - e]) / two_dy;
-        Gy1[k] = (G1[k + e] - G1[k - e]) / two_dy;
-        Gy2[k] = (G2[k + e] - G2[k - e]) / two_dy;
-    }
-    #pragma GCC ivdep
-    for (k = n - e; k < n; k++) {
-        Gy0[k] = (-G0[k - e] - G0[k - e]) / two_dy;
-        Gy1[k] = (-G1[k - e] - G1[k - e]) / two_dy;
-        Gy2[k] = (G2[k - e] - G2[k - e]) / two_dy;
-    }
+}
 
-    /* half states at x faces (cells k and k + 1), their primitive form
-     * and their fluxes */
+/* Centred y gradients of a row from the cell y fluxes of the row south
+ * of it, cs, and of the row north, cn, into Gy.  Beyond a wall (cs or cn
+ * NULL) is the mirror ghost row, where h and u are even and v is odd, so
+ * the y fluxes carry signs (-1, -1, +1). */
+LW_INLINE void y_gradients(long e, long L, double two_dy, const double *restrict cs,
+                           const double *restrict cn, double *restrict Gy)
+{
+    double *restrict Gy0 = Gy, *restrict Gy1 = Gy + L, *restrict Gy2 = Gy + 2 * L;
+    if (cs == NULL) {
+        const double *restrict N0 = cn + VH * L, *restrict N1 = cn + GU * L,
+                     *restrict N2 = cn + GV * L;
+        #pragma GCC ivdep
+        for (long k = 0; k < e; k++) {
+            Gy0[k] = (N0[k] - -N0[k]) / two_dy;
+            Gy1[k] = (N1[k] - -N1[k]) / two_dy;
+            Gy2[k] = (N2[k] - N2[k]) / two_dy;
+        }
+    } else if (cn == NULL) {
+        const double *restrict S0 = cs + VH * L, *restrict S1 = cs + GU * L,
+                     *restrict S2 = cs + GV * L;
+        #pragma GCC ivdep
+        for (long k = 0; k < e; k++) {
+            Gy0[k] = (-S0[k] - S0[k]) / two_dy;
+            Gy1[k] = (-S1[k] - S1[k]) / two_dy;
+            Gy2[k] = (S2[k] - S2[k]) / two_dy;
+        }
+    } else {
+        const double *restrict S0 = cs + VH * L, *restrict S1 = cs + GU * L,
+                     *restrict S2 = cs + GV * L;
+        const double *restrict N0 = cn + VH * L, *restrict N1 = cn + GU * L,
+                     *restrict N2 = cn + GV * L;
+        #pragma GCC ivdep
+        for (long k = 0; k < e; k++) {
+            Gy0[k] = (N0[k] - S0[k]) / two_dy;
+            Gy1[k] = (N1[k] - S1[k]) / two_dy;
+            Gy2[k] = (N2[k] - S2[k]) / two_dy;
+        }
+    }
+}
+
+/* Half states at the x faces of a row (cells k and k + 1, columns
+ * 0..e-2), their primitive form and their fluxes, into X: the row's
+ * (h, u, v) is at h, u, v, its cell row at c, its y gradients at Gy, and
+ * the source tables start at the row. */
+LW_INLINE void x_faces(long e, long L, const lw_consts *K, const double *restrict c,
+                       const double *restrict Gy, const double *restrict h,
+                       const double *restrict u, const double *restrict v,
+                       const double *restrict fc, const double *restrict mfc,
+                       const double *restrict gxx, const double *restrict gyx,
+                       double *restrict X)
+{
+    const double *restrict q0 = h, *restrict q1 = c + UH * L, *restrict q2 = c + VH * L;
+    const double *restrict F0 = q1, *restrict F1 = c + FU * L, *restrict F2 = c + FV * L;
+    const double *restrict Gy0 = Gy, *restrict Gy1 = Gy + L, *restrict Gy2 = Gy + 2 * L;
+    double *restrict X0 = X, *restrict X1 = X + L, *restrict X2 = X + 2 * L;
+    double *restrict Fm0 = X + 3 * L, *restrict Fm1 = X + 4 * L, *restrict Fm2 = X + 5 * L;
+    const double cx = K->cx, qdt = K->qdt, hdt = K->hdt, hg = K->hg;
     #pragma GCC ivdep
-    for (k = 0; k < nx1; k++) {
+    for (long k = 0; k < e - 1; k++) {
         const double a0 = (q0[k] + q0[k + 1]) * 0.5 - (F0[k + 1] - F0[k]) * cx
                           - (Gy0[k] + Gy0[k + 1]) * qdt;
         double a1 = (q1[k] + q1[k + 1]) * 0.5 - (F1[k + 1] - F1[k]) * cx
@@ -189,17 +210,38 @@ LW_INLINE int step(const lw_work *w, double dt, double *speed)
         Fm1[k] = fm * um + a0 * hg * a0;
         Fm2[k] = fm * vm;
     }
+}
 
-    /* half states at y faces (cells k and k + e); their fluxes go to F,
-     * whose cell fluxes are no longer read */
+/* Half states at the y faces between a row (cells k) and the row north
+ * of it (cells k + e), at the unique columns 1..e-2, their primitive
+ * form and their fluxes, into Y: the row's (h, u, v) is at h, u, v (the
+ * north row's e values on), the rows' cell rows at c and cn, their x
+ * gradients at Fx and Fxn, and the face tables start at the row. */
+LW_INLINE void y_faces(long e, long L, const lw_consts *K, const double *restrict c,
+                       const double *restrict cn, const double *restrict Fx,
+                       const double *restrict Fxn, const double *restrict h,
+                       const double *restrict u, const double *restrict v,
+                       const double *restrict fy, const double *restrict mfy,
+                       const double *restrict gxy, const double *restrict gyy,
+                       double *restrict Y)
+{
+    const double *restrict q0 = h, *restrict q1 = c + UH * L, *restrict q2 = c + VH * L;
+    const double *restrict G0 = q2, *restrict G1 = c + GU * L, *restrict G2 = c + GV * L;
+    const double *restrict n0 = h + e, *restrict n1 = cn + UH * L, *restrict n2 = cn + VH * L;
+    const double *restrict H0 = n2, *restrict H1 = cn + GU * L, *restrict H2 = cn + GV * L;
+    const double *restrict Fx0 = Fx, *restrict Fx1 = Fx + L, *restrict Fx2 = Fx + 2 * L;
+    const double *restrict Fn0 = Fxn, *restrict Fn1 = Fxn + L, *restrict Fn2 = Fxn + 2 * L;
+    double *restrict Y0 = Y, *restrict Y1 = Y + L, *restrict Y2 = Y + 2 * L;
+    double *restrict Gm0 = Y + 3 * L, *restrict Gm1 = Y + 4 * L, *restrict Gm2 = Y + 5 * L;
+    const double cy = K->cy, qdt = K->qdt, hdt = K->hdt, hg = K->hg;
     #pragma GCC ivdep
-    for (k = 0; k < ny1; k++) {
-        const double b0 = (q0[k] + q0[k + e]) * 0.5 - (G0[k + e] - G0[k]) * cy
-                          - (Fx0[k] + Fx0[k + e]) * qdt;
-        double b1 = (q1[k] + q1[k + e]) * 0.5 - (G1[k + e] - G1[k]) * cy
-                    - (Fx1[k] + Fx1[k + e]) * qdt;
-        double b2 = (q2[k] + q2[k + e]) * 0.5 - (G2[k + e] - G2[k]) * cy
-                    - (Fx2[k] + Fx2[k + e]) * qdt;
+    for (long k = 1; k < e - 1; k++) {
+        const double b0 = (q0[k] + n0[k]) * 0.5 - (H0[k] - G0[k]) * cy
+                          - (Fx0[k] + Fn0[k]) * qdt;
+        double b1 = (q1[k] + n1[k]) * 0.5 - (H1[k] - G1[k]) * cy
+                    - (Fx1[k] + Fn1[k]) * qdt;
+        double b2 = (q2[k] + n2[k]) * 0.5 - (H2[k] - G2[k]) * cy
+                    - (Fx2[k] + Fn2[k]) * qdt;
         const double s = (h[k] + h[k + e]) * 0.5 * hdt;
         const double ua = (u[k] + u[k + e]) * 0.5, va = (v[k] + v[k + e]) * 0.5;
         b1 += (fy[k] * va - gxy[k]) * s;
@@ -208,74 +250,196 @@ LW_INLINE int step(const lw_work *w, double dt, double *speed)
         Y0[k] = b0;
         Y1[k] = um;
         Y2[k] = vm;
-        F0[k] = gm;
-        F1[k] = um * gm;
-        F2[k] = vm * gm + b0 * hg * b0;
+        Gm0[k] = gm;
+        Gm1[k] = um * gm;
+        Gm2[k] = vm * gm + b0 * hg * b0;
     }
+}
 
-    /* flux differences (F holds the y face fluxes), the wall faces
-     * carrying zero normal flux, then the corrector source at the
-     * time-centred cell state: the mean of the x face states, averaged
-     * with that of the y faces off the walls.  Flat indices 0 and n - 1
-     * are halo cells and are skipped. */
-    #pragma GCC ivdep
-    for (k = 1; k < e; k++) {
-        const double c0 = (X0[k] + X0[k - 1]) * 0.5, c1 = (X1[k] + X1[k - 1]) * 0.5,
-                     c2 = (X2[k] + X2[k - 1]) * 0.5, s = c0 * dt;
-        q0[k] = q0[k] - (Fm0[k] - Fm0[k - 1]) * dtdx - F0[k] * dtdy;
-        q1[k] = q1[k] - (Fm1[k] - Fm1[k - 1]) * dtdx - F1[k] * dtdy
-                + (fc[k] * c2 - gxc[k]) * s;
-        q2[k] = q2[k] - (Fm2[k] - Fm2[k - 1]) * dtdx - F2[k] * dtdy
-                + (mfc[k] * c1 - gyc[k]) * s;
+/* The update of a row at the unique columns 1..e-2 into q0..q2: flux
+ * differences, the wall faces carrying zero normal flux, then the
+ * corrector source at the time-centred cell state, the mean of the x
+ * face states, averaged with that of the y faces off the walls.  The
+ * row's depth is at h, its cell row at c, its x faces at X, the y faces
+ * south of it at Ys and north of it at Yn (NULL beyond a wall), and the
+ * cell tables start at the row. */
+LW_INLINE void update(long e, long L, const lw_consts *K, const double *restrict h,
+                      const double *restrict c,
+                      const double *restrict X, const double *restrict Ys,
+                      const double *restrict Yn, const double *restrict fc,
+                      const double *restrict mfc, const double *restrict gxc,
+                      const double *restrict gyc, double *restrict q0,
+                      double *restrict q1, double *restrict q2)
+{
+    const double *restrict c0 = h, *restrict c1 = c + UH * L, *restrict c2 = c + VH * L;
+    const double *restrict X0 = X, *restrict X1 = X + L, *restrict X2 = X + 2 * L;
+    const double *restrict Fm0 = X + 3 * L, *restrict Fm1 = X + 4 * L, *restrict Fm2 = X + 5 * L;
+    const double dt = K->dt, dtdx = K->dtdx, dtdy = K->dtdy;
+    if (Ys == NULL) {
+        const double *restrict G0 = Yn + 3 * L, *restrict G1 = Yn + 4 * L,
+                     *restrict G2 = Yn + 5 * L;
+        #pragma GCC ivdep
+        for (long k = 1; k < e - 1; k++) {
+            const double m0 = (X0[k] + X0[k - 1]) * 0.5, m1 = (X1[k] + X1[k - 1]) * 0.5,
+                         m2 = (X2[k] + X2[k - 1]) * 0.5, s = m0 * dt;
+            q0[k] = c0[k] - (Fm0[k] - Fm0[k - 1]) * dtdx - G0[k] * dtdy;
+            q1[k] = c1[k] - (Fm1[k] - Fm1[k - 1]) * dtdx - G1[k] * dtdy
+                    + (fc[k] * m2 - gxc[k]) * s;
+            q2[k] = c2[k] - (Fm2[k] - Fm2[k - 1]) * dtdx - G2[k] * dtdy
+                    + (mfc[k] * m1 - gyc[k]) * s;
+        }
+    } else if (Yn == NULL) {
+        const double *restrict G0 = Ys + 3 * L, *restrict G1 = Ys + 4 * L,
+                     *restrict G2 = Ys + 5 * L;
+        #pragma GCC ivdep
+        for (long k = 1; k < e - 1; k++) {
+            const double m0 = (X0[k] + X0[k - 1]) * 0.5, m1 = (X1[k] + X1[k - 1]) * 0.5,
+                         m2 = (X2[k] + X2[k - 1]) * 0.5, s = m0 * dt;
+            q0[k] = c0[k] - (Fm0[k] - Fm0[k - 1]) * dtdx - -G0[k] * dtdy;
+            q1[k] = c1[k] - (Fm1[k] - Fm1[k - 1]) * dtdx - -G1[k] * dtdy
+                    + (fc[k] * m2 - gxc[k]) * s;
+            q2[k] = c2[k] - (Fm2[k] - Fm2[k - 1]) * dtdx - -G2[k] * dtdy
+                    + (mfc[k] * m1 - gyc[k]) * s;
+        }
+    } else {
+        const double *restrict S0 = Ys, *restrict S1 = Ys + L, *restrict S2 = Ys + 2 * L;
+        const double *restrict Gs0 = Ys + 3 * L, *restrict Gs1 = Ys + 4 * L,
+                     *restrict Gs2 = Ys + 5 * L;
+        const double *restrict N0 = Yn, *restrict N1 = Yn + L, *restrict N2 = Yn + 2 * L;
+        const double *restrict Gn0 = Yn + 3 * L, *restrict Gn1 = Yn + 4 * L,
+                     *restrict Gn2 = Yn + 5 * L;
+        #pragma GCC ivdep
+        for (long k = 1; k < e - 1; k++) {
+            const double m0 = ((X0[k] + X0[k - 1]) * 0.5 + (N0[k] + S0[k]) * 0.5) * 0.5;
+            const double m1 = ((X1[k] + X1[k - 1]) * 0.5 + (N1[k] + S1[k]) * 0.5) * 0.5;
+            const double m2 = ((X2[k] + X2[k - 1]) * 0.5 + (N2[k] + S2[k]) * 0.5) * 0.5;
+            const double s = m0 * dt;
+            q0[k] = c0[k] - (Fm0[k] - Fm0[k - 1]) * dtdx - (Gn0[k] - Gs0[k]) * dtdy;
+            q1[k] = c1[k] - (Fm1[k] - Fm1[k - 1]) * dtdx - (Gn1[k] - Gs1[k]) * dtdy
+                    + (fc[k] * m2 - gxc[k]) * s;
+            q2[k] = c2[k] - (Fm2[k] - Fm2[k - 1]) * dtdx - (Gn2[k] - Gs2[k]) * dtdy
+                    + (mfc[k] * m1 - gyc[k]) * s;
+        }
     }
-    #pragma GCC ivdep
-    for (k = e; k < n - e; k++) {
-        const double c0 = ((X0[k] + X0[k - 1]) * 0.5 + (Y0[k] + Y0[k - e]) * 0.5) * 0.5;
-        const double c1 = ((X1[k] + X1[k - 1]) * 0.5 + (Y1[k] + Y1[k - e]) * 0.5) * 0.5;
-        const double c2 = ((X2[k] + X2[k - 1]) * 0.5 + (Y2[k] + Y2[k - e]) * 0.5) * 0.5;
-        const double s = c0 * dt;
-        q0[k] = q0[k] - (Fm0[k] - Fm0[k - 1]) * dtdx - (F0[k] - F0[k - e]) * dtdy;
-        q1[k] = q1[k] - (Fm1[k] - Fm1[k - 1]) * dtdx - (F1[k] - F1[k - e]) * dtdy
-                + (fc[k] * c2 - gxc[k]) * s;
-        q2[k] = q2[k] - (Fm2[k] - Fm2[k - 1]) * dtdx - (F2[k] - F2[k - e]) * dtdy
-                + (mfc[k] * c1 - gyc[k]) * s;
-    }
-    #pragma GCC ivdep
-    for (k = n - e; k < n - 1; k++) {
-        const double c0 = (X0[k] + X0[k - 1]) * 0.5, c1 = (X1[k] + X1[k - 1]) * 0.5,
-                     c2 = (X2[k] + X2[k - 1]) * 0.5, s = c0 * dt;
-        q0[k] = q0[k] - (Fm0[k] - Fm0[k - 1]) * dtdx - -F0[k - e] * dtdy;
-        q1[k] = q1[k] - (Fm1[k] - Fm1[k - 1]) * dtdx - -F1[k - e] * dtdy
-                + (fc[k] * c2 - gxc[k]) * s;
-        q2[k] = q2[k] - (Fm2[k] - Fm2[k - 1]) * dtdx - -F2[k - e] * dtdy
-                + (mfc[k] * c1 - gyc[k]) * s;
-    }
-
     /* halo refresh: column 0 copies unique column nx - 2, column e - 1
      * copies unique column 0 */
-    for (k = 0; k < n; k += e) {
-        q0[k] = q0[k + e - 2];
-        q1[k] = q1[k + e - 2];
-        q2[k] = q2[k + e - 2];
-        q0[k + e - 1] = q0[k + 1];
-        q1[k + e - 1] = q1[k + 1];
-        q2[k + e - 1] = q2[k + 1];
+    q0[0] = q0[e - 2];
+    q1[0] = q1[e - 2];
+    q2[0] = q2[e - 2];
+    q0[e - 1] = q0[1];
+    q1[e - 1] = q1[1];
+    q2[e - 1] = q2[1];
+}
+
+/* a if it is NaN or greater than b, else b: a NaN wins, and the maximum
+ * of two numbers is exact. */
+LW_INLINE double nan_or_max(double a, double b)
+{
+    return (a != a) | (a > b) ? a : b;
+}
+
+/* (h, u, v) from (h, uh, vh) for the m cells of a row, v = 0 on a wall
+ * row, and |u| + |v| + sqrt(g h) folded into the column maxima top. */
+LW_INLINE void recover(long m, int wall, double g, const double *restrict qh,
+                       const double *restrict quh, const double *restrict qvh,
+                       double *restrict h, double *restrict u, double *restrict v,
+                       double *restrict top)
+{
+    #pragma GCC ivdep
+    for (long k = 0; k < m; k++) {
+        const double hk = qh[k], uk = quh[k] / hk, vk = wall ? 0.0 : qvh[k] / hk;
+        h[k] = hk;
+        u[k] = uk;
+        v[k] = vk;
+        top[k] = nan_or_max(fabs(uk) + fabs(vk) + sqrt(hk * g), top[k]);
+    }
+}
+
+/* max(s[0], ..., s[n - 1]) for n >= 1, or a NaN when any s[k] is NaN,
+ * overwriting s: a tree fold, each level of which folds the top half of
+ * s onto the bottom half elementwise, so it vectorises.  The maximum is
+ * exact, so the order it is taken in does not matter. */
+LW_INLINE double max_or_nan(long n, double *restrict s)
+{
+    while (n > 1) {
+        const long half = n / 2, rest = n - half;
+        #pragma GCC ivdep
+        for (long k = 0; k < half; k++)
+            s[k] = nan_or_max(s[rest + k], s[k]);
+        n = rest;
+    }
+    return s[0];
+}
+
+/* The body of both step entries below. */
+LW_INLINE int step(const lw_work *w, double dt, double *speed)
+{
+    const long ny = w->ny, e = w->e, n = ny * e, L = lw_stride(e);
+    const double g = w->g, dx = w->dx, dy = w->dy;
+    const lw_consts K = {
+        .dt = dt, .hg = 0.5 * g, .two_dx = 2.0 * dx, .two_dy = 2.0 * dy,
+        .cx = 0.5 * dt / dx, .cy = 0.5 * dt / dy, .qdt = 0.25 * dt,
+        .hdt = 0.5 * dt, .dtdx = dt / dx, .dtdy = dt / dy,
+    };
+
+    double *h = w->p, *u = w->p + n, *v = w->p + 2 * n;
+    double *q0 = w->q, *q1 = w->q + n, *q2 = w->q + 2 * n;
+    const double *fc = w->cell_f, *mfc = w->cell_f + n;
+    const double *gxc = w->cell_g, *gyc = w->cell_g + n;
+    const double *gxx = w->mx_g, *gyx = w->mx_g + n;
+    const double *fy = w->my_f, *mfy = w->my_f + (n - e);
+    const double *gxy = w->my_g, *gyy = w->my_g + (n - e);
+
+    /* the rings: cell row r in cell slot r % 3, the x gradients of row r
+     * in gx slot r % 2, and the y faces between rows r and r + 1 in yf
+     * slot r % 2 */
+    double *ring = w->ring;
+    double *cell = ring, *gx = cell + 3 * CELL * L, *gy = gx + 2 * GRAD * L;
+    double *xf = gy + GRAD * L, *yf = xf + FACE * L;
+
+    for (long r = 0; r < 2; r++) {
+        cells(e, L, K.hg, h + r * e, u + r * e, v + r * e, cell + r * CELL * L);
+        x_gradients(e, L, K.two_dx, cell + r * CELL * L, gx + r * GRAD * L);
+    }
+    for (long r = 0; r < ny; r++) {
+        const long o = r * e;
+        const int south = r > 0, north = r < ny - 1;
+        const double *c = cell + r % 3 * CELL * L;
+        const double *cs = cell + (r + 2) % 3 * CELL * L, *cn = cell + (r + 1) % 3 * CELL * L;
+        const double *ys = yf + (r + 1) % 2 * FACE * L;
+        double *yn = yf + r % 2 * FACE * L;
+        y_gradients(e, L, K.two_dy, south ? cs : NULL, north ? cn : NULL, gy);
+        x_faces(e, L, &K, c, gy, h + o, u + o, v + o, fc + o, mfc + o, gxx + o, gyx + o, xf);
+        if (north)
+            y_faces(e, L, &K, c, cn, gx + r % 2 * GRAD * L, gx + (r + 1) % 2 * GRAD * L,
+                    h + o, u + o, v + o, fy + o, mfy + o, gxy + o, gyy + o, yn);
+        update(e, L, &K, h + o, c, xf, south ? ys : NULL, north ? yn : NULL,
+               fc + o, mfc + o, gxc + o, gyc + o, q0 + o, q1 + o, q2 + o);
+        if (r + 2 < ny) {
+            double *c2 = cell + (r + 2) % 3 * CELL * L;
+            cells(e, L, K.hg, h + o + 2 * e, u + o + 2 * e, v + o + 2 * e, c2);
+            x_gradients(e, L, K.two_dx, c2, gx + r % 2 * GRAD * L);
+        }
     }
 
     /* the depth check: h.min() > 0 and h.max() < inf */
     long bad = 0;
     #pragma GCC ivdep
-    for (k = 0; k < n; k++)
+    for (long k = 0; k < n; k++)
         bad |= !(q0[k] > 0.0) | !(q0[k] < INFINITY);
     if (bad)
         return 1;
 
-    /* velocity recovery, v = 0 on the walls, and the next signal speed;
-     * the speeds go to Fx, whose gradients are no longer read */
-    recover(0, e, 1, g, q0, q1, q2, h, u, v, Fx0);
-    recover(e, n - e, 0, g, q0, q1, q2, h, u, v, Fx0);
-    recover(n - e, n, 1, g, q0, q1, q2, h, u, v, Fx0);
-    *speed = max_or_nan(n, Fx0);
+    /* velocity recovery, v = 0 on the walls, and the next signal speed:
+     * max(top) with top a ring slot of column maxima from 0 */
+    double *top = ring;
+    for (long k = 0; k < e; k++)
+        top[k] = 0.0;
+    for (long r = 0; r < ny; r++) {
+        const long o = r * e;
+        recover(e, r == 0 || r == ny - 1, g, q0 + o, q1 + o, q2 + o, h + o, u + o, v + o, top);
+    }
+    *speed = max_or_nan(e, top);
     return 0;
 }
 
@@ -288,6 +452,13 @@ LW_INLINE int step(const lw_work *w, double dt, double *speed)
 int lw_step(const lw_work *w, double dt, double *speed)
 {
     return step(w, dt, speed);
+}
+
+/* The fold of the step's tail on its own, for tests: max(s[0], ...,
+ * s[n - 1]) for n >= 1, or a NaN, overwriting s. */
+double lw_max_or_nan(long n, double *s)
+{
+    return max_or_nan(n, s);
 }
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -304,5 +475,11 @@ __attribute__((target("avx2")))
 int lw_step_avx2(const lw_work *w, double dt, double *speed)
 {
     return step(w, dt, speed);
+}
+
+__attribute__((target("avx2")))
+double lw_max_or_nan_avx2(long n, double *s)
+{
+    return max_or_nan(n, s);
 }
 #endif

@@ -25,8 +25,13 @@ directory.  Each load sets the library's mtime, and a build removes the
 files of other keys that no process has loaded for a week, so a changed
 source or compiler leaves no stale library behind for long.
 
+``row_ring(e)`` makes the block of row rings in which the kernel keeps
+its intermediates, for rows of e values; each ``swe._Workspace`` holds
+one.
+
 Nothing here runs at import of the package: ``swe`` imports this module
-at the first sub-step of a process.
+at its first workspace, and builds the library at the first sub-step of
+a process.
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ _FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 _BUILD_TIMEOUT_S = 120
 _EVICT_AFTER_S = 7 * 24 * 3600
 
-_ARRAYS = ("p", "q", "F", "G", "Fx", "Gy", "Fm", "qmx", "qmy",
-           "cell_f", "cell_g", "mx_g", "my_f", "my_g")
+_ARRAYS = ("p", "q", "ring", "cell_f", "cell_g", "mx_g", "my_f", "my_g")
+_RING_SLOTS = 45   # RING_SLOTS of _lw.c
 
 
 class _Work(ctypes.Structure):
@@ -59,6 +64,21 @@ class _Work(ctypes.Structure):
     _fields_ = ([("ny", ctypes.c_long), ("e", ctypes.c_long), ("g", ctypes.c_double),
                  ("dx", ctypes.c_double), ("dy", ctypes.c_double)]
                 + [(name, ctypes.c_void_p) for name in _ARRAYS])
+
+
+def _slot(e: int) -> int:
+    """The values a ring slot holds for rows of e values: e padded to a
+    multiple of 8."""
+    return -(-e // 8) * 8
+
+
+def row_ring(e: int) -> np.ndarray:
+    """A zeroed ring block for the kernel's rows of e values, in the
+    layout ``Kernel.bind`` checks: ``_RING_SLOTS`` slots, 64-byte aligned."""
+    size = _RING_SLOTS * _slot(e)
+    raw = np.zeros(size + 8)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + size].reshape(_RING_SLOTS, _slot(e))
 
 
 def cache_dir() -> Path:
@@ -88,18 +108,15 @@ class Kernel:
         state in ``w.q``, when the new depth is not finite and positive.
         """
         n, e = w.ny * w.width, w.width
-        arrays = dict(p=w.p, q=w.q, F=w.flux_x, G=w.flux_y, Fx=w.dflux_x, Gy=w.dflux_y,
-                      Fm=w.work, qmx=w.q_mx, qmy=w.q_my,
-                      cell_f=w.tab.cell[0], cell_g=w.tab.cell[1], mx_g=w.tab.mx[1],
-                      my_f=w.tab.my[0], my_g=w.tab.my[1])
+        arrays = dict(p=w.p, q=w.q, ring=w.ring, cell_f=w.tab.cell[0], cell_g=w.tab.cell[1],
+                      mx_g=w.tab.mx[1], my_f=w.tab.my[0], my_g=w.tab.my[1])
         # the kernel reads rows of these lengths at these strides
-        rows = dict(qmx=(3, n - 1, n - 1), qmy=(3, n - e, n - e), cell_f=(2, n, n),
-                    cell_g=(2, n, n), mx_g=(2, n - 1, n), my_f=(2, n - e, n - e),
-                    my_g=(2, n - e, n - e))
+        rows = dict(ring=(_RING_SLOTS, _slot(e), _slot(e)), cell_f=(2, n, n), cell_g=(2, n, n),
+                    mx_g=(2, n - 1, n), my_f=(2, n - e, n - e), my_g=(2, n - e, n - e))
         for name, a in arrays.items():
             count, length, stride = rows.get(name, (3, n, n))
             if (a.dtype != np.float64 or a.shape != (count, length)
-                    or a.strides != (8 * stride, 8)):
+                    or a.strides != (8 * stride, 8) or name == "ring" and a.ctypes.data % 64):
                 raise ValueError(f"workspace array {name} does not have the kernel's layout")
         work = _Work(w.ny, e, w.gravity, w.dx, w.dy,
                      *(arrays[name].ctypes.data for name in _ARRAYS))

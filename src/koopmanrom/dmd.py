@@ -122,10 +122,12 @@ class DmdDecomposition:
             return np.log(self.lambdas.astype(complex, copy=False)) / self.dt
 
     @cached_property
+    @_lapack.one_thread()
     def modes(self) -> np.ndarray:
         """The complex (Nx, m) unit modes V0 @ z, formed at the first read
-        from two real products, one per part of z; a conjugate pair of
-        modes is exactly conjugate because its pair of z columns is."""
+        from two real products, one per part of z, on one BLAS thread; a
+        conjugate pair of modes is exactly conjugate because its pair of z
+        columns is."""
         modes = np.empty((self.v0.shape[0], self.z.shape[1]), dtype=self.z.dtype)
         modes.real = self.v0 @ self.z.real
         if np.iscomplexobj(self.z):

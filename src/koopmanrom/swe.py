@@ -32,8 +32,9 @@ stepping entry, ``_advance``: CFL gate, step, halo refresh, depth check,
 velocity recovery and v = 0 on the walls, returning the new signal
 speed.  The step has two implementations with bit-identical results and
 one contract, stated by ``_numpy_step``, the portable one and the
-reference.  ``_compiled_step`` runs ``_lw.c``, one fused C function
-doing the same operations in the same order per element; it is built
+reference.  ``_compiled_step`` runs ``_lw.c``, one C function doing
+the same operations per element in one sweep over the grid rows, its
+intermediates in rings of a few rows (``_Workspace.ring``); it is built
 with the C compiler at the first ``_advance`` of a process (never at
 import), cached per user, and selected only when one step of it on a
 probe grid matches the numpy step bit for bit.  Without a compiler, or
@@ -325,6 +326,8 @@ class _Workspace:
         self.q_mx = np.zeros((3, n - 1))     # x faces: between cells k and k + 1
         self.q_my = np.zeros((3, n - e))     # y faces: between cells k and k + E
         self.s, self.t = np.zeros(n), np.zeros((2, n))   # source and speed scratch
+        from . import _lw   # the compiled step's layout; nothing is built here
+        self.ring = _lw.row_ring(e)   # the compiled step's intermediates
         self.kernel_step = None    # the compiled step bound to these buffers
 
     def load(self, state: SweState) -> None:

@@ -6,6 +6,7 @@ certificate passes no triangle that the SVD gate fails.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -244,6 +245,35 @@ def test_comparison_does_not_depend_on_the_thread_count(tmp_path):
     finally:
         put(count)
     assert errors[0] == errors[1]
+
+
+@pytest.mark.skipif(_lapack._threads() is None,
+                    reason="numpy bundles no scipy-openblas64 here to pin")
+def test_modes_do_not_depend_on_the_thread_count(desk_decompositions):
+    """The modes of desk u, formed afresh with the library's count at 1
+    and then at 2, give the same bits, and their products run on one
+    thread (this BLAS's dgemm may not differ by thread count anyway)."""
+    get, put = _lapack._threads()
+    seen = []
+
+    class Probe(np.ndarray):
+        @property
+        def real(self):
+            seen.append(get())
+            return np.asarray(self).real
+
+    dec = desk_decompositions["u"]
+    dec = dataclasses.replace(dec, z=dec.z.view(Probe))
+    form = type(dec).modes.func   # the uncached read
+    count, modes = get(), []
+    try:
+        for threads in (1, 2):
+            put(threads)
+            modes.append(form(dec))
+    finally:
+        put(count)
+    assert seen == [1, 1]
+    assert np.array_equal(modes[0].view(np.float64), modes[1].view(np.float64))
 
 
 @pytest.mark.skipif(_lapack._library() is None,

@@ -2,6 +2,7 @@
 back to the numpy step when it cannot be had."""
 
 import contextlib
+import ctypes
 import io
 import os
 import platform
@@ -120,6 +121,32 @@ def test_a_kernel_that_disagrees_is_not_selected(monkeypatch, unselected):
     assert swe._select_step() is swe._numpy_step
 
 
+@needs_cc
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 130, 8450])
+def test_speed_maximum_is_numpys_and_a_nan_wins(n):
+    # the fold that ends each step, on each entry's instruction set
+    lib = _lw.load().lib
+    entries = ["lw_max_or_nan"] + (["lw_max_or_nan_avx2"] if _lw.Kernel(lib).entry
+                                   == "lw_step_avx2" else [])
+    rng = np.random.default_rng(n)
+    cases = [rng.uniform(0.0, 300.0, n), np.full(n, 212.5),
+             np.where(rng.random(n) < 0.5, -0.0, 0.0)]
+    for index in sorted({0, n // 2, n - 1}):
+        s = rng.uniform(0.0, 300.0, n)
+        s[index] = np.nan
+        cases.append(s)
+    for name in entries:
+        fold = getattr(lib, name)
+        fold.argtypes, fold.restype = (ctypes.c_long, ctypes.c_void_p), ctypes.c_double
+        for s in cases:
+            scratch = s.copy()   # the fold overwrites it
+            got = fold(n, scratch.ctypes.data)
+            if np.isnan(s).any():
+                assert np.isnan(got), (name, s)
+            else:
+                assert got == np.max(s), (name, s)
+
+
 def garbage(path):
     path.write_bytes(b"not a shared library\n" * 40)
 
@@ -218,7 +245,18 @@ def test_import_builds_nothing():
 @needs_cc
 def test_binding_checks_the_workspace_layout(classic_constants):
     grid = swe.Grid.for_channel(16, 8, classic_constants)
-    w = swe._Workspace(classic_constants, grid)
-    w.q_mx = np.zeros((3, w.ny * w.width))   # one value too many per row
-    with pytest.raises(ValueError, match="qmx"):
-        _lw.load().bind(w)
+    kernel = _lw.load()
+
+    def refused(name, **arrays):
+        w = swe._Workspace(classic_constants, grid)
+        vars(w).update(arrays)
+        with pytest.raises(ValueError, match=f"array {name} "):
+            kernel.bind(w)
+
+    ring = swe._Workspace(classic_constants, grid).ring
+    refused("q", q=np.zeros((3, grid.ny * (grid.nx + 1) + 1)))   # one value too many
+    refused("ring", ring=ring[:-1])                               # one slot too few
+    refused("ring", ring=ring[:, :-8])                            # one row length short
+    raw = np.zeros(ring.size + 16)
+    start = -raw.ctypes.data % 64 // 8 + 1
+    refused("ring", ring=raw[start:start + ring.size].reshape(ring.shape))   # not aligned

@@ -5,8 +5,8 @@ Those modules run their tests on the numpy step; the same test functions,
 imported here, run on the compiled entry the loader binds and, in
 ``TestPortableEntry``, on the portable entry ``lw_step`` where the
 loader binds the AVX2 one.  Each must match the reference exactly: the
-4x4, 7x5 and 5x9 edge grids, orography, CFL rejection and the depth
-collapse with the same exception, time and message.  They skip only
+edge grids of ``test_swe_halo.GRIDS``, orography, CFL rejection and the
+depth collapse with the same exception, time and message.  They skip only
 where no C compiler exists (and the portable run where the CPU has no
 AVX2, since the loader binds the portable entry there).
 """

@@ -20,7 +20,9 @@ from test_swe_oracle import HILLY, assert_states_equal, ref_lax_wendroff_step, r
 # the numpy step here; test_swe_compiled runs these tests on the compiled one
 pytestmark = pytest.mark.usefixtures("numpy_step")
 
-GRIDS = [(4, 4), (7, 5), (5, 9)]
+# 15x6: a row of nx + 1 = 16 values fills whole ring slots of the
+# compiled step; 33x4: a wide grid with only two rows off the walls
+GRIDS = [(4, 4), (7, 5), (5, 9), (15, 6), (33, 4)]
 CHANNELS = {
     "flat": dataclasses.replace(HILLY, orography_amplitude=0.0),
     "hilly": HILLY,
