@@ -1,6 +1,6 @@
 /* One fused sub-step of the shallow-water solver (koopmanrom.swe).
  *
- * lw_step does what swe._numpy_step does (swe._step_unique, the depth
+ * lw_step does what the numpy step does (swe._step_unique, the depth
  * check, the velocity recovery and v = 0 on the walls) plus the next
  * signal speed, with the same operations in the same order for every
  * element the new state depends on, so a build without FMA contraction
@@ -33,7 +33,7 @@
  * gradients of row r + 2, ready for the next rows.  The rings hold 3 cell
  * rows, 2 rows of x gradients and of y faces, and 1 of y gradients and of
  * x faces: RING_SLOTS slots of e values, each padded to a multiple of 8
- * and 64-byte aligned, in one block the caller provides (w->ring).  A
+ * and 64-byte aligned, in one block that Kernel.bind makes (w->ring).  A
  * cell row keeps only what is not already held elsewhere: h is read from
  * p, and the mass fluxes uh and vh are the momenta.
  *

@@ -25,13 +25,11 @@ directory.  Each load sets the library's mtime, and a build removes the
 files of other keys that no process has loaded for a week, so a changed
 source or compiler leaves no stale library behind for long.
 
-``row_ring(e)`` makes the block of row rings in which the kernel keeps
-its intermediates, for rows of e values; each ``swe._Workspace`` holds
-one.
+``Kernel.bind`` is a step binder of ``swe``; the step it returns holds
+the block of row rings in which the kernel keeps its intermediates.
 
 Nothing here runs at import of the package: ``swe`` imports this module
-at its first workspace, and builds the library at the first sub-step of
-a process.
+and builds the library at the first sub-step of a process.
 """
 
 from __future__ import annotations
@@ -72,9 +70,9 @@ def _slot(e: int) -> int:
     return -(-e // 8) * 8
 
 
-def row_ring(e: int) -> np.ndarray:
-    """A zeroed ring block for the kernel's rows of e values, in the
-    layout ``Kernel.bind`` checks: ``_RING_SLOTS`` slots, 64-byte aligned."""
+def _row_ring(e: int) -> np.ndarray:
+    """A zeroed ring block for the kernel's rows of e values:
+    ``_RING_SLOTS`` slots of ``_slot(e)`` values, 64-byte aligned."""
     size = _RING_SLOTS * _slot(e)
     raw = np.zeros(size + 8)
     start = -raw.ctypes.data % 64 // 8
@@ -108,16 +106,17 @@ class Kernel:
         state in ``w.q``, when the new depth is not finite and positive.
         """
         n, e = w.ny * w.width, w.width
-        arrays = dict(p=w.p, q=w.q, ring=w.ring, cell_f=w.tab.cell[0], cell_g=w.tab.cell[1],
+        arrays = dict(p=w.p, q=w.q, cell_f=w.tab.cell[0], cell_g=w.tab.cell[1],
                       mx_g=w.tab.mx[1], my_f=w.tab.my[0], my_g=w.tab.my[1])
         # the kernel reads rows of these lengths at these strides
-        rows = dict(ring=(_RING_SLOTS, _slot(e), _slot(e)), cell_f=(2, n, n), cell_g=(2, n, n),
-                    mx_g=(2, n - 1, n), my_f=(2, n - e, n - e), my_g=(2, n - e, n - e))
+        rows = dict(cell_f=(2, n, n), cell_g=(2, n, n), mx_g=(2, n - 1, n),
+                    my_f=(2, n - e, n - e), my_g=(2, n - e, n - e))
         for name, a in arrays.items():
             count, length, stride = rows.get(name, (3, n, n))
             if (a.dtype != np.float64 or a.shape != (count, length)
-                    or a.strides != (8 * stride, 8) or name == "ring" and a.ctypes.data % 64):
+                    or a.strides != (8 * stride, 8)):
                 raise ValueError(f"workspace array {name} does not have the kernel's layout")
+        arrays["ring"] = _row_ring(e)
         work = _Work(w.ny, e, w.gravity, w.dx, w.dy,
                      *(arrays[name].ctypes.data for name in _ARRAYS))
         speed = ctypes.c_double()
@@ -128,6 +127,7 @@ class Kernel:
                 return None
             return speed.value
 
+        step.ring = arrays["ring"]   # alive as long as the step
         return step
 
 

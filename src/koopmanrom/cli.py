@@ -362,7 +362,7 @@ def cmd_vorticity(args) -> int:
     mu = snapshots.load(datadir / "u.ksnp")
     mv = snapshots.load(datadir / "v.ksnp")
     if any(getattr(mu, a) != getattr(mv, a)
-           for a in ("dt", "nx", "ny", "dx", "dy", "nondimensional")):
+           for a in ("n_snapshots", "dt", "nx", "ny", "dx", "dy", "nondimensional")):
         raise InvalidValue("u.ksnp and v.ksnp disagree on sampling or grid")
     try:
         grid = swe.Grid(nx=mu.nx, ny=mu.ny, dx=mu.dx, dy=mu.dy)

@@ -31,14 +31,16 @@ per run (``_Workspace``).
 stepping entry, ``_advance``: CFL gate, step, halo refresh, depth check,
 velocity recovery and v = 0 on the walls, returning the new signal
 speed.  The step has two implementations with bit-identical results and
-one contract, stated by ``_numpy_step``, the portable one and the
-reference.  ``_compiled_step`` runs ``_lw.c``, one C function doing
-the same operations per element in one sweep over the grid rows, its
-intermediates in rings of a few rows (``_Workspace.ring``); it is built
-with the C compiler at the first ``_advance`` of a process (never at
-import), cached per user, and selected only when one step of it on a
-probe grid matches the numpy step bit for bit.  Without a compiler, or
-when the build, the load or that check fails, the numpy step runs.
+one contract: a binder takes a workspace and returns ``step(dt)``, which
+``_advance`` keeps on the workspace, and owns the scratch of its steps.
+``_numpy_bind`` is the portable one and the reference.  ``_lw.Kernel.bind``
+runs ``_lw.c``, one C function doing the same operations per element in
+one sweep over the grid rows, its intermediates in rings of a few rows;
+it is built with the C compiler at the first ``_advance`` of a process
+(never at import), cached per user, and selected only when one step of
+it on a probe grid matches the numpy step bit for bit.  Without a
+compiler, or when the build, the load or that check fails, the numpy
+step runs.
 """
 
 from __future__ import annotations
@@ -304,7 +306,7 @@ _WALL_SIGN = np.array([-1.0, -1.0, 1.0])[:, None]
 
 
 class _Workspace:
-    """One grid's flat halo layout and every buffer a step writes.
+    """One grid's flat halo layout, source tables, state buffers and step.
 
     A field is a C-contiguous block of ny rows of E = nx + 1 values:
     column 0 is a halo copy of unique column nx-2, columns 1..nx-1 are
@@ -312,23 +314,16 @@ class _Workspace:
     A stack (3, ny * E) holds (h, u, v) or (h, uh, vh).  A step reads
     ``p`` = (h, u, v), writes the new conserved state into ``q`` and then
     the new (h, u, v) into ``p``; the two buffers are never swapped.
+    ``step`` is bound to them at the first ``_advance``.
     """
 
     def __init__(self, constants: PhysicalConstants, grid: Grid):
         self.gravity, self.dx, self.dy = constants.gravity, grid.dx, grid.dy
         self.ny, self.width = grid.ny, grid.nx + 1
         self.tab = _SourceTables(constants, grid)
-        n, e = self.ny * self.width, self.width
+        n = self.ny * self.width
         self.p, self.q = np.zeros((3, n)), np.zeros((3, n))
-        self.flux_x, self.flux_y = np.zeros((3, n)), np.zeros((3, n))
-        self.dflux_x, self.dflux_y = np.zeros((3, n)), np.zeros((3, n))
-        self.work = np.zeros((3, n))
-        self.q_mx = np.zeros((3, n - 1))     # x faces: between cells k and k + 1
-        self.q_my = np.zeros((3, n - e))     # y faces: between cells k and k + E
-        self.s, self.t = np.zeros(n), np.zeros((2, n))   # source and speed scratch
-        from . import _lw   # the compiled step's layout; nothing is built here
-        self.ring = _lw.row_ring(e)   # the compiled step's intermediates
-        self.kernel_step = None    # the compiled step bound to these buffers
+        self.step = None
 
     def load(self, state: SweState) -> None:
         """(h, u, v) of ``state``, whose column nx-1 is ignored, into p;
@@ -349,7 +344,7 @@ class _Workspace:
 
     def signal_speed(self) -> float:
         """max(|u| + |v| + sqrt(g h)) of p."""
-        return _signal_speed(self.p, self.gravity, self.s, self.t[0])
+        return _signal_speed(self.p, self.gravity, *np.empty((2, self.p.shape[1])))
 
 
 def _primitive(q):
@@ -391,10 +386,10 @@ def _add_sources(q, scale, c, tables, s, t):
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _step_unique(w: _Workspace, dt: float):
-    """Advance the stack w.p = (h, u, v), whose halo columns are fresh,
-    one time step; returns the conserved stack (h, uh, vh), written into
-    w.q with its halo columns refreshed.
+def _step_unique(p, q, tab, scratch, g, dx, dy, e, dt):
+    """Advance the stack p = (h, u, v), whose halo columns are fresh, one
+    step of dt on rows of e values, with the stacks ``scratch``; returns
+    the conserved stack (h, uh, vh), written into q with fresh halo columns.
 
     Two-step Richtmyer form with transverse flux corrections in the
     half states (needed for second order in 2D) and pointwise sources
@@ -414,9 +409,7 @@ def _step_unique(w: _Workspace, dt: float):
     halo column, or read across a row end, are garbage that no unique
     column reads, and the halo refresh at the end overwrites them.
     """
-    g, dx, dy, e = w.gravity, w.dx, w.dy, w.width
-    p, q, F, G, F_x, G_y, tmp = w.p, w.q, w.flux_x, w.flux_y, w.dflux_x, w.dflux_y, w.work
-    q_mx, q_my, s, t = w.q_mx, w.q_my, w.s, w.t
+    F, G, F_x, G_y, tmp, q_mx, q_my, s, t = scratch
     h = p[0]
     q[0] = h
     np.multiply(p[1:], h, out=q[1:])
@@ -447,7 +440,7 @@ def _step_unique(w: _Workspace, dt: float):
     q_mx -= a
     np.add(p[:, :-1], p[:, 1:], out=a)
     a *= 0.5
-    _add_sources(q_mx, 0.5 * dt, a, w.tab.mx, s[:-1], t[:, :-1])
+    _add_sources(q_mx, 0.5 * dt, a, tab.mx, s[:-1], t[:, :-1])
 
     # half states at y faces: cells k and k + E
     np.add(q[:, :-e], q[:, e:], out=q_my)
@@ -461,7 +454,7 @@ def _step_unique(w: _Workspace, dt: float):
     q_my -= a
     np.add(p[:, :-e], p[:, e:], out=a)
     a *= 0.5
-    _add_sources(q_my, 0.5 * dt, a, w.tab.my, s[:-e], t[:, :-e])
+    _add_sources(q_my, 0.5 * dt, a, tab.my, s[:-e], t[:, :-e])
 
     p_mx = _primitive(q_mx)
     p_my = _primitive(q_my)
@@ -488,8 +481,8 @@ def _step_unique(w: _Workspace, dt: float):
     b *= 0.5
     tmp[:, e:-e] += b
     tmp[:, e:-e] *= 0.5
-    _add_sources(q, dt, tmp, w.tab.cell, s, t)
-    _refresh_halo(q.reshape(3, w.ny, e))
+    _add_sources(q, dt, tmp, tab.cell, s, t)
+    _refresh_halo(q.reshape(3, -1, e))
     return q
 
 
@@ -501,53 +494,53 @@ def _close(a, grid: Grid) -> np.ndarray:
     return out
 
 
-def _numpy_step(w: _Workspace, dt: float) -> float | None:
-    """One step of ``_step_unique`` under the contract of both step
-    implementations: the new conserved state goes into q and the new
-    (h, u, v), with v = 0 on the walls, into p, allocating nothing; the
-    signal speed of the new p is returned, or None, with p unchanged,
-    when the new depth is not finite and positive."""
-    p, q = w.p, _step_unique(w, dt)
-    h = q[0]
-    if not (h.min() > 0.0 and h.max() < np.inf):
-        return None
-    p[0] = h
-    np.divide(q[1:], h, out=p[1:])
-    p[2, :w.width] = 0.0
-    p[2, -w.width:] = 0.0
-    return w.signal_speed()
+def _numpy_bind(w: _Workspace):
+    """``step(dt) -> speed`` by ``_step_unique`` on the buffers of ``w``
+    and on stacks of its own, allocating nothing per step: the new
+    conserved state goes into q and the new (h, u, v), with v = 0 on the
+    walls, into p; the signal speed of the new p is returned, or None,
+    with p unchanged, when the new depth is not finite and positive."""
+    p, q, tab, g, dx, dy, e = w.p, w.q, w.tab, w.gravity, w.dx, w.dy, w.width
+    n = w.ny * e
+    s, t = np.zeros(n), np.zeros((2, n))   # source and speed scratch
+    # fluxes, their centred differences and a work stack at cells; the
+    # half states at x faces (cells k and k + 1) and y faces (k and k + E)
+    scratch = (*np.zeros((5, 3, n)), np.zeros((3, n - 1)), np.zeros((3, n - e)), s, t)
+
+    def step(dt: float) -> float | None:
+        h = _step_unique(p, q, tab, scratch, g, dx, dy, e, dt)[0]
+        if not (h.min() > 0.0 and h.max() < np.inf):
+            return None
+        p[0] = h
+        np.divide(q[1:], h, out=p[1:])
+        p[2, :e] = 0.0
+        p[2, -e:] = 0.0
+        return _signal_speed(p, g, s, t[0])
+
+    return step
 
 
-def _compiled_step(w: _Workspace, dt: float) -> float | None:
-    """The same step, with the same result and return value, by the
-    compiled kernel, bound to the buffers of ``w`` at its first step."""
-    if w.kernel_step is None:
-        w.kernel_step = _kernel.bind(w)
-    return w.kernel_step(dt)
-
-
-# The step implementation _advance runs: _compiled_step or _numpy_step.
-# None until the first _advance of the process picks one (_select_step);
-# tests set it to run either.
+# The binder _advance binds a new workspace with: _numpy_bind or the bind
+# of the loaded _lw.Kernel.  None until the first _advance of the process
+# picks one (_select_step); tests set it to run either.
 _step = None
-_kernel = None   # the loaded _lw.Kernel, once the compiled step is picked
 
 
 def _select_step():
-    """The step implementation, picked at the first call of a process:
-    _compiled_step when the kernel builds, loads and matches the numpy
-    step bit for bit on one step of a small hilly grid, else _numpy_step."""
-    global _step, _kernel
+    """The binder, picked at the first call of a process: the compiled
+    kernel's when it builds, loads and matches the numpy step bit for bit
+    on one step of a small hilly grid, else _numpy_bind."""
+    global _step
     if _step is None:
         from . import _lw
-        _kernel = _lw.load()
-        compiled = _kernel is not None and _compiled_matches_numpy()
-        _step = _compiled_step if compiled else _numpy_step
+        kernel = _lw.load()
+        compiled = kernel is not None and _compiled_matches_numpy(kernel.bind)
+        _step = kernel.bind if compiled else _numpy_bind
     return _step
 
 
-def _compiled_matches_numpy() -> bool:
-    """Whether one step of each implementation gives the same bits."""
+def _compiled_matches_numpy(bind) -> bool:
+    """Whether one step of the binder ``bind`` gives the numpy step's bits."""
     constants = PhysicalConstants()   # orography, beta and a nonzero v
     grid = Grid.for_channel(12, 9, constants)
     state = initial_state(constants, grid)
@@ -555,7 +548,7 @@ def _compiled_matches_numpy() -> bool:
     ref.load(state)
     got.load(state)
     dt = 0.8 * min(grid.dx, grid.dy) / ref.signal_speed()
-    want, speed = _numpy_step(ref, dt), _compiled_step(got, dt)
+    want, speed = _numpy_bind(ref)(dt), bind(got)(dt)
     return (want is not None and speed == want
             and np.array_equal(ref.p.view(np.int64), got.p.view(np.int64)))
 
@@ -572,7 +565,9 @@ def _advance(w: _Workspace, t, dt, smax) -> float:
     dt_max = min(w.dx, w.dy) / smax
     if not dt <= dt_max * (1.0 + 1e-12):   # a NaN speed fails too
         raise CflViolation(dt, dt_max, t)
-    speed = (_step or _select_step())(w, dt)
+    if w.step is None:
+        w.step = (_step or _select_step())(w)
+    speed = w.step(dt)
     if speed is None:
         h = w.q[0]
         bad = h[np.isfinite(h)]

@@ -53,7 +53,7 @@ def one_blas_thread():
 @pytest.fixture
 def numpy_step(monkeypatch):
     """Run the solver on the numpy step, ``swe._step_unique``."""
-    monkeypatch.setattr(swe, "_step", swe._numpy_step)
+    monkeypatch.setattr(swe, "_step", swe._numpy_bind)
 
 
 @pytest.fixture
@@ -61,11 +61,11 @@ def compiled_step(monkeypatch):
     """Run the solver on the compiled step of ``_lw.c``, on the entry the
     loader binds (``lw_step_avx2`` on a CPU with AVX2); skip only when
     there is no C compiler to build it."""
-    if swe._select_step() is not swe._compiled_step:
+    if swe._select_step() is swe._numpy_bind:
         if shutil.which(_lw._CC) is None:
             pytest.skip(f"no C compiler ({_lw._CC}) to build the compiled sub-step")
         pytest.fail("a C compiler exists, but the compiled sub-step was not selected")
-    monkeypatch.setattr(swe, "_step", swe._compiled_step)
+    monkeypatch.setattr(swe, "_step", swe._select_step())
 
 
 @pytest.fixture
@@ -73,13 +73,15 @@ def portable_step(monkeypatch, compiled_step):
     """Run the solver on the portable entry of ``_lw.c``, ``lw_step``,
     where the loader binds the AVX2 entry; elsewhere the portable entry
     is the one ``compiled_step`` runs, and this skips."""
-    lib = swe._kernel.lib
-    if swe._kernel.entry == "lw_step":
+    loaded = swe._step.__self__   # the kernel whose bind is the binder
+    lib = loaded.lib
+    if loaded.entry == "lw_step":
         pytest.skip("the loaded kernel binds the portable entry already")
     monkeypatch.setattr(lib, "lw_has_avx2", lambda: 0)
-    monkeypatch.setattr(swe, "_kernel", _lw.Kernel(lib))
-    assert swe._kernel.entry == "lw_step"
-    assert swe._compiled_matches_numpy()
+    kernel = _lw.Kernel(lib)
+    assert kernel.entry == "lw_step"
+    assert swe._compiled_matches_numpy(kernel.bind)
+    monkeypatch.setattr(swe, "_step", kernel.bind)
 
 
 @pytest.fixture(params=["numpy", "compiled", "portable"])

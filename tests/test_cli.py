@@ -735,19 +735,23 @@ class TestVorticityCommand:
         assert np.max(np.abs(w)) <= 1e-13
 
     @pytest.mark.parametrize("key, value", [("dt", 20.0), ("nx", 8), ("dx", 300.0),
-                                            ("dy", 50.0), ("nondimensional", True)])
+                                            ("dy", 50.0), ("nondimensional", True),
+                                            ("n_snapshots", 6)])
     def test_grids_that_disagree_exit_3(self, tmp_path, capsys, key, value):
         rng = np.random.default_rng(11)
-        base = dict(nx=6, ny=4, dt=10.0, dx=100.0, dy=100.0, nondimensional=False)
+        base = dict(n_snapshots=5, nx=6, ny=4, dt=10.0, dx=100.0, dy=100.0,
+                    nondimensional=False)
         for name, header in (("u", base), ("v", {**base, key: value})):
-            data = rng.standard_normal((header["nx"] * header["ny"], 5))
-            save(SnapshotMatrix(data=data, field_tag=FieldTag[name], **header),
+            grid = dict(header)
+            data = rng.standard_normal((grid["nx"] * grid["ny"], grid.pop("n_snapshots")))
+            save(SnapshotMatrix(data=data, field_tag=FieldTag[name], **grid),
                  tmp_path / f"{name}.ksnp")
         code = main(["vorticity", "--out", str(tmp_path / "out"), "--data", str(tmp_path),
                      "--index", "2"])
         assert code == 3
         assert capsys.readouterr().err == \
             "error: u.ksnp and v.ksnp disagree on sampling or grid\n"
+        assert not list((tmp_path / "out").glob("dmd_*.npz"))   # nothing decomposed
 
     @pytest.mark.parametrize("nx, ny", [(3, 3), (2, 5), (5, 2)])
     def test_grid_below_4x4_exits_3(self, tmp_path, capsys, nx, ny):

@@ -3,7 +3,9 @@ back to the numpy step when it cannot be had."""
 
 import contextlib
 import ctypes
+import dataclasses
 import io
+import json
 import os
 import platform
 import shutil
@@ -17,6 +19,9 @@ import pytest
 
 from koopmanrom import _lw, swe
 from koopmanrom.cli import main
+
+from conftest import traced_peak
+from test_swe_halo import GRIDS, HILLY
 
 SRC = Path(__file__).parents[1] / "src"
 needs_cc = pytest.mark.skipif(shutil.which(_lw._CC) is None,
@@ -41,7 +46,6 @@ channel_width = 4400e3
 def unselected(monkeypatch):
     """No step implementation picked yet, as at the start of a process."""
     monkeypatch.setattr(swe, "_step", None)
-    monkeypatch.setattr(swe, "_kernel", None)
 
 
 def simulate(tmp_path, name):
@@ -58,16 +62,16 @@ def simulate(tmp_path, name):
 
 @needs_cc
 def test_compiled_path_is_selected_where_a_compiler_exists(unselected):
-    assert swe._select_step() is swe._compiled_step
+    assert isinstance(swe._select_step().__self__, _lw.Kernel)
 
 
 def test_missing_compiler_falls_back_to_the_same_output(tmp_path, monkeypatch, unselected):
-    monkeypatch.setattr(swe, "_step", swe._numpy_step)
+    monkeypatch.setattr(swe, "_step", swe._numpy_bind)
     want = simulate(tmp_path, "numpy")
     monkeypatch.setattr(swe, "_step", None)
     monkeypatch.setattr(_lw, "_CC", str(tmp_path / "no-such-cc"))
     got = simulate(tmp_path, "fallback")
-    assert swe._step is swe._numpy_step
+    assert swe._step is swe._numpy_bind
     assert got == want
     code, _, err, files = got
     assert code == 0 and err == "" and sorted(files) == ["h.ksnp", "u.ksnp", "v.ksnp"]
@@ -75,7 +79,7 @@ def test_missing_compiler_falls_back_to_the_same_output(tmp_path, monkeypatch, u
 
 def test_compiled_output_matches_numpy_byte_for_byte(tmp_path, monkeypatch, compiled_step):
     got = simulate(tmp_path, "compiled")
-    monkeypatch.setattr(swe, "_step", swe._numpy_step)
+    monkeypatch.setattr(swe, "_step", swe._numpy_bind)
     assert got == simulate(tmp_path, "numpy")
 
 
@@ -118,7 +122,7 @@ def test_a_kernel_that_disagrees_is_not_selected(monkeypatch, unselected):
             return off
 
     monkeypatch.setattr(_lw, "load", Off)
-    assert swe._select_step() is swe._numpy_step
+    assert swe._select_step() is swe._numpy_bind
 
 
 @needs_cc
@@ -208,15 +212,15 @@ def test_unusable_cache_builds_for_the_process(tmp_path, monkeypatch, unselected
     # the cache root is a file, so no cache directory can be made
     (tmp_path / "file").write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
-    assert swe._select_step() is swe._compiled_step
+    assert isinstance(swe._select_step().__self__, _lw.Kernel)
     assert sorted(tmp_path.iterdir()) == [tmp_path / "file"]
 
 
 @needs_cc
 def test_concurrent_first_builds_leave_one_library(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(tmp_path))
-    code = ("from koopmanrom import swe; "
-            "assert swe._select_step() is swe._compiled_step")
+    code = ("from koopmanrom import _lw, swe; "
+            "assert isinstance(swe._select_step().__self__, _lw.Kernel)")
     procs = [subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(2)]
     assert [p.wait(timeout=120) for p in procs] == [0, 0]
     files = sorted((tmp_path / "koopmanrom").iterdir())
@@ -245,18 +249,94 @@ def test_import_builds_nothing():
 @needs_cc
 def test_binding_checks_the_workspace_layout(classic_constants):
     grid = swe.Grid.for_channel(16, 8, classic_constants)
-    kernel = _lw.load()
+    w = swe._Workspace(classic_constants, grid)
+    w.q = np.zeros((3, grid.ny * (grid.nx + 1) + 1))   # one value too many
+    with pytest.raises(ValueError, match="array q "):
+        _lw.load().bind(w)
 
-    def refused(name, **arrays):
-        w = swe._Workspace(classic_constants, grid)
-        vars(w).update(arrays)
-        with pytest.raises(ValueError, match=f"array {name} "):
-            kernel.bind(w)
 
-    ring = swe._Workspace(classic_constants, grid).ring
-    refused("q", q=np.zeros((3, grid.ny * (grid.nx + 1) + 1)))   # one value too many
-    refused("ring", ring=ring[:-1])                               # one slot too few
-    refused("ring", ring=ring[:, :-8])                            # one row length short
-    raw = np.zeros(ring.size + 16)
-    start = -raw.ctypes.data % 64 // 8 + 1
-    refused("ring", ring=raw[start:start + ring.size].reshape(ring.shape))   # not aligned
+@pytest.mark.parametrize("e", [5, 8, 9, 16, 17, 130])
+def test_row_ring_has_every_slot_of_the_kernel_aligned(e):
+    ring = _lw._row_ring(e)
+    assert _lw._slot(e) % 8 == 0 and e <= _lw._slot(e) < e + 8
+    assert ring.shape == (_lw._RING_SLOTS, _lw._slot(e)) and ring.dtype == np.float64
+    assert ring.flags.c_contiguous and ring.ctypes.data % 64 == 0
+    assert not ring.any()
+
+
+def first_step(constants, grid, state):
+    """A new workspace on ``state`` after one step of half the CFL limit."""
+    w = swe._Workspace(constants, grid)
+    w.load(state)
+    speed = swe.max_signal_speed(state, constants)
+    swe._advance(w, 0.0, 0.5 * min(grid.dx, grid.dy) / speed, speed)
+    return w
+
+
+def test_a_workspace_holds_only_the_state_and_the_bound_step(classic_constants, step_path):
+    # each step's scratch belongs to its binding: the compiled step's ring
+    # to the kernel's, the numpy stacks to _numpy_bind's
+    grid = swe.Grid.for_channel(16, 8, classic_constants)
+    w = first_step(classic_constants, grid, swe.initial_state(classic_constants, grid))
+    assert [name for name, a in vars(w).items() if isinstance(a, np.ndarray)] == ["p", "q"]
+    assert callable(w.step)
+
+
+def test_a_compiled_workspace_allocates_no_numpy_stacks(classic_constants, compiled_step):
+    # p, q and the source tables of 129 x 65 are 1.0 MiB, and building
+    # the tables takes 0.4 MiB more at its peak; the numpy step's stacks,
+    # which the compiled step never reads, would add 1.35 MiB
+    grid = swe.Grid.for_channel(129, 65, classic_constants)
+    state = swe.initial_state(classic_constants, grid)
+    _, peak = traced_peak(lambda: first_step(classic_constants, grid, state))
+    assert peak < 1.6 * 2**20
+
+
+SANITIZED_STEP = """if True:
+    import ctypes, json, sys
+    import numpy as np
+    from koopmanrom import _lw, swe
+
+    lib = ctypes.CDLL(sys.argv[1])
+    binders = [swe._numpy_bind, _lw.Kernel(lib).bind]
+    if binders[1].__self__.entry == "lw_step_avx2":
+        lib.lw_has_avx2 = lambda: 0   # bind the portable entry as well
+        binders.append(_lw.Kernel(lib).bind)
+        assert binders[2].__self__.entry == "lw_step"
+    constants = swe.PhysicalConstants(**json.loads(sys.argv[2]))
+    for nx, ny in json.loads(sys.argv[3]):
+        grid = swe.Grid.for_channel(nx, ny, constants)
+        state = swe.initial_state(constants, grid)
+        dt = 0.8 * min(grid.dx, grid.dy) / swe.max_signal_speed(state, constants)
+        got = []
+        for bind in binders:
+            w = swe._Workspace(constants, grid)
+            w.load(state)
+            speed = bind(w)(dt)
+            got.append((speed, w.p.tobytes()))
+        assert got[0][0] is not None and got.count(got[0]) == len(got), (nx, ny)
+    """
+
+
+@needs_cc
+def test_kernel_steps_clean_under_address_and_undefined_sanitizers(tmp_path):
+    # every edge grid of test_swe_halo and the full grid, on both entries
+    cc = shutil.which(_lw._CC)
+    asan = subprocess.run([cc, "-print-file-name=libasan.so"], stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=60).stdout.strip()
+    if not os.path.isabs(asan):
+        pytest.skip(f"{cc} has no libasan")
+    lib = tmp_path / "lw_sanitized.so"
+    build = subprocess.run([cc, *_lw._FLAGS, "-O1", "-fsanitize=address,undefined",
+                            "-fno-sanitize-recover=all", "-o", str(lib), str(_lw._SOURCE)],
+                           stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                           timeout=_lw._BUILD_TIMEOUT_S)
+    assert build.returncode == 0, build.stderr
+    grids = [*GRIDS, (16, 8), (129, 65)]
+    env = dict(os.environ, PYTHONPATH=str(SRC), LD_PRELOAD=asan,
+               ASAN_OPTIONS="detect_leaks=0")
+    run = subprocess.run([sys.executable, "-c", SANITIZED_STEP, str(lib),
+                          json.dumps(dataclasses.asdict(HILLY)), json.dumps(grids)],
+                         env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
