@@ -196,9 +196,10 @@ def _column_errors(res: np.ndarray, t: np.ndarray) -> np.ndarray:
         return np.where(den > 0.0, num / den, np.inf)
 
 
-def _require_epsilon(epsilon: float) -> None:
+def check_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless the threshold lies in (0, 1)."""
     if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+        raise ValueError(f"epsilon = {epsilon} outside (0, 1)")
 
 
 @_lapack.one_thread()
@@ -216,7 +217,7 @@ def select_leading_modes(matrix: SnapshotMatrix, dec: dmd.DmdDecomposition,
     curve; the per-time errors are taken from that pass where the curve
     first reaches epsilon.
     """
-    _require_epsilon(epsilon)
+    check_epsilon(epsilon)
     weights, order = _ranking(dec, matrix.n_snapshots - 1)
     t, b = dec.coordinates(matrix.v0)
     ref = _reference_norm(t)
@@ -276,7 +277,7 @@ def reduced_model(matrix: SnapshotMatrix, epsilon: float, store, *,
     With ``time_errors`` False the model holds None there.  Deleting the
     file forces a recompute.
     """
-    _require_epsilon(epsilon)
+    check_epsilon(epsilon)
     key = _store_key(matrix)
     stored = _load_store(store, key, matrix)
     if stored is None:
@@ -400,6 +401,6 @@ def reduction_percentage(rom: RomModel) -> float:
 
 __all__ = [
     "RomModel",
-    "mode_weights", "relative_error", "per_time_errors",
+    "mode_weights", "relative_error", "per_time_errors", "check_epsilon",
     "select_leading_modes", "reduced_model", "reduction_percentage",
 ]

@@ -81,6 +81,9 @@ class PhysicalConstants:
     def __post_init__(self):
         if not (self.gravity > 0 and self.channel_length > 0 and self.channel_width > 0):
             raise ValueError("gravity, channel_length and channel_width must be positive")
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ValueError(f"{name} = {value} is not finite")
 
 
 @dataclass(frozen=True)
@@ -100,9 +103,11 @@ class Grid:
 
     @classmethod
     def for_channel(cls, nx: int, ny: int, constants: PhysicalConstants) -> "Grid":
-        return cls(nx=nx, ny=ny,
-                   dx=constants.channel_length / (nx - 1),
-                   dy=constants.channel_width / (ny - 1))
+        try:   # below 2 divides by 1, beyond floats has no spacing: Grid refuses both
+            return cls(nx=nx, ny=ny, dx=constants.channel_length / max(nx - 1, 1),
+                       dy=constants.channel_width / max(ny - 1, 1))
+        except OverflowError:
+            return cls(nx=nx, ny=ny, dx=0.0, dy=0.0)
 
     @property
     def x(self) -> np.ndarray:
@@ -240,8 +245,9 @@ def _signal_speed(p, g, s, t) -> float:
 
 
 def total_mass(state: SweState, grid: Grid) -> float:
-    """Plain quadrature sum(h) * dx * dy over the unique columns."""
-    return float(np.sum(state.h[:, :-1]) * grid.dx * grid.dy)
+    """Plain quadrature sum(h) * dx * dy over the unique columns, or inf."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(state.h[:, :-1]) * grid.dx * grid.dy)
 
 
 def _with_halo(a):
@@ -591,6 +597,23 @@ def lax_wendroff_step(state: SweState, dt: float, constants: PhysicalConstants,
     return w.state(state.t + dt)
 
 
+def sampling_horizon(snapshot_dt: float, n_snapshots: int, cfl: float) -> float:
+    """(n_snapshots - 1) * snapshot_dt; ValueError names n_snapshots below 2,
+    cfl outside (0, inf), or snapshot_dt for a horizon not finite and > 0."""
+    if n_snapshots < 2:
+        raise ValueError(f"n_snapshots = {n_snapshots} < 2")
+    if not 0.0 < cfl < np.inf:
+        raise ValueError(f"cfl = {cfl} must be {'finite' if cfl > 0 else 'positive'}")
+    try:
+        horizon = float(n_snapshots - 1) * snapshot_dt
+    except OverflowError:   # an integer beyond the range of a float
+        horizon = np.inf
+    if not (snapshot_dt > 0 and np.isfinite(horizon)):
+        raise ValueError(f"snapshot_dt = {snapshot_dt} must be positive, with a finite "
+                         "horizon (n_snapshots - 1) * snapshot_dt")
+    return horizon
+
+
 def simulate(constants: PhysicalConstants, grid: Grid, snapshot_dt: float,
              n_snapshots: int, cfl: float = 0.8, out=None):
     """Run from the balanced initial condition, sampling every snapshot_dt.
@@ -605,37 +628,31 @@ def simulate(constants: PhysicalConstants, grid: Grid, snapshot_dt: float,
     so the sink may keep or modify them.  The first state reaches the
     sink only after every setup check below has passed.
 
-    Raises ValueError before the first step, naming cfl unless 0 < cfl <
-    inf, and naming snapshot_dt when the horizon (n_snapshots - 1) *
-    snapshot_dt is not finite or needs more than 2**53 sub-steps of the
-    initial CFL step: float time cannot resolve a sub-step that far out.  Any finite horizon below that
-    bound runs for as long as it needs.  Should the time still stop
-    advancing (t + dt == t), that is a blow-up when the signal speed has
-    risen over the last two sub-steps: it raises NonPositiveDepth at t
-    with the depth's current minimum, since the collapsing depth would
-    otherwise take hundreds of sub-steps at a frozen t to reach zero.
-    With the speed not rising it raises ValueError.
+    Raises ValueError before the first step where ``sampling_horizon``
+    does, when the initial state, its forcing or its signal speed leaves
+    the float range, and naming snapshot_dt when the horizon needs more
+    than 2**53 sub-steps of the initial CFL step, which float time
+    cannot resolve; a finite horizon below that runs as long as it needs.
+    Should the time still stop advancing (t + dt == t), that is a
+    blow-up when the signal speed has risen over the last two sub-steps:
+    it raises NonPositiveDepth at t with the depth's current minimum, as
+    the collapsing depth would otherwise take hundreds of sub-steps at a
+    frozen t to reach zero.  With the speed not rising it raises ValueError.
     """
-    if n_snapshots < 2:
-        raise ValueError("need at least two snapshots")
-    if not 0.0 < cfl < np.inf:
-        raise ValueError(f"cfl = {cfl} must be finite and positive")
-    try:
-        horizon = float(n_snapshots - 1) * snapshot_dt
-    except OverflowError:   # an integer beyond the range of a float
-        horizon = np.inf
-    if not (snapshot_dt > 0 and np.isfinite(horizon)):
-        raise ValueError("snapshot_dt must be positive with a finite horizon "
-                         "(n_snapshots - 1) * snapshot_dt")
-
-    state = initial_state(constants, grid)
-    w = _Workspace(constants, grid)
-    w.load(state)
+    horizon = sampling_horizon(snapshot_dt, n_snapshots, cfl)
     dmin = min(grid.dx, grid.dy)
-    smax = w.signal_speed()
-    if horizon > 2.0 ** 53 * (cfl * dmin / smax):
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            state = initial_state(constants, grid)
+            w = _Workspace(constants, grid)
+            w.load(state)
+            smax = w.signal_speed()
+            first = cfl * dmin / smax
+    except ArithmeticError as exc:   # an overflow, or a speed below the float range
+        raise ValueError(f"no finite first sub-step on this grid: {exc}") from exc
+    if horizon > 2.0 ** 53 * first:
         raise ValueError(f"snapshot_dt = {snapshot_dt:g} s: the horizon {horizon:g} s "
-                         f"needs more than 2**53 sub-steps of {cfl * dmin / smax:g} s, "
+                         f"needs more than 2**53 sub-steps of {first:g} s, "
                          "beyond what float time resolves")
     out = [] if out is None else out
     out.append(state)
@@ -690,5 +707,5 @@ __all__ = [
     "coriolis_at", "orography", "grammeltvedt_height",
     "geostrophic_velocities", "initial_state", "lax_wendroff_step",
     "simulate", "nondimensionalize", "dimensionalize", "vorticity",
-    "max_signal_speed", "total_mass",
+    "max_signal_speed", "total_mass", "sampling_horizon",
 ]

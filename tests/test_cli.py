@@ -329,8 +329,7 @@ class TestSimulateCommand:
         ("snapshot_dt = 1e300\nn_snapshots = 3\n", "snapshot_dt"),
         ("coriolis_f0 = 0\ncoriolis_beta = 0\n", "Coriolis parameter vanishes"),
         ("shear_depth = 0\nwave_depth = 0\n", "non-positive reference scales"),
-        ("cfl = inf\n", "cfl = inf must be finite"),
-    ], ids=["unresolvable-horizon", "no-coriolis", "still-water", "infinite-cfl"])
+    ], ids=["unresolvable-horizon", "no-coriolis", "still-water"])
     def test_solver_setup_error_exits_3(self, tmp_path, capsys, text, message):
         # each passes the config checks and is rejected before any output
         cfg = write_cfg(tmp_path, DESK_CFG + "nx = 16\nny = 8\nn_snapshots = 3\n" + text)
@@ -342,15 +341,41 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("text, message", [
         ("n_snapshots = 1\n", "n_snapshots = 1 < 2"),
         ("cfl = 0\n", "cfl = 0.0 must be positive"),
+        ("cfl = inf\n", "cfl = inf must be finite"),
         ("coriolis_f0 = inf\n", "coriolis_f0 = inf is not finite"),
         ("gravity = -1\n", "gravity, channel_length and channel_width must be positive"),
-    ], ids=["one-snapshot", "zero-cfl", "infinite-coriolis", "negative-gravity"])
+    ], ids=["one-snapshot", "zero-cfl", "infinite-cfl", "infinite-coriolis",
+            "negative-gravity"])
     def test_config_guard_exits_3(self, tmp_path, capsys, text, message):
         cfg = write_cfg(tmp_path, DESK_CFG + "nx = 16\nny = 8\nn_snapshots = 3\n" + text)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (f"nx = {10**400}\n", "grid spacing must be positive"),
+        ("orography_amplitude = 4000\nchannel_length = 265e3\nchannel_width = 8e6\n",
+         "no finite first sub-step on this grid: overflow"),
+    ], ids=["grid-count-1e400", "hill-overflows"])
+    def test_beyond_float_range_exits_3(self, tmp_path, capsys, text, message):
+        # an OverflowError converting nx to a float, and a RuntimeWarning
+        # in the hill (an error in this suite), both used to escape main
+        cfg = write_cfg(tmp_path, DESK_CFG + "nx = 16\nny = 8\nn_snapshots = 3\n" + text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "o").exists()
+
+    def test_mass_below_float_range_gives_nan_drift(self, tmp_path, capsys):
+        # depths of 1e-300 m on cells of 1e-200 m^2: the mass underflows to
+        # 0, and the drift divided by it
+        cfg = write_cfg(tmp_path, "nx = 6\nny = 5\nn_snapshots = 2\nsnapshot_dt = 1e-120\n"
+                                  "mean_depth = 1e-300\nshear_depth = 0\nwave_depth = 1e-300\n"
+                                  "orography_amplitude = 0\nchannel_length = 1e-100\n"
+                                  "channel_width = 1e-100\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert "final 0.0000000000e+00, relative drift nan" in capsys.readouterr().out
 
     def test_grid_beyond_memory_exits_3(self, tmp_path):
         """A 20000 x 20000 grid under a 2 GiB address-space limit: exit 3
@@ -871,6 +896,25 @@ class TestDecompositionStore:
         for query in self.QUERIES:
             counts = run_counted([*query, "--config", cfg, "--out", out, "--data", data])
             assert counts[0] == 0 and counts[3:] == (0, 0, 0), query
+
+    def test_unreadable_store_is_a_miss(self, tmp_path, desk_ksnp):
+        """A directory where dmd_h.npz belongs neither reads as a store
+        nor is replaced by one: rom decomposes afresh, reports as a cold
+        run does and leaves the directory as it was."""
+        cfg, data = desk_ksnp
+        argv = ["rom", "--config", cfg, "--data", data]
+        cold = tmp_path / "cold"
+        code, cold_echo, _, _ = run_counting([*argv, "--out", cold])
+        assert code == 0
+        out = tmp_path / "out"
+        (out / "dmd_h.npz").mkdir(parents=True)
+        (out / "dmd_h.npz" / "keep").write_bytes(b"not a store")
+        code, echo, err, fits = run_counting([*argv, "--out", out])
+        assert (code, err, fits) == (0, "", 3)
+        assert echo == cold_echo and outputs(out) == outputs(cold)
+        assert [p.name for p in (out / "dmd_h.npz").iterdir()] == ["keep"]
+        assert (out / "dmd_h.npz" / "keep").read_bytes() == b"not a store"
+        assert not [p for p in out.iterdir() if p.suffix == ".tmp"]
 
     def test_second_rom_gives_the_same_reports(self, warm):
         cfg, data, out = warm

@@ -79,7 +79,8 @@ from hypothesis import strategies as st
 import koopmanrom as kr
 from koopmanrom import _lapack
 from koopmanrom.cli import main
-from koopmanrom.dmd import CompanionFit, _companion_eig, _qr_solve, conjugate_groups
+from koopmanrom.dmd import (CompanionFit, _aberth, _companion_eig, _conjugate_layout,
+                            _qr_solve, conjugate_groups)
 from koopmanrom.errors import EigenFailure, RankDeficient
 
 from conftest import (lead_rotation, make_modal_data, matrix_from_array, normwise_dev,
@@ -420,6 +421,21 @@ def test_solver_matches_eig_on_spectra(matrix):
     lambdas, _ = _companion_eig(fit)
     ref = np.linalg.eigvals(fit.companion)
     assert matched_gap(lambdas, ref) <= 1e-11 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("nt, c0", [(12, 0.5), (40, 2.0), (7, -1.3)])
+def test_solver_on_zero_interior_coefficients(nt, c0):
+    """c = (c0, 0, ..., 0), the polynomial x^Nt - c0: the Newton polygon
+    skips every zero coefficient, and the Aberth path takes the roots."""
+    c = np.zeros(nt)
+    c[0] = c0
+    found = _aberth(c)
+    assert found is not None and _conjugate_layout(c, *found) is not None
+    fit = CompanionFit(coefficients=c, residual_norm=0.0, r=np.eye(nt))
+    lambdas, z = _companion_eig(fit)
+    ref = np.linalg.eigvals(fit.companion)
+    assert matched_gap(lambdas, ref) <= 1e-13 * np.max(np.abs(ref))
+    assert_layout(lambdas, z)
 
 
 def refined(c, lambdas, dps=40):

@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import koopmanrom as kr
-from koopmanrom.cli import _KEYS, ExperimentConfig, main, parse_config
+from koopmanrom.cli import _CONSTANT_KEYS, _KEYS, ExperimentConfig, main, parse_config
 from koopmanrom.errors import (CorruptHeader, InvalidValue, NonFiniteData,
                                TooFewColumns, ToolkitError)
 from koopmanrom.snapshots import (FieldTag, KsnpWriter, SnapshotMatrix, field_tag, load,
                                   save)
+from koopmanrom.swe import max_signal_speed
 
 HEADER_BYTES = 52
 NX, NY, NSNAP = 3, 2, 4
@@ -316,3 +317,59 @@ class TestQueryCommands:
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
             assert code in (0, 1, 2, 3)
+
+
+# --- simulate on tiny configs with constants from wide ranges ---
+
+SIMULATIONS = settings(max_examples=400, deadline=None, database=None, derandomize=True)
+MAX_SUB_STEPS = 300
+
+
+def initial_step(nx, ny, cfl, constants) -> float | None:
+    """The run's initial CFL sub-step, or None where the constants, the
+    grid or the initial state raise.  Float warnings are silenced here
+    only: this bounds the run, the run itself is what the test checks."""
+    try:
+        with np.errstate(all="ignore"):
+            c = kr.PhysicalConstants(**constants)
+            grid = kr.Grid.for_channel(nx, ny, c)
+            speed = max_signal_speed(kr.initial_state(c, grid), c)
+            return cfl * min(grid.dx, grid.dy) / speed
+    except (ValueError, ArithmeticError):
+        return None
+
+
+@st.composite
+def simulate_configs(draw):
+    """Grids 1..9 x 1..9, 1-3 snapshots, cfl in [0.05, 1.5] and up to
+    three constants over all floats or over +-1e6; snapshot_dt puts the
+    horizon at most ``MAX_SUB_STEPS`` initial sub-steps out, or is 1800 s
+    where the initial step cannot be computed."""
+    nx, ny = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    n_snapshots = draw(st.integers(1, 3))
+    cfl = draw(st.floats(0.05, 1.5))
+    constants = draw(st.dictionaries(
+        st.sampled_from(_CONSTANT_KEYS),
+        st.one_of(st.floats(), st.floats(-1e6, 1e6)), max_size=3))
+    step = initial_step(nx, ny, cfl, constants)
+    snapshot_dt = 1800.0
+    if step is not None and 0.0 < step < np.inf:
+        longest = MAX_SUB_STEPS * step / max(n_snapshots - 1, 1)
+        snapshot_dt = longest * draw(st.floats(0.01, 1.0))
+    lines = {"nx": nx, "ny": ny, "n_snapshots": n_snapshots, "cfl": cfl,
+             "snapshot_dt": snapshot_dt, **constants}
+    return "".join(f"{key} = {value!r}\n" for key, value in lines.items())
+
+
+class TestSimulateCommand:
+    @SIMULATIONS
+    @given(text=simulate_configs())
+    def test_every_config_ends_with_an_exit_code(self, tmp_path_factory, text):
+        """simulate exits 0-3 with no exception, warnings being errors."""
+        run = tmp_path_factory.mktemp("simulate")
+        cfg = run / "run.cfg"
+        cfg.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["simulate", "--config", str(cfg), "--out", str(run / "out")])
+        assert code in (0, 1, 2, 3)

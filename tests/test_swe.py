@@ -1,6 +1,8 @@
 """Solver unit tests: forcing terms, initial condition, stepping,
 scaling and vorticity."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,12 @@ class TestConstants:
         with pytest.raises(ValueError):
             kr.PhysicalConstants(channel_length=-1.0)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("name", [f.name for f in fields(kr.PhysicalConstants)])
+    def test_non_finite_field_refused(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            kr.PhysicalConstants(**{name: value})
+
 
 class TestGrid:
     def test_spacing(self, paper_constants):
@@ -123,6 +131,23 @@ class TestGrid:
     def test_minimum_size(self, paper_constants):
         with pytest.raises(ValueError):
             kr.Grid.for_channel(3, 8, paper_constants)
+
+    @pytest.mark.parametrize("nx, ny", [(1, 5), (5, 1), (0, 5), (3, 5)])
+    def test_size_below_minimum_refused_by_grid(self, paper_constants, nx, ny):
+        # a size of 1 used to divide by zero before the grid saw it
+        with pytest.raises(ValueError, match="grid needs nx >= 4 and ny >= 4"):
+            kr.Grid.for_channel(nx, ny, paper_constants)
+
+    def test_size_beyond_float_range_has_no_spacing(self, paper_constants):
+        with pytest.raises(ValueError, match="grid spacing must be positive"):
+            kr.Grid.for_channel(10**400, 5, paper_constants)
+
+    def test_mass_beyond_float_range_is_inf(self, paper_constants):
+        # the sum of the depths overflows: inf, and no warning
+        grid = kr.Grid.for_channel(9, 9, paper_constants)
+        h = np.full((9, 9), 1e307)
+        state = kr.SweState(h=h, u=np.zeros_like(h), v=np.zeros_like(h), t=0.0)
+        assert kr.total_mass(state, grid) == np.inf
 
 
 class TestLaxWendroffStep:
@@ -350,19 +375,46 @@ class TestSimulate:
         assert exc.value.h_min == np.min(kr.initial_state(constants, grid).h) < 0.0
         assert sink == []
 
-    def test_nan_initial_depth_raises_at_t0(self, monkeypatch):
+    def test_nan_initial_depth_raises_at_t0(self, classic_constants, monkeypatch):
         # it used to pass the depth check, and then the CFL gate with a NaN
-        # sub-step, and raise at t = nan
+        # sub-step, and raise at t = nan; PhysicalConstants refuses a NaN
+        # mean depth, so the NaN is put into the initial state itself
         def no_step(*args):
             raise AssertionError("simulate stepped a state with a NaN depth")
 
+        initial_state = kr.swe.initial_state
+
+        def nan_depth(constants, grid):
+            state = initial_state(constants, grid)
+            return replace(state, h=np.full_like(state.h, np.nan))
+
         monkeypatch.setattr(kr.swe, "_advance", no_step)
-        constants = kr.PhysicalConstants(mean_depth=np.nan)
-        grid = kr.Grid.for_channel(16, 8, constants)
+        monkeypatch.setattr(kr.swe, "initial_state", nan_depth)
+        grid = kr.Grid.for_channel(16, 8, classic_constants)
         sink = []
         with pytest.raises(NonPositiveDepth) as exc:
-            kr.simulate(constants, grid, 30.0, 2, out=sink)
+            kr.simulate(classic_constants, grid, 30.0, 2, out=sink)
         assert exc.value.t == 0.0 and np.isnan(exc.value.h_min)
+        assert sink == []
+
+    @pytest.mark.parametrize("overrides, why", [
+        (dict(channel_width=8e6), "overflow"),
+        (dict(gravity=5e-324, mean_depth=0.1, shear_depth=0.0, wave_depth=0.0),
+         "float division by zero"),
+    ], ids=["hill-overflows", "zero-signal-speed"])
+    def test_initial_state_beyond_float_range_refused_before_stepping(
+            self, monkeypatch, overrides, why):
+        # a hill of exp(900) m, and g h below the smallest float: without
+        # the setup guard the first raised a RuntimeWarning, the second a
+        # ZeroDivisionError
+        def no_step(*args):
+            raise AssertionError("simulate stepped an unrepresentable state")
+
+        monkeypatch.setattr(kr.swe, "_advance", no_step)
+        constants = kr.PhysicalConstants(**overrides)
+        sink = []
+        with pytest.raises(ValueError, match=f"no finite first sub-step on this grid: {why}"):
+            kr.simulate(constants, kr.Grid.for_channel(8, 6, constants), 60.0, 3, out=sink)
         assert sink == []
 
     def test_stalled_time_raises(self, classic_constants, monkeypatch):
