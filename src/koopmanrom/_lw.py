@@ -13,17 +13,17 @@ The library is built with the C compiler ``cc`` and fixed flags: ``-O3``
 with FMA contraction off, no fast-math and no errno from ``sqrt``, so
 every floating-point operation rounds as numpy's does.  It is kept in
 ``${XDG_CACHE_HOME:-~/.cache}/koopmanrom/`` under a name keyed by the
-sha256 of the source, the flags, ``cc --version`` and the machine, so a
-changed source, flag or compiler builds anew and later processes load
-the cached file.  The name also holds the digest of the library itself,
-and a file whose bytes do not match it is never loaded: a truncated
-library can crash the loader.  A build goes to a temporary file that is
-renamed into place, so concurrent first builds leave one complete
-library.  A cached file that does not match or load is rebuilt; an
-unwritable cache directory gives a build in a per-process temporary
-directory.  Each load sets the library's mtime, and a build removes the
-files of other keys that no process has loaded for a week, so a changed
-source or compiler leaves no stale library behind for long.
+sha256 of the source, each ``/* */`` comment read as a space, the flags,
+``cc --version`` and the machine, so changed code, flags or compiler
+build anew and later processes load the cached file.  The name also holds
+the digest of the library itself, and a file whose bytes do not match it
+is never loaded: a truncated library can crash the loader.  A build goes
+to a temporary file that is renamed into place, so concurrent first
+builds leave one complete library.  A cached file that does not match or
+load is rebuilt; an unwritable cache directory gives a build in a
+per-process temporary directory.  Each load sets the library's mtime, and
+a build removes every ``_lw-*`` file untouched for a week: an unloaded or
+damaged library of any key, or a dead build's temporary.
 
 ``Kernel.bind`` is a step binder of ``swe``; the step it returns holds
 the block of row rings in which the kernel keeps its intermediates.
@@ -39,6 +39,7 @@ import ctypes
 import hashlib
 import os
 import platform
+import re
 import shutil
 import subprocess
 import tempfile
@@ -173,7 +174,8 @@ def library_key(cc: str) -> str:
     """The cache key of the library the compiler ``cc`` builds."""
     version = subprocess.run([cc, "--version"], check=True, stdin=subprocess.DEVNULL,
                              capture_output=True, timeout=_BUILD_TIMEOUT_S).stdout
-    return hashlib.sha256(b"\0".join([_SOURCE.read_bytes(), " ".join(_FLAGS).encode(),
+    code = re.sub(rb"/\*.*?\*/", b" ", _SOURCE.read_bytes(), flags=re.S)
+    return hashlib.sha256(b"\0".join([code, " ".join(_FLAGS).encode(),
                                       version, platform.machine().encode()])).hexdigest()[:32]
 
 
@@ -204,10 +206,9 @@ def load():
                 return _open(_build(cc, Path(tmp), key))
             except (OSError, subprocess.SubprocessError):
                 return None
-    # the mapped library of a running process outlives its file
+    # a mapped library outlives its file, and a build ends in _BUILD_TIMEOUT_S
     for path in directory.glob("_lw-*"):
         with contextlib.suppress(OSError):   # removed meanwhile
-            if (not path.name.startswith(f"_lw-{key}-")
-                    and path.stat().st_mtime < time.time() - _EVICT_AFTER_S):
+            if path.stat().st_mtime < time.time() - _EVICT_AFTER_S:
                 path.unlink()
     return _open(built)

@@ -537,15 +537,18 @@ def reconstruct(dec: DmdDecomposition, subset: Sequence[int], i: int) -> np.ndar
     """Real part of sum_j a_j lambda_j^(i-1) phi_j over the subset.
 
     For a conjugate-closed subset the imaginary residue is roundoff.
-    ``i`` is the 1-based snapshot index; i = 1 applies no eigenvalue
-    power and targets the snapshot the amplitudes were fit to.
+    ``i`` is the 1-based snapshot index, IndexOutOfRange where a selected
+    power overflows; i = 1 targets the snapshot the amplitudes were fit to.
     """
     idx = dec._mode_index(subset)
     if idx.size == 0:
         raise IndexOutOfRange("empty mode subset")
     if i < 1:
         raise IndexOutOfRange(f"snapshot index {i} < 1")
-    coef = dec.amplitudes[idx] * dec.lambdas[idx] ** (i - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = dec.amplitudes[idx] * dec.lambdas[idx] ** (i - 1)
+    if not np.isfinite(coef).all():
+        raise IndexOutOfRange(f"snapshot index i = {i}: a selected mode's power overflows")
     # Re(V0 z c) = V0 Re(z c), V0 real
     return dec.v0 @ (dec.z[:, idx] @ coef).real
 

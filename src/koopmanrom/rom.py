@@ -97,8 +97,10 @@ class RomModel:
 
 
 def mode_weights(dec: dmd.DmdDecomposition, n_steps: int) -> np.ndarray:
-    """Weight of every mode over an n_steps reconstruction horizon, a
-    float64 array indexed by mode: the weights of ``_ranking``."""
+    """Weight of every mode over a horizon of n_steps >= 1 (ValueError
+    otherwise), a float64 array indexed by mode: ``_ranking``'s weights."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps = {n_steps} < 1")
     return _ranking(dec, n_steps)[0]
 
 

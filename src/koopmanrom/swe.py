@@ -45,6 +45,7 @@ step runs.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -268,6 +269,16 @@ def _refresh_halo(a):
     a[..., -1] = a[..., 1]
 
 
+@contextlib.contextmanager
+def _setup_guard():
+    """ValueError for an overflow, a division by zero or a NaN in the block."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except ArithmeticError as exc:   # an overflow, or a speed below the float range
+        raise ValueError(f"no finite first sub-step on this grid: {exc}") from exc
+
+
 class _SourceTables:
     """Coriolis values and gravity times the orography gradients, in the
     flat halo layout, at cells, at x faces and at y faces.
@@ -282,6 +293,7 @@ class _SourceTables:
     face of unique column nx-2, east of which lies unique column 0.
     """
 
+    @_setup_guard()
     def __init__(self, constants: PhysicalConstants, grid: Grid):
         nxu = grid.nx - 1
         dx, dy = grid.dx, grid.dy
@@ -588,8 +600,8 @@ def lax_wendroff_step(state: SweState, dt: float, constants: PhysicalConstants,
 
     Raises CflViolation unless dt is within the unit-Courant envelope
     min(dx, dy) / max(|u| + |v| + sqrt(g h)), which a NaN velocity makes
-    NaN, and NonPositiveDepth if the given or the updated depth is not
-    strictly positive everywhere (a NaN depth is not).
+    NaN, NonPositiveDepth if the given or the updated depth is not
+    positive (a NaN depth is not), and ValueError for forcing beyond floats.
     """
     w = _Workspace(constants, grid)
     w.load(state)
@@ -641,15 +653,12 @@ def simulate(constants: PhysicalConstants, grid: Grid, snapshot_dt: float,
     """
     horizon = sampling_horizon(snapshot_dt, n_snapshots, cfl)
     dmin = min(grid.dx, grid.dy)
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            state = initial_state(constants, grid)
-            w = _Workspace(constants, grid)
-            w.load(state)
-            smax = w.signal_speed()
-            first = cfl * dmin / smax
-    except ArithmeticError as exc:   # an overflow, or a speed below the float range
-        raise ValueError(f"no finite first sub-step on this grid: {exc}") from exc
+    with _setup_guard():
+        state = initial_state(constants, grid)
+        w = _Workspace(constants, grid)
+        w.load(state)
+        smax = w.signal_speed()
+        first = cfl * dmin / smax
     if horizon > 2.0 ** 53 * first:
         raise ValueError(f"snapshot_dt = {snapshot_dt:g} s: the horizon {horizon:g} s "
                          f"needs more than 2**53 sub-steps of {first:g} s, "

@@ -325,6 +325,18 @@ class TestReconstruct:
         with pytest.raises(IndexOutOfRange):
             kr.reconstruct(dec, [99], 1)
 
+    def test_overflowing_power_is_out_of_range(self, desk_decompositions):
+        # growing modes, and desk h: the power overflowed with a RuntimeWarning
+        rng = np.random.default_rng(16)
+        data, *_ = make_modal_data(rng, 40, n_pairs=2, n_real=1, n_snapshots=6,
+                                   radius_range=(1.01, 1.05))
+        _, grows = full_decomposition(data)
+        for dec in (grows, desk_decompositions["h"]):
+            everything = range(dec.lambdas.size)
+            assert np.isfinite(kr.reconstruct(dec, everything, 6)).all()
+            with pytest.raises(IndexOutOfRange, match=r"snapshot index i = 1000000: "):
+                kr.reconstruct(dec, everything, 10**6)
+
 
 class TestInvariants:
     def test_companion_eigenvalues_match_polynomial_roots(self):

@@ -40,6 +40,13 @@ class TestModeWeights:
         assert weights[0] == 0.0
         assert weights[1] > 0.0
 
+    @pytest.mark.parametrize("n_steps", [0, -3])
+    def test_horizon_below_one_step_refused(self, n_steps):
+        # these horizons gave all-zero weights
+        dec = with_spectrum([1.0, 0.5], [1.0, 1.0])
+        with pytest.raises(ValueError, match=f"n_steps = {n_steps} < 1"):
+            kr.mode_weights(dec, n_steps)
+
     def test_weights_nonnegative_and_finite(self):
         rng = np.random.default_rng(0)
         data, *_ = make_modal_data(rng, 30, n_pairs=2, n_real=1, n_snapshots=6)

@@ -417,6 +417,18 @@ class TestSimulate:
             kr.simulate(constants, kr.Grid.for_channel(8, 6, constants), 60.0, 3, out=sink)
         assert sink == []
 
+    def test_forcing_beyond_float_range_refused_by_either_entry(self):
+        # a hill of exp(900) m: the workspace's source tables refuse it, for
+        # one step as for a run; the step alone raised a RuntimeWarning
+        constants = kr.PhysicalConstants(channel_width=8e6, mean_depth=1e6)
+        grid = kr.Grid.for_channel(8, 6, constants)
+        state = kr.initial_state(constants, grid)
+        why = "no finite first sub-step on this grid: overflow encountered in exp"
+        with pytest.raises(ValueError, match=why):
+            kr.lax_wendroff_step(state, 1.0, constants, grid)
+        with pytest.raises(ValueError, match=why):
+            kr.simulate(constants, grid, 60.0, 3)
+
     def test_stalled_time_raises(self, classic_constants, monkeypatch):
         # a signal speed that jumps once and then holds: t + dt == t with
         # nothing running away, which would otherwise loop for ever

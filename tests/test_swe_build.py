@@ -151,6 +151,18 @@ def test_speed_maximum_is_numpys_and_a_nan_wins(n):
                 assert got == np.max(s), (name, s)
 
 
+@pytest.fixture
+def stub_source(tmp_path_factory, monkeypatch):
+    """A one-line source exporting ``lw_step`` in place of ``_lw.c``, so a
+    test of the cache's mechanics builds in hundredths of a second, not
+    the seconds of the solver's -O3 build.  Its kernel loads, but cannot
+    pass ``swe._select_step``'s match with the numpy step."""
+    source = tmp_path_factory.mktemp("stub") / "stub.c"
+    source.write_text("int lw_step(void) { return 0; }\n")
+    monkeypatch.setattr(_lw, "_SOURCE", source)
+    return source
+
+
 def garbage(path):
     path.write_bytes(b"not a shared library\n" * 40)
 
@@ -163,7 +175,7 @@ def truncated(path):
 
 @needs_cc
 @pytest.mark.parametrize("damage", [garbage, truncated])
-def test_damaged_cache_file_is_rebuilt(tmp_path, monkeypatch, damage):
+def test_damaged_cache_file_is_rebuilt(tmp_path, monkeypatch, stub_source, damage):
     # a library built elsewhere, damaged in a copy at the cached path
     cc = shutil.which(_lw._CC)
     good = _lw._build(cc, tmp_path, _lw.library_key(cc))
@@ -177,23 +189,52 @@ def test_damaged_cache_file_is_rebuilt(tmp_path, monkeypatch, damage):
 
 
 @needs_cc
-def test_a_build_removes_only_libraries_unloaded_for_a_week(tmp_path, monkeypatch):
+def test_a_build_removes_every_entry_untouched_for_a_week(tmp_path, monkeypatch, stub_source):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     directory = _lw.cache_dir()
     directory.mkdir()
+    key = _lw.library_key(shutil.which(_lw._CC))
     now = time.time()
-    planted = {days: directory / f"_lw-{str(days) * 32}-{'ab' * 8}.so" for days in (8, 1)}
-    for days, path in planted.items():
-        path.write_bytes(b"a library of another source or compiler")
+    planted = {   # days since the entry was last written or loaded
+        directory / f"_lw-{'8' * 32}-{'ab' * 8}.so": 8,   # another source or compiler
+        directory / f"_lw-{'1' * 32}-{'ab' * 8}.so": 1,
+        directory / f"_lw-{key}-{'cd' * 8}.so": 8,   # this key, damaged
+        directory / f"_lw-{key}-killed.tmp": 8,   # a build that died
+        directory / f"_lw-{key}-running.tmp": 1,   # a build still running
+    }
+    for path, days in planted.items():
+        path.write_bytes(b"not the library its name promises")
         os.utime(path, (now - days * 86400,) * 2)
-    # the cache holds no library of this key: the load builds one
+    # the cache holds no library of this key that loads: the load builds one
     assert _lw.load() is not None
-    assert not planted[8].exists() and planted[1].exists()
-    assert len(list(directory.glob(f"_lw-{_lw.library_key(_lw._CC)}-*.so"))) == 1
+    built = sorted(directory.glob(f"_lw-{key}-*.so"))
+    assert len(built) == 1 and _lw._open(built[0]) is not None
+    kept = [path for path, days in planted.items() if days < 7]
+    assert sorted(directory.iterdir()) == sorted(kept + built)
 
 
 @needs_cc
-def test_a_load_moves_the_library_mtime_forward(tmp_path, monkeypatch):
+def test_the_key_reads_the_code_and_not_its_comments(tmp_path, monkeypatch):
+    cc = shutil.which(_lw._CC)
+    want, text = _lw.library_key(cc), _lw._SOURCE.read_text()
+
+    def key(source):
+        path = tmp_path / f"{len(list(tmp_path.iterdir()))}.c"
+        path.write_text(source)
+        monkeypatch.setattr(_lw, "_SOURCE", path)
+        return _lw.library_key(cc)
+
+    line_1, block, code = "/* One fused", " * lw_step does", 'supports("avx2") != 0;'
+    assert text.startswith(line_1) and text.count(block) == text.count(code) == 1
+    assert key(text.replace(line_1, "/* A fused", 1)) == want
+    assert key(text.replace(block, " * (see README)\n" + block)) == want
+    assert key(text.replace(code, 'supports("avx2") == 0;')) != want
+    # a comment separates tokens: it reads as a space, not as nothing
+    assert key("a/* x */b") == key("a/**/b") != key("ab")
+
+
+@needs_cc
+def test_a_load_moves_the_library_mtime_forward(tmp_path, monkeypatch, stub_source):
     cc = shutil.which(_lw._CC)
     good = _lw._build(cc, tmp_path, _lw.library_key(cc))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -208,20 +249,34 @@ def test_a_load_moves_the_library_mtime_forward(tmp_path, monkeypatch):
 
 
 @needs_cc
-def test_unusable_cache_builds_for_the_process(tmp_path, monkeypatch, unselected):
+def test_unusable_cache_builds_for_the_process(tmp_path, monkeypatch, stub_source):
     # the cache root is a file, so no cache directory can be made
     (tmp_path / "file").write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
-    assert isinstance(swe._select_step().__self__, _lw.Kernel)
+    assert isinstance(_lw.load(), _lw.Kernel)
     assert sorted(tmp_path.iterdir()) == [tmp_path / "file"]
 
 
 @needs_cc
-def test_concurrent_first_builds_leave_one_library(tmp_path):
+def test_concurrent_first_builds_leave_one_library(tmp_path, stub_source):
     env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(tmp_path))
-    code = ("from koopmanrom import _lw, swe; "
-            "assert isinstance(swe._select_step().__self__, _lw.Kernel)")
-    procs = [subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(2)]
+    # each child loads once both have imported, so the builds overlap
+    code = f"""if True:
+        import sys
+        from pathlib import Path
+        from koopmanrom import _lw
+        _lw._SOURCE = Path({str(stub_source)!r})
+        print(flush=True)
+        sys.stdin.readline()
+        assert isinstance(_lw.load(), _lw.Kernel)
+        """
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env, stdin=subprocess.PIPE,
+                              stdout=subprocess.PIPE) for _ in range(2)]
+    for p in procs:
+        p.stdout.readline()
+        p.stdout.close()
+    for p in procs:
+        p.stdin.close()
     assert [p.wait(timeout=120) for p in procs] == [0, 0]
     files = sorted((tmp_path / "koopmanrom").iterdir())
     assert [p.suffix for p in files] == [".so"]
