@@ -32,10 +32,11 @@
  * into q and its halo columns, and last the cell row, fluxes and x
  * gradients of row r + 2, ready for the next rows.  The rings hold 3 cell
  * rows, 2 rows of x gradients and of y faces, and 1 of y gradients and of
- * x faces: RING_SLOTS slots of e values, each padded to a multiple of 8
- * and 64-byte aligned, in one block that Kernel.bind makes (w->ring).  A
- * cell row keeps only what is not already held elsewhere: h is read from
- * p, and the mass fluxes uh and vh are the momenta.
+ * x faces: RING_SLOTS (45) slots of e values, each padded to a multiple
+ * of 8 and 64-byte aligned, in one block that Kernel.bind makes (w->ring;
+ * 48960 bytes on a 129 x 65 grid).  A cell row keeps only what is not
+ * already held elsewhere: h is read from p, and the mass fluxes uh and vh
+ * are the momenta.
  *
  * Elements that numpy forms only for a halo column, which the halo
  * refresh overwrites, are skipped: the x gradients at columns 0 and

@@ -13,17 +13,21 @@ The library is built with the C compiler ``cc`` and fixed flags: ``-O3``
 with FMA contraction off, no fast-math and no errno from ``sqrt``, so
 every floating-point operation rounds as numpy's does.  It is kept in
 ``${XDG_CACHE_HOME:-~/.cache}/koopmanrom/`` under a name keyed by the
-sha256 of the source, each ``/* */`` comment read as a space, the flags,
-``cc --version`` and the machine, so changed code, flags or compiler
-build anew and later processes load the cached file.  The name also holds
-the digest of the library itself, and a file whose bytes do not match it
-is never loaded: a truncated library can crash the loader.  A build goes
-to a temporary file that is renamed into place, so concurrent first
-builds leave one complete library.  A cached file that does not match or
-load is rebuilt; an unwritable cache directory gives a build in a
-per-process temporary directory.  Each load sets the library's mtime, and
-a build removes every ``_lw-*`` file untouched for a week: an unloaded or
-damaged library of any key, or a dead build's temporary.
+sha256 of the code, the flags, ``cc --version`` and the machine, so
+changed code, flags or compiler build anew and later processes load the
+cached file.  The code is the source with each ``/* */`` comment read
+as a space, each line stripped, its runs of spaces and tabs read as one
+and blank lines dropped: an edit to comments or blanks keeps the key,
+while ``a/**/b`` and ``ab``, or a directive joined to the next line,
+still differ.  The name also holds the digest of the library itself,
+and a file whose bytes do not match it is never loaded: a truncated
+library can crash the loader.  A build goes to a temporary file that is
+renamed into place, so concurrent first builds leave one complete
+library.  A cached file that does not match or load is rebuilt; an
+unwritable cache directory gives a build in a per-process temporary
+directory.  Each load sets the library's mtime, and a build removes
+every ``_lw-*`` file untouched for a week: an unloaded or damaged
+library of any key, or a dead build's temporary.
 
 ``Kernel.bind`` is a step binder of ``swe``; the step it returns holds
 the block of row rings in which the kernel keeps its intermediates.
@@ -175,6 +179,9 @@ def library_key(cc: str) -> str:
     version = subprocess.run([cc, "--version"], check=True, stdin=subprocess.DEVNULL,
                              capture_output=True, timeout=_BUILD_TIMEOUT_S).stdout
     code = re.sub(rb"/\*.*?\*/", b" ", _SOURCE.read_bytes(), flags=re.S)
+    # the line ends stay: they end preprocessor directives
+    code = b"\n".join(filter(None, (re.sub(rb"[ \t]+", b" ", line).strip()
+                                    for line in code.splitlines())))
     return hashlib.sha256(b"\0".join([code, " ".join(_FLAGS).encode(),
                                       version, platform.machine().encode()])).hexdigest()[:32]
 

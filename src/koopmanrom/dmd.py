@@ -101,7 +101,12 @@ class CompanionFit:
 
 @dataclass(frozen=True)
 class DmdDecomposition:
-    """Eigenvalues, amplitudes and unit modes; ``exponents`` is derived."""
+    """Eigenvalues, amplitudes and unit modes; ``exponents`` is derived.
+
+    Frozen, and complete when ``eigendecompose`` returns it: every field
+    is required, and no function changes one (``dataclasses.replace``
+    gives a changed copy).
+    """
 
     lambdas: np.ndarray         # complex, shape (m,)
     dt: float
@@ -142,7 +147,8 @@ class DmdDecomposition:
         Returns the stored R and B when ``x`` equals the decomposed V0;
         otherwise takes them from one real QR of [V0 | x] = Q R'
         (``np.linalg.qr``), as T = R'[:, Nt:] and B = R'[:, :Nt] z, and
-        forms no mode matrix.
+        forms no mode matrix: for an x as wide as V0 the call peaks at
+        about four times the size of x.
         """
         if _same_view(x, self.v0) or np.array_equal(x, self.v0):
             return self.r, self.mode_coords

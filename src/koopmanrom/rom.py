@@ -9,10 +9,12 @@ relative reconstruction error drops below the requested threshold.
 Every reconstruction error runs in snapshot coordinates (see ``dmd``):
 one kernel, ``_residuals``, forms the coordinate residual T - Re(B C),
 one real rank-2 product per mode, whose column norms equal those of the
-full-space residual.  The reference norms are those of T, the snapshot
-coordinates (R for the decomposed window, else from one QR of [V0 | X]),
-so no error forms the mode matrix or an Nx x Nt temporary.  A mode
-subset must name distinct modes (IndexOutOfRange otherwise).
+full-space residual: the quadratic form that sparsity-promoting DMD
+optimises over (Jovanovic, Schmid & Nichols, Phys. Fluids 26, 2014).
+The reference norms are those of T, the snapshot coordinates (R for the
+decomposed window, else from one QR of [V0 | X]), so no error forms the
+mode matrix or an Nx x Nt temporary.  A mode subset must name distinct
+modes (IndexOutOfRange otherwise).
 
 Selection curve: one ``_residuals`` pass over every conjugate group in
 admission order gives the aggregate error after each group.  The
@@ -24,10 +26,11 @@ Decomposition store: ``reduced_model(matrix, epsilon, store)`` keeps a
 field's decomposition and its selection curve in one file at ``store``
 and reads it back while the snapshot bytes are unchanged, so a later
 selection at any epsilon runs no residual pass and no Vandermonde.  The
-file (format 8) is flat, not a zip: a header (magic, format, key length,
-decomposed snapshots n, a complex flag and the number of conjugate
-groups), the key, then the little-endian arrays at the 64-byte aligned
-offsets the header fixes (``_store_layout``): the eigenvalues,
+file (format 8) is flat, not a zip: a header (the magic ``KROMDMD`` and
+a NUL byte, then u32 LE: the format, the key length, the decomposed
+snapshots n, a complex flag, 0 or 1, and the number of conjugate
+groups), the ASCII key, then the little-endian arrays at the 64-byte
+aligned offsets the header fixes (``_store_layout``): the eigenvalues,
 amplitudes, R, B and z of ``dmd.DmdDecomposition`` and the curve, all
 float64 but the four that ``dmd`` makes complex128 with the spectrum
 (the flag).  The exponents, weights and admission order are derived
@@ -39,7 +42,8 @@ its rows and the BLAS (``_lapack.blas_id``); a path, a size or an mtime
 never enters it.  A load checks the file's size against the snapshots,
 its magic, format, key, 2 <= n <= the snapshots and the flag, that its
 size is its layout's, and that the curve has one entry per conjugate
-group of the eigenvalues.  A file that fails a check is a miss, which
+group of the eigenvalues.  A file that fails a check, a store of an
+older format (a format 3 zip among them) included, is a miss, which
 decomposes again and overwrites the file (``_files.Replacement``);
 arrays of other dtypes (of a float32 matrix) are never written.
 """

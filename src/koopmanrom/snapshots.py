@@ -244,8 +244,16 @@ def field_tag(path) -> FieldTag:
 
 
 def load(path) -> SnapshotMatrix:
-    """Read a KSNP v1 file written by :func:`save`; a payload that does
-    not fit in memory raises MemoryError naming the file."""
+    """Read a KSNP v1 file written by :func:`save`.
+
+    BadMagic or UnsupportedVersion for another format.  CorruptHeader for
+    a field tag above 3, an empty grid, fewer than 2 snapshots, a dt, dx
+    or dy that is not finite and positive with a finite reciprocal, or
+    sizes that disagree with the file size, which is checked before
+    anything is allocated.  A payload that does not fit in memory raises
+    MemoryError naming the file, and one holding NaN or infinite values
+    NonFiniteData naming the first such snapshot and cell.
+    """
     with open(path, "rb") as fh:
         tag, flags, nx, ny, nsnap, dt, dx, dy = _read_header(fh, path)
         expected = _HEADER.size + 8 * nx * ny * nsnap

@@ -33,6 +33,10 @@ velocity recovery and v = 0 on the walls, returning the new signal
 speed.  The step has two implementations with bit-identical results and
 one contract: a binder takes a workspace and returns ``step(dt)``, which
 ``_advance`` keeps on the workspace, and owns the scratch of its steps.
+``step(dt)`` writes the new conserved state into q and the new (h, u, v)
+into p and returns the next signal speed, max(|u| + |v| + sqrt(g h)),
+or returns None, with p unchanged, when the new depth is not finite and
+positive.  ``_select_step`` picks the binder once per process.
 ``_numpy_bind`` is the portable one and the reference.  ``_lw.Kernel.bind``
 runs ``_lw.c``, one C function doing the same operations per element in
 one sweep over the grid rows, its intermediates in rings of a few rows;
@@ -57,6 +61,9 @@ from .errors import CflViolation, NonPositiveDepth
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Channel constants. Defaults are the reference test problem.
+
+    ValueError unless gravity and both extents are positive and every
+    constant is finite.
 
     coriolis_f0      base Coriolis parameter [1/s]
     coriolis_beta    spanwise Coriolis gradient [1/(s m)]

@@ -11,24 +11,35 @@ in a module's ``__all__`` must resolve (a tracer that walks ``__all__``
 would pass over a stale entry in silence), and every public name the
 package exports must appear in the README as code.
 
+The README keeps to what a user runs and reads, in at most 250 lines:
+every config key, subcommand and option of the command line appears in
+it, and its command lines and library sketch run as written.
+
 Every output file lands through one writer, ``_files.Replacement``: no
 other module renames a file into place or opens one for writing.
 ``_lw`` is the exception, since the compiler writes its library by
 path, under a name that is the digest of what it wrote.
 """
 
+import argparse
 import ast
+import csv
 import importlib
 import re
+import shlex
+import shutil
 import types
 from pathlib import Path
 
 import pytest
 
 import koopmanrom
+from koopmanrom import cli
 
 SIBLINGS = ("dmd", "rom", "snapshots", "swe", "cli")
 PACKAGE = Path(koopmanrom.__file__).parent
+ROOT = Path(__file__).parents[1]
+README = ROOT / "README.md"
 
 
 def private_reads(source: str) -> list[str]:
@@ -69,13 +80,64 @@ def test_every_name_in_all_resolves(name):
 
 
 def test_every_exported_name_is_in_the_readme():
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    readme = README.read_text()
     exported = sorted(name for name, value in vars(koopmanrom).items()
                       if not name.startswith("_") and not isinstance(value, types.ModuleType))
     # at the start of a code span, or called through the package in a sketch
     missing = [name for name in exported
                if not re.search(rf"(`|\bkr\.){re.escape(name)}\b", readme)]
     assert missing == []
+
+
+def test_the_readme_fits_its_line_budget():
+    assert len(README.read_text().splitlines()) <= 250
+
+
+def test_every_config_key_is_in_the_readme():
+    readme = README.read_text()
+    assert len(cli._KEYS) == 18
+    assert [key for key in cli._KEYS if f"`{key}`" not in readme] == []
+
+
+def test_every_command_and_option_is_in_the_readme():
+    readme = README.read_text()
+    parser = cli.build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {option for command in commands.values() for action in command._actions
+               for option in action.option_strings if option.startswith("--")}
+    assert len(commands) == 4 and len(options - {"--help"}) == 7
+    # a command on a command line or as code, an option at the start of a code span
+    assert [c for c in commands if not re.search(rf"koopmanrom +{c}\b|`{c}`", readme)] == []
+    assert sorted(o for o in options if not re.search(rf"`{o}\b", readme)) == []
+
+
+def readme_block(section: str, language: str) -> str:
+    """The first ``language`` code block under the README heading ``section``."""
+    found = re.search(rf"^#+ {section}\n.*?^```{language}\n(.*?)^```", README.read_text(),
+                      flags=re.M | re.S)
+    assert found, f"no {language} block under {section!r}"
+    return found.group(1)
+
+
+def test_the_readme_examples_run(tmp_path, monkeypatch, capsys):
+    shutil.copytree(ROOT / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    lines = [shlex.split(line) for line in readme_block("Command line", "sh").splitlines()]
+    assert [line[0] for line in lines] == ["koopmanrom"] * 4
+    for line in lines:
+        assert cli.main(line[1:]) == 0, shlex.join(line)
+
+    capsys.readouterr()
+    exec(compile(readme_block("Library sketch", "python"), "README.md", "exec"), {})
+    n_dmd, error, reduction = capsys.readouterr().out.split()
+    # the sketch runs the desk channel's h in metres, the command line in
+    # scaled units: the same selection, and an error that moves in its
+    # tenth digit with the scaling
+    with open(tmp_path / "out_desk" / "summary.csv", newline="") as fh:
+        row = next(row for row in csv.DictReader(fh) if row["field"] == "h")
+    assert (n_dmd, f"{float(reduction):.2f}") == (row["n_dmd"], row["reduction_percent"])
+    assert float(error) == pytest.approx(float(row["achieved_error"]), rel=1e-6)
 
 
 WRITER_MODULES = ("_files.py", "_lw.py")

@@ -225,10 +225,18 @@ def test_the_key_reads_the_code_and_not_its_comments(tmp_path, monkeypatch):
         return _lw.library_key(cc)
 
     line_1, block, code = "/* One fused", " * lw_step does", 'supports("avx2") != 0;'
+    entry, include = "int lw_has_avx2", "#include <math.h>\n"
     assert text.startswith(line_1) and text.count(block) == text.count(code) == 1
+    assert text.count(entry) == text.count(include) == 1
     assert key(text.replace(line_1, "/* A fused", 1)) == want
     assert key(text.replace(block, " * (see README)\n" + block)) == want
+    # whole comments and blanks added or removed
+    assert key("/* new */\n" + text) == want
+    assert key(text.replace(entry, "/* x */ " + entry)) == want
+    assert key(text.replace(include, include.replace("\n", "  \n"))) == want
     assert key(text.replace(code, 'supports("avx2") == 0;')) != want
+    # a line end ends a directive
+    assert key(text.replace(include, include.replace("\n", " "))) != want
     # a comment separates tokens: it reads as a space, not as nothing
     assert key("a/* x */b") == key("a/**/b") != key("ab")
 
