@@ -9,10 +9,13 @@ selection curve in ``dmd_<field>.npz`` in the output directory and
 reuses them while the field's snapshot bytes are unchanged; the
 exponents, weights and admission order of the spectrum report are
 derived from them as a fresh run derives them (``rom.reduced_model``).
+``reconstruct`` and ``vorticity`` share one query path, ``_query``, and
+each subcommand offers only the options it reads.
 
 Exit codes: 0 success, 1 selection did not converge (or decomposition
 failure), 2 solver failure, 3 usage, I/O, config or input-data failure,
-an input beyond memory among them.
+an input beyond memory among them; 130 and 143 a run ended by SIGINT or
+SIGTERM, whose ``with`` blocks have removed its unfinished outputs.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import signal
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -118,9 +122,10 @@ def parse_config(path) -> ExperimentConfig:
 
 def _load_config(args) -> ExperimentConfig:
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
-    return replace(cfg, epsilon=cfg.epsilon if args.eps is None else args.eps,
+    eps, field = getattr(args, "eps", None), getattr(args, "field", None)
+    return replace(cfg, epsilon=cfg.epsilon if eps is None else eps,
                    output_dir=args.out or cfg.output_dir,
-                   fields=(args.field,) if args.field else cfg.fields)
+                   fields=(field,) if field else cfg.fields)
 
 
 # --- pipeline pieces ---
@@ -231,26 +236,23 @@ def _write_spectrum(path, dec, model):
                      f"{abs(dec.amplitudes[j]):.17g}\n")
 
 
-def _write_errors(path, matrix, errors):
-    with _files.Replacement(path, text=True) as fh:
-        fh.write("snapshot,time,rel_error\n")
-        for k, err in enumerate(errors):
-            fh.write(f"{k},{k * matrix.dt:.17g},{err:.17g}\n")
-
-
-def _rom_field(path: Path, outdir: Path, epsilon: float):
-    """Load, decompose and select the input ``path`` and write its
-    spectrum and errors reports; returns (field name, model).  Only the
+def _rom_field(path: Path, name: str, outdir: Path, epsilon: float):
+    """Load, decompose and select the input ``path``, tagged ``name``, and
+    write its spectrum and errors reports; returns (name, model).  Only the
     model outlives the call, so ``rom`` holds one payload at a time."""
-    matrix = snapshots.load(path)
-    name = matrix.field_tag.name
-    matrix, dec, model = _reduce(matrix, outdir, name, epsilon, time_errors=True)
+    matrix, dec, model = _reduce(snapshots.load(path), outdir, name, epsilon,
+                                 time_errors=True)
     _write_spectrum(outdir / f"spectrum_{name}.csv", dec, model)
-    _write_errors(outdir / f"errors_{name}.csv", matrix, model.time_errors)
+    with _files.Replacement(outdir / f"errors_{name}.csv", text=True) as fh:
+        fh.write("snapshot,time,rel_error\n")
+        fh.writelines(f"{k},{k * matrix.dt:.17g},{err:.17g}\n"
+                      for k, err in enumerate(model.time_errors))
     return name, model
 
 
 def cmd_rom(args) -> int:
+    if args.paths and (args.field or args.data):
+        raise InvalidValue("rom takes explicit .ksnp paths or --data/--field, not both")
     cfg = _load_config(args)
     outdir, datadir = _dirs(cfg, args)
     paths = [Path(p) for p in args.paths] if args.paths else \
@@ -259,13 +261,13 @@ def cmd_rom(args) -> int:
     # every report and store of an input is named by its field tag
     tagged = {}
     for path in paths:
-        name = snapshots.field_tag(path).name
+        name = snapshots.read_header(path).field_tag.name
         if name in tagged:
             raise InvalidValue(f"{tagged[name]} and {path} are both tagged {name}: "
                                "their reports would overwrite each other")
         tagged[name] = path
 
-    models = [_rom_field(path, outdir, cfg.epsilon) for path in paths]
+    models = [_rom_field(path, name, outdir, cfg.epsilon) for name, path in tagged.items()]
 
     with _files.Replacement(outdir / "summary.csv", text=True) as fh:
         fh.write("field,full_rank,n_dmd,reduction_percent,achieved_error,converged\n")
@@ -280,15 +282,27 @@ def cmd_rom(args) -> int:
     return 0 if all(m.converged for _, m in models) else 1
 
 
-def _snapshot_index(args, matrix, cfg) -> int:
+def _query(cfg: ExperimentConfig, args, names):
+    """(output directory, paths, header) of the KSNP inputs ``names`` in
+    --data, refused before any payload is read if their headers differ in
+    more than the field tag; ``_reduced_field`` then reads one at a time."""
+    outdir, datadir = _dirs(cfg, args)
+    paths = [datadir / f"{name}.ksnp" for name in names]
+    head, *others = map(snapshots.read_header, paths)
+    if any(replace(other, field_tag=head.field_tag) != head for other in others):
+        raise InvalidValue(f"{' and '.join(p.name for p in paths)} disagree on sampling or grid")
+    return outdir, paths, head
+
+
+def _snapshot_index(args, head: snapshots.KsnpHeader, cfg) -> int:
     """Map --time (hours, against the dimensional sampling interval) or
     --index to a source snapshot index; echo the mapping."""
-    n = matrix.n_snapshots
+    n = head.n_snapshots
     if args.index is not None:
         k = args.index
         if not 0 <= k < n:
             raise IndexOutOfRange(f"snapshot {k} outside the sampled range [0, {n})")
-        print(f"snapshot index {k} (t = {k * matrix.dt:.6g} in data units)")
+        print(f"snapshot index {k} (t = {k * head.dt:.6g} in data units)")
         return k
     position = args.time * 3600.0 / cfg.snapshot_dt
     # compared as a float first: NaN, inf and 1e300 never become an integer
@@ -301,13 +315,13 @@ def _snapshot_index(args, matrix, cfg) -> int:
     return k
 
 
-def _reduced_field(matrix: snapshots.SnapshotMatrix, outdir: Path, name: str,
-                   epsilon: float, k: int):
-    """Decompose ``matrix``, select its leading modes at ``epsilon`` and
-    reconstruct snapshot ``k``; returns that (ny, nx) grid and the model."""
+def _reduced_field(path: Path, outdir: Path, name: str, epsilon: float, k: int):
+    """(snapshot k, its reconstruction, model) of the input ``path``, the
+    grids (ny, nx) arrays of their own: the payload dies with the call."""
+    matrix = snapshots.load(path)
     _, dec, model = _reduce(matrix, outdir, name, epsilon, time_errors=False)
     rec = dmd.reconstruct(dec, model.selected, k + 1).reshape(matrix.ny, matrix.nx)
-    return rec, model
+    return matrix.field(k).copy(), rec, model
 
 
 @_lapack.one_thread()   # a grid of 10^4 cells or more is a threaded dot
@@ -325,12 +339,11 @@ def _write_comparison(outdir: Path, pattern: str, full: np.ndarray, rec: np.ndar
 def cmd_reconstruct(args) -> int:
     cfg = _load_config(args)
     name = cfg.fields[0]
-    outdir, datadir = _dirs(cfg, args)
-    matrix = snapshots.load(datadir / f"{name}.ksnp")
-    k = _snapshot_index(args, matrix, cfg)
+    outdir, (path,), head = _query(cfg, args, (name,))
+    k = _snapshot_index(args, head, cfg)
 
-    rec, model = _reduced_field(matrix, outdir, name, cfg.epsilon, k)
-    err = _write_comparison(outdir, f"{{}}_{name}_{k}.csv", matrix.field(k), rec)
+    full, rec, model = _reduced_field(path, outdir, name, cfg.epsilon, k)
+    err = _write_comparison(outdir, f"{{}}_{name}_{k}.csv", full, rec)
     conv = "" if model.converged else " (selection not converged)"
     print(f"field {name}, snapshot {k}: n_dmd = {model.n_dmd}, "
           f"per-time relative error = {err:.6e}{conv}")
@@ -339,42 +352,25 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_vorticity(args) -> int:
     cfg = _load_config(args)
-    outdir, datadir = _dirs(cfg, args)
-    mu = snapshots.load(datadir / "u.ksnp")
-    mv = snapshots.load(datadir / "v.ksnp")
-    if any(getattr(mu, a) != getattr(mv, a)
-           for a in ("n_snapshots", "dt", "nx", "ny", "dx", "dy", "nondimensional")):
-        raise InvalidValue("u.ksnp and v.ksnp disagree on sampling or grid")
+    outdir, paths, head = _query(cfg, args, ("u", "v"))
     try:
-        grid = swe.Grid(nx=mu.nx, ny=mu.ny, dx=mu.dx, dy=mu.dy)
-    except ValueError as exc:  # load has checked the spacings: the grid is too small
-        raise InvalidValue(f"u.ksnp and v.ksnp: grid {mu.nx}x{mu.ny}: {exc}") from exc
-    k = _snapshot_index(args, mu, cfg)
+        grid = swe.Grid(nx=head.nx, ny=head.ny, dx=head.dx, dy=head.dy)
+    except ValueError as exc:  # the header's spacings are checked: the grid is too small
+        raise InvalidValue(f"u.ksnp and v.ksnp: grid {head.nx}x{head.ny}: {exc}") from exc
+    k = _snapshot_index(args, head, cfg)
+
+    (u, u_rec, model_u), (v, v_rec, model_v) = (
+        _reduced_field(path, outdir, name, cfg.epsilon, k) for name, path in zip("uv", paths))
 
     def vort(ufield, vfield):
         state = swe.SweState(h=np.ones_like(ufield), u=ufield, v=vfield, t=0.0)
         return swe.vorticity(state, grid)
 
-    u_rec, model_u = _reduced_field(mu, outdir, "u", cfg.epsilon, k)
-    v_rec, model_v = _reduced_field(mv, outdir, "v", cfg.epsilon, k)
-    err = _write_comparison(outdir, f"vort_{{}}_{k}.csv", vort(mu.field(k), mv.field(k)),
-                            vort(u_rec, v_rec))
+    err = _write_comparison(outdir, f"vort_{{}}_{k}.csv", vort(u, v), vort(u_rec, v_rec))
     conv = model_u.converged and model_v.converged
     note = "" if conv else " (selection not converged)"
     print(f"vorticity at snapshot {k}: relative difference = {err:.6e}{note}")
     return 0 if conv else 1
-
-
-def _add_common(p, with_time=False):
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--out", help="output directory (default from config)")
-    p.add_argument("--eps", type=float, help="selection threshold override")
-    p.add_argument("--data", help="directory holding .ksnp inputs (default: --out)")
-    p.add_argument("--field", choices=_FIELDS, help="field override")
-    if with_time:
-        g = p.add_mutually_exclusive_group(required=True)
-        g.add_argument("--time", type=float, help="instant in hours")
-        g.add_argument("--index", type=int, help="snapshot index")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,20 +379,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Shallow-water snapshot generation and Koopman-mode "
                     "reduced-order modelling")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("simulate", help="run the solver and write KSNP snapshots")
-    _add_common(p)
-
-    p = sub.add_parser("rom", help="decompose snapshots and select leading modes")
-    _add_common(p)
-    p.add_argument("paths", nargs="*", help="explicit .ksnp inputs")
-
-    p = sub.add_parser("reconstruct", help="compare a snapshot with its reduced model")
-    _add_common(p, with_time=True)
-
-    p = sub.add_parser("vorticity", help="full versus reduced-order vorticity field")
-    _add_common(p, with_time=True)
+    # each subcommand offers the options it reads, and no others
+    for cmd, text in (("simulate", "run the solver and write KSNP snapshots"),
+                      ("rom", "decompose snapshots and select leading modes"),
+                      ("reconstruct", "compare a snapshot with its reduced model"),
+                      ("vorticity", "full versus reduced-order vorticity field")):
+        p = sub.add_parser(cmd, help=text)
+        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--out", help="output directory (default from config)")
+        if cmd != "simulate":   # reads KSNP inputs and selects modes
+            p.add_argument("--eps", type=float, help="selection threshold override")
+            p.add_argument("--data", help="directory holding .ksnp inputs (default: --out)")
+        if cmd != "vorticity":  # which reads u and v
+            p.add_argument("--field", choices=_FIELDS, help="field override")
+        if cmd == "rom":
+            p.add_argument("paths", nargs="*", help="explicit .ksnp inputs (no --data, --field)")
+        elif cmd in ("reconstruct", "vorticity"):
+            g = p.add_mutually_exclusive_group(required=True)
+            g.add_argument("--time", type=float, help="instant in hours")
+            g.add_argument("--index", type=int, help="snapshot index")
     return parser
+
+
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM while a command runs, raised as SIGINT raises
+    KeyboardInterrupt, so both unwind through the ``with`` blocks that
+    remove unfinished outputs."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
 
 
 @functools.cache
@@ -415,8 +427,16 @@ def main(argv=None) -> int:
         return 3
     # looked up by name at each call, so a wrapper set on the module runs
     command = globals()[f"cmd_{args.cmd}"]
+    try:   # signals reach the main thread only, and only there take a handler
+        caller = signal.signal(signal.SIGTERM, _terminate)
+    except ValueError:
+        caller = _terminate
     try:
         return command(args)
+    except KeyboardInterrupt as exc:   # SIGINT, or SIGTERM as _Terminated
+        signum = signal.SIGTERM if isinstance(exc, _Terminated) else signal.SIGINT
+        print(f"interrupted by {signum.name}", file=sys.stderr)
+        return 128 + signum
     except (CflViolation, NonPositiveDepth) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
@@ -428,6 +448,9 @@ def main(argv=None) -> int:
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if caller is not _terminate:
+            signal.signal(signal.SIGTERM, caller)
 
 
 if __name__ == "__main__":

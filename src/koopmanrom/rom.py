@@ -295,7 +295,9 @@ def reduced_model(matrix: SnapshotMatrix, epsilon: float, store, *,
         return used, dec, model
     used, dec, curve = stored
     weights, order = _ranking(dec, used.n_snapshots - 1)
-    model = _select(dec, weights, order, curve, epsilon)
+    # a copy: a view of the store's buffer would keep all of it alive in
+    # the model after the decomposition is dropped
+    model = _select(dec, weights, order, curve.copy(), epsilon)
     if time_errors:
         model = replace(model, time_errors=per_time_errors(used, dec, model.selected))
     return used, dec, model

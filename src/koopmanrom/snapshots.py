@@ -21,7 +21,8 @@ payload block; ``SnapshotMatrix.data`` is its transpose, the column-major
 block [V0 | u_N] that LAPACK factors, written and read with no copy.
 Non-finite values have no place in a snapshot matrix: ``assemble`` and
 ``load`` reject them with NonFiniteData instead of letting them reach
-the decomposition.
+the decomposition.  ``read_header`` reads and checks a file's header
+alone, its size included, as ``load`` does before it reads the payload.
 
 Every KSNP file is written by one ``KsnpWriter``: it packs the header,
 nsnap included, then takes the payload rows in order, one snapshot or a
@@ -218,8 +219,23 @@ def _positive_spacings(*values: float) -> bool:
     return all(0.0 < v < np.inf and 1.0 / float(v) < np.inf for v in values)
 
 
-def _read_header(fh, path):
-    """(tag, flags, nx, ny, nsnap, dt, dx, dy) from the open file's header."""
+@dataclass(frozen=True)
+class KsnpHeader:
+    """What the header of a KSNP file says of its payload, named as
+    ``SnapshotMatrix`` names it."""
+
+    field_tag: FieldTag
+    nondimensional: bool
+    nx: int
+    ny: int
+    n_snapshots: int
+    dt: float
+    dx: float
+    dy: float
+
+
+def _read_header(fh, path) -> KsnpHeader:
+    """The header of the open file, checked against its size."""
     head = fh.read(_HEADER.size)
     if len(head) < 4:
         raise CorruptHeader(f"{path}: file shorter than the magic")
@@ -233,14 +249,18 @@ def _read_header(fh, path):
     if tag > 3 or nx == 0 or ny == 0 or nsnap < 2 or not _positive_spacings(dt, dx, dy):
         raise CorruptHeader(f"{path}: implausible header (tag={tag}, nx={nx}, "
                             f"ny={ny}, nsnap={nsnap}, dt={dt}, dx={dx}, dy={dy})")
-    return tag, flags, nx, ny, nsnap, dt, dx, dy
+    expected = _HEADER.size + 8 * nx * ny * nsnap
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
+        raise CorruptHeader(f"{path}: {size} bytes, expected {expected}")
+    return KsnpHeader(FieldTag(tag), bool(flags & 1), nx, ny, nsnap, dt, dx, dy)
 
 
-def field_tag(path) -> FieldTag:
-    """The field tag of a KSNP file, read from its header alone, which is
-    checked as :func:`load` checks it."""
+def read_header(path) -> KsnpHeader:
+    """The header of a KSNP file, read without its payload and checked as
+    :func:`load` checks it, the file size included."""
     with open(path, "rb") as fh:
-        return FieldTag(_read_header(fh, path)[0])
+        return _read_header(fh, path)
 
 
 def load(path) -> SnapshotMatrix:
@@ -255,21 +275,18 @@ def load(path) -> SnapshotMatrix:
     NonFiniteData naming the first such snapshot and cell.
     """
     with open(path, "rb") as fh:
-        tag, flags, nx, ny, nsnap, dt, dx, dy = _read_header(fh, path)
-        expected = _HEADER.size + 8 * nx * ny * nsnap
-        size = os.fstat(fh.fileno()).st_size  # checked before anything is allocated
-        if size != expected:
-            raise CorruptHeader(f"{path}: {size} bytes, expected {expected}")
+        head = _read_header(fh, path)
         try:
-            payload = np.empty((nsnap, nx * ny), dtype="<f8")
+            payload = np.empty((head.n_snapshots, head.nx * head.ny), dtype="<f8")
         except MemoryError as exc:
-            raise MemoryError(f"{path}: {nsnap} snapshots of {ny}x{nx} do not fit in "
-                              "the memory available") from exc
+            raise MemoryError(f"{path}: {head.n_snapshots} snapshots of {head.ny}x{head.nx} "
+                              "do not fit in the memory available") from exc
         if fh.readinto(payload) != payload.nbytes:
             raise CorruptHeader(f"{path}: payload shorter than {payload.nbytes} bytes")
     _require_finite(payload, path)
-    return SnapshotMatrix(data=payload.T, nx=nx, ny=ny, dt=dt, dx=dx, dy=dy,
-                          field_tag=FieldTag(tag), nondimensional=bool(flags & 1))
+    return SnapshotMatrix(data=payload.T, nx=head.nx, ny=head.ny, dt=head.dt, dx=head.dx,
+                          dy=head.dy, field_tag=head.field_tag,
+                          nondimensional=head.nondimensional)
 
 
 def write_field_csv(field: np.ndarray, path) -> None:

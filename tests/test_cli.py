@@ -6,9 +6,11 @@ import io
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -27,6 +29,7 @@ from koopmanrom.snapshots import FieldTag, SnapshotMatrix, load, save
 from conftest import build_field_matrices, make_modal_data, traced_peak
 
 
+CONFIGS = Path(__file__).parents[1] / "configs"
 DESK_CFG = """\
 # stable channel at desk scale
 nx = 48
@@ -236,6 +239,26 @@ class TestUsage:
         assert captured.err.startswith("usage: koopmanrom")
         assert "error: " in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, option", [
+        (["simulate", "--eps", "0.5"], "--eps"), (["simulate", "--data", "D"], "--data"),
+        (["vorticity", "--field", "h", "--index", "3"], "--field"),
+        (["rom", "--field", "h", "P"], "--field"), (["rom", "--data", "D", "P"], "--data")],
+        ids=["simulate-eps", "simulate-data", "vorticity-field", "rom-field-and-paths",
+             "rom-data-and-paths"])
+    def test_option_the_command_would_ignore_exits_3(self, tmp_path, capsys, argv, option):
+        """Each subcommand offers only the options it reads: one that it
+        would ignore exits 3 with one error line naming the option, before
+        the config (missing here) is read or --out is made."""
+        path, _ = synthetic_ksnp(tmp_path, np.random.default_rng(0), nsnap=5)
+        argv = [{"D": str(tmp_path), "P": str(path)}.get(a, a) for a in argv]
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(tmp_path / "missing.cfg"), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines() if "error: " in line]
+        assert option in line and "missing.cfg" not in line
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--help"], ["rom", "--help"]])
     def test_help_exits_0(self, argv, capsys):
@@ -462,6 +485,44 @@ class TestSimulateStreaming:
         assert "u.ksnp" in err and "at snapshot 2, cell 149" in err
         assert "Traceback" not in err
         assert self.ksnp_dir(out) == []
+
+    # a child that runs cli.main on its arguments with SIGINT raising
+    # KeyboardInterrupt, as it does under an interactive shell (a
+    # background job starts with SIGINT ignored)
+    CHILD = """if True:
+        import signal, sys
+        from koopmanrom import cli
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        sys.exit(cli.main(sys.argv[1:]))
+        """
+
+    @pytest.mark.parametrize("signum, code", [(signal.SIGINT, 130), (signal.SIGTERM, 143)],
+                             ids=["SIGINT", "SIGTERM"])
+    def test_interrupted_run_exits_with_one_line_and_no_temporary(self, tmp_path, signum,
+                                                                   code):
+        """A full-config simulate, sent the signal once its first KSNP
+        temporary exists: the documented code, one stderr line and no
+        file left in --out."""
+        out = tmp_path / "o"
+        src = str(Path(koopmanrom.__file__).parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", self.CHILD, "simulate", "--config",
+             str(CONFIGS / "full_channel.cfg"), "--out", str(out)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": path})
+        try:
+            deadline = time.monotonic() + 120
+            while not list(out.glob(".h.ksnp.*.tmp")):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.002)
+            proc.send_signal(signum)
+            err = proc.communicate(timeout=120)[1]
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, err) == (code, f"interrupted by {signum.name}\n")
+        assert list(out.iterdir()) == []
 
     def test_unwritable_out_fails_before_stepping(self, tmp_path, monkeypatch, capsys):
         steps = []
@@ -732,10 +793,10 @@ class TestReconstructCommand:
         # a time is compared as a float before it is rounded to an index
         huge_index = "--index=" + "9" * 400
         times = [f"--time={t}" for t in ("nan", "inf", "-inf", "1e300", "-1", "3.5")]
-        for cmd in ("reconstruct", "vorticity"):
+        for cmd in (["reconstruct", "--field", "u"], ["vorticity"]):
             for arg in times + [huge_index]:
-                code = main([cmd, "--out", str(tmp_path / "o"), "--data",
-                             str(tmp_path), "--field", "u", arg])
+                code = main([*cmd, "--out", str(tmp_path / "o"), "--data",
+                             str(tmp_path), arg])
                 err = capsys.readouterr().err
                 assert code == 3, (cmd, arg)
                 assert "outside the sampled range" in err and "Traceback" not in err
@@ -777,6 +838,36 @@ class TestVorticityCommand:
         assert capsys.readouterr().err == \
             "error: u.ksnp and v.ksnp disagree on sampling or grid\n"
         assert not list((tmp_path / "out").glob("dmd_*.npz"))   # nothing decomposed
+
+    def test_headers_that_disagree_exit_3_before_a_payload_is_read(self, tmp_path, capsys):
+        """u and v sampled at other intervals, each holding a NaN: the
+        headers refuse the pair, so neither payload is read and no
+        NonFiniteData is reported."""
+        for name, dt in (("u", 10.0), ("v", 20.0)):
+            data = np.random.default_rng(13).standard_normal((24, 5))
+            data[3, 2] = np.nan
+            save(SnapshotMatrix(data=data, nx=6, ny=4, dt=dt, dx=100.0, dy=100.0,
+                                field_tag=FieldTag[name]), tmp_path / f"{name}.ksnp")
+        code = main(["vorticity", "--out", str(tmp_path / "out"), "--data", str(tmp_path),
+                     "--index", "2"])
+        assert code == 3
+        assert capsys.readouterr().err == \
+            "error: u.ksnp and v.ksnp disagree on sampling or grid\n"
+
+    def test_holds_one_payload_at_a_time(self, tmp_path):
+        """On the warm stores of the desk channel, vorticity, which reduces
+        u and then v, peaks below 1.5 times reconstruct of u alone: u's
+        payload and store are gone before v is loaded."""
+        common = ["--config", str(CONFIGS / "desk_channel.cfg"), "--out", str(tmp_path)]
+        peaks = {}
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", *common]) == 0
+            assert main(["rom", *common]) == 0
+            for argv in (["reconstruct", "--field", "u"], ["vorticity"]):
+                code, peaks[argv[0]] = traced_peak(lambda: main([*argv, "--index", "7",
+                                                                 *common]))
+                assert code == 0, argv
+        assert peaks["vorticity"] < 1.5 * peaks["reconstruct"]
 
     @pytest.mark.parametrize("nx, ny", [(3, 3), (2, 5), (5, 2)])
     def test_grid_below_4x4_exits_3(self, tmp_path, capsys, nx, ny):

@@ -13,6 +13,7 @@ package exports must appear in the README as code.
 
 The README keeps to what a user runs and reads, in at most 250 lines:
 every config key, subcommand and option of the command line appears in
+it, its option table gives each subcommand the options the parser gives
 it, and its command lines and library sketch run as written.
 
 Every output file lands through one writer, ``_files.Replacement``: no
@@ -110,6 +111,26 @@ def test_every_command_and_option_is_in_the_readme():
     # a command on a command line or as code, an option at the start of a code span
     assert [c for c in commands if not re.search(rf"koopmanrom +{c}\b|`{c}`", readme)] == []
     assert sorted(o for o in options if not re.search(rf"`{o}\b", readme)) == []
+
+
+def test_the_option_table_is_the_parser():
+    """Each row of the README's ``| command | options |`` table names,
+    as code spans, exactly the options ``build_parser`` gives that
+    subcommand."""
+    table = re.search(r"^\| command \| options \|\n((?:\|.*\n)+)", README.read_text(),
+                      flags=re.M)
+    assert table, "no option table"
+    rows = {}
+    for line in table.group(1).splitlines()[1:]:
+        command, options = re.fullmatch(r"\| `(\w+)` \|(.*)\|", line).groups()
+        rows[command] = set(re.findall(r"`(--[a-z]+)`", options))
+    parser = cli.build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    offered = {name: {option for action in command._actions if action.dest != "help"
+                      for option in action.option_strings}
+               for name, command in commands.items()}
+    assert rows == offered
 
 
 def readme_block(section: str, language: str) -> str:
