@@ -38,6 +38,12 @@
  * already held elsewhere: h is read from p, and the mass fluxes uh and vh
  * are the momenta.
  *
+ * Each stencil stage is one routine for both directions: gradients()
+ * forms the centred gradients in x and y, faces() the half states at x
+ * and y faces in the velocity normal and tangential to the face.  Beyond
+ * a wall, the step writes the mirror ghost row into the cell slot free
+ * there, so the gradient loop has no wall branch.
+ *
  * Elements that numpy forms only for a halo column, which the halo
  * refresh overwrites, are skipped: the x gradients at columns 0 and
  * e - 1, the last x face of each row, and the y faces and the update at
@@ -73,13 +79,14 @@ typedef struct {
     const double *my_g;         /* (g Hx, g Hy) at y faces, blocks of n - e */
 } lw_work;
 
-/* Slots of one ring row.  A cell row holds the momenta uh and vh and
- * the momentum fluxes: q = (h, uh, vh), F = (uh, FU, FV) and
- * G = (vh, GU, GV), whose h is read from p.  A gradient row holds the
+/* Slots of one ring row.  A cell row holds the fluxes across x faces,
+ * F = (uh, FU, FV), in its first GRAD slots and those across y faces,
+ * G = (vh, GU, GV), in the next, so the fluxes across direction d (0 for
+ * x, 1 for y) start at slot d * GRAD; the momenta of q = (h, uh, vh) are
+ * the mass fluxes, and h is read from p.  A gradient row holds the
  * gradients of three fluxes, and a face row the face states (h, u, v)
  * and their fluxes. */
-enum { UH, VH, FU, FV, GU, GV, CELL };
-enum { GRAD = 3, FACE = 6 };
+enum { GRAD = 3, CELL = 2 * GRAD, FACE = 6 };
 #define RING_SLOTS (3 * CELL + 2 * GRAD + GRAD + FACE + 2 * FACE)
 
 /* The kernel's functions are inlined into each entry below, so each
@@ -103,15 +110,14 @@ LW_INLINE void cells(long m, long L, double hg, const double *restrict h,
                      const double *restrict u, const double *restrict v,
                      double *restrict c)
 {
-    double *restrict q1 = c + UH * L, *restrict q2 = c + VH * L;
-    double *restrict F1 = c + FU * L, *restrict F2 = c + FV * L;
-    double *restrict G1 = c + GU * L, *restrict G2 = c + GV * L;
+    double *restrict F0 = c, *restrict F1 = c + L, *restrict F2 = c + 2 * L;
+    double *restrict G0 = c + GRAD * L, *restrict G1 = G0 + L, *restrict G2 = G0 + 2 * L;
     #pragma GCC ivdep
     for (long k = 0; k < m; k++) {
         const double hk = h[k], uk = u[k], vk = v[k];
         const double uh = uk * hk, vh = vk * hk, pr = hk * hg * hk;
-        q1[k] = uh;
-        q2[k] = vh;
+        F0[k] = uh;
+        G0[k] = vh;
         F1[k] = uh * uk + pr;
         F2[k] = uh * vk;
         G1[k] = uk * vh;
@@ -119,141 +125,89 @@ LW_INLINE void cells(long m, long L, double hg, const double *restrict h,
     }
 }
 
-/* Centred x gradients of the cell x fluxes of the row c into Fx, at the
- * unique columns 1..e-2. */
-LW_INLINE void x_gradients(long e, long L, double two_dx, const double *restrict c,
-                           double *restrict Fx)
+/* Centred gradients of the cell fluxes across direction d into D, at the
+ * columns o..e-1-o: (a[k + o] - b[k - o]) / two_d, in x along the row
+ * a = b (o = 1), in y from the row south b to the row north a (o = 0). */
+LW_INLINE void gradients(int d, long e, long o, long L, double two_d,
+                         const double *restrict a, const double *restrict b,
+                         double *restrict D)
 {
-    const double *restrict F0 = c + UH * L, *restrict F1 = c + FU * L, *restrict F2 = c + FV * L;
-    double *restrict Fx0 = Fx, *restrict Fx1 = Fx + L, *restrict Fx2 = Fx + 2 * L;
+    const double *restrict a0 = a + d * GRAD * L, *restrict b0 = b + d * GRAD * L;
+    const double *restrict a1 = a0 + L, *restrict a2 = a0 + 2 * L;
+    const double *restrict b1 = b0 + L, *restrict b2 = b0 + 2 * L;
+    double *restrict D0 = D, *restrict D1 = D + L, *restrict D2 = D + 2 * L;
     #pragma GCC ivdep
-    for (long k = 1; k < e - 1; k++) {
-        Fx0[k] = (F0[k + 1] - F0[k - 1]) / two_dx;
-        Fx1[k] = (F1[k + 1] - F1[k - 1]) / two_dx;
-        Fx2[k] = (F2[k + 1] - F2[k - 1]) / two_dx;
+    for (long k = o; k < e - o; k++) {
+        D0[k] = (a0[k + o] - b0[k - o]) / two_d;
+        D1[k] = (a1[k + o] - b1[k - o]) / two_d;
+        D2[k] = (a2[k + o] - b2[k - o]) / two_d;
     }
 }
 
-/* Centred y gradients of a row from the cell y fluxes of the row south
- * of it, cs, and of the row north, cn, into Gy.  Beyond a wall (cs or cn
- * NULL) is the mirror ghost row, where h and u are even and v is odd, so
- * the y fluxes carry signs (-1, -1, +1). */
-LW_INLINE void y_gradients(long e, long L, double two_dy, const double *restrict cs,
-                           const double *restrict cn, double *restrict Gy)
+/* The mirror ghost row, beyond a wall, of the cell row c into the cell
+ * slots at m: h and u are even across the wall and v is odd, so the y
+ * fluxes, the only ones read there, carry signs (-1, -1, +1). */
+LW_INLINE void mirror(long e, long L, const double *restrict c, double *restrict m)
 {
-    double *restrict Gy0 = Gy, *restrict Gy1 = Gy + L, *restrict Gy2 = Gy + 2 * L;
-    if (cs == NULL) {
-        const double *restrict N0 = cn + VH * L, *restrict N1 = cn + GU * L,
-                     *restrict N2 = cn + GV * L;
-        #pragma GCC ivdep
-        for (long k = 0; k < e; k++) {
-            Gy0[k] = (N0[k] - -N0[k]) / two_dy;
-            Gy1[k] = (N1[k] - -N1[k]) / two_dy;
-            Gy2[k] = (N2[k] - N2[k]) / two_dy;
-        }
-    } else if (cn == NULL) {
-        const double *restrict S0 = cs + VH * L, *restrict S1 = cs + GU * L,
-                     *restrict S2 = cs + GV * L;
-        #pragma GCC ivdep
-        for (long k = 0; k < e; k++) {
-            Gy0[k] = (-S0[k] - S0[k]) / two_dy;
-            Gy1[k] = (-S1[k] - S1[k]) / two_dy;
-            Gy2[k] = (S2[k] - S2[k]) / two_dy;
-        }
-    } else {
-        const double *restrict S0 = cs + VH * L, *restrict S1 = cs + GU * L,
-                     *restrict S2 = cs + GV * L;
-        const double *restrict N0 = cn + VH * L, *restrict N1 = cn + GU * L,
-                     *restrict N2 = cn + GV * L;
-        #pragma GCC ivdep
-        for (long k = 0; k < e; k++) {
-            Gy0[k] = (N0[k] - S0[k]) / two_dy;
-            Gy1[k] = (N1[k] - S1[k]) / two_dy;
-            Gy2[k] = (N2[k] - S2[k]) / two_dy;
-        }
+    const double *restrict G0 = c + GRAD * L, *restrict G1 = G0 + L, *restrict G2 = G0 + 2 * L;
+    double *restrict M0 = m + GRAD * L, *restrict M1 = M0 + L, *restrict M2 = M0 + 2 * L;
+    #pragma GCC ivdep
+    for (long k = 0; k < e; k++) {
+        M0[k] = -G0[k];
+        M1[k] = -G1[k];
+        M2[k] = G2[k];
     }
 }
 
-/* Half states at the x faces of a row (cells k and k + 1, columns
- * 0..e-2), their primitive form and their fluxes, into X: the row's
- * (h, u, v) is at h, u, v, its cell row at c, its y gradients at Gy, and
- * the source tables start at the row. */
-LW_INLINE void x_faces(long e, long L, const lw_consts *K, const double *restrict c,
-                       const double *restrict Gy, const double *restrict h,
-                       const double *restrict u, const double *restrict v,
-                       const double *restrict fc, const double *restrict mfc,
-                       const double *restrict gxx, const double *restrict gyx,
-                       double *restrict X)
+/* Half states at the faces across direction d between the cells k and
+ * k + o of a row (x faces: o = 1, columns 0..e-2; y faces: o = e, the
+ * unique columns 1..e-2), their primitive form and their fluxes, into X.
+ * N is the velocity normal to the face (u across x faces, v across y
+ * faces) and T the tangential one.  The row's (h, u, v) is at h, u, v;
+ * the cell rows and the gradients along the face of cells k and k + o
+ * are at c and D and at cn and Dn, which hold cell k + o at k + r (r = 1
+ * in x, where they are the row's own, 0 in y); the face tables (f, -f)
+ * at f, mf and (g Hx, g Hy) at gx, gy start at the row. */
+LW_INLINE void faces(int d, long e, long L, const lw_consts *K, const double *restrict c,
+                     const double *restrict cn, const double *restrict D,
+                     const double *restrict Dn, const double *restrict h,
+                     const double *restrict u, const double *restrict v,
+                     const double *restrict f, const double *restrict mf,
+                     const double *restrict gx, const double *restrict gy,
+                     double *restrict X)
 {
-    const double *restrict q0 = h, *restrict q1 = c + UH * L, *restrict q2 = c + VH * L;
-    const double *restrict F0 = q1, *restrict F1 = c + FU * L, *restrict F2 = c + FV * L;
-    const double *restrict Gy0 = Gy, *restrict Gy1 = Gy + L, *restrict Gy2 = Gy + 2 * L;
+    const long o = d ? e : 1, r = d ? 0 : 1, n = 1 + d, t = 3 - n;
+    const double *restrict q1 = c, *restrict q2 = c + GRAD * L;
+    const double *restrict n1 = cn, *restrict n2 = cn + GRAD * L;
+    const double *restrict F0 = c + d * GRAD * L, *restrict H0 = cn + d * GRAD * L;
+    const double *restrict F1 = F0 + L, *restrict F2 = F0 + 2 * L;
+    const double *restrict H1 = H0 + L, *restrict H2 = H0 + 2 * L;
+    const double *restrict D0 = D, *restrict D1 = D + L, *restrict D2 = D + 2 * L;
+    const double *restrict E0 = Dn, *restrict E1 = Dn + L, *restrict E2 = Dn + 2 * L;
     double *restrict X0 = X, *restrict X1 = X + L, *restrict X2 = X + 2 * L;
-    double *restrict Fm0 = X + 3 * L, *restrict Fm1 = X + 4 * L, *restrict Fm2 = X + 5 * L;
-    const double cx = K->cx, qdt = K->qdt, hdt = K->hdt, hg = K->hg;
+    double *restrict M0 = X + 3 * L;
+    double *restrict Mn = X + (3 + n) * L, *restrict Mt = X + (3 + t) * L;
+    const double cd = d ? K->cy : K->cx, qdt = K->qdt, hdt = K->hdt, hg = K->hg;
     #pragma GCC ivdep
-    for (long k = 0; k < e - 1; k++) {
-        const double a0 = (q0[k] + q0[k + 1]) * 0.5 - (F0[k + 1] - F0[k]) * cx
-                          - (Gy0[k] + Gy0[k + 1]) * qdt;
-        double a1 = (q1[k] + q1[k + 1]) * 0.5 - (F1[k + 1] - F1[k]) * cx
-                    - (Gy1[k] + Gy1[k + 1]) * qdt;
-        double a2 = (q2[k] + q2[k + 1]) * 0.5 - (F2[k + 1] - F2[k]) * cx
-                    - (Gy2[k] + Gy2[k + 1]) * qdt;
-        const double s = (h[k] + h[k + 1]) * 0.5 * hdt;
-        const double ua = (u[k] + u[k + 1]) * 0.5, va = (v[k] + v[k + 1]) * 0.5;
-        a1 += (fc[k] * va - gxx[k]) * s;
-        a2 += (mfc[k] * ua - gyx[k]) * s;
-        const double um = a1 / a0, vm = a2 / a0, fm = um * a0;
+    for (long k = d; k < e - 1; k++) {
+        const double a0 = (h[k] + h[k + o]) * 0.5 - (H0[k + r] - F0[k]) * cd
+                          - (D0[k] + E0[k + r]) * qdt;
+        double a1 = (q1[k] + n1[k + r]) * 0.5 - (H1[k + r] - F1[k]) * cd
+                    - (D1[k] + E1[k + r]) * qdt;
+        double a2 = (q2[k] + n2[k + r]) * 0.5 - (H2[k + r] - F2[k]) * cd
+                    - (D2[k] + E2[k + r]) * qdt;
+        const double s = (h[k] + h[k + o]) * 0.5 * hdt;
+        const double ua = (u[k] + u[k + o]) * 0.5, va = (v[k] + v[k + o]) * 0.5;
+        a1 += (f[k] * va - gx[k]) * s;
+        a2 += (mf[k] * ua - gy[k]) * s;
+        const double um = a1 / a0, vm = a2 / a0;
+        const double N = d ? vm : um, T = d ? um : vm, m = N * a0;
         X0[k] = a0;
         X1[k] = um;
         X2[k] = vm;
-        Fm0[k] = fm;
-        Fm1[k] = fm * um + a0 * hg * a0;
-        Fm2[k] = fm * vm;
-    }
-}
-
-/* Half states at the y faces between a row (cells k) and the row north
- * of it (cells k + e), at the unique columns 1..e-2, their primitive
- * form and their fluxes, into Y: the row's (h, u, v) is at h, u, v (the
- * north row's e values on), the rows' cell rows at c and cn, their x
- * gradients at Fx and Fxn, and the face tables start at the row. */
-LW_INLINE void y_faces(long e, long L, const lw_consts *K, const double *restrict c,
-                       const double *restrict cn, const double *restrict Fx,
-                       const double *restrict Fxn, const double *restrict h,
-                       const double *restrict u, const double *restrict v,
-                       const double *restrict fy, const double *restrict mfy,
-                       const double *restrict gxy, const double *restrict gyy,
-                       double *restrict Y)
-{
-    const double *restrict q0 = h, *restrict q1 = c + UH * L, *restrict q2 = c + VH * L;
-    const double *restrict G0 = q2, *restrict G1 = c + GU * L, *restrict G2 = c + GV * L;
-    const double *restrict n0 = h + e, *restrict n1 = cn + UH * L, *restrict n2 = cn + VH * L;
-    const double *restrict H0 = n2, *restrict H1 = cn + GU * L, *restrict H2 = cn + GV * L;
-    const double *restrict Fx0 = Fx, *restrict Fx1 = Fx + L, *restrict Fx2 = Fx + 2 * L;
-    const double *restrict Fn0 = Fxn, *restrict Fn1 = Fxn + L, *restrict Fn2 = Fxn + 2 * L;
-    double *restrict Y0 = Y, *restrict Y1 = Y + L, *restrict Y2 = Y + 2 * L;
-    double *restrict Gm0 = Y + 3 * L, *restrict Gm1 = Y + 4 * L, *restrict Gm2 = Y + 5 * L;
-    const double cy = K->cy, qdt = K->qdt, hdt = K->hdt, hg = K->hg;
-    #pragma GCC ivdep
-    for (long k = 1; k < e - 1; k++) {
-        const double b0 = (q0[k] + n0[k]) * 0.5 - (H0[k] - G0[k]) * cy
-                          - (Fx0[k] + Fn0[k]) * qdt;
-        double b1 = (q1[k] + n1[k]) * 0.5 - (H1[k] - G1[k]) * cy
-                    - (Fx1[k] + Fn1[k]) * qdt;
-        double b2 = (q2[k] + n2[k]) * 0.5 - (H2[k] - G2[k]) * cy
-                    - (Fx2[k] + Fn2[k]) * qdt;
-        const double s = (h[k] + h[k + e]) * 0.5 * hdt;
-        const double ua = (u[k] + u[k + e]) * 0.5, va = (v[k] + v[k + e]) * 0.5;
-        b1 += (fy[k] * va - gxy[k]) * s;
-        b2 += (mfy[k] * ua - gyy[k]) * s;
-        const double um = b1 / b0, vm = b2 / b0, gm = vm * b0;
-        Y0[k] = b0;
-        Y1[k] = um;
-        Y2[k] = vm;
-        Gm0[k] = gm;
-        Gm1[k] = um * gm;
-        Gm2[k] = vm * gm + b0 * hg * b0;
+        M0[k] = m;
+        Mn[k] = m * N + a0 * hg * a0;
+        Mt[k] = m * T;
     }
 }
 
@@ -272,34 +226,26 @@ LW_INLINE void update(long e, long L, const lw_consts *K, const double *restrict
                       const double *restrict gyc, double *restrict q0,
                       double *restrict q1, double *restrict q2)
 {
-    const double *restrict c0 = h, *restrict c1 = c + UH * L, *restrict c2 = c + VH * L;
+    const double *restrict c0 = h, *restrict c1 = c, *restrict c2 = c + GRAD * L;
     const double *restrict X0 = X, *restrict X1 = X + L, *restrict X2 = X + 2 * L;
     const double *restrict Fm0 = X + 3 * L, *restrict Fm1 = X + 4 * L, *restrict Fm2 = X + 5 * L;
     const double dt = K->dt, dtdx = K->dtdx, dtdy = K->dtdy;
-    if (Ys == NULL) {
-        const double *restrict G0 = Yn + 3 * L, *restrict G1 = Yn + 4 * L,
-                     *restrict G2 = Yn + 5 * L;
+    if (Ys == NULL || Yn == NULL) {
+        /* the flux of the face off the wall, negated at the north wall */
+        const int north = Yn == NULL;
+        const double *Y = north ? Ys : Yn;
+        const double *restrict G0 = Y + 3 * L, *restrict G1 = Y + 4 * L,
+                     *restrict G2 = Y + 5 * L;
         #pragma GCC ivdep
         for (long k = 1; k < e - 1; k++) {
             const double m0 = (X0[k] + X0[k - 1]) * 0.5, m1 = (X1[k] + X1[k - 1]) * 0.5,
                          m2 = (X2[k] + X2[k - 1]) * 0.5, s = m0 * dt;
-            q0[k] = c0[k] - (Fm0[k] - Fm0[k - 1]) * dtdx - G0[k] * dtdy;
-            q1[k] = c1[k] - (Fm1[k] - Fm1[k - 1]) * dtdx - G1[k] * dtdy
+            const double g0 = north ? -G0[k] : G0[k], g1 = north ? -G1[k] : G1[k],
+                         g2 = north ? -G2[k] : G2[k];
+            q0[k] = c0[k] - (Fm0[k] - Fm0[k - 1]) * dtdx - g0 * dtdy;
+            q1[k] = c1[k] - (Fm1[k] - Fm1[k - 1]) * dtdx - g1 * dtdy
                     + (fc[k] * m2 - gxc[k]) * s;
-            q2[k] = c2[k] - (Fm2[k] - Fm2[k - 1]) * dtdx - G2[k] * dtdy
-                    + (mfc[k] * m1 - gyc[k]) * s;
-        }
-    } else if (Yn == NULL) {
-        const double *restrict G0 = Ys + 3 * L, *restrict G1 = Ys + 4 * L,
-                     *restrict G2 = Ys + 5 * L;
-        #pragma GCC ivdep
-        for (long k = 1; k < e - 1; k++) {
-            const double m0 = (X0[k] + X0[k - 1]) * 0.5, m1 = (X1[k] + X1[k - 1]) * 0.5,
-                         m2 = (X2[k] + X2[k - 1]) * 0.5, s = m0 * dt;
-            q0[k] = c0[k] - (Fm0[k] - Fm0[k - 1]) * dtdx - -G0[k] * dtdy;
-            q1[k] = c1[k] - (Fm1[k] - Fm1[k - 1]) * dtdx - -G1[k] * dtdy
-                    + (fc[k] * m2 - gxc[k]) * s;
-            q2[k] = c2[k] - (Fm2[k] - Fm2[k - 1]) * dtdx - -G2[k] * dtdy
+            q2[k] = c2[k] - (Fm2[k] - Fm2[k - 1]) * dtdx - g2 * dtdy
                     + (mfc[k] * m1 - gyc[k]) * s;
         }
     } else {
@@ -399,27 +345,35 @@ LW_INLINE int step(const lw_work *w, double dt, double *speed)
     double *xf = gy + GRAD * L, *yf = xf + FACE * L;
 
     for (long r = 0; r < 2; r++) {
-        cells(e, L, K.hg, h + r * e, u + r * e, v + r * e, cell + r * CELL * L);
-        x_gradients(e, L, K.two_dx, cell + r * CELL * L, gx + r * GRAD * L);
+        double *c = cell + r * CELL * L;
+        cells(e, L, K.hg, h + r * e, u + r * e, v + r * e, c);
+        gradients(0, e, 1, L, K.two_dx, c, c, gx + r * GRAD * L);
     }
     for (long r = 0; r < ny; r++) {
         const long o = r * e;
         const int south = r > 0, north = r < ny - 1;
         const double *c = cell + r % 3 * CELL * L;
-        const double *cs = cell + (r + 2) % 3 * CELL * L, *cn = cell + (r + 1) % 3 * CELL * L;
+        double *cs = cell + (r + 2) % 3 * CELL * L, *cn = cell + (r + 1) % 3 * CELL * L;
         const double *ys = yf + (r + 1) % 2 * FACE * L;
         double *yn = yf + r % 2 * FACE * L;
-        y_gradients(e, L, K.two_dy, south ? cs : NULL, north ? cn : NULL, gy);
-        x_faces(e, L, &K, c, gy, h + o, u + o, v + o, fc + o, mfc + o, gxx + o, gyx + o, xf);
+        /* beyond a wall, the ghost row goes into the cell slot that is
+         * free there: slot 2 at row 0, the slot of row r - 2 at row ny - 1 */
+        if (!south)
+            mirror(e, L, cn, cs);
+        if (!north)
+            mirror(e, L, cs, cn);
+        gradients(1, e, 0, L, K.two_dy, cn, cs, gy);
+        faces(0, e, L, &K, c, c, gy, gy, h + o, u + o, v + o, fc + o, mfc + o, gxx + o, gyx + o,
+              xf);
         if (north)
-            y_faces(e, L, &K, c, cn, gx + r % 2 * GRAD * L, gx + (r + 1) % 2 * GRAD * L,
-                    h + o, u + o, v + o, fy + o, mfy + o, gxy + o, gyy + o, yn);
+            faces(1, e, L, &K, c, cn, gx + r % 2 * GRAD * L, gx + (r + 1) % 2 * GRAD * L,
+                  h + o, u + o, v + o, fy + o, mfy + o, gxy + o, gyy + o, yn);
         update(e, L, &K, h + o, c, xf, south ? ys : NULL, north ? yn : NULL,
                fc + o, mfc + o, gxc + o, gyc + o, q0 + o, q1 + o, q2 + o);
         if (r + 2 < ny) {
             double *c2 = cell + (r + 2) % 3 * CELL * L;
             cells(e, L, K.hg, h + o + 2 * e, u + o + 2 * e, v + o + 2 * e, c2);
-            x_gradients(e, L, K.two_dx, c2, gx + r % 2 * GRAD * L);
+            gradients(0, e, 1, L, K.two_dx, c2, c2, gx + r % 2 * GRAD * L);
         }
     }
 

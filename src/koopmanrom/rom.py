@@ -26,24 +26,28 @@ Decomposition store: ``reduced_model(matrix, epsilon, store)`` keeps a
 field's decomposition and its selection curve in one file at ``store``
 and reads it back while the snapshot bytes are unchanged, so a later
 selection at any epsilon runs no residual pass and no Vandermonde.  The
-file (format 8) is flat, not a zip: a header (the magic ``KROMDMD`` and
+file (format 9) is flat, not a zip: a header (the magic ``KROMDMD`` and
 a NUL byte, then u32 LE: the format, the key length, the decomposed
-snapshots n, a complex flag, 0 or 1, and the number of conjugate
-groups), the ASCII key, then the little-endian arrays at the 64-byte
-aligned offsets the header fixes (``_store_layout``): the eigenvalues,
-amplitudes, R, B and z of ``dmd.DmdDecomposition`` and the curve, all
-float64 but the four that ``dmd`` makes complex128 with the spectrum
-(the flag).  The exponents, weights and admission order are derived
-from them, on a hit as on a miss.  It is read whole with one
+snapshots n, a complex flag, 0 or 1, the number of conjugate groups and
+the ``zlib.crc32`` of everything after the header), the ASCII key, then
+the little-endian arrays at the 64-byte aligned offsets the header fixes
+(``_store_layout``): the eigenvalues, amplitudes, R, B and z of
+``dmd.DmdDecomposition`` and the curve, all float64 but the four that
+``dmd`` makes complex128 with the spectrum (the flag).  The exponents,
+weights and admission order are derived from them, on a hit as on a
+miss.  It is read whole with one
 ``readinto`` into a buffer of its checked size, and the arrays are views
 of that buffer; nothing is unpickled.  The key is the store format, the
 dtype and shape of the payload row block, the bits of dt, the sha256 of
 its rows and the BLAS (``_lapack.blas_id``); a path, a size or an mtime
 never enters it.  A load checks the file's size against the snapshots,
 its magic, format, key, 2 <= n <= the snapshots and the flag, that its
-size is its layout's, and that the curve has one entry per conjugate
-group of the eigenvalues.  A file that fails a check, a store of an
-older format (a format 3 zip among them) included, is a miss, which
+size is its layout's, its checksum before it views an array, and that
+the curve has one entry per conjugate group of the eigenvalues.  The
+checksum makes a damaged store (any flipped bit: CRC-32 detects every
+error burst of up to 32 bits) a miss; it is no defence against a
+forger, who can write the key too.  A file that fails a check, a store
+of an older format (a format 3 zip among them) included, is a miss, which
 decomposes again and overwrites the file (``_files.Replacement``);
 arrays of other dtypes (of a float32 matrix) are never written.
 """
@@ -54,6 +58,7 @@ import hashlib
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -65,9 +70,10 @@ from .snapshots import SnapshotMatrix
 
 # decomposition store (module docstring): format version, also part of
 # the key, header and array alignment
-_STORE_VERSION = 8
+_STORE_VERSION = 9
 _STORE_MAGIC = b"KROMDMD\0"
-_STORE_HEAD = struct.Struct("<8s5I")    # magic, format, key bytes, n, complex, groups
+# magic, format, key bytes, n, complex, groups, crc32 of the rest
+_STORE_HEAD = struct.Struct("<8s6I")
 _STORE_ALIGN = 64
 
 
@@ -307,17 +313,15 @@ def _store_key(matrix: SnapshotMatrix) -> str:
     """The store key of ``matrix``: format version, dtype and shape of its
     payload row block, the bits of dt, the sha256 of the rows, the BLAS.
 
-    The rows are hashed in place through the buffer protocol, the whole
-    block at once in the ``assemble``/``load`` layout, else one snapshot
-    at a time, so no payload is copied.
+    The rows are hashed one snapshot at a time through the buffer
+    protocol: sha256 is a stream, so that is the digest of the whole
+    block, and in the ``assemble``/``load`` layout each row is a view, so
+    no payload is copied.
     """
     rows = matrix.data.T
     digest = hashlib.sha256()
-    if rows.flags.c_contiguous:
-        digest.update(rows)
-    else:
-        for row in rows:
-            digest.update(np.ascontiguousarray(row))
+    for row in rows:
+        digest.update(np.ascontiguousarray(row))
     dt_bits = struct.pack("<d", matrix.dt).hex()
     return (f"koopmanrom-dmd {_STORE_VERSION} {rows.dtype.str} {rows.shape[0]}x{rows.shape[1]} "
             f"{dt_bits} {digest.hexdigest()} {_lapack.blas_id()}")
@@ -358,13 +362,13 @@ def _load_store(path, key: str, matrix: SnapshotMatrix):
                 return None
     except OSError:  # a store that does not read back is a miss, never an error
         return None
-    magic, version, key_len, n, is_complex, groups = _STORE_HEAD.unpack_from(buf)
+    magic, version, key_len, n, is_complex, groups, crc = _STORE_HEAD.unpack_from(buf)
     if (magic != _STORE_MAGIC or version != _STORE_VERSION or key_len != len(key)
             or buf[_STORE_HEAD.size:][:key_len].tobytes() != key
             or not 2 <= n <= nsnap or is_complex not in (0, 1)):
         return None
     layout, end = _store_layout(key_len, n, is_complex, groups)
-    if size != end:
+    if size != end or zlib.crc32(buf[_STORE_HEAD.size:]) != crc:
         return None
     arrays = {name: np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape)
               for name, (offset, shape, dtype) in layout.items()}
@@ -384,7 +388,7 @@ def _save_store(path, key: str, matrix: SnapshotMatrix, dec: dmd.DmdDecompositio
     its layout, is skipped, and the next call decomposes again."""
     key = key.encode()
     head = (len(key), matrix.n_snapshots, int(np.iscomplexobj(dec.lambdas)), len(curve))
-    parts = [_STORE_HEAD.pack(_STORE_MAGIC, _STORE_VERSION, *head), key]
+    parts = [key]
     at = _STORE_HEAD.size + len(key)
     for name, (offset, _, dtype) in _store_layout(*head)[0].items():
         a = curve if name == "curve" else getattr(dec, name)
@@ -392,6 +396,10 @@ def _save_store(path, key: str, matrix: SnapshotMatrix, dec: dmd.DmdDecompositio
             return
         parts += [bytes(offset - at), np.ascontiguousarray(a, dtype=dtype)]
         at = offset + a.nbytes
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.insert(0, _STORE_HEAD.pack(_STORE_MAGIC, _STORE_VERSION, *head, crc))
     try:
         with _files.Replacement(path) as fh:
             fh.writelines(parts)

@@ -12,12 +12,13 @@ import sys
 import tempfile
 import time
 import warnings
+import zlib
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import koopmanrom
@@ -1191,24 +1192,26 @@ def store_case(tmp_path_factory):
 
 def unpacked(store: bytes):
     """The header fields (magic, format, key length, n, complex flag,
-    conjugate groups), the key and the flat arrays, by name, of a store
-    of this format."""
+    conjugate groups, checksum), the key and the flat arrays, by name, of
+    a store of this format."""
     head = list(rom._STORE_HEAD.unpack_from(store))
     key = store[rom._STORE_HEAD.size:][:head[2]]
-    layout, _ = rom._store_layout(*head[2:])
+    layout, _ = rom._store_layout(*head[2:6])
     arrays = {name: np.frombuffer(store, dtype, math.prod(shape), offset)
               for name, (offset, shape, dtype) in layout.items()}
     return head, key, arrays
 
 
 def packed(head, key: bytes, arrays) -> bytes:
-    """The header ``head``, the key, then each array at the next 64-byte
-    aligned offset: the store of this format when the arrays have the
-    extents and dtypes the header gives them."""
-    raw = rom._STORE_HEAD.pack(*head) + key
+    """The header ``head`` with the checksum of the rest, the key, then
+    each array at the next 64-byte aligned offset: the store of this
+    format when the arrays have the extents and dtypes the header gives
+    them, so that only the edit a case makes tells it from a store."""
+    start = rom._STORE_HEAD.size
+    raw = key
     for a in arrays.values():
-        raw = raw.ljust(-(-len(raw) // 64) * 64, b"\0") + a.tobytes()
-    return raw
+        raw = raw.ljust(-(-(start + len(raw)) // 64) * 64 - start, b"\0") + a.tobytes()
+    return rom._STORE_HEAD.pack(*head[:6], zlib.crc32(raw)) + raw
 
 
 def _edited(store: bytes, name: str, how: str) -> bytes:
@@ -1334,3 +1337,61 @@ def test_any_damaged_store_is_recomputed(store_case, data):
         assert not [p for p in out.iterdir() if p.name.startswith(".")]
         # what it left behind is a valid store
         assert run_counting([*argv, "--out", out])[:4] == (0, cold_echo, "", 0)
+
+
+@pytest.fixture(scope="module")
+def desk_store(tmp_path_factory, desk_ksnp):
+    """The argv of rom and of reconstruct h at index 7 on the desk
+    channel, the directory they ran in one after the other, what they
+    printed (exit code, stdout) and the outputs they left there."""
+    cfg, data = desk_ksnp
+    out = tmp_path_factory.mktemp("undamaged")
+    commands = (["rom", "--config", cfg, "--data", data],
+                ["reconstruct", "--config", cfg, "--data", data, "--field", "h", "--index", "7"])
+    echoes = [run_counting([*argv, "--out", out])[:2] for argv in commands]
+    assert [code for code, _ in echoes] == [0, 0]
+    return commands, out, echoes, outputs(out)
+
+
+def damaged(store: bytes, damage) -> bytes:
+    """The store with one bit flipped, bit ``damage`` modulo its size, or
+    with a pinned damage: "curve", the lowest exponent bit of the curve
+    entry where the selection at epsilon = 1e-3 stops, or "nan z", a NaN
+    in z[0, 0].  The header is left as it was."""
+    raw = bytearray(store)
+    if isinstance(damage, int):
+        damage %= 8 * len(raw)
+        raw[damage // 8] ^= 1 << damage % 8
+        return bytes(raw)
+    head = rom._STORE_HEAD.unpack_from(store)
+    layout, _ = rom._store_layout(*head[2:6])
+    if damage == "curve":
+        offset, shape, dtype = layout["curve"]
+        curve = np.frombuffer(store, dtype, shape[0], offset)
+        stop = int(np.argmax(curve <= 1e-3))
+        raw[offset + 8 * stop + 6] ^= 0x10   # bit 52 of the little-endian float
+    else:
+        offset, _, _ = layout["z"]
+        raw[offset:offset + 8] = np.array(np.nan, "<f8").tobytes()
+    return bytes(raw)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(damage=st.integers(0, 2**40))
+@example(damage="curve")
+@example(damage="nan z")
+def test_a_damaged_store_is_a_miss(desk_store, damage):
+    """rom and reconstruct on a desk h store with a flipped bit, or a
+    NaN, decompose h again: the same exit codes, stdout and outputs as
+    on the undamaged store, which they write back."""
+    commands, undamaged, echoes, files = desk_store
+    store = (undamaged / "dmd_h.npz").read_bytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for name in ("u", "v"):
+            shutil.copy(undamaged / f"dmd_{name}.npz", out)
+        for argv, echo in zip(commands, echoes):
+            (out / "dmd_h.npz").write_bytes(damaged(store, damage))
+            assert run_counting([*argv, "--out", out])[:2] == echo, argv[0]
+        assert outputs(out) == files
+        assert (out / "dmd_h.npz").read_bytes() == store
