@@ -213,11 +213,11 @@ def _dirs(cfg: ExperimentConfig, args) -> tuple[Path, Path]:
 
 
 def _reduce(matrix: snapshots.SnapshotMatrix, outdir: Path, name: str, epsilon: float,
-            time_errors: bool):
+            time_errors: bool, reload=None):
     """rom.reduced_model with the store ``dmd_<name>.npz`` in ``outdir``,
     echoing a rank-deficiency truncation of the window."""
     used, dec, model = rom.reduced_model(matrix, epsilon, outdir / f"dmd_{name}.npz",
-                                         time_errors=time_errors)
+                                         time_errors=time_errors, reload=reload)
     if used.n_snapshots < matrix.n_snapshots:
         print(f"rank {used.n_snapshots - 1} < {matrix.n_snapshots - 1}: truncating "
               f"window to the first {used.n_snapshots} snapshots")
@@ -239,9 +239,11 @@ def _write_spectrum(path, dec, model):
 def _rom_field(path: Path, name: str, outdir: Path, epsilon: float):
     """Load, decompose and select the input ``path``, tagged ``name``, and
     write its spectrum and errors reports; returns (name, model).  Only the
-    model outlives the call, so ``rom`` holds one payload at a time."""
+    model outlives the call, so ``rom`` holds one payload at a time; nothing
+    reads V0 after the fit, so the fit factors that payload in place
+    (``reload``)."""
     matrix, dec, model = _reduce(snapshots.load(path), outdir, name, epsilon,
-                                 time_errors=True)
+                                 time_errors=True, reload=lambda: snapshots.load(path))
     _write_spectrum(outdir / f"spectrum_{name}.csv", dec, model)
     with _files.Replacement(outdir / f"errors_{name}.csv", text=True) as fh:
         fh.write("snapshot,time,rel_error\n")

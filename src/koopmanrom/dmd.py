@@ -45,12 +45,14 @@ Least squares: ``_qr_solve`` factors one Fortran copy of its block
 through the LAPACK that numpy's wheel bundles (``_lapack``), with
 numpy's own workspace query, so R has the bits of ``np.linalg.qr``
 without its two payload-sized copies, and ``np.linalg.solve``
-back-substitutes on R.  The rank gate certifies full rank from
-||R||_F ||R^-1||_F where it can (``_certified_full_rank``) and takes
-the SVD of R otherwise, so it decides as the SVD alone did.  Where that
-library is missing, or the block is neither float64 nor complex128,
-``np.linalg`` does the same work.  ``coordinates`` of a foreign matrix
-takes ``np.linalg.qr`` of [V0 | X], the same routine on the same block.
+back-substitutes on R; the payload that ``decompose(..., reload=...)``
+is handed is factored where it lies, with no copy.  The rank gate
+certifies full rank from ||R||_F ||R^-1||_F where it can
+(``_certified_full_rank``) and takes the SVD of R otherwise, so it
+decides as the SVD alone did.  Where that library is missing, or the
+block is neither float64 nor complex128, ``np.linalg`` does the same
+work.  ``coordinates`` of a foreign matrix takes ``np.linalg.qr`` of
+[V0 | X], the same routine on the same block.
 
 Thread count: the public functions that factor, multiply or take norms
 run on one BLAS thread (``_lapack.one_thread``), so their bits do not
@@ -111,8 +113,9 @@ class DmdDecomposition:
     lambdas: np.ndarray         # complex, shape (m,)
     dt: float
     amplitudes: np.ndarray      # complex, shape (m,)
-    # snapshot coordinates: the decomposed V0 (a view, not a copy), R, B
-    # and the eigenvectors z with unit images and pinned phases
+    # snapshot coordinates: the decomposed V0 (a view, not a copy, which
+    # raises on every read once ``decompose`` with ``reload`` consumed it),
+    # R, B and the eigenvectors z with unit images and pinned phases
     v0: np.ndarray = field(repr=False)
     r: np.ndarray = field(repr=False)
     mode_coords: np.ndarray = field(repr=False)
@@ -167,6 +170,27 @@ class DmdDecomposition:
         return idx
 
 
+class _Consumed(np.ndarray):
+    """The payload of a decomposition that factored it in place
+    (``decompose`` with ``reload``): every numpy function and operator on
+    it, and so every read of its V0, raises ValueError naming it."""
+
+    def __array_ufunc__(self, *args, **kwargs):
+        raise ValueError(_CONSUMED)
+
+    def __array_function__(self, *args, **kwargs):
+        raise ValueError(_CONSUMED)
+
+
+_CONSUMED = ("V0 of a consumed decomposition: decompose(..., reload=...) factored "
+             "its payload in place; decompose the snapshots again to read it")
+
+
+def _consumed(matrix: SnapshotMatrix) -> SnapshotMatrix:
+    """``matrix`` with its payload marked for ``_qr_solve`` to factor in place."""
+    return replace(matrix, data=matrix.data.view(_Consumed))
+
+
 def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether ``a`` and ``b`` view the same memory the same way."""
     return (a.ctypes.data == b.ctypes.data and a.shape == b.shape
@@ -182,16 +206,25 @@ def _qr_solve(block: np.ndarray, what: str):
     A float64 or complex128 block is factored on one Fortran copy by the
     LAPACK bundled with numpy, with the bits of ``np.linalg.qr``, and the
     rank gate reads the singular values of R only where
-    ``_certified_full_rank`` does not pass it.  Without that library,
-    and for other dtypes, ``np.linalg.qr`` factors the block and the SVD
-    decides.  ``np.linalg.solve`` back-substitutes on R either way.
+    ``_certified_full_rank`` does not pass it.  A consumed block
+    (``_Consumed``, the payload of ``decompose`` with ``reload``) that
+    is Fortran-ordered, writable and native, as ``snapshots.load``
+    gives it, is factored where it lies instead of on a copy: the same
+    routine on the same values in the same layout, so the same bits, and
+    the block holds the reflectors after.  Without that library, and for
+    other dtypes, ``np.linalg.qr`` factors the block and the SVD decides.
+    ``np.linalg.solve`` back-substitutes on R either way.
     """
     n = block.shape[1] - 1
+    in_place = isinstance(block, _Consumed)
+    block = block.view(np.ndarray)
     lapack = _lapack.load() if block.dtype.type in (np.float64, np.complex128) else None
     if lapack is None:
         rt = np.linalg.qr(block, mode="r")
     else:
-        buf = np.array(block, dtype=block.dtype.type, order="F")
+        flags = block.flags
+        buf = block if in_place and flags.f_contiguous and flags.writeable \
+            and block.dtype.isnative else np.array(block, dtype=block.dtype.type, order="F")
         lapack.geqrf(buf)
         rt = np.triu(buf[:min(buf.shape)])
     r = rt[:n, :n]
@@ -498,7 +531,8 @@ def _amplitudes(r: np.ndarray, b: np.ndarray, lambdas: np.ndarray) -> np.ndarray
 
 
 @_lapack.one_thread()
-def decompose(matrix: SnapshotMatrix) -> tuple[SnapshotMatrix, DmdDecomposition]:
+def decompose(matrix: SnapshotMatrix, *,
+              reload=None) -> tuple[SnapshotMatrix, DmdDecomposition]:
     """Fit, eigendecompose and project the amplitudes of ``matrix``.
 
     Data whose 2-norm overflows, or non-zero data whose 2-norm is below
@@ -508,6 +542,16 @@ def decompose(matrix: SnapshotMatrix) -> tuple[SnapshotMatrix, DmdDecomposition]
     RankDeficient propagates naming that window, and r = 0 raises
     ZeroNormData.  Returns the matrix actually decomposed, shorter than
     ``matrix`` after a truncation, and its decomposition.
+
+    With ``reload``, a callable that returns the same snapshots again,
+    the caller hands ``matrix`` over: the fit factors its payload in
+    place (``_qr_solve``), and the retry truncates ``reload()``'s
+    payload, factored in place too, since the first fit destroyed this
+    one; ``rom.reduced_model`` checks that it holds the same bytes.  The
+    returned matrix and decomposition are then consumed: every read of
+    V0 (``modes``, ``reconstruct``, ``coordinates`` of any x but the
+    decomposed V0) raises ValueError.  Without ``reload`` nothing of
+    ``matrix`` is written.
     """
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(matrix.data)
@@ -522,12 +566,16 @@ def decompose(matrix: SnapshotMatrix) -> tuple[SnapshotMatrix, DmdDecomposition]
         raise NonFiniteData(f"snapshot data: 2-norm {norm:.3g} below 2**-459, where "
                             "the square of a residual at machine precision is "
                             "subnormal; rescale the data")
+    if reload is not None:
+        matrix = _consumed(matrix)
     try:
         fit = fit_companion(matrix)
     except RankDeficient as exc:
         if exc.rank == 0:
             raise ZeroNormData(f"V0 (the first {exc.n_columns} snapshots) is all "
                                "zero: there are no dynamics to fit") from exc
+        if reload is not None:
+            matrix = _consumed(reload())
         matrix = replace(matrix, data=matrix.data[:, :exc.rank + 1])
         try:
             fit = fit_companion(matrix)

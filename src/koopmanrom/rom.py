@@ -8,13 +8,19 @@ relative reconstruction error drops below the requested threshold.
 
 Every reconstruction error runs in snapshot coordinates (see ``dmd``):
 one kernel, ``_residuals``, forms the coordinate residual T - Re(B C),
-one real rank-2 product per mode, whose column norms equal those of the
-full-space residual: the quadratic form that sparsity-promoting DMD
-optimises over (Jovanovic, Schmid & Nichols, Phys. Fluids 26, 2014).
-The reference norms are those of T, the snapshot coordinates (R for the
-decomposed window, else from one QR of [V0 | X]), so no error forms the
-mode matrix or an Nx x Nt temporary.  A mode subset must name distinct
-modes (IndexOutOfRange otherwise).
+whose column norms equal those of the full-space residual: the
+quadratic form that sparsity-promoting DMD optimises over (Jovanovic,
+Schmid & Nichols, Phys. Fluids 26, 2014).  It subtracts one real
+product per conjugate group g, [Re B_g, Im B_g] (Nt x 2|g|) times
+[Re C_g; -Im C_g], the groups read from the mode sequence: j then
+j + 1 with Im lambda_j > 0 is a pair, any other mode stands alone.  So
+one mode sequence gives the same bits however a caller splits it, as
+long as no split falls between a pair's partners: ``relative_error``
+and ``per_time_errors`` of a selection equal its curve entry and its
+``time_errors`` bit for bit.  The reference norms are those of T, the
+snapshot coordinates (R for the decomposed window, else from one QR of
+[V0 | X]), so no error forms the mode matrix or an Nx x Nt temporary.  A
+mode subset must name distinct modes (IndexOutOfRange otherwise).
 
 Selection curve: one ``_residuals`` pass over every conjugate group in
 admission order gives the aggregate error after each group.  The
@@ -26,34 +32,45 @@ Decomposition store: ``reduced_model(matrix, epsilon, store)`` keeps a
 field's decomposition and its selection curve in one file at ``store``
 and reads it back while the snapshot bytes are unchanged, so a later
 selection at any epsilon runs no residual pass and no Vandermonde.  The
-file (format 9) is flat, not a zip: a header (the magic ``KROMDMD`` and
-a NUL byte, then u32 LE: the format, the key length, the decomposed
-snapshots n, a complex flag, 0 or 1, the number of conjugate groups and
-the ``zlib.crc32`` of everything after the header), the ASCII key, then
-the little-endian arrays at the 64-byte aligned offsets the header fixes
+file (format 10; format 9 held the curve of the per-mode kernel) is
+flat, not a zip: a header (the magic ``KROMDMD`` and a NUL byte, then
+u32 LE: the format, the key length, the decomposed snapshots n, a
+complex flag, 0 or 1, the number of conjugate groups and the
+``zlib.crc32`` of everything after the header), the ASCII key, then the
+little-endian arrays at the 64-byte aligned offsets the header fixes
 (``_store_layout``): the eigenvalues, amplitudes, R, B and z of
 ``dmd.DmdDecomposition`` and the curve, all float64 but the four that
 ``dmd`` makes complex128 with the spectrum (the flag).  The exponents,
 weights and admission order are derived from them, on a hit as on a
-miss.  It is read whole with one
-``readinto`` into a buffer of its checked size, and the arrays are views
-of that buffer; nothing is unpickled.  The key is the store format, the
-dtype and shape of the payload row block, the bits of dt, the sha256 of
-its rows and the BLAS (``_lapack.blas_id``); a path, a size or an mtime
-never enters it.  A load checks the file's size against the snapshots,
-its magic, format, key, 2 <= n <= the snapshots and the flag, that its
-size is its layout's, its checksum before it views an array, and that
-the curve has one entry per conjugate group of the eigenvalues.  The
-checksum makes a damaged store (any flipped bit: CRC-32 detects every
-error burst of up to 32 bits) a miss; it is no defence against a
-forger, who can write the key too.  A file that fails a check, a store
-of an older format (a format 3 zip among them) included, is a miss, which
-decomposes again and overwrites the file (``_files.Replacement``);
-arrays of other dtypes (of a float32 matrix) are never written.
+miss.  It is read whole with one ``readinto`` into a buffer of its
+checked size, and the arrays are views of that buffer; nothing is
+unpickled.  The key is the store format, the dtype and shape of the
+payload row block, the bits of dt, the sha256 of its rows and the BLAS
+(``_lapack.blas_id``); a path, a size or an mtime never enters it.  A
+load checks the file's size against the snapshots, its magic, format,
+key, 2 <= n <= the snapshots and the flag, that its size is its
+layout's, its checksum before it views an array, and that the curve has
+one entry per conjugate group of the eigenvalues.  The checksum makes a
+damaged store (any flipped bit: CRC-32 detects every error burst of up
+to 32 bits) a miss; it is no defence against a forger, who can write the
+key too.  A file that fails a check, a store of an older format (a
+format 3 zip among them) included, is a miss, which decomposes again and
+overwrites the file (``_files.Replacement``); arrays of other dtypes (of
+a float32 matrix) are never written.
+
+Consuming path: nothing ``rom`` writes reads V0 after the fit, so
+``reduced_model(..., reload=...)`` lets ``dmd.decompose`` factor the
+matrix's payload in place instead of on a copy, the same bits with one
+payload-sized buffer fewer; a rank-deficiency retry refits the payload
+``reload()`` reads again, once its store key is checked against the one
+already taken.  ``cli``'s ``rom`` takes this path; ``reconstruct`` and
+``vorticity``, which read V0 after the fit, and every call without
+``reload`` keep the copy.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -65,16 +82,18 @@ from typing import Optional
 import numpy as np
 
 from . import _files, _lapack, dmd
-from .errors import ZeroNormData
+from .errors import InvalidValue, ZeroNormData
 from .snapshots import SnapshotMatrix
 
 # decomposition store (module docstring): format version, also part of
 # the key, header and array alignment
-_STORE_VERSION = 9
+_STORE_VERSION = 10
 _STORE_MAGIC = b"KROMDMD\0"
 # magic, format, key bytes, n, complex, groups, crc32 of the rest
 _STORE_HEAD = struct.Struct("<8s6I")
 _STORE_ALIGN = 64
+# the float64 entries in one row block of the weight terms (``_ranking``)
+_RANKING_BLOCK = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -108,7 +127,10 @@ class RomModel:
 
 def mode_weights(dec: dmd.DmdDecomposition, n_steps: int) -> np.ndarray:
     """Weight of every mode over a horizon of n_steps >= 1 (ValueError
-    otherwise), a float64 array indexed by mode: ``_ranking``'s weights."""
+    otherwise), a float64 array indexed by mode: ``_ranking``'s weights.
+
+    Memory stays bounded at any horizon, but the time grows with
+    n_steps: each of the n_steps x m powers is formed once."""
     if n_steps < 1:
         raise ValueError(f"n_steps = {n_steps} < 1")
     return _ranking(dec, n_steps)[0]
@@ -119,10 +141,34 @@ def _ranking(dec: dmd.DmdDecomposition, n_steps: int):
     times its sum_{i < n_steps} |a_j| |lambda_j|^i, inf where that
     product overflows, and the conjugate groups sorted by descending
     weight, read from the sums, which a large dt cannot overflow; ties
-    break toward the lower |frequency|, then the lower index."""
-    powers = np.abs(dec.lambdas)[None, :] ** np.arange(n_steps)[:, None]
-    sums = (np.abs(dec.amplitudes)[None, :] * powers).sum(axis=0)
-    with np.errstate(over="ignore"):
+    break toward the lower |frequency|, then the lower index.
+
+    The terms are formed in blocks of rows of about 1 MiB, so the memory
+    is bounded at any horizon.  A horizon within one block sums its
+    table as numpy's ``sum(axis=0)`` does; each later block is summed
+    below a first row that carries the running sums, so every row is
+    added into one running sum in order, as ``sum(axis=0)`` of the whole
+    table adds its rows when there are two modes or more.  A mode leaves
+    the blocks once its power underflows to 0, which it stays at every
+    later step, or once its sum is not finite, which it stays too; the
+    blocks end when no mode is left.
+    """
+    mag, amp = np.abs(dec.lambdas), np.abs(dec.amplitudes)
+    rows = max(1, _RANKING_BLOCK // max(1, mag.size))
+    sums, live, carry = np.zeros(mag.size), slice(None), 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps, rows):
+            steps = np.arange(start, min(start + rows, n_steps))
+            block = np.zeros((carry + steps.size, mag.size))
+            block[:carry] = sums
+            powers = mag[live] ** steps[:, None]
+            block[carry:, live] = amp[live] * powers
+            sums, carry = block.sum(axis=0), 1
+            moving = (powers[-1] != 0.0) & np.isfinite(sums[live])
+            if not moving.any():
+                break
+            if not moving.all():
+                live = np.arange(mag.size)[live][moving]
         weights = dec.dt * sums
     freq = np.abs(dec.exponents.imag)
     # partners share their weight and |frequency|; group[0] is the lower index
@@ -153,24 +199,32 @@ def _residuals(t: np.ndarray, b: np.ndarray, dec: dmd.DmdDecomposition, groups):
     the snapshots with coordinates ``t``, mode coordinates ``b``, after
     each group of modes is added, C[j, k] = a_j lambda_j^k.
 
-    Modes enter one at a time in the given order, each as one real
-    rank-2 product, Re(b c) = [Re b, Im b] [Re c; -Im c], into one
-    buffer subtracted in place, so a mode sequence gives bit-identical
-    residuals however it is split into groups.  One array is updated in
-    place and yielded each time.
+    Modes enter in conjugate groups read from the mode sequence: j
+    followed by j + 1 in one group, Im lambda_j > 0, is a pair (the
+    layout of ``dmd.conjugate_groups``), and any other mode, a pair's
+    partners listed apart or reversed among them, stands alone.  Each
+    such group g enters as one real product, Re(B_g C_g) =
+    [Re B_g, Im B_g] [Re C_g; -Im C_g], into one buffer subtracted in
+    place, so a mode sequence gives bit-identical residuals however it
+    is split into groups, as long as no split falls between a pair's
+    partners.  One array is updated in place and yielded each time.
     """
     idx = np.asarray([j for group in groups for j in group], dtype=int)
     coef = dec.amplitudes[idx, None] * _vandermonde(dec.lambdas[idx], t.shape[1])
-    b_sel = b[:, idx].T  # row p: coordinates of mode idx[p]
-    x = np.stack([b_sel.real, b_sel.imag], axis=2)  # x[p]: rows x 2
-    y = np.stack([coef.real, -coef.imag], axis=1)   # y[p]: 2 x Nt
+    b_sel = b[:, idx]  # column p: coordinates of mode idx[p]
+    upper = (dec.lambdas.imag > 0).tolist()
     res = np.array(t, dtype=float)
     buf = np.empty_like(res)
-    factors = zip(x, y)
+    end = 0
     for group in groups:
-        # zip ends at the group's end before it draws from ``factors``
-        for _, (xp, yp) in zip(group, factors):
-            res -= np.matmul(xp, yp, out=buf)
+        p, end = end, end + len(group)
+        while p < end:
+            pair = p + 1 < end and upper[idx[p]] and idx[p + 1] == idx[p] + 1
+            q = p + 2 if pair else p + 1
+            x = np.hstack([b_sel[:, p:q].real, b_sel[:, p:q].imag])
+            y = np.vstack([coef[p:q].real, -coef[p:q].imag])
+            res -= np.matmul(x, y, out=buf)
+            p = q
         yield res
 
 
@@ -272,7 +326,7 @@ def _select(dec: dmd.DmdDecomposition, weights: np.ndarray, order, curve: np.nda
 
 
 def reduced_model(matrix: SnapshotMatrix, epsilon: float, store, *,
-                  time_errors: bool = True):
+                  time_errors: bool = True, reload=None):
     """``dmd.decompose`` and ``select_leading_modes`` through the
     decomposition store at the path ``store`` (module docstring).
 
@@ -288,12 +342,23 @@ def reduced_model(matrix: SnapshotMatrix, epsilon: float, store, *,
     nothing.
     With ``time_errors`` False the model holds None there.  Deleting the
     file forces a recompute.
+
+    With ``reload``, a callable that returns the same snapshots again
+    (``cli`` passes ``lambda: snapshots.load(path)``), a miss hands
+    ``matrix`` over to ``dmd.decompose(..., reload=...)``, which factors
+    its payload in place, and the matrix and decomposition returned are
+    consumed: V0 is no longer readable.  The model, the store and every
+    other array are those of the copying call.  A rank-deficiency retry
+    refits ``reload()``'s payload, whose store key must be the one taken
+    here: InvalidValue, naming the field, otherwise, and no store.
     """
     check_epsilon(epsilon)
     key = _store_key(matrix)
     stored = _load_store(store, key, matrix)
     if stored is None:
-        used, dec = dmd.decompose(matrix)
+        if reload is not None:
+            reload = functools.partial(_reloaded, reload, key)
+        used, dec = dmd.decompose(matrix, reload=reload)
         model = select_leading_modes(used, dec, epsilon)
         _save_store(store, key, used, dec, model.curve)
         if not time_errors:
@@ -307,6 +372,16 @@ def reduced_model(matrix: SnapshotMatrix, epsilon: float, store, *,
     if time_errors:
         model = replace(model, time_errors=per_time_errors(used, dec, model.selected))
     return used, dec, model
+
+
+def _reloaded(reload, key: str) -> SnapshotMatrix:
+    """``reload()``, refused unless its store key is ``key``."""
+    matrix = reload()
+    if _store_key(matrix) != key:
+        raise InvalidValue(f"field {matrix.field_tag.name}: the snapshots read again "
+                           "differ from the ones decomposed; the input changed while "
+                           "it was read")
+    return matrix
 
 
 def _store_key(matrix: SnapshotMatrix) -> str:

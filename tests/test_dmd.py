@@ -14,7 +14,7 @@ import pytest
 import koopmanrom as kr
 from koopmanrom import dmd, rom
 from koopmanrom.dmd import conjugate_groups
-from koopmanrom.errors import IndexOutOfRange, RankDeficient, ZeroNormData
+from koopmanrom.errors import IndexOutOfRange, RankDeficient, ToolkitError, ZeroNormData
 from koopmanrom.snapshots import FieldTag, SnapshotMatrix
 
 from conftest import make_modal_data, matrix_from_array, traced_peak
@@ -530,7 +530,7 @@ class TestDecompositionStore:
         _, fits = self.decompose_counting(m, path)
         assert fits == 0  # the store now holds the new decomposition
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 9])
     def test_store_of_an_older_format_is_a_miss(self, tmp_path, rows, version):
         # format 1 solved the fit's triangle another way: its eigenvalues
         # differ in their last bits from a cold run of this one; format 2
@@ -541,8 +541,10 @@ class TestDecompositionStore:
         # of a spectrum with no conjugate pair on the real line, nan for a
         # negative eigenvalue; format 6 stored the exponents, weights and
         # admission order, which a load could not check against the
-        # eigenvalues.  Each is written in the layout of this format, under
-        # its own number, and format 3 also as the zip it was.  Format 7,
+        # eigenvalues; format 9, in this layout, held the curve of one
+        # residual product per mode, not per conjugate group, which differs
+        # in its last bits.  Each is written in the layout of this format,
+        # under its own number, and format 3 also as the zip it was.  Format 7,
         # with its table of (dtype, offset, length) per array, is written
         # by its own writer, kept below.
         m, path = window_matrix(rows), tmp_path / "dmd_h.npz"
@@ -613,6 +615,67 @@ class TestDecompositionStore:
                                field_tag=FieldTag.h)
             _, peak = traced_peak(lambda: rom._store_key(m))
             assert peak < 0.05 * data.nbytes
+
+
+class TestConsumingPath:
+    """reduced_model(..., reload=...) factors the payload it is handed in
+    place: the model, the decomposition's arrays and the store are those
+    of the copying call, and V0 can no longer be read."""
+
+    @staticmethod
+    def consumed(rows, path, again=None):
+        """(the matrix handed over, reduced_model's result, the number of
+        reloads), ``again`` the rows a reload reads (``rows`` by default)."""
+        m, reloads = window_matrix(rows.copy()), []
+
+        def reload():
+            reloads.append(1)
+            return window_matrix((rows if again is None else again).copy())
+
+        return m, kr.reduced_model(m, 1e-3, path, reload=reload), len(reloads)
+
+    @pytest.mark.parametrize("period", [None, 5])
+    def test_same_answers_as_the_copying_path(self, tmp_path, period):
+        # a full-rank window, and 17 snapshots repeating with period 5,
+        # decomposed as the first 6 after one retry
+        rng = np.random.default_rng(53)
+        rows = (rng.standard_normal((12, 40)) if period is None
+                else rng.standard_normal((period, 40))[np.arange(17) % period])
+        ref_used, ref_dec, ref = kr.reduced_model(window_matrix(rows.copy()), 1e-3,
+                                                  tmp_path / "copy.npz")
+        m, (used, dec, model), reloads = self.consumed(rows, tmp_path / "own.npz")
+        assert reloads == (period is not None)
+        assert used.n_snapshots == ref_used.n_snapshots == (12 if period is None else 6)
+        assert not np.array_equal(m.data, rows.T)  # factored where it lay
+        TestDecompositionStore.assert_same(dec, ref_dec)
+        for f in fields(ref):
+            a, b = getattr(model, f.name), getattr(ref, f.name)
+            assert (a.tobytes() == b.tobytes() if isinstance(b, np.ndarray) else a == b), f.name
+        assert (tmp_path / "own.npz").read_bytes() == (tmp_path / "copy.npz").read_bytes()
+
+    def test_every_read_of_v0_raises(self, tmp_path):
+        rows = np.random.default_rng(54).standard_normal((12, 40))
+        _, (used, dec, model), _ = self.consumed(rows, tmp_path / "dmd_h.npz")
+        equal = window_matrix(rows)  # an intact matrix of the same bytes
+        reads = {"modes": lambda: dec.modes,
+                 "reconstruct": lambda: kr.reconstruct(dec, model.selected, 2),
+                 "coordinates of an equal V0": lambda: dec.coordinates(equal.v0),
+                 "coordinates of other columns": lambda: dec.coordinates(used.data[:, 1:]),
+                 "relative_error": lambda: kr.relative_error(equal, dec, model.selected)}
+        for read in reads.values():
+            with pytest.raises(ValueError, match="V0 of a consumed decomposition"):
+                read()
+        assert "modes" not in vars(dec)
+        t, b = dec.coordinates(used.v0)  # the decomposed V0: the stored R and B
+        assert t is dec.r and b is dec.mode_coords
+
+    def test_reload_of_other_bytes_is_refused(self, tmp_path):
+        rows = np.random.default_rng(55).standard_normal((5, 40))[np.arange(17) % 5]
+        other = rows.copy()
+        other.view(np.uint64)[3, 7] ^= 1  # the last bit of one value
+        with pytest.raises(ToolkitError, match="field h: the snapshots read again differ"):
+            self.consumed(rows, tmp_path / "dmd_h.npz", again=other)
+        assert list(tmp_path.iterdir()) == []
 
 
 # the writer of store format 7, kept verbatim apart from the names of

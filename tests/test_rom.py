@@ -1,7 +1,12 @@
 """Mode weights, relative error and greedy leading-mode selection."""
 
+import os
+import subprocess
+import sys
+import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +79,44 @@ class TestModeWeights:
         assert np.all(np.isinf(expected))
         assert np.array_equal(model.weights, expected)
         assert np.array_equal(weights, expected)
+
+    # a child limited to 1 GiB of address space: the dense table of the
+    # powers, 3 * 10**6 steps of desk h's modes, would take 3.4 GB
+    HORIZON_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+import numpy as np
+from koopmanrom import dmd, rom
+spectrum, n_steps = np.load(sys.argv[1]), int(sys.argv[2])
+stub = np.empty((1, 1))
+dec = dmd.DmdDecomposition(spectrum["lambdas"], float(spectrum["dt"]), spectrum["amplitudes"],
+                           v0=stub, r=stub, mode_coords=stub, z=stub)
+np.save(sys.argv[3], rom.mode_weights(dec, n_steps))
+"""
+
+    def test_a_horizon_beyond_memory_ends_in_weights(self, desk_decompositions, tmp_path):
+        """The powers are formed in row blocks: a horizon whose table would
+        not fit gives finite or inf weights, with no MemoryError."""
+        dec = desk_decompositions["h"]
+        n_steps = 3 * 10 ** 6
+        assert n_steps * dec.lambdas.size * 8 > 3.4e9
+        np.savez(tmp_path / "spectrum.npz", lambdas=dec.lambdas, amplitudes=dec.amplitudes,
+                 dt=dec.dt)
+        src = str(Path(kr.__file__).parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        start = time.monotonic()
+        proc = subprocess.run([sys.executable, "-c", self.HORIZON_CHILD, str(tmp_path / "spectrum.npz"),
+                               str(n_steps), str(tmp_path / "weights.npy")],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 0, proc.stderr
+        assert time.monotonic() - start < 5.0
+        weights = np.load(tmp_path / "weights.npy")
+        assert weights.shape == dec.lambdas.shape
+        assert np.all(np.isfinite(weights) | (weights == np.inf))
+        # the modes inside the unit circle have summed their convergent series
+        inside = np.abs(dec.lambdas) < 1.0
+        assert np.isfinite(weights[inside]).all() and np.isinf(weights[~inside]).any()
 
     def test_index_map_is_bijection(self):
         rng = np.random.default_rng(1)

@@ -27,10 +27,14 @@ from one spectrum listed in one order; the solver itself is checked in
 
 ``old_residuals`` is the coordinate residual kernel before it applied
 each mode as one real rank-2 product: two rank-one BLAS updates per
-mode, also verbatim.  On the same decompositions the selection is
-identical, the achieved error within 1e-13 relative and the per-time
-errors within 1e-11 relative entry by entry (measured on desk h/u/v:
-1.2e-15 and 8.4e-13).
+mode, also verbatim.  ``rank2_residuals`` is that rank-2 kernel, one
+product per mode, before it applied each conjugate group as one
+product, verbatim apart from its name and the module prefix of
+``rom._vandermonde``.  Against either, on the same
+decompositions, the selection is identical, the achieved error within
+1e-13 relative and the per-time errors within 1e-11 relative entry by
+entry (measured on desk h/u/v: 1.2e-15 and 8.4e-13 against the first,
+5.6e-16 and 5.0e-13 against the second).
 """
 
 import dataclasses
@@ -228,6 +232,32 @@ def old_residuals(t, b, dec, groups):
         yield res
 
 
+def rank2_residuals(t: np.ndarray, b: np.ndarray, dec: dmd.DmdDecomposition, groups):
+    """Yield the coordinate residual T - Re(B C) of the reconstruction of
+    the snapshots with coordinates ``t``, mode coordinates ``b``, after
+    each group of modes is added, C[j, k] = a_j lambda_j^k.
+
+    Modes enter one at a time in the given order, each as one real
+    rank-2 product, Re(b c) = [Re b, Im b] [Re c; -Im c], into one
+    buffer subtracted in place, so a mode sequence gives bit-identical
+    residuals however it is split into groups.  One array is updated in
+    place and yielded each time.
+    """
+    idx = np.asarray([j for group in groups for j in group], dtype=int)
+    coef = dec.amplitudes[idx, None] * rom._vandermonde(dec.lambdas[idx], t.shape[1])
+    b_sel = b[:, idx].T  # row p: coordinates of mode idx[p]
+    x = np.stack([b_sel.real, b_sel.imag], axis=2)  # x[p]: rows x 2
+    y = np.stack([coef.real, -coef.imag], axis=1)   # y[p]: 2 x Nt
+    res = np.array(t, dtype=float)
+    buf = np.empty_like(res)
+    factors = zip(x, y)
+    for group in groups:
+        # zip ends at the group's end before it draws from ``factors``
+        for _, (xp, yp) in zip(group, factors):
+            res -= np.matmul(xp, yp, out=buf)
+        yield res
+
+
 # --- comparisons ---
 
 @pytest.fixture(scope="module")
@@ -304,6 +334,42 @@ def test_residual_kernel_matches_rank_one_updates(both_paths, monkeypatch, name)
     assert model.selected == ref.selected and model.order == ref.order
     assert rel_dev(model.achieved_error, ref.achieved_error) <= 1e-13
     assert rel_dev(model.time_errors, ref.time_errors) <= 1e-11
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_group_kernel_matches_one_product_per_mode(both_paths, monkeypatch, name):
+    """The selection through one product per conjugate group against the
+    same selection through one rank-2 product per mode."""
+    matrix, new, model, _, _ = both_paths[name]
+    monkeypatch.setattr(rom, "_residuals", rank2_residuals)
+    ref = kr.select_leading_modes(matrix, new, EPSILON)
+    assert model.selected == ref.selected and model.order == ref.order
+    assert rel_dev(model.achieved_error, ref.achieved_error) <= 1e-13
+    assert rel_dev(model.time_errors, ref.time_errors) <= 1e-11
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_partners_listed_apart_or_reversed_enter_alone(both_paths, monkeypatch, name):
+    """A subset that lists every pair's partners in reverse, or apart,
+    gives the residual of its modes entering one by one, and the errors
+    of the per-mode kernel within the same tolerances."""
+    matrix, dec, model, _, _ = both_paths[name]
+    pairs = [group for group in model.order if len(group) == 2]
+    assert pairs
+    reversed_ = [j for group in model.order for j in group[::-1]]
+    apart = [group[0] for group in model.order] + [group[1] for group in pairs]
+    t, b = dec.coordinates(matrix.v0)
+    for subset in (reversed_, apart):
+        (res,) = rom._residuals(t, b, dec, [subset])
+        *_, alone = rom._residuals(t, b, dec, [[j] for j in subset])
+        assert np.array_equal(res, alone)
+        got = (kr.relative_error(matrix, dec, subset), kr.per_time_errors(matrix, dec, subset))
+        with monkeypatch.context() as patch:
+            patch.setattr(rom, "_residuals", rank2_residuals)
+            want = (kr.relative_error(matrix, dec, subset),
+                    kr.per_time_errors(matrix, dec, subset))
+        assert rel_dev(got[0], want[0]) <= 1e-13
+        assert rel_dev(got[1], want[1]) <= 1e-11
 
 
 # --- the selection curve against the greedy loop ---
