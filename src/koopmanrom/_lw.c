@@ -11,12 +11,30 @@
  * lets sqrt vectorise: it is correctly rounded either way, and the depth
  * check has made every argument positive.
  *
- * Two entries compile the same inlined body: lw_step for the target's
- * baseline instruction set (SSE2 on x86-64) and, on x86, lw_step_avx2
- * for AVX2, which runs twice as many doubles per instruction.  No entry
- * enables FMA, so both give the same bits.  The loader binds
- * lw_step_avx2 where lw_has_avx2() says the CPU can run it, so a cached
- * library is safe on any x86-64 machine.
+ * Three entries compile the same inlined body: lw_step for the target's
+ * baseline instruction set (SSE2 on x86-64) and, on x86, lw_step_avx2 for
+ * AVX2 and lw_step_avx512 for AVX-512F/VL, at gcc's default vector width
+ * for each.  The loader binds the entry lw_entry() names, the fastest the
+ * CPU can run, so a cached library is safe on any x86-64 machine.  That
+ * order, AVX-512 before AVX2, was measured on Sapphire Rapids alone; on
+ * CPUs whose clock drops under 512-bit code (Skylake-SP, Cascade Lake)
+ * it is unmeasured.  All three give the same bits: no entry contracts a
+ * product and a sum into an FMA, and the fma() calls of the AVX-512
+ * entry give the quotients the division gives (below).
+ *
+ * Exact division.  The centred gradients divide by the constants two_dx
+ * and two_dy.  lw_step_avx512 forms each quotient n / b from y = 1 / b,
+ * taken once per row, as q = n y, r = fma(-q, b, n) and fma(r, y, q): r
+ * is the exact remainder n - q b, and the last fma rounds q + r y to n / b
+ * correctly rounded (Markstein, IBM J. Res. Dev. 34, 1990; Muller et al.,
+ * Handbook of Floating-Point Arithmetic, 2nd ed., 2018), which is what
+ * the division gives.  Both hold only clear of overflow and underflow:
+ * b in [2^-100, 2^100], or the whole step divides, and each numerator
+ * zero or of magnitude in [2^-900, 2^900], or the row divides anew.  A
+ * zero numerator takes q, which carries its sign; the fmas would give +0
+ * for -0.  The form pays only in that entry: in the AVX2 entry its guard
+ * costs what it saves, and for the per-cell divisors (a0 in faces(), h
+ * in recover()) it is slower than the division.
  *
  * Layout (see swe._Workspace): each variable is a C-contiguous block of
  * ny rows of e = nx + 1 values, n = ny * e, with periodic halo columns 0
@@ -125,10 +143,39 @@ LW_INLINE void cells(long m, long L, double hg, const double *restrict h,
     }
 }
 
+/* Whether b is a divisor that quotient() divides by exactly:
+ * b in [2^-100, 2^100]. */
+LW_INLINE int exact_divisor(double b)
+{
+    return (b >= 0x1p-100) & (b <= 0x1p100);
+}
+
+/* Whether quotient() may miss n / b for the numerator n: n is not finite,
+ * or nonzero outside [2^-900, 2^900]. */
+LW_INLINE long off_range(double n)
+{
+    const double m = fabs(n);
+    return (n != 0.0) & !((m >= 0x1p-900) & (m <= 0x1p900));
+}
+
+/* n / b correctly rounded, given y = 1 / b, for an exact_divisor b and a
+ * numerator n that is not off_range: the remainder r = fma(-q, b, n) of
+ * q = n y is exact, and fma(r, y, q) is the rounded quotient.  A zero
+ * numerator takes q, which has the quotient's sign where r and the last
+ * fma would give +0 for n = -0. */
+LW_INLINE double quotient(double n, double b, double y)
+{
+    const double q = n * y;
+    return n == 0.0 ? q : fma(fma(-q, b, n), y, q);
+}
+
 /* Centred gradients of the cell fluxes across direction d into D, at the
  * columns o..e-1-o: (a[k + o] - b[k - o]) / two_d, in x along the row
- * a = b (o = 1), in y from the row south b to the row north a (o = 0). */
-LW_INLINE void gradients(int d, long e, long o, long L, double two_d,
+ * a = b (o = 1), in y from the row south b to the row north a (o = 0).
+ * With exact set (the AVX-512 entry, for an exact_divisor two_d), each
+ * quotient is quotient()'s, and the row is divided anew when any of its
+ * numerators is off_range. */
+LW_INLINE void gradients(int d, long e, long o, long L, double two_d, int exact,
                          const double *restrict a, const double *restrict b,
                          double *restrict D)
 {
@@ -136,6 +183,21 @@ LW_INLINE void gradients(int d, long e, long o, long L, double two_d,
     const double *restrict a1 = a0 + L, *restrict a2 = a0 + 2 * L;
     const double *restrict b1 = b0 + L, *restrict b2 = b0 + 2 * L;
     double *restrict D0 = D, *restrict D1 = D + L, *restrict D2 = D + 2 * L;
+    if (exact) {
+        const double y = 1.0 / two_d;
+        long bad = 0;
+        #pragma GCC ivdep
+        for (long k = o; k < e - o; k++) {
+            const double n0 = a0[k + o] - b0[k - o], n1 = a1[k + o] - b1[k - o],
+                         n2 = a2[k + o] - b2[k - o];
+            D0[k] = quotient(n0, two_d, y);
+            D1[k] = quotient(n1, two_d, y);
+            D2[k] = quotient(n2, two_d, y);
+            bad |= off_range(n0) | off_range(n1) | off_range(n2);
+        }
+        if (!bad)
+            return;
+    }
     #pragma GCC ivdep
     for (long k = o; k < e - o; k++) {
         D0[k] = (a0[k + o] - b0[k - o]) / two_d;
@@ -318,8 +380,10 @@ LW_INLINE double max_or_nan(long n, double *restrict s)
     return s[0];
 }
 
-/* The body of both step entries below. */
-LW_INLINE int step(const lw_work *w, double dt, double *speed)
+/* The body of the step entries below; exact is set by the AVX-512 entry
+ * alone, which divides by two_dx and two_dy with quotient() where both
+ * are exact_divisors. */
+LW_INLINE int step(const lw_work *w, double dt, double *speed, int exact)
 {
     const long ny = w->ny, e = w->e, n = ny * e, L = lw_stride(e);
     const double g = w->g, dx = w->dx, dy = w->dy;
@@ -328,6 +392,7 @@ LW_INLINE int step(const lw_work *w, double dt, double *speed)
         .cx = 0.5 * dt / dx, .cy = 0.5 * dt / dy, .qdt = 0.25 * dt,
         .hdt = 0.5 * dt, .dtdx = dt / dx, .dtdy = dt / dy,
     };
+    exact = exact && exact_divisor(K.two_dx) && exact_divisor(K.two_dy);
 
     double *h = w->p, *u = w->p + n, *v = w->p + 2 * n;
     double *q0 = w->q, *q1 = w->q + n, *q2 = w->q + 2 * n;
@@ -347,7 +412,7 @@ LW_INLINE int step(const lw_work *w, double dt, double *speed)
     for (long r = 0; r < 2; r++) {
         double *c = cell + r * CELL * L;
         cells(e, L, K.hg, h + r * e, u + r * e, v + r * e, c);
-        gradients(0, e, 1, L, K.two_dx, c, c, gx + r * GRAD * L);
+        gradients(0, e, 1, L, K.two_dx, exact, c, c, gx + r * GRAD * L);
     }
     for (long r = 0; r < ny; r++) {
         const long o = r * e;
@@ -362,7 +427,7 @@ LW_INLINE int step(const lw_work *w, double dt, double *speed)
             mirror(e, L, cn, cs);
         if (!north)
             mirror(e, L, cs, cn);
-        gradients(1, e, 0, L, K.two_dy, cn, cs, gy);
+        gradients(1, e, 0, L, K.two_dy, exact, cn, cs, gy);
         faces(0, e, L, &K, c, c, gy, gy, h + o, u + o, v + o, fc + o, mfc + o, gxx + o, gyx + o,
               xf);
         if (north)
@@ -373,7 +438,7 @@ LW_INLINE int step(const lw_work *w, double dt, double *speed)
         if (r + 2 < ny) {
             double *c2 = cell + (r + 2) % 3 * CELL * L;
             cells(e, L, K.hg, h + o + 2 * e, u + o + 2 * e, v + o + 2 * e, c2);
-            gradients(0, e, 1, L, K.two_dx, c2, c2, gx + r % 2 * GRAD * L);
+            gradients(0, e, 1, L, K.two_dx, exact, c2, c2, gx + r % 2 * GRAD * L);
         }
     }
 
@@ -406,7 +471,7 @@ LW_INLINE int step(const lw_work *w, double dt, double *speed)
  * lw_step is built for the baseline instruction set of the target. */
 int lw_step(const lw_work *w, double dt, double *speed)
 {
-    return step(w, dt, speed);
+    return step(w, dt, speed, 0);
 }
 
 /* The fold of the step's tail on its own, for tests: max(s[0], ...,
@@ -416,25 +481,55 @@ double lw_max_or_nan(long n, double *s)
     return max_or_nan(n, s);
 }
 
-#if defined(__x86_64__) || defined(__i386__)
-/* Whether the CPU (and the OS) can run lw_step_avx2. */
-int lw_has_avx2(void)
+/* The name of the fastest step entry that the CPU (and the OS) runs:
+ * each entry's condition names the features of its target attribute. */
+const char *lw_entry(void)
 {
+#if defined(__x86_64__) || defined(__i386__)
     __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") != 0;
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl"))
+        return "lw_step_avx512";
+    if (__builtin_cpu_supports("avx2"))
+        return "lw_step_avx2";
+#endif
+    return "lw_step";
 }
 
+#if defined(__x86_64__) || defined(__i386__)
 /* lw_step built for AVX2: wider vectors, the same operations in the same
  * order, so the same bits. */
 __attribute__((target("avx2")))
 int lw_step_avx2(const lw_work *w, double dt, double *speed)
 {
-    return step(w, dt, speed);
+    return step(w, dt, speed, 0);
 }
 
 __attribute__((target("avx2")))
 double lw_max_or_nan_avx2(long n, double *s)
 {
     return max_or_nan(n, s);
+}
+
+/* lw_step built for AVX-512F/VL, whose gradients divide exactly with
+ * FMA: the same bits again. */
+__attribute__((target("avx512f,avx512vl")))
+int lw_step_avx512(const lw_work *w, double dt, double *speed)
+{
+    return step(w, dt, speed, 1);
+}
+
+__attribute__((target("avx512f,avx512vl")))
+double lw_max_or_nan_avx512(long n, double *s)
+{
+    return max_or_nan(n, s);
+}
+
+/* The gradients of lw_step_avx512 on their own, for tests: D = (a - b) /
+ * two_d over three rows of e values, lw_stride(e) apart, divided as that
+ * entry divides them. */
+__attribute__((target("avx512f,avx512vl")))
+void lw_gradients_avx512(long e, double two_d, const double *a, const double *b, double *D)
+{
+    gradients(0, e, 0, lw_stride(e), two_d, exact_divisor(two_d), a, b, D);
 }
 #endif

@@ -2,12 +2,14 @@
 
 ``load()`` returns a :class:`Kernel` around one step entry of a shared
 library built from ``_lw.c``, or None when no library can be built or
-loaded.  The library has two entries compiled from the same source:
-``lw_step_avx2``, for x86 CPUs with AVX2, and the portable ``lw_step``.
-The kernel binds ``lw_step_avx2`` when the library's ``lw_has_avx2()``
-says the CPU can run it, and ``lw_step`` otherwise (on other machines
-the library has no AVX2 entry), so one cached library serves every
-x86-64 machine that shares it.  Both entries give the same bits.
+loaded.  On x86 the library has three entries compiled from the same
+source, ``lw_step_avx512`` for CPUs with AVX-512F and AVX-512VL,
+``lw_step_avx2`` for CPUs with AVX2 and the portable ``lw_step``;
+elsewhere it has ``lw_step`` alone.  The library's ``lw_entry()`` names
+the fastest entry the CPU runs, and the kernel binds it, so one cached
+library serves every x86-64 machine that shares it.  Every entry gives
+the same bits; the AVX-512 one divides by the grid spacings with FMA,
+exactly (see the header of ``_lw.c``).
 
 The library is built with the C compiler ``cc`` and fixed flags: ``-O3``
 with FMA contraction off, no fast-math and no errno from ``sqrt``, so
@@ -91,13 +93,15 @@ def cache_dir() -> Path:
 
 
 class Kernel:
-    """The step entry of a loaded library that this CPU runs fastest,
-    with its argument types bound once; ``entry`` names it."""
+    """The step entry of a loaded library that this CPU runs fastest, the
+    one the library's ``lw_entry()`` names, with its argument types bound
+    once; ``entry`` names it."""
 
     def __init__(self, lib: ctypes.CDLL):
         self.lib = lib
-        has_avx2 = getattr(lib, "lw_has_avx2", None)   # x86 only
-        self.entry = "lw_step_avx2" if has_avx2 is not None and has_avx2() else "lw_step"
+        query = lib.lw_entry
+        query.restype = ctypes.c_char_p
+        self.entry = query().decode()
         self._fn = getattr(lib, self.entry)
         self._fn.argtypes = (ctypes.POINTER(_Work), ctypes.c_double,
                              ctypes.POINTER(ctypes.c_double))

@@ -148,14 +148,16 @@ def _ranking(dec: dmd.DmdDecomposition, n_steps: int):
     table as numpy's ``sum(axis=0)`` does; each later block is summed
     below a first row that carries the running sums, so every row is
     added into one running sum in order, as ``sum(axis=0)`` of the whole
-    table adds its rows when there are two modes or more.  A mode leaves
-    the blocks once its power underflows to 0, which it stays at every
-    later step, or once its sum is not finite, which it stays too; the
-    blocks end when no mode is left.
+    table adds its rows when there are two modes or more.  A mode of zero
+    amplitude weighs 0 at every horizon, and never enters the blocks,
+    where 0 times an overflowing power would be NaN.  A mode leaves the
+    blocks once its power underflows to 0, which it stays at every later
+    step, or once its sum is not finite, which it stays too; the blocks
+    end when no mode is left.
     """
     mag, amp = np.abs(dec.lambdas), np.abs(dec.amplitudes)
     rows = max(1, _RANKING_BLOCK // max(1, mag.size))
-    sums, live, carry = np.zeros(mag.size), slice(None), 0
+    sums, live, carry = np.zeros(mag.size), np.flatnonzero(amp), 0
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, rows):
             steps = np.arange(start, min(start + rows, n_steps))

@@ -59,8 +59,8 @@ def numpy_step(monkeypatch):
 @pytest.fixture
 def compiled_step(monkeypatch):
     """Run the solver on the compiled step of ``_lw.c``, on the entry the
-    loader binds (``lw_step_avx2`` on a CPU with AVX2); skip only when
-    there is no C compiler to build it."""
+    loader binds (the fastest the CPU runs); skip only when there is no C
+    compiler to build it."""
     if swe._select_step() is swe._numpy_bind:
         if shutil.which(_lw._CC) is None:
             pytest.skip(f"no C compiler ({_lw._CC}) to build the compiled sub-step")
@@ -68,26 +68,57 @@ def compiled_step(monkeypatch):
     monkeypatch.setattr(swe, "_step", swe._select_step())
 
 
-@pytest.fixture
-def portable_step(monkeypatch, compiled_step):
-    """Run the solver on the portable entry of ``_lw.c``, ``lw_step``,
-    where the loader binds the AVX2 entry; elsewhere the portable entry
-    is the one ``compiled_step`` runs, and this skips."""
+# The step entries of _lw.c, fastest first.  A CPU that runs one runs
+# every later one; a library built off x86 exports only lw_step.
+ENTRIES = ("lw_step_avx512", "lw_step_avx2", "lw_step")
+
+
+def runnable(lib):
+    """The step entries of ``lib`` that this CPU runs, fastest first: the
+    one its ``lw_entry()`` names and every later one."""
+    return ENTRIES[ENTRIES.index(_lw.Kernel(lib).entry):]
+
+
+def entry_kernel(lib, entry):
+    """The kernel of ``lib`` on ``entry``, bound as the loader binds it on
+    a CPU whose fastest entry that is: through a patched ``lw_entry``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lib, "lw_entry", lambda: entry.encode())
+        return _lw.Kernel(lib)
+
+
+def bind_entry(monkeypatch, entry):
+    """Run the solver on the compiled entry ``entry`` where the loader
+    binds a faster one; skip where the loader binds ``entry`` itself,
+    which ``compiled_step`` runs, or where the CPU does not run it."""
     loaded = swe._step.__self__   # the kernel whose bind is the binder
-    lib = loaded.lib
-    if loaded.entry == "lw_step":
-        pytest.skip("the loaded kernel binds the portable entry already")
-    monkeypatch.setattr(lib, "lw_has_avx2", lambda: 0)
-    kernel = _lw.Kernel(lib)
-    assert kernel.entry == "lw_step"
+    if loaded.entry == entry:
+        pytest.skip(f"the loaded kernel binds {entry} already")
+    if entry not in runnable(loaded.lib):
+        pytest.skip(f"this CPU does not run {entry}")
+    kernel = entry_kernel(loaded.lib, entry)
+    assert kernel.entry == entry
     assert swe._compiled_matches_numpy(kernel.bind)
     monkeypatch.setattr(swe, "_step", kernel.bind)
 
 
-@pytest.fixture(params=["numpy", "compiled", "portable"])
+@pytest.fixture
+def portable_step(monkeypatch, compiled_step):
+    """Run the solver on the portable entry of ``_lw.c``, ``lw_step``."""
+    bind_entry(monkeypatch, "lw_step")
+
+
+@pytest.fixture
+def avx2_step(monkeypatch, compiled_step):
+    """Run the solver on the AVX2 entry of ``_lw.c``, ``lw_step_avx2``."""
+    bind_entry(monkeypatch, "lw_step_avx2")
+
+
+@pytest.fixture(params=["numpy", "compiled", "avx2", "portable"])
 def step_path(request):
     """Each step implementation in turn: numpy, the compiled entry the
-    loader binds, and the portable compiled entry where that differs."""
+    loader binds, and the AVX2 and portable compiled entries where they
+    differ from it and the CPU runs them."""
     request.getfixturevalue(f"{request.param}_step")
     return request.param
 

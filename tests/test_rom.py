@@ -45,6 +45,13 @@ class TestModeWeights:
         assert weights[0] == 0.0
         assert weights[1] > 0.0
 
+    def test_zero_amplitude_weighs_zero_where_its_power_overflows(self):
+        # 5^i overflows from i = 441; 0 * inf was a NaN weight
+        dec = with_spectrum([5.0, 0.3], [0.0, 1.0], dt=1.0)
+        weights = kr.mode_weights(dec, 500)
+        assert weights[0] == 0.0
+        assert weights[1] == pytest.approx(1.0 / 0.7, rel=1e-15)
+
     @pytest.mark.parametrize("n_steps", [0, -3])
     def test_horizon_below_one_step_refused(self, n_steps):
         # these horizons gave all-zero weights

@@ -20,7 +20,7 @@ import pytest
 from koopmanrom import _lw, swe
 from koopmanrom.cli import main
 
-from conftest import traced_peak
+from conftest import ENTRIES, runnable, traced_peak
 from test_swe_halo import GRIDS, HILLY
 
 SRC = Path(__file__).parents[1] / "src"
@@ -100,10 +100,65 @@ def test_kernel_builds_without_warnings(tmp_path):
 @needs_cc
 @pytest.mark.skipif(platform.machine() != "x86_64" or not CPUINFO.exists(),
                     reason="no x86-64 /proc/cpuinfo to read the CPU's flags from")
-def test_kernel_binds_the_avx2_entry_where_the_cpu_has_it():
+def test_kernel_binds_the_fastest_entry_the_cpu_has():
     flags = next(line for line in CPUINFO.read_text().splitlines()
                  if line.startswith("flags")).split()
-    assert _lw.load().entry == ("lw_step_avx2" if "avx2" in flags else "lw_step")
+    if {"avx512f", "avx512vl"} <= set(flags):
+        want = "lw_step_avx512"
+    else:
+        want = "lw_step_avx2" if "avx2" in flags else "lw_step"
+    assert _lw.load().entry == want
+
+
+# Stands in for the CPU query of __builtin_cpu_supports in a test build of
+# _lw.c: the CPU has the features that lw_fake_features names.
+FAKE_CPU = """#include <string.h>
+char lw_fake_features[64];
+static void lw_fake_init(void) {}
+static int lw_fake_supports(const char *feature)
+{
+    const char *at = strstr(lw_fake_features, feature);
+    return at != NULL && (at[strlen(feature)] == ' ' || at[strlen(feature)] == 0);
+}
+"""
+
+
+@needs_cc
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="the entries past lw_step are x86's")
+@pytest.mark.parametrize("features, want", [
+    ("avx512f avx512vl avx2", "lw_step_avx512"),
+    ("avx512f avx2", "lw_step_avx2"),
+    ("avx512vl avx2", "lw_step_avx2"),
+    ("avx512f avx512vl", "lw_step_avx512"),
+    ("avx2", "lw_step_avx2"),
+    ("avx sse4_2", "lw_step"),
+    ("", "lw_step"),
+])
+def test_the_entry_query_asks_for_each_entrys_target_features(tmp_path, features, want):
+    # lw_entry() of a build whose CPU query reads the features a test sets
+    header = tmp_path / "fake_cpu.h"
+    header.write_text(FAKE_CPU)
+    cc, lib = shutil.which(_lw._CC), tmp_path / "lw_fake_cpu.so"
+    build = subprocess.run([cc, *_lw._FLAGS, "-O0", "-include", str(header),
+                            "-D__builtin_cpu_init=lw_fake_init",
+                            "-D__builtin_cpu_supports=lw_fake_supports",
+                            "-o", str(lib), str(_lw._SOURCE)],
+                           stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                           timeout=_lw._BUILD_TIMEOUT_S)
+    assert build.returncode == 0, build.stderr
+    fake = ctypes.CDLL(str(lib))
+    (ctypes.c_char * 64).in_dll(fake, "lw_fake_features").value = features.encode()
+    assert _lw.Kernel(fake).entry == want
+
+
+@needs_cc
+def test_a_kernel_binds_the_entry_the_query_names(monkeypatch):
+    lib = _lw.load().lib
+    for entry in ENTRIES:
+        if hasattr(lib, entry):   # lw_step alone off x86
+            monkeypatch.setattr(lib, "lw_entry", lambda entry=entry: entry.encode())
+            kernel = _lw.Kernel(lib)
+            assert kernel.entry == entry and kernel._fn is getattr(lib, entry)
 
 
 @needs_cc
@@ -130,8 +185,7 @@ def test_a_kernel_that_disagrees_is_not_selected(monkeypatch, unselected):
 def test_speed_maximum_is_numpys_and_a_nan_wins(n):
     # the fold that ends each step, on each entry's instruction set
     lib = _lw.load().lib
-    entries = ["lw_max_or_nan"] + (["lw_max_or_nan_avx2"] if _lw.Kernel(lib).entry
-                                   == "lw_step_avx2" else [])
+    entries = [name.replace("lw_step", "lw_max_or_nan") for name in runnable(lib)]
     rng = np.random.default_rng(n)
     cases = [rng.uniform(0.0, 300.0, n), np.full(n, 212.5),
              np.where(rng.random(n) < 0.5, -0.0, 0.0)]
@@ -153,12 +207,13 @@ def test_speed_maximum_is_numpys_and_a_nan_wins(n):
 
 @pytest.fixture
 def stub_source(tmp_path_factory, monkeypatch):
-    """A one-line source exporting ``lw_step`` in place of ``_lw.c``, so a
-    test of the cache's mechanics builds in hundredths of a second, not
-    the seconds of the solver's -O3 build.  Its kernel loads, but cannot
+    """A two-line source exporting ``lw_entry`` and ``lw_step`` in place
+    of ``_lw.c``, so a test of the cache's mechanics builds in hundredths
+    of a second, not the seconds of the solver's -O3 build.  Its kernel loads, but cannot
     pass ``swe._select_step``'s match with the numpy step."""
     source = tmp_path_factory.mktemp("stub") / "stub.c"
-    source.write_text("int lw_step(void) { return 0; }\n")
+    source.write_text('const char *lw_entry(void) { return "lw_step"; }\n'
+                      "int lw_step(void) { return 0; }\n")
     monkeypatch.setattr(_lw, "_SOURCE", source)
     return source
 
@@ -224,8 +279,8 @@ def test_the_key_reads_the_code_and_not_its_comments(tmp_path, monkeypatch):
         monkeypatch.setattr(_lw, "_SOURCE", path)
         return _lw.library_key(cc)
 
-    line_1, block, code = "/* One fused", " * lw_step does", 'supports("avx2") != 0;'
-    entry, include = "int lw_has_avx2", "#include <math.h>\n"
+    line_1, block, code = "/* One fused", " * lw_step does", 'return "lw_step_avx2";'
+    entry, include = "const char *lw_entry", "#include <math.h>\n"
     assert text.startswith(line_1) and text.count(block) == text.count(code) == 1
     assert text.count(entry) == text.count(include) == 1
     assert key(text.replace(line_1, "/* A fused", 1)) == want
@@ -234,7 +289,7 @@ def test_the_key_reads_the_code_and_not_its_comments(tmp_path, monkeypatch):
     assert key("/* new */\n" + text) == want
     assert key(text.replace(entry, "/* x */ " + entry)) == want
     assert key(text.replace(include, include.replace("\n", "  \n"))) == want
-    assert key(text.replace(code, 'supports("avx2") == 0;')) != want
+    assert key(text.replace(code, 'return "lw_step";')) != want
     # a line end ends a directive
     assert key(text.replace(include, include.replace("\n", " "))) != want
     # a comment separates tokens: it reads as a space, not as nothing
@@ -361,11 +416,11 @@ SANITIZED_STEP = """if True:
     from koopmanrom import _lw, swe
 
     lib = ctypes.CDLL(sys.argv[1])
-    binders = [swe._numpy_bind, _lw.Kernel(lib).bind]
-    if binders[1].__self__.entry == "lw_step_avx2":
-        lib.lw_has_avx2 = lambda: 0   # bind the portable entry as well
+    entries = json.loads(sys.argv[4])   # fastest first
+    binders = [swe._numpy_bind]
+    for name in entries[entries.index(_lw.Kernel(lib).entry):]:   # the CPU runs these
+        lib.lw_entry = lambda name=name: name.encode()
         binders.append(_lw.Kernel(lib).bind)
-        assert binders[2].__self__.entry == "lw_step"
     constants = swe.PhysicalConstants(**json.loads(sys.argv[2]))
     for nx, ny in json.loads(sys.argv[3]):
         grid = swe.Grid.for_channel(nx, ny, constants)
@@ -383,7 +438,7 @@ SANITIZED_STEP = """if True:
 
 @needs_cc
 def test_kernel_steps_clean_under_address_and_undefined_sanitizers(tmp_path):
-    # every edge grid of test_swe_halo and the full grid, on both entries
+    # every edge grid of test_swe_halo and the full grid, on every entry
     cc = shutil.which(_lw._CC)
     asan = subprocess.run([cc, "-print-file-name=libasan.so"], stdin=subprocess.DEVNULL,
                           capture_output=True, text=True, timeout=60).stdout.strip()
@@ -399,7 +454,8 @@ def test_kernel_steps_clean_under_address_and_undefined_sanitizers(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC), LD_PRELOAD=asan,
                ASAN_OPTIONS="detect_leaks=0")
     run = subprocess.run([sys.executable, "-c", SANITIZED_STEP, str(lib),
-                          json.dumps(dataclasses.asdict(HILLY)), json.dumps(grids)],
+                          json.dumps(dataclasses.asdict(HILLY)), json.dumps(grids),
+                          json.dumps(ENTRIES)],
                          env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True,
                          timeout=300)
     assert run.returncode == 0, run.stderr

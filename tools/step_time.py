@@ -8,16 +8,19 @@ gives the noise floor).  Each tree's ``src/koopmanrom/_lw.c`` is built
 into a temporary ``XDG_CACHE_HOME`` that is removed at the end, never into
 the user's cache.  A block runs one child process per tree, the first
 tree alternating from block to block; each child imports its own tree's
-``swe`` and ``_lw`` and, for every grid and for both step entries (the
-one the loader binds, ``lw_step_avx2`` on a CPU with AVX2, and the
-portable ``lw_step``), loads the balanced initial state of the desk and
-full channels' constants, runs a few untimed steps, loads it again and
-times ``--steps`` steps at Courant number 0.5.
+``swe`` and ``_lw`` and, for every grid and for every step entry that its
+library exports and the CPU runs (the entry the loader binds and every
+slower one of ``lw_step_avx512``, ``lw_step_avx2`` and ``lw_step``),
+loads the balanced initial state of the desk and full channels'
+constants, runs a few untimed steps, loads it again and times ``--steps``
+steps at Courant number 0.5.
 
-For each grid and entry the table gives the minimum and the median ms
-per step over the blocks, the change of the median, and whether the two
-trees' states after the steps are bit-identical in every block.  Uses
-the standard library and numpy only; exits 1 when a tree has no
+The first line names the entry each tree's loader binds.  For each grid
+and entry the table gives the minimum and the median ms per step over
+the blocks on each tree ("-" where a tree has no such entry), the change
+of the median, and whether the state after the steps is bit-identical,
+in every block, to that of the base tree's first entry on that grid.
+Uses the standard library and numpy only; exits 1 when a tree has no
 compiled step (no C compiler, or a build that fails).
 """
 
@@ -34,31 +37,40 @@ import tempfile
 from pathlib import Path
 
 WARMUP_STEPS = 10
+ENTRIES = ("lw_step_avx512", "lw_step_avx2", "lw_step")   # fastest first
 
 # Run in a child with the tree's src/ first on sys.path: argv[1] is the
 # JSON list of grids, argv[2] the number of timed steps.  Prints one JSON
-# object {"grid entry": [ms per step, sha256 of the state]}.
+# object {"bound": entry, "grid entry": [ms per step, sha256 of the
+# state], ...}.  It binds an entry by the Kernel's bound function, which
+# every tree's Kernel has, whatever its way of choosing one.
 CHILD = r"""
 import hashlib, json, sys, time
 from koopmanrom import _lw, swe
 
+ENTRIES = %r
 kernel = _lw.load()
 if kernel is None:
     sys.exit("no compiled step: no C compiler, or the build failed")
 lib = kernel.lib
-lib.lw_has_avx2 = lambda: 0
-entries = {kernel.entry: kernel, "lw_step": _lw.Kernel(lib)}
+exported = [name for name in ENTRIES if hasattr(lib, name)]
+entries = {}
+for name in exported[exported.index(kernel.entry):]:   # the CPU runs these
+    fn = getattr(lib, name)
+    fn.argtypes, fn.restype = kernel._fn.argtypes, kernel._fn.restype
+    entries[name] = fn
 constants = swe.PhysicalConstants(orography_amplitude=0.0, mean_depth=2000.0,
                                   shear_depth=220.0, wave_depth=133.0,
                                   channel_length=6000e3, channel_width=4400e3)
-steps, result = int(sys.argv[2]), {}
+steps, result = int(sys.argv[2]), {"bound": kernel.entry}
 for nx, ny in json.loads(sys.argv[1]):
     grid = swe.Grid.for_channel(nx, ny, constants)
     state = swe.initial_state(constants, grid)
-    for name, entry in entries.items():
+    for name, fn in entries.items():
+        kernel._fn = fn
         w = swe._Workspace(constants, grid)
         w.load(state)
-        step = entry.bind(w)
+        step = kernel.bind(w)
         dt = 0.5 * min(grid.dx, grid.dy) / w.signal_speed()
         for _ in range(%d):
             step(dt)
@@ -69,7 +81,7 @@ for nx, ny in json.loads(sys.argv[1]):
         ms = (time.perf_counter() - start) * 1e3 / steps
         result[f"{nx}x{ny} {name}"] = [ms, hashlib.sha256(w.p.tobytes()).hexdigest()]
 print(json.dumps(result))
-""" % WARMUP_STEPS
+""" % (ENTRIES, WARMUP_STEPS)
 
 
 def run_child(tree: Path, grids, steps: int, cache: Path) -> dict:
@@ -116,18 +128,28 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(cache, ignore_errors=True)
 
-    print(f"{args.steps} steps, {args.blocks} blocks; ms per step")
-    print(f"{'grid':8} {'entry':13} {'base min':>9} {'base med':>9} {'change min':>11} "
+    bound = {name: runs[name][0]["bound"] for name in trees}
+    print(f"{args.steps} steps, {args.blocks} blocks; ms per step; the loader binds "
+          f"{bound['base']} (base) and {bound['change']} (change)")
+    print(f"{'grid':8} {'entry':14} {'base min':>9} {'base med':>9} {'change min':>11} "
           f"{'change med':>11} {'med':>8}  identical")
-    for key in runs["base"][0]:
-        base = [r[key][0] for r in runs["base"]]
-        change = [r[key][0] for r in runs["change"]]
-        same = all(b[key][1] == c[key][1] for b, c in zip(runs["base"], runs["change"]))
-        grid, entry = key.split()
-        shift = 100.0 * (statistics.median(change) / statistics.median(base) - 1.0)
-        print(f"{grid:8} {entry:13} {min(base):9.4f} {statistics.median(base):9.4f} "
-              f"{min(change):11.4f} {statistics.median(change):11.4f} {shift:+7.1f}%  "
-              f"{'yes' if same else 'NO'}")
+    for nx, ny in grids:
+        grid = f"{nx}x{ny}"
+        # the state every entry must give: the base tree's first entry's
+        first = next(key for key in runs["base"][0] if key.startswith(grid + " "))
+        for entry in ENTRIES:
+            key, cells, same = f"{grid} {entry}", [], True
+            for name in trees:
+                times = [run[key][0] for run in runs[name] if key in run]
+                cells += [min(times), statistics.median(times)] if times else [None, None]
+                same &= all(run[key][1] == base[first][1]
+                            for run, base in zip(runs[name], runs["base"]) if key in run)
+            if cells == [None] * 4:
+                continue
+            shift = None if None in cells else 100.0 * (cells[3] / cells[1] - 1.0)
+            text = ["-" if c is None else f"{c:.4f}" for c in cells]
+            print(f"{grid:8} {entry:14} {text[0]:>9} {text[1]:>9} {text[2]:>11} {text[3]:>11} "
+                  f"{'-' if shift is None else f'{shift:+.1f}%':>8}  {'yes' if same else 'NO'}")
     return 0
 
 
