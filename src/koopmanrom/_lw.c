@@ -18,9 +18,11 @@
  * CPU can run, so a cached library is safe on any x86-64 machine.  That
  * order, AVX-512 before AVX2, was measured on Sapphire Rapids alone; on
  * CPUs whose clock drops under 512-bit code (Skylake-SP, Cascade Lake)
- * it is unmeasured.  All three give the same bits: no entry contracts a
- * product and a sum into an FMA, and the fma() calls of the AVX-512
- * entry give the quotients the division gives (below).
+ * it is unmeasured.  So is the column tile of at most TILE values (below)
+ * on CPUs with a 32 KiB L1D, as those two have, where the rings of a tile
+ * fill 25 KiB of it.  All three entries give the same bits: no entry
+ * contracts a product and a sum into an FMA, and the fma() calls of the
+ * AVX-512 entry give the quotients the division gives (below).
  *
  * Exact division.  The centred gradients divide by the constants two_dx
  * and two_dy.  lw_step_avx512 forms each quotient n / b from y = 1 / b,
@@ -47,14 +49,35 @@
  * by row as the update needs them, in rings of a few rows that stay in
  * cache.  For row r it forms the y gradients of row r, the x faces of
  * row r, the y faces between rows r and r + 1, then the update of row r
- * into q and its halo columns, and last the cell row, fluxes and x
- * gradients of row r + 2, ready for the next rows.  The rings hold 3 cell
- * rows, 2 rows of x gradients and of y faces, and 1 of y gradients and of
- * x faces: RING_SLOTS (45) slots of e values, each padded to a multiple
- * of 8 and 64-byte aligned, in one block that Kernel.bind makes (w->ring;
- * 48960 bytes on a 129 x 65 grid).  A cell row keeps only what is not
- * already held elsewhere: h is read from p, and the mass fluxes uh and vh
- * are the momenta.
+ * into q (and, in the last tile, the refresh of its halo columns), and
+ * last the cell row, fluxes and x gradients of row r + 2, ready for the
+ * next rows.  The rings hold 3 cell rows, 2 rows of x gradients and of y
+ * faces, and 1 of y gradients and of x faces: RING_SLOTS (45) slots of a
+ * tile's values (below), each padded to a multiple of 8 and 64-byte
+ * aligned, in one block that Kernel.bind makes (w->ring).  A cell row
+ * keeps only what is not already held elsewhere: h is read from p, and
+ * the mass fluxes uh and vh are the momenta.
+ *
+ * Column tiles.  Slots of a whole row of a 129 x 65 grid would fill 48960
+ * bytes, the whole 48 KiB L1D of the Sapphire Rapids this was measured
+ * on, where a whole-row sweep of the AVX-512 entry ran 19.6 ns per cell
+ * against 15.3 at 65 columns (65 rows, the fastest of 15 blocks of 50
+ * steps).  So a row longer than TILE (72) values is swept in column
+ * tiles, one sweep over all the rows per tile: the fewest tiles of at
+ * most TILE values among which the columns 1..e-2 are shared out as
+ * evenly as can be.  A tile is a strip of w columns c0..c0+w-1.  The row
+ * code runs on it as on a row of w values, updating its columns 1..w-2,
+ * with the row stride e apart from w where it steps to the next row
+ * (faces() in y; in the routines below, e names the tile's width and E
+ * the row stride), and its ring slots hold w values: on a 129 x 65 grid,
+ * two tiles of 66 values (64 updated columns) in 25920 bytes of slots,
+ * and 15.2 ns per cell.  Neighbouring tiles share two columns, whose cell
+ * rows, y gradients and x faces both form with the same expression on
+ * the same operands, so no bit changes.  The last tile refreshes the halo
+ * columns of each row it finishes, after the first tile has updated
+ * unique column 0, so a grid of one tile runs the row code as it was.
+ * Narrower tiles, and tiles of rows that already fit, ran slower (see
+ * ROADMAP.md, "Measured leads").
  *
  * Each stencil stage is one routine for both directions: gradients()
  * forms the centred gradients in x and y, faces() the half states at x
@@ -66,14 +89,16 @@
  * refresh overwrites, are skipped: the x gradients at columns 0 and
  * e - 1, the last x face of each row, and the y faces and the update at
  * the halo columns.  The y gradients at both halo columns are formed,
- * since the x faces at columns 0 and e - 2 read them.  Every element that
+ * since the x faces at columns 0 and e - 2 read them.  A tile skips the
+ * same elements at its edge columns, and where an edge column is not a
+ * halo column the neighbouring tile forms them.  Every element that
  * feeds a unique cell has numpy's expression and operands, so the order
  * of the sweep changes no bit.
  *
- * The tail runs once the sweep is done, so that p is unchanged when the
+ * The tail runs once the sweeps are done, so that p is unchanged when the
  * depth check fails: the depth check over q, then the velocity recovery
- * into p, which folds each signal speed into a row of column maxima, and
- * last the maximum of that row.
+ * into p, which folds each signal speed into a row of e column maxima at
+ * the start of the ring block, and last the maximum of that row.
  *
  * No loop writes an element that another iteration of it reads, which
  * "#pragma GCC ivdep" states: without it gcc 12 vectorises none of the
@@ -106,6 +131,10 @@ typedef struct {
  * and their fluxes. */
 enum { GRAD = 3, CELL = 2 * GRAD, FACE = 6 };
 #define RING_SLOTS (3 * CELL + 2 * GRAD + GRAD + FACE + 2 * FACE)
+
+/* The widest column tile, in values: a row longer than this is swept in
+ * tiles of at most TILE values (see "Column tiles" above). */
+#define TILE 72
 
 /* The kernel's functions are inlined into each entry below, so each
  * entry compiles the whole step for its own instruction set. */
@@ -222,15 +251,17 @@ LW_INLINE void mirror(long e, long L, const double *restrict c, double *restrict
 }
 
 /* Half states at the faces across direction d between the cells k and
- * k + o of a row (x faces: o = 1, columns 0..e-2; y faces: o = e, the
- * unique columns 1..e-2), their primitive form and their fluxes, into X.
+ * k + o of a row of a tile e values wide, in rows E values apart (x
+ * faces: o = 1, columns 0..e-2; y faces: o = E, the updated columns
+ * 1..e-2), their primitive form and their fluxes, into X.
  * N is the velocity normal to the face (u across x faces, v across y
  * faces) and T the tangential one.  The row's (h, u, v) is at h, u, v;
  * the cell rows and the gradients along the face of cells k and k + o
  * are at c and D and at cn and Dn, which hold cell k + o at k + r (r = 1
  * in x, where they are the row's own, 0 in y); the face tables (f, -f)
  * at f, mf and (g Hx, g Hy) at gx, gy start at the row. */
-LW_INLINE void faces(int d, long e, long L, const lw_consts *K, const double *restrict c,
+LW_INLINE void faces(int d, long e, long E, long L, const lw_consts *K,
+                     const double *restrict c,
                      const double *restrict cn, const double *restrict D,
                      const double *restrict Dn, const double *restrict h,
                      const double *restrict u, const double *restrict v,
@@ -238,7 +269,7 @@ LW_INLINE void faces(int d, long e, long L, const lw_consts *K, const double *re
                      const double *restrict gx, const double *restrict gy,
                      double *restrict X)
 {
-    const long o = d ? e : 1, r = d ? 0 : 1, n = 1 + d, t = 3 - n;
+    const long o = d ? E : 1, r = d ? 0 : 1, n = 1 + d, t = 3 - n;
     const double *restrict q1 = c, *restrict q2 = c + GRAD * L;
     const double *restrict n1 = cn, *restrict n2 = cn + GRAD * L;
     const double *restrict F0 = c + d * GRAD * L, *restrict H0 = cn + d * GRAD * L;
@@ -273,7 +304,7 @@ LW_INLINE void faces(int d, long e, long L, const lw_consts *K, const double *re
     }
 }
 
-/* The update of a row at the unique columns 1..e-2 into q0..q2: flux
+/* The update of a row of a tile at its columns 1..e-2 into q0..q2: flux
  * differences, the wall faces carrying zero normal flux, then the
  * corrector source at the time-centred cell state, the mean of the x
  * face states, averaged with that of the y faces off the walls.  The
@@ -330,8 +361,12 @@ LW_INLINE void update(long e, long L, const lw_consts *K, const double *restrict
                     + (mfc[k] * m1 - gyc[k]) * s;
         }
     }
-    /* halo refresh: column 0 copies unique column nx - 2, column e - 1
-     * copies unique column 0 */
+}
+
+/* The halo refresh of a row of e values: column 0 copies unique column
+ * nx - 2, column e - 1 copies unique column 0. */
+LW_INLINE void halo(long e, double *restrict q0, double *restrict q1, double *restrict q2)
+{
     q0[0] = q0[e - 2];
     q1[0] = q1[e - 2];
     q2[0] = q2[e - 2];
@@ -380,27 +415,21 @@ LW_INLINE double max_or_nan(long n, double *restrict s)
     return s[0];
 }
 
-/* The body of the step entries below; exact is set by the AVX-512 entry
- * alone, which divides by two_dx and two_dy with quotient() where both
- * are exact_divisors. */
-LW_INLINE int step(const lw_work *w, double dt, double *speed, int exact)
+/* The sweep over the rows of the tile of the e columns c0..c0+e-1, in
+ * rows E = w->e values long, updating its columns 1..e-2 into w->q; with
+ * last set, for the last tile, it refreshes the halo columns of each row
+ * it finishes. */
+LW_INLINE void sweep(const lw_work *w, const lw_consts *K, int exact, long c0, long e,
+                     int last)
 {
-    const long ny = w->ny, e = w->e, n = ny * e, L = lw_stride(e);
-    const double g = w->g, dx = w->dx, dy = w->dy;
-    const lw_consts K = {
-        .dt = dt, .hg = 0.5 * g, .two_dx = 2.0 * dx, .two_dy = 2.0 * dy,
-        .cx = 0.5 * dt / dx, .cy = 0.5 * dt / dy, .qdt = 0.25 * dt,
-        .hdt = 0.5 * dt, .dtdx = dt / dx, .dtdy = dt / dy,
-    };
-    exact = exact && exact_divisor(K.two_dx) && exact_divisor(K.two_dy);
-
-    double *h = w->p, *u = w->p + n, *v = w->p + 2 * n;
+    const long ny = w->ny, E = w->e, n = ny * E, L = lw_stride(e);
+    const double *h = w->p, *u = w->p + n, *v = w->p + 2 * n;
     double *q0 = w->q, *q1 = w->q + n, *q2 = w->q + 2 * n;
     const double *fc = w->cell_f, *mfc = w->cell_f + n;
     const double *gxc = w->cell_g, *gyc = w->cell_g + n;
     const double *gxx = w->mx_g, *gyx = w->mx_g + n;
-    const double *fy = w->my_f, *mfy = w->my_f + (n - e);
-    const double *gxy = w->my_g, *gyy = w->my_g + (n - e);
+    const double *fy = w->my_f, *mfy = w->my_f + (n - E);
+    const double *gxy = w->my_g, *gyy = w->my_g + (n - E);
 
     /* the rings: cell row r in cell slot r % 3, the x gradients of row r
      * in gx slot r % 2, and the y faces between rows r and r + 1 in yf
@@ -410,12 +439,13 @@ LW_INLINE int step(const lw_work *w, double dt, double *speed, int exact)
     double *xf = gy + GRAD * L, *yf = xf + FACE * L;
 
     for (long r = 0; r < 2; r++) {
+        const long o = r * E + c0;
         double *c = cell + r * CELL * L;
-        cells(e, L, K.hg, h + r * e, u + r * e, v + r * e, c);
-        gradients(0, e, 1, L, K.two_dx, exact, c, c, gx + r * GRAD * L);
+        cells(e, L, K->hg, h + o, u + o, v + o, c);
+        gradients(0, e, 1, L, K->two_dx, exact, c, c, gx + r * GRAD * L);
     }
     for (long r = 0; r < ny; r++) {
-        const long o = r * e;
+        const long o = r * E + c0;
         const int south = r > 0, north = r < ny - 1;
         const double *c = cell + r % 3 * CELL * L;
         double *cs = cell + (r + 2) % 3 * CELL * L, *cn = cell + (r + 1) % 3 * CELL * L;
@@ -427,20 +457,50 @@ LW_INLINE int step(const lw_work *w, double dt, double *speed, int exact)
             mirror(e, L, cn, cs);
         if (!north)
             mirror(e, L, cs, cn);
-        gradients(1, e, 0, L, K.two_dy, exact, cn, cs, gy);
-        faces(0, e, L, &K, c, c, gy, gy, h + o, u + o, v + o, fc + o, mfc + o, gxx + o, gyx + o,
-              xf);
+        gradients(1, e, 0, L, K->two_dy, exact, cn, cs, gy);
+        faces(0, e, E, L, K, c, c, gy, gy, h + o, u + o, v + o, fc + o, mfc + o, gxx + o,
+              gyx + o, xf);
         if (north)
-            faces(1, e, L, &K, c, cn, gx + r % 2 * GRAD * L, gx + (r + 1) % 2 * GRAD * L,
+            faces(1, e, E, L, K, c, cn, gx + r % 2 * GRAD * L, gx + (r + 1) % 2 * GRAD * L,
                   h + o, u + o, v + o, fy + o, mfy + o, gxy + o, gyy + o, yn);
-        update(e, L, &K, h + o, c, xf, south ? ys : NULL, north ? yn : NULL,
+        update(e, L, K, h + o, c, xf, south ? ys : NULL, north ? yn : NULL,
                fc + o, mfc + o, gxc + o, gyc + o, q0 + o, q1 + o, q2 + o);
+        if (last)
+            halo(E, q0 + r * E, q1 + r * E, q2 + r * E);
         if (r + 2 < ny) {
+            const long o2 = o + 2 * E;
             double *c2 = cell + (r + 2) % 3 * CELL * L;
-            cells(e, L, K.hg, h + o + 2 * e, u + o + 2 * e, v + o + 2 * e, c2);
-            gradients(0, e, 1, L, K.two_dx, exact, c2, c2, gx + r % 2 * GRAD * L);
+            cells(e, L, K->hg, h + o2, u + o2, v + o2, c2);
+            gradients(0, e, 1, L, K->two_dx, exact, c2, c2, gx + r % 2 * GRAD * L);
         }
     }
+}
+
+/* The body of the step entries below; exact is set by the AVX-512 entry
+ * alone, which divides by two_dx and two_dy with quotient() where both
+ * are exact_divisors. */
+LW_INLINE int step(const lw_work *w, double dt, double *speed, int exact)
+{
+    const long ny = w->ny, e = w->e, n = ny * e;
+    const double g = w->g, dx = w->dx, dy = w->dy;
+    const lw_consts K = {
+        .dt = dt, .hg = 0.5 * g, .two_dx = 2.0 * dx, .two_dy = 2.0 * dy,
+        .cx = 0.5 * dt / dx, .cy = 0.5 * dt / dy, .qdt = 0.25 * dt,
+        .hdt = 0.5 * dt, .dtdx = dt / dx, .dtdy = dt / dy,
+    };
+    exact = exact && exact_divisor(K.two_dx) && exact_divisor(K.two_dy);
+
+    /* the tiles: the fewest of at most TILE values, among which the
+     * columns 1..e-2 of the row are shared out as evenly as can be; tile
+     * t updates the columns c0 + 1..c1 and reads c0..c1 + 1 */
+    const long inner = e - 2, tiles = (inner + TILE - 3) / (TILE - 2);
+    for (long t = 0; t < tiles; t++) {
+        const long c0 = inner * t / tiles, c1 = inner * (t + 1) / tiles;
+        sweep(w, &K, exact, c0, c1 - c0 + 2, t == tiles - 1);
+    }
+
+    double *h = w->p, *u = w->p + n, *v = w->p + 2 * n;
+    const double *q0 = w->q, *q1 = w->q + n, *q2 = w->q + 2 * n;
 
     /* the depth check: h.min() > 0 and h.max() < inf */
     long bad = 0;
@@ -451,8 +511,9 @@ LW_INLINE int step(const lw_work *w, double dt, double *speed, int exact)
         return 1;
 
     /* velocity recovery, v = 0 on the walls, and the next signal speed:
-     * max(top) with top a ring slot of column maxima from 0 */
-    double *top = ring;
+     * max(top), with top the e column maxima from 0 at the start of the
+     * ring block, which holds them as well as the slots of a tile */
+    double *top = w->ring;
     for (long k = 0; k < e; k++)
         top[k] = 0.0;
     for (long r = 0; r < ny; r++) {

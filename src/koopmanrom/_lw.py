@@ -32,7 +32,11 @@ every ``_lw-*`` file untouched for a week: an unloaded or damaged
 library of any key, or a dead build's temporary.
 
 ``Kernel.bind`` is a step binder of ``swe``; the step it returns holds
-the block of row rings in which the kernel keeps its intermediates.
+the block of row rings in which the kernel keeps its intermediates.  The
+block has ``_RING_SLOTS`` slots sized for a whole row of the grid, so it
+holds both the slots of any column tile the kernel sweeps, which are
+never wider than a row, and the row of column maxima that the step's
+tail folds the signal speeds into from its start.
 
 Nothing here runs at import of the package: ``swe`` imports this module
 and builds the library at the first sub-step of a process.
@@ -125,6 +129,8 @@ class Kernel:
             if (a.dtype != np.float64 or a.shape != (count, length)
                     or a.strides != (8 * stride, 8)):
                 raise ValueError(f"workspace array {name} does not have the kernel's layout")
+        # the slots of a column tile and the tail's e column maxima both
+        # fit in slots of a whole row
         arrays["ring"] = _row_ring(e)
         work = _Work(w.ny, e, w.gravity, w.dx, w.dy,
                      *(arrays[name].ctypes.data for name in _ARRAYS))

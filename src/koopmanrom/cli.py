@@ -198,8 +198,11 @@ def cmd_simulate(args) -> int:
         mass0, mass1 = sink.masses
         drift = (mass1 - mass0) / mass0 if mass0 > 0 else float("nan")  # 0 if it underflows
         print(f"mass: initial {mass0:.10e}, final {mass1:.10e}, relative drift {drift:.3e}")
+        # every file lands before the next line, so a stdout that fails
+        # there leaves the new files as a set, not beside older ones
         for writer in sink.writers.values():
             writer.commit()
+        for writer in sink.writers.values():
             print(f"wrote {writer.path} ({writer.nsnap} snapshots of {grid.ny}x{grid.nx})")
     return 0
 

@@ -39,10 +39,11 @@ or returns None, with p unchanged, when the new depth is not finite and
 positive.  ``_select_step`` picks the binder once per process.
 ``_numpy_bind`` is the portable one and the reference.  ``_lw.Kernel.bind``
 runs ``_lw.c``, one C function doing the same operations per element in
-one sweep over the grid rows, its intermediates in rings of a few rows;
-it is built with the C compiler at the first ``_advance`` of a process
-(never at import), cached per user, and selected only when one step of
-it on a probe grid matches the numpy step bit for bit.  Without a
+one sweep over the grid rows per column tile, its intermediates in rings
+of a few tile rows that stay in the L1 cache; it is built with the C
+compiler at the first ``_advance`` of a process (never at import),
+cached per user, and selected only when one step of it on a probe grid
+two tiles wide matches the numpy step bit for bit.  Without a
 compiler, or when the build, the load or that check fails, the numpy
 step runs.
 """
@@ -565,9 +566,11 @@ def _select_step():
 
 
 def _compiled_matches_numpy(bind) -> bool:
-    """Whether one step of the binder ``bind`` gives the numpy step's bits."""
+    """Whether one step of the binder ``bind`` gives the numpy step's bits,
+    on a grid wide enough that the compiled step sweeps it in two column
+    tiles."""
     constants = PhysicalConstants()   # orography, beta and a nonzero v
-    grid = Grid.for_channel(12, 9, constants)
+    grid = Grid.for_channel(80, 5, constants)
     state = initial_state(constants, grid)
     ref, got = _Workspace(constants, grid), _Workspace(constants, grid)
     ref.load(state)

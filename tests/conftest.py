@@ -9,8 +9,10 @@ That configuration is integrable for days and exercises every stage of
 the pipeline.
 """
 
+import os
 import shutil
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +31,22 @@ CLASSIC = kr.PhysicalConstants(
     channel_length=6000e3,
     channel_width=4400e3,
 )
+
+
+def pytest_sessionstart(session):
+    """Stop the session when the first ``PYTHONPATH`` entry that holds a
+    ``koopmanrom`` package is not this checkout's ``src``: pytest's
+    ``pythonpath`` setting puts that ``src`` ahead of ``PYTHONPATH``, so
+    the run would test this checkout, not the tree it names."""
+    src = (Path(__file__).parents[1] / "src").resolve()
+    for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+        tree = Path(entry or ".").resolve()
+        if (tree / "koopmanrom" / "__init__.py").is_file():
+            if tree != src:
+                pytest.exit(f"PYTHONPATH names the koopmanrom of {tree}, but these tests "
+                            f"import the one of {src}: run that tree's tests from its own "
+                            "checkout", returncode=pytest.ExitCode.USAGE_ERROR)
+            return
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -461,6 +461,28 @@ class TestSimulateStreaming:
         assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_stdout_failing_after_the_mass_line_lands_every_file(self, tmp_path, capsys):
+        """A rerun whose stdout breaks at its second line, the first
+        "wrote" line, exits 3 with all three files of the new run, none
+        of the old run's beside them."""
+        out = tmp_path / "o"
+        old = write_cfg(tmp_path, DESK_CFG + "n_snapshots = 3\n", name="old.cfg")
+        assert main(["simulate", "--config", str(old), "--out", str(out)]) == 0
+        new = write_cfg(tmp_path, DESK_CFG + "n_snapshots = 4\n", name="new.cfg")
+
+        class OneLine(io.StringIO):
+            def write(self, text):
+                if text and self.getvalue().count("\n") >= 1:
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        with mock.patch("sys.stdout", OneLine()) as stdout:
+            assert main(["simulate", "--config", str(new), "--out", str(out)]) == 3
+        assert stdout.getvalue().startswith("mass: ")
+        assert "Broken pipe" in capsys.readouterr().err
+        assert self.ksnp_dir(out) == ["h.ksnp", "u.ksnp", "v.ksnp"]
+        assert all(load(out / f"{name}.ksnp").n_snapshots == 4 for name in "huv")
+
     def test_non_finite_row_exits_3_and_leaves_no_file(self, tmp_path, monkeypatch,
                                                        capsys):
         real = swe.simulate

@@ -13,8 +13,11 @@ it.
 
 ``test_one_step_matches_numpy_on_every_entry`` holds every entry the CPU
 runs to the numpy step on drawn inputs: grid widths on both sides of each
-ring padding, signed zeros, subnormal and overflowing momenta, and states
-whose centred differences are exactly zero.
+ring padding and of the widths swept in two, three and four column tiles,
+signed zeros, subnormal and overflowing momenta, and states whose centred
+differences are exactly zero.
+``test_full_grid_steps_match_numpy_on_every_entry`` does so for several
+steps on the full channel's 129 x 65 grid, two tiles wide.
 ``test_gradients_divide_as_numpy_does`` holds the exact division of the
 AVX-512 entry's gradients to numpy's quotients on drawn operands at the
 edges of its guards.
@@ -70,6 +73,10 @@ class TestPortableEntry(EntryOracles):
 # widths nx on both sides of each multiple of 8 in the row length nx + 1,
 # where a ring slot of the compiled step is padded
 RING_EDGES = [nx for m in range(8, 48, 8) for nx in (m - 2, m - 1, m) if 4 <= nx <= 40]
+# widths nx whose rows of nx + 1 values the compiled step sweeps in column
+# tiles of at most 72 values: one (71) or two (72), split evenly (73, 129)
+# or not (74, 132), three, evenly (211) or not (201), and four (212)
+TILE_SEAMS = [71, 72, 73, 74, 129, 132, 201, 211, 212]
 VELOCITIES = ["noisy", "zero", "-0", "signed zeros", "subnormal", "huge"]
 
 
@@ -80,8 +87,9 @@ def step_cases(draw):
     +0, all -0, +-0 by cell, subnormal or near the overflow of the
     fluxes; optionally every column or every row the same, so that the
     centred differences across them are exact zeros."""
-    nx = draw(st.one_of(st.integers(4, 40), st.sampled_from(RING_EDGES)))
-    ny = draw(st.integers(4, 24))
+    nx = draw(st.one_of(st.integers(4, 40), st.sampled_from(RING_EDGES),
+                        st.sampled_from(TILE_SEAMS)))
+    ny = draw(st.integers(4, 24 if nx <= 40 else 7))
     hill = draw(st.sampled_from([0.0, 1.0, 3000.0]))
     constants = dataclasses.replace(HILLY, orography_amplitude=hill)
     grid = kr.Grid.for_channel(nx, ny, constants)
@@ -143,6 +151,21 @@ def test_one_step_matches_numpy_on_every_entry(entries, case):
     outcomes = {name: step_outcome(bind, case) for name, bind in entries.items()}
     want = outcomes.pop("numpy")
     for name, got in outcomes.items():
+        assert got == want, name
+
+
+def test_full_grid_steps_match_numpy_on_every_entry(entries):
+    """Three snapshots on the full channel's 129 x 65 grid, over a dozen
+    steps with orography, give the numpy step's bits on every entry."""
+    grid = kr.Grid.for_channel(129, 65, HILLY)
+    runs = {}
+    for name, bind in entries.items():
+        with mock.patch.object(swe, "_step", bind):
+            states = kr.simulate(HILLY, grid, 1800.0, 3)
+        runs[name] = [(s.t, *(a.view(np.int64).tobytes() for a in (s.h, s.u, s.v)))
+                      for s in states]
+    want = runs.pop("numpy")
+    for name, got in runs.items():
         assert got == want, name
 
 

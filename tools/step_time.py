@@ -16,10 +16,13 @@ constants, runs a few untimed steps, loads it again and times ``--steps``
 steps at Courant number 0.5.
 
 The first line names the entry each tree's loader binds.  For each grid
-and entry the table gives the minimum and the median ms per step over
-the blocks on each tree ("-" where a tree has no such entry), the change
-of the median, and whether the state after the steps is bit-identical,
-in every block, to that of the base tree's first entry on that grid.
+and entry the table gives the minimum, the lower quartile and the median
+ms per step over the blocks on each tree ("-" where a tree has no such
+entry), the change of the median, and whether the state after the steps
+is bit-identical, in every block, to that of the base tree's first entry
+on that grid.  The quartiles are the inclusive ones of
+``tools/bench_pairs.py``; the lower quartile shows whether a gain holds
+in a tree's fast blocks as well as in its median.
 Uses the standard library and numpy only; exits 1 when a tree has no
 compiled step (no C compiler, or a build that fails).
 """
@@ -94,6 +97,13 @@ def run_child(tree: Path, grids, steps: int, cache: Path) -> dict:
     return json.loads(done.stdout)
 
 
+def min_q1_median(times: list[float]) -> list[float]:
+    """The minimum, the lower quartile and the median of ``times``."""
+    q1, median, _ = (statistics.quantiles(times, n=4, method="inclusive")
+                     if len(times) > 1 else times * 3)
+    return [min(times), q1, median]
+
+
 def grid_arg(text: str):
     nx, _, ny = text.partition("x")
     return [int(nx), int(ny)]
@@ -131,8 +141,8 @@ def main(argv=None) -> int:
     bound = {name: runs[name][0]["bound"] for name in trees}
     print(f"{args.steps} steps, {args.blocks} blocks; ms per step; the loader binds "
           f"{bound['base']} (base) and {bound['change']} (change)")
-    print(f"{'grid':8} {'entry':14} {'base min':>9} {'base med':>9} {'change min':>11} "
-          f"{'change med':>11} {'med':>8}  identical")
+    print(f"{'grid':8} {'entry':14} {'base min':>9} {'base q1':>9} {'base med':>9} "
+          f"{'change min':>11} {'change q1':>11} {'change med':>11} {'med':>8}  identical")
     for nx, ny in grids:
         grid = f"{nx}x{ny}"
         # the state every entry must give: the base tree's first entry's
@@ -141,15 +151,16 @@ def main(argv=None) -> int:
             key, cells, same = f"{grid} {entry}", [], True
             for name in trees:
                 times = [run[key][0] for run in runs[name] if key in run]
-                cells += [min(times), statistics.median(times)] if times else [None, None]
+                cells += min_q1_median(times) if times else [None] * 3
                 same &= all(run[key][1] == base[first][1]
                             for run, base in zip(runs[name], runs["base"]) if key in run)
-            if cells == [None] * 4:
+            if cells == [None] * 6:
                 continue
-            shift = None if None in cells else 100.0 * (cells[3] / cells[1] - 1.0)
+            shift = None if None in cells else 100.0 * (cells[5] / cells[2] - 1.0)
             text = ["-" if c is None else f"{c:.4f}" for c in cells]
-            print(f"{grid:8} {entry:14} {text[0]:>9} {text[1]:>9} {text[2]:>11} {text[3]:>11} "
-                  f"{'-' if shift is None else f'{shift:+.1f}%':>8}  {'yes' if same else 'NO'}")
+            print(f"{grid:8} {entry:14} {text[0]:>9} {text[1]:>9} {text[2]:>9} {text[3]:>11} "
+                  f"{text[4]:>11} {text[5]:>11} {'-' if shift is None else f'{shift:+.1f}%':>8}  "
+                  f"{'yes' if same else 'NO'}")
     return 0
 
 
