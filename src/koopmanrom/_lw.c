@@ -52,11 +52,15 @@
  * into q (and, in the last tile, the refresh of its halo columns), and
  * last the cell row, fluxes and x gradients of row r + 2, ready for the
  * next rows.  The rings hold 3 cell rows, 2 rows of x gradients and of y
- * faces, and 1 of y gradients and of x faces: RING_SLOTS (45) slots of a
- * tile's values (below), each padded to a multiple of 8 and 64-byte
- * aligned, in one block that Kernel.bind makes (w->ring).  A cell row
- * keeps only what is not already held elsewhere: h is read from p, and
- * the mass fluxes uh and vh are the momenta.
+ * faces, and 1 of y gradients and of x faces: RING_SLOTS (45) slots of
+ * TILE (72) values, a column tile's at most (below), each 64-byte aligned.
+ * A cell row keeps only what is not already held elsewhere: h is read
+ * from p, and the mass fluxes uh and vh are the momenta.
+ *
+ * The rings are one array of 25920 bytes on the stack of the step, not
+ * scratch the caller passes: each entry's frame is static, 27008 to 27136
+ * bytes under gcc 12 (-fstack-usage), which a test holds under 64 KiB.
+ * So two calls share no scratch, and the step is reentrant.
  *
  * Column tiles.  Slots of a whole row of a 129 x 65 grid would fill 48960
  * bytes, the whole 48 KiB L1D of the Sapphire Rapids this was measured
@@ -69,13 +73,13 @@
  * code runs on it as on a row of w values, updating its columns 1..w-2,
  * with the row stride e apart from w where it steps to the next row
  * (faces() in y; in the routines below, e names the tile's width and E
- * the row stride), and its ring slots hold w values: on a 129 x 65 grid,
- * two tiles of 66 values (64 updated columns) in 25920 bytes of slots,
- * and 15.2 ns per cell.  Neighbouring tiles share two columns, whose cell
- * rows, y gradients and x faces both form with the same expression on
- * the same operands, so no bit changes.  The last tile refreshes the halo
- * columns of each row it finishes, after the first tile has updated
- * unique column 0, so a grid of one tile runs the row code as it was.
+ * the row stride), and it fills w values of each ring slot: on a 129 x 65
+ * grid, two tiles of 66 values (64 updated columns), and 15.2 ns per
+ * cell.  Neighbouring tiles share two columns, whose cell rows, y
+ * gradients and x faces both form with the same expression on the same
+ * operands, so no bit changes.  The last tile refreshes the halo columns
+ * of each row it finishes, after the first tile has updated unique
+ * column 0, so a grid of one tile runs the row code as it was.
  * Narrower tiles, and tiles of rows that already fit, ran slower (see
  * ROADMAP.md, "Measured leads").
  *
@@ -97,8 +101,11 @@
  *
  * The tail runs once the sweeps are done, so that p is unchanged when the
  * depth check fails: the depth check over q, then the velocity recovery
- * into p, which folds each signal speed into a row of e column maxima at
- * the start of the ring block, and last the maximum of that row.
+ * into p, each row in chunks of at most TILE columns, which folds the
+ * signal speed of column k into the column maximum k % TILE of the
+ * min(e, TILE) at the start of the ring, and last the maximum of those.
+ * The maximum is exact and a NaN wins in either operand of nan_or_max, so
+ * the chunks change no bit of the speed.
  *
  * No loop writes an element that another iteration of it reads, which
  * "#pragma GCC ivdep" states: without it gcc 12 vectorises none of the
@@ -114,7 +121,6 @@ typedef struct {
     double g, dx, dy;
     double *p;                  /* (h, u, v) in; the new (h, u, v) out */
     double *q;                  /* (h, uh, vh) of the new state */
-    double *ring;               /* RING_SLOTS slots of lw_stride(e), 64-byte aligned */
     const double *cell_f;       /* (f, -f) at cells, blocks of n */
     const double *cell_g;       /* (g Hx, g Hy) at cells, blocks of n */
     const double *mx_g;         /* (g Hx, g Hy) at x faces, blocks of n */
@@ -133,18 +139,15 @@ enum { GRAD = 3, CELL = 2 * GRAD, FACE = 6 };
 #define RING_SLOTS (3 * CELL + 2 * GRAD + GRAD + FACE + 2 * FACE)
 
 /* The widest column tile, in values: a row longer than this is swept in
- * tiles of at most TILE values (see "Column tiles" above). */
+ * tiles of at most TILE values (see "Column tiles" above).  Two ring slots
+ * are TILE values apart. */
 #define TILE 72
+_Static_assert(TILE % 8 == 0, "ring slots are 64-byte aligned");
+_Static_assert(RING_SLOTS * TILE * sizeof(double) <= 32768, "the ring fits in 32 KiB");
 
 /* The kernel's functions are inlined into each entry below, so each
  * entry compiles the whole step for its own instruction set. */
 #define LW_INLINE static inline __attribute__((always_inline))
-
-/* The values apart of two ring slots: e padded to a multiple of 8. */
-LW_INLINE long lw_stride(long e)
-{
-    return (e + 7) & ~7L;
-}
 
 /* The step's constants, as Python forms them. */
 typedef struct {
@@ -416,13 +419,13 @@ LW_INLINE double max_or_nan(long n, double *restrict s)
 }
 
 /* The sweep over the rows of the tile of the e columns c0..c0+e-1, in
- * rows E = w->e values long, updating its columns 1..e-2 into w->q; with
- * last set, for the last tile, it refreshes the halo columns of each row
- * it finishes. */
+ * rows E = w->e values long, updating its columns 1..e-2 into w->q, with
+ * its intermediates in the ring; with last set, for the last tile, it
+ * refreshes the halo columns of each row it finishes. */
 LW_INLINE void sweep(const lw_work *w, const lw_consts *K, int exact, long c0, long e,
-                     int last)
+                     int last, double *ring)
 {
-    const long ny = w->ny, E = w->e, n = ny * E, L = lw_stride(e);
+    const long ny = w->ny, E = w->e, n = ny * E, L = TILE;
     const double *h = w->p, *u = w->p + n, *v = w->p + 2 * n;
     double *q0 = w->q, *q1 = w->q + n, *q2 = w->q + 2 * n;
     const double *fc = w->cell_f, *mfc = w->cell_f + n;
@@ -434,7 +437,6 @@ LW_INLINE void sweep(const lw_work *w, const lw_consts *K, int exact, long c0, l
     /* the rings: cell row r in cell slot r % 3, the x gradients of row r
      * in gx slot r % 2, and the y faces between rows r and r + 1 in yf
      * slot r % 2 */
-    double *ring = w->ring;
     double *cell = ring, *gx = cell + 3 * CELL * L, *gy = gx + 2 * GRAD * L;
     double *xf = gy + GRAD * L, *yf = xf + FACE * L;
 
@@ -489,6 +491,7 @@ LW_INLINE int step(const lw_work *w, double dt, double *speed, int exact)
         .hdt = 0.5 * dt, .dtdx = dt / dx, .dtdy = dt / dy,
     };
     exact = exact && exact_divisor(K.two_dx) && exact_divisor(K.two_dy);
+    double ring[RING_SLOTS * TILE] __attribute__((aligned(64)));
 
     /* the tiles: the fewest of at most TILE values, among which the
      * columns 1..e-2 of the row are shared out as evenly as can be; tile
@@ -496,7 +499,7 @@ LW_INLINE int step(const lw_work *w, double dt, double *speed, int exact)
     const long inner = e - 2, tiles = (inner + TILE - 3) / (TILE - 2);
     for (long t = 0; t < tiles; t++) {
         const long c0 = inner * t / tiles, c1 = inner * (t + 1) / tiles;
-        sweep(w, &K, exact, c0, c1 - c0 + 2, t == tiles - 1);
+        sweep(w, &K, exact, c0, c1 - c0 + 2, t == tiles - 1, ring);
     }
 
     double *h = w->p, *u = w->p + n, *v = w->p + 2 * n;
@@ -511,16 +514,20 @@ LW_INLINE int step(const lw_work *w, double dt, double *speed, int exact)
         return 1;
 
     /* velocity recovery, v = 0 on the walls, and the next signal speed:
-     * max(top), with top the e column maxima from 0 at the start of the
-     * ring block, which holds them as well as the slots of a tile */
-    double *top = w->ring;
-    for (long k = 0; k < e; k++)
+     * max(top), with top the first min(e, TILE) values of the ring, each
+     * the maximum from 0 of its columns k, k + TILE, ... of every row,
+     * recovered in chunks of at most TILE columns */
+    double *top = ring;
+    const long m = e < TILE ? e : TILE;
+    for (long k = 0; k < m; k++)
         top[k] = 0.0;
-    for (long r = 0; r < ny; r++) {
-        const long o = r * e;
-        recover(e, r == 0 || r == ny - 1, g, q0 + o, q1 + o, q2 + o, h + o, u + o, v + o, top);
-    }
-    *speed = max_or_nan(e, top);
+    for (long r = 0; r < ny; r++)
+        for (long c = 0; c < e; c += TILE) {
+            const long o = r * e + c, len = e - c < TILE ? e - c : TILE;
+            recover(len, r == 0 || r == ny - 1, g, q0 + o, q1 + o, q2 + o, h + o, u + o, v + o,
+                    top);
+        }
+    *speed = max_or_nan(m, top);
     return 0;
 }
 
@@ -586,11 +593,12 @@ double lw_max_or_nan_avx512(long n, double *s)
 }
 
 /* The gradients of lw_step_avx512 on their own, for tests: D = (a - b) /
- * two_d over three rows of e values, lw_stride(e) apart, divided as that
- * entry divides them. */
+ * two_d over three rows of e values, L apart, divided as that entry
+ * divides them. */
 __attribute__((target("avx512f,avx512vl")))
-void lw_gradients_avx512(long e, double two_d, const double *a, const double *b, double *D)
+void lw_gradients_avx512(long e, long L, double two_d, const double *a, const double *b,
+                         double *D)
 {
-    gradients(0, e, 0, lw_stride(e), two_d, exact_divisor(two_d), a, b, D);
+    gradients(0, e, 0, L, two_d, exact_divisor(two_d), a, b, D);
 }
 #endif

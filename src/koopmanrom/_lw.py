@@ -31,12 +31,10 @@ directory.  Each load sets the library's mtime, and a build removes
 every ``_lw-*`` file untouched for a week: an unloaded or damaged
 library of any key, or a dead build's temporary.
 
-``Kernel.bind`` is a step binder of ``swe``; the step it returns holds
-the block of row rings in which the kernel keeps its intermediates.  The
-block has ``_RING_SLOTS`` slots sized for a whole row of the grid, so it
-holds both the slots of any column tile the kernel sweeps, which are
-never wider than a row, and the row of column maxima that the step's
-tail folds the signal speeds into from its start.
+``Kernel.bind`` is a step binder of ``swe``: it passes the kernel the
+state and the source tables of a workspace, after checking their layout.
+The kernel keeps its intermediates in row rings of a fixed size on its
+own stack, so the binding holds no scratch and two steps share none.
 
 Nothing here runs at import of the package: ``swe`` imports this module
 and builds the library at the first sub-step of a process.
@@ -64,8 +62,7 @@ _FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 _BUILD_TIMEOUT_S = 120
 _EVICT_AFTER_S = 7 * 24 * 3600
 
-_ARRAYS = ("p", "q", "ring", "cell_f", "cell_g", "mx_g", "my_f", "my_g")
-_RING_SLOTS = 45   # RING_SLOTS of _lw.c
+_ARRAYS = ("p", "q", "cell_f", "cell_g", "mx_g", "my_f", "my_g")
 
 
 class _Work(ctypes.Structure):
@@ -73,21 +70,6 @@ class _Work(ctypes.Structure):
     _fields_ = ([("ny", ctypes.c_long), ("e", ctypes.c_long), ("g", ctypes.c_double),
                  ("dx", ctypes.c_double), ("dy", ctypes.c_double)]
                 + [(name, ctypes.c_void_p) for name in _ARRAYS])
-
-
-def _slot(e: int) -> int:
-    """The values a ring slot holds for rows of e values: e padded to a
-    multiple of 8."""
-    return -(-e // 8) * 8
-
-
-def _row_ring(e: int) -> np.ndarray:
-    """A zeroed ring block for the kernel's rows of e values:
-    ``_RING_SLOTS`` slots of ``_slot(e)`` values, 64-byte aligned."""
-    size = _RING_SLOTS * _slot(e)
-    raw = np.zeros(size + 8)
-    start = -raw.ctypes.data % 64 // 8
-    return raw[start:start + size].reshape(_RING_SLOTS, _slot(e))
 
 
 def cache_dir() -> Path:
@@ -129,9 +111,6 @@ class Kernel:
             if (a.dtype != np.float64 or a.shape != (count, length)
                     or a.strides != (8 * stride, 8)):
                 raise ValueError(f"workspace array {name} does not have the kernel's layout")
-        # the slots of a column tile and the tail's e column maxima both
-        # fit in slots of a whole row
-        arrays["ring"] = _row_ring(e)
         work = _Work(w.ny, e, w.gravity, w.dx, w.dy,
                      *(arrays[name].ctypes.data for name in _ARRAYS))
         speed = ctypes.c_double()
@@ -142,7 +121,6 @@ class Kernel:
                 return None
             return speed.value
 
-        step.ring = arrays["ring"]   # alive as long as the step
         return step
 
 

@@ -61,6 +61,7 @@ depend on the thread count the caller set.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
@@ -161,13 +162,17 @@ class DmdDecomposition:
 
     def _mode_index(self, subset: Sequence[int]) -> np.ndarray:
         """``subset`` as an index array of distinct modes in [0, m), else
-        IndexOutOfRange.  Repeats are found with a set: the first call of
-        np.unique maps about 0.75 MiB more of numpy's code."""
-        idx = np.asarray(list(subset), dtype=int)
+        IndexOutOfRange, also for an entry that is not an integer (a bool
+        or a float would otherwise be cast to one).  Repeats are found with
+        a set: the first call of np.unique maps about 0.75 MiB more of
+        numpy's code."""
+        entries = list(subset)
         m = self.lambdas.shape[0]
-        if np.any((idx < 0) | (idx >= m)) or len(set(idx.tolist())) < idx.size:
-            raise IndexOutOfRange(f"mode indices must be distinct and in [0, {m})")
-        return idx
+        if (not all(isinstance(j, (int, np.integer)) and not isinstance(j, bool)
+                    and 0 <= j < m for j in entries)
+                or len(set(entries)) < len(entries)):
+            raise IndexOutOfRange(f"mode indices must be integers, distinct and in [0, {m})")
+        return np.asarray(entries, dtype=int)
 
 
 class _Consumed(np.ndarray):
@@ -591,12 +596,17 @@ def reconstruct(dec: DmdDecomposition, subset: Sequence[int], i: int) -> np.ndar
     """Real part of sum_j a_j lambda_j^(i-1) phi_j over the subset.
 
     For a conjugate-closed subset the imaginary residue is roundoff.
-    ``i`` is the 1-based snapshot index, IndexOutOfRange where a selected
-    power overflows; i = 1 targets the snapshot the amplitudes were fit to.
+    ``i`` is the 1-based snapshot index, IndexOutOfRange where it is not
+    an integer or a selected power overflows; i = 1 targets the snapshot
+    the amplitudes were fit to.
     """
     idx = dec._mode_index(subset)
     if idx.size == 0:
         raise IndexOutOfRange("empty mode subset")
+    try:
+        i = operator.index(i)
+    except TypeError:
+        raise IndexOutOfRange(f"snapshot index {i!r} is not an integer") from None
     if i < 1:
         raise IndexOutOfRange(f"snapshot index {i} < 1")
     with np.errstate(over="ignore", invalid="ignore"):

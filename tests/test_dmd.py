@@ -2,6 +2,7 @@
 decomposition store that ``rom.reduced_model`` keeps of them."""
 
 import os
+import re
 import struct
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
@@ -336,6 +337,16 @@ class TestReconstruct:
             assert np.isfinite(kr.reconstruct(dec, everything, 6)).all()
             with pytest.raises(IndexOutOfRange, match=r"snapshot index i = 1000000: "):
                 kr.reconstruct(dec, everything, 10**6)
+
+    def test_non_integral_index_is_out_of_range(self, desk_decompositions):
+        # i = 2.5 gave lambda^1.5; an integer of numpy's type is an index
+        dec = desk_decompositions["h"]
+        everything = range(dec.lambdas.size)
+        for i in (2.5, 2.0, np.float64(2.0), "2"):
+            with pytest.raises(IndexOutOfRange, match=re.escape(f"snapshot index {i!r} is not")):
+                kr.reconstruct(dec, everything, i)
+        assert np.array_equal(kr.reconstruct(dec, everything, np.int64(2)),
+                              kr.reconstruct(dec, everything, 2))
 
 
 class TestInvariants:

@@ -186,7 +186,8 @@ MODE_SUBSET_CALLS = {
 
 
 @pytest.mark.parametrize("call", MODE_SUBSET_CALLS)
-@pytest.mark.parametrize("subset", [[-1], ["m"], [0, 0]], ids=["-1", "m", "0,0"])
+@pytest.mark.parametrize("subset", [[-1], ["m"], [0, 0], [0.5], [True]],
+                         ids=["-1", "m", "0,0", "0.5", "True"])
 def test_mode_subset_of_distinct_modes_in_range(call, subset):
     """Every function that takes a mode subset rejects an index outside
     [0, m) or one named twice, rather than wrapping or repeating it."""

@@ -98,6 +98,31 @@ def test_kernel_builds_without_warnings(tmp_path):
 
 
 @needs_cc
+def test_every_step_entry_has_a_static_frame_under_64_kib(tmp_path):
+    # the step keeps its rings in its own frame: a variable-length array or
+    # a wider TILE fails here rather than on a thread's stack
+    cc = shutil.which(_lw._CC)
+    lib = tmp_path / "lw.so"
+    build = subprocess.run([cc, *_lw._FLAGS, "-fstack-usage", "-o", str(lib), str(_lw._SOURCE)],
+                           cwd=tmp_path, stdin=subprocess.DEVNULL, capture_output=True,
+                           text=True, timeout=_lw._BUILD_TIMEOUT_S)
+    if build.returncode != 0 and "stack-usage" in build.stderr:
+        pytest.skip(f"{cc} refuses -fstack-usage")
+    assert build.returncode == 0, build.stderr
+    frames = {}
+    for report in tmp_path.glob("*.su"):
+        for line in report.read_text().splitlines():
+            where, size, kind = line.split("\t")
+            frames[where.rsplit(":", 1)[-1]] = int(size), kind
+    built = ctypes.CDLL(str(lib))
+    exported = [name for name in ENTRIES if hasattr(built, name)]
+    assert exported and sorted(n for n in frames if n.startswith("lw_step")) == sorted(exported)
+    for name in exported:
+        size, kind = frames[name]
+        assert kind == "static" and size < 64 * 2**10, (name, size, kind)
+
+
+@needs_cc
 @pytest.mark.skipif(platform.machine() != "x86_64" or not CPUINFO.exists(),
                     reason="no x86-64 /proc/cpuinfo to read the CPU's flags from")
 def test_kernel_binds_the_fastest_entry_the_cpu_has():
@@ -373,15 +398,6 @@ def test_binding_checks_the_workspace_layout(classic_constants):
         _lw.load().bind(w)
 
 
-@pytest.mark.parametrize("e", [5, 8, 9, 16, 17, 130])
-def test_row_ring_has_every_slot_of_the_kernel_aligned(e):
-    ring = _lw._row_ring(e)
-    assert _lw._slot(e) % 8 == 0 and e <= _lw._slot(e) < e + 8
-    assert ring.shape == (_lw._RING_SLOTS, _lw._slot(e)) and ring.dtype == np.float64
-    assert ring.flags.c_contiguous and ring.ctypes.data % 64 == 0
-    assert not ring.any()
-
-
 def first_step(constants, grid, state):
     """A new workspace on ``state`` after one step of half the CFL limit."""
     w = swe._Workspace(constants, grid)
@@ -392,8 +408,8 @@ def first_step(constants, grid, state):
 
 
 def test_a_workspace_holds_only_the_state_and_the_bound_step(classic_constants, step_path):
-    # each step's scratch belongs to its binding: the compiled step's ring
-    # to the kernel's, the numpy stacks to _numpy_bind's
+    # each step's scratch belongs to its binding: the compiled step keeps
+    # its rings on its own stack, the numpy stacks belong to _numpy_bind's
     grid = swe.Grid.for_channel(16, 8, classic_constants)
     w = first_step(classic_constants, grid, swe.initial_state(classic_constants, grid))
     assert [name for name, a in vars(w).items() if isinstance(a, np.ndarray)] == ["p", "q"]
@@ -450,7 +466,9 @@ def test_kernel_steps_clean_under_address_and_undefined_sanitizers(tmp_path):
                            stdin=subprocess.DEVNULL, capture_output=True, text=True,
                            timeout=_lw._BUILD_TIMEOUT_S)
     assert build.returncode == 0, build.stderr
-    grids = [*GRIDS, (16, 8), (129, 65)]
+    # 201 x 5: three column tiles, and three chunks in each row of the
+    # tail's speed fold, all in the ring between the frame's redzones
+    grids = [*GRIDS, (16, 8), (129, 65), (201, 5)]
     env = dict(os.environ, PYTHONPATH=str(SRC), LD_PRELOAD=asan,
                ASAN_OPTIONS="detect_leaks=0")
     run = subprocess.run([sys.executable, "-c", SANITIZED_STEP, str(lib),

@@ -13,9 +13,9 @@ it.
 
 ``test_one_step_matches_numpy_on_every_entry`` holds every entry the CPU
 runs to the numpy step on drawn inputs: grid widths on both sides of each
-ring padding and of the widths swept in two, three and four column tiles,
-signed zeros, subnormal and overflowing momenta, and states whose centred
-differences are exactly zero.
+multiple of 8 values and of the widths swept in two, three and four column
+tiles, signed zeros, subnormal and overflowing momenta, and states whose
+centred differences are exactly zero.
 ``test_full_grid_steps_match_numpy_on_every_entry`` does so for several
 steps on the full channel's 129 x 65 grid, two tiles wide.
 ``test_gradients_divide_as_numpy_does`` holds the exact division of the
@@ -33,7 +33,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import koopmanrom as kr
-from koopmanrom import _lw, swe
+from koopmanrom import swe
 from koopmanrom.errors import ToolkitError
 
 from conftest import entry_kernel, runnable
@@ -71,8 +71,8 @@ class TestPortableEntry(EntryOracles):
 
 
 # widths nx on both sides of each multiple of 8 in the row length nx + 1,
-# where a ring slot of the compiled step is padded
-RING_EDGES = [nx for m in range(8, 48, 8) for nx in (m - 2, m - 1, m) if 4 <= nx <= 40]
+# where the compiled step's loops end in whole AVX-512 vectors
+VECTOR_EDGES = [nx for m in range(8, 48, 8) for nx in (m - 2, m - 1, m) if 4 <= nx <= 40]
 # widths nx whose rows of nx + 1 values the compiled step sweeps in column
 # tiles of at most 72 values: one (71) or two (72), split evenly (73, 129)
 # or not (74, 132), three, evenly (211) or not (201), and four (212)
@@ -87,7 +87,7 @@ def step_cases(draw):
     +0, all -0, +-0 by cell, subnormal or near the overflow of the
     fluxes; optionally every column or every row the same, so that the
     centred differences across them are exact zeros."""
-    nx = draw(st.one_of(st.integers(4, 40), st.sampled_from(RING_EDGES),
+    nx = draw(st.one_of(st.integers(4, 40), st.sampled_from(VECTOR_EDGES),
                         st.sampled_from(TILE_SEAMS)))
     ny = draw(st.integers(4, 24 if nx <= 40 else 7))
     hill = draw(st.sampled_from([0.0, 1.0, 3000.0]))
@@ -214,7 +214,7 @@ DIVISOR = st.one_of(
 
 @st.composite
 def division_cases(draw):
-    """(e, two_d, a, b): three rows of e values a and b, L apart, whose
+    """(e, two_d, a, b): three rows of e values a and b, e apart, whose
     differences a - b are divided by two_d: range edges and mantissas
     near all ones, near one or drawn, of all exponents the exact division
     takes or of a narrow band; most rows hold only numerators that it
@@ -223,7 +223,7 @@ def division_cases(draw):
     lowest, highest = draw(st.sampled_from([(-900, 900), (-20, 20), (-900, -880), (880, 900)]))
     out = draw(st.sampled_from([False, False, True]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = np.zeros((2, 3, _lw._slot(e)))
+    rows = np.zeros((2, 3, e))
     rows[0, :, :e] = numerators(rng, (3, e), lowest, highest, out)
     if draw(st.booleans()):
         rows[1, :, :e] = numerators(rng, (3, e), lowest, highest, out)
@@ -232,16 +232,16 @@ def division_cases(draw):
 
 @pytest.fixture
 def avx512_gradients():
-    """``lw_gradients_avx512(e, two_d, a, b, D)`` of the loaded library;
-    skips where the CPU does not run the AVX-512 entry."""
+    """``lw_gradients_avx512(e, L, two_d, a, b, D)`` of the loaded library
+    on rows e apart; skips where the CPU does not run the AVX-512 entry."""
     lib = swe._step.__self__.lib   # compiled_step has set the loaded kernel's bind
     if "lw_step_avx512" not in runnable(lib):
         pytest.skip("this CPU does not run lw_step_avx512")
     pointer = ctypes.POINTER(ctypes.c_double)
     fn = lib.lw_gradients_avx512
-    fn.argtypes = (ctypes.c_long, ctypes.c_double, pointer, pointer, pointer)
+    fn.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_double, pointer, pointer, pointer)
     fn.restype = None
-    return lambda e, two_d, *rows: fn(e, two_d, *(x.ctypes.data_as(pointer) for x in rows))
+    return lambda e, two_d, *rows: fn(e, e, two_d, *(x.ctypes.data_as(pointer) for x in rows))
 
 
 @settings(max_examples=600, deadline=None, database=None, derandomize=True,
